@@ -203,11 +203,11 @@ def cmd_necklace(args):
     checks = []
     extra = {}
     if args.action == "verify-disjoint":
-        rep = nk.verify_disjointness(params, starts=args.starts,
-                                     seed=args.seed, jobs=args.jobs)
+        rep = nk.verify_disjointness(params, seed=args.seed)
+        lower = min(rep["c0_lower"], rep["c1_lower"])
         checks = [
-            {"name": "min_core_distance_over_b2", "value": rep["c0"],
-             "threshold": 2 * rep["rho"], "pass": rep["pass"]},
+            {"name": "min_core_distance_over_b2_lower", "value": lower,
+             "threshold": 2 * rep["rho"], "pass": lower > 2 * rep["rho"]},
             {"name": "rotation_equivariance", "value": rep["equivariance_error"],
              "threshold": 1e-9, "pass": rep["equivariance_error"] < 1e-9},
         ]
@@ -255,7 +255,6 @@ def cmd_export(args):
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="cubalex")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -291,7 +290,6 @@ def main(argv=None):
     p.add_argument("--m", type=int, default=1700)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--children", type=int, default=8)
-    p.add_argument("--starts", type=int, default=32)
     p.add_argument("--what", default="cores", choices=["cores", "tubes", "slice"])
     p.add_argument("--report", default="json")
     common(p)

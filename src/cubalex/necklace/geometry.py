@@ -20,24 +20,20 @@ def pattern_of_child(j):
     return ROUND if j % 2 == 0 else FLAT
 
 
+def model_core_point(pattern, b, u, v):
+    """Points of the model core torus at angles (u, v), elementwise."""
+    if pattern == ROUND:
+        r = 1.0 + b * np.sin(u)
+        return np.stack([np.zeros_like(u), b * np.cos(u),
+                         r * np.cos(v), r * np.sin(v)], axis=-1)
+    return np.stack([b * np.cos(u), b * np.sin(u), np.cos(v), np.sin(v)],
+                    axis=-1)
+
+
 def model_core_points(pattern, b, phis, thetas):
     """Points of the model core torus at the given angle grids."""
     P, T = np.meshgrid(phis, thetas, indexing="ij")
-    P, T = P.ravel(), T.ravel()
-    if pattern == ROUND:
-        return np.stack([
-            np.zeros_like(P),
-            b * np.cos(P),
-            (1.0 + b * np.sin(P)) * np.cos(T),
-            (1.0 + b * np.sin(P)) * np.sin(T),
-        ], axis=-1)
-    return np.stack([
-        b * np.cos(P), b * np.sin(P), np.cos(T), np.sin(T),
-    ], axis=-1)
-
-
-def model_core_point(pattern, b, u, v):
-    return model_core_points(pattern, b, np.atleast_1d(u), np.atleast_1d(v))[0]
+    return model_core_point(pattern, b, P.ravel(), T.ravel())
 
 
 def dist_to_core(x, pattern, b):

@@ -1,9 +1,9 @@
 """Numerical verification of the necklace claims.
 
-Disjointness minimizes pairwise core distances over representative index
-pairs (rotation by two steps is a symmetry of the chain); containment and
-linking sample the corresponding closed forms; all thresholds come from the
-construction's own inequalities.
+Disjointness brackets pairwise core distances over representative index
+pairs (rotation by two steps is a symmetry of the chain) by branch-and-bound;
+containment and linking sample the corresponding closed forms; all
+thresholds come from the construction's own inequalities.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..errors import (
     IntegralNotConverged, MinimizationNotConverged, SamplingBudgetExceeded,
@@ -25,60 +24,94 @@ from .geometry import (
 from .tubes import NecklaceParams
 
 
-def _pair_distance(i, j, m, b, tilde=False, starts=32, seed=0,
-                   grid=48, gtol=1e-10, maxiter=500):
-    """min dist(tau_i, tau_j): coarse grid + multistart local descent.
+GAP = 1e-2                # relative gap at which branch-and-bound stops a pair
+MAX_LIVE_CELLS = 1 << 20  # live cells above this raise MinimizationNotConverged
+CHUNK = 1 << 16           # cells per distance evaluation, which bounds memory
 
-    The objective is |p_i(u1,u2) - p_j(u3,u4)| over the four torus angles;
-    descent runs from the best grid cells plus `starts` seeded random starts.
+
+def _pair_objective(i, j, m, b, tilde):
+    """f(u1, u2) = dist(tau_i(u1, u2), tau_j) / b, over tau_i's two angles.
+
+    Both cores have scale b, so M = S_j^-1 o S_i is an isometry and f is the
+    closed-form model distance from M(model_i(u)) to tau_j's model core.
     """
     sim = tilde_tau_similarity if tilde else tau_similarity
-    Si, Sj = sim(i, m, b), sim(j, m, b)
+    M = sim(j, m, b).inverse().compose(sim(i, m, b))
     pi, pj = tau_pattern(i), tau_pattern(j)
-    inv_j = Sj.inverse()
 
-    # coarse global stage: closed-form distance from a grid on tau_i to tau_j
-    us = np.linspace(0, 2 * np.pi, grid, endpoint=False)
-    pts_model = sample_model_torus(pi, b, grid, grid)
-    pts = Si(pts_model)
-    d = dist_to_core(inv_j(pts), pj, b) * Sj.scale
-    order = np.argsort(d)
-    best_grid = float(d[order[0]])
+    def f(u1, u2):
+        out = np.empty(len(u1))
+        for lo in range(0, len(u1), CHUNK):
+            part = slice(lo, lo + CHUNK)
+            out[part] = dist_to_core(
+                M(model_core_point(pi, b, u1[part], u2[part])), pj, b)
+        return out
+    return f
 
-    def objective(u):
-        x = Si(model_core_point(pi, b, u[0], u[1]))
-        y = Sj(model_core_point(pj, b, u[2], u[3]))
-        return float(np.linalg.norm(x - y))
 
-    rng = np.random.default_rng(seed + 1000 * i + j)
-    start_list = []
-    for idx in order[:4]:
-        u1 = us[idx // grid]
-        u2 = us[idx % grid]
-        # nearest-point angles on tau_j recovered by local search start
-        start_list.append(np.array([u1, u2, u1, u2]))
-    for _ in range(starts):
-        start_list.append(rng.uniform(0, 2 * np.pi, size=4))
+def _cell_radius(b, h1, h2):
+    """Bound on |model(u) - model(c)| over a cell of half-widths (h1, h2).
 
-    best = best_grid
-    converged = 0
-    for u0 in start_list:
-        res = minimize(objective, u0, method="BFGS",
-                       options={"gtol": gtol, "maxiter": maxiter})
-        if res.fun < best:
-            best = float(res.fun)
-        if res.success or np.linalg.norm(res.jac) < 1e-6:
-            converged += 1
-    if converged < 3:
-        raise MinimizationNotConverged(
-            f"pair ({i},{j}): only {converged} starts converged")
+    The torus partials are orthogonal with norms b and at most 1 + b, and the
+    distance is 1-Lipschitz in the point, so f >= f(c) - radius on the cell.
+    """
+    return np.hypot(b * h1, (1 + b) * h2)
+
+
+def _branch_and_bound(f, b, best):
+    """Lipschitz branch-and-bound of f over the angle torus (Piyavskii-Shubert).
+
+    A cell is done once its lower bound reaches (1 - GAP) * best, where best
+    is the smallest value evaluated so far, this pair's or an earlier pair's
+    of the same family.  Returns (best, (u, half-widths) of the cell where
+    this pair improved on it or None, the smallest lower bound of a finished
+    cell, cells evaluated).
+    """
+    c1 = c2 = np.array([np.pi])
+    h1 = h2 = np.array([np.pi])
+    lower, arg, evaluated = math.inf, None, 0
+    while len(c1):
+        if len(c1) > MAX_LIVE_CELLS:
+            raise MinimizationNotConverged(
+                f"{len(c1)} live cells, above the cap of {MAX_LIVE_CELLS}")
+        fc = f(c1, c2)
+        evaluated += len(fc)
+        k = int(np.argmin(fc))
+        if fc[k] < best:
+            best = float(fc[k])
+            arg = (np.array([c1[k], c2[k]]), np.array([h1[k], h2[k]]))
+        lb = fc - _cell_radius(b, h1, h2)
+        live = lb < (1 - GAP) * best
+        if not live.all():
+            lower = min(lower, float(lb[~live].min()))
+        c1, c2, h1, h2 = c1[live], c2[live], h1[live], h2[live]
+        # halve each live cell along its longer side in the torus metric
+        along1 = b * h1 >= (1 + b) * h2
+        h1 = np.where(along1, h1 / 2, h1)
+        h2 = np.where(along1, h2, h2 / 2)
+        d1 = np.where(along1, h1, 0.0)
+        d2 = np.where(along1, 0.0, h2)
+        c1 = np.concatenate([c1 - d1, c1 + d1])
+        c2 = np.concatenate([c2 - d2, c2 + d2])
+        h1, h2 = np.tile(h1, 2), np.tile(h2, 2)
+    return best, arg, lower, evaluated
+
+
+_COMPASS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1],
+                     [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
+
+
+def _polish(f, u, step, best):
+    """Compass search from u; the value returned is always an evaluated f."""
+    while np.any(u + step != u):
+        trial = u + _COMPASS * step
+        ft = f(trial[:, 0], trial[:, 1])
+        k = int(np.argmin(ft))
+        if ft[k] < best:
+            best, u = float(ft[k]), trial[k]
+        else:
+            step = step / 2
     return best
-
-
-def _pair_distance_task(task):
-    i, j, m, b, tilde, starts, seed, grid = task
-    return _pair_distance(i, j, m, b, tilde=tilde, starts=starts,
-                          seed=seed, grid=grid)
 
 
 def representative_pairs(m, b, margin=3.0):
@@ -102,49 +135,53 @@ def representative_pairs(m, b, margin=3.0):
     return near, certified
 
 
-def verify_disjointness(params, starts=32, seed=0, grid=48, progress=None,
-                        full_offset=10, max_offset=None, jobs=1):
-    """Empirical core-separation constants and the tube-disjointness check.
+def verify_disjointness(params, seed=0, max_offset=None):
+    """Certified core-separation constants and the tube-disjointness check.
 
-    Returns a report with c0 = min dist(tau_i,tau_j)/b^2, c1 for the tilde
-    family, rho = min(c0,c1)/10, and pass = (c_emp > 2 rho), which makes the
-    child tubes of radius rho*b^2 pairwise disjoint.  Also verifies the
-    rotation equivariance dist(tau_i,tau_j) = dist(tau_{i+2},tau_{j+2}).
-
-    Pairs with offset above `full_offset` only refine their best grid cells
-    (their distance grows with the chord); chord-certified pairs are never
-    optimized at all.  `max_offset` truncates the pair sweep for calibration
-    runs where only the near-pair minimum matters.  Pair classes are
-    independent, so `jobs > 1` fans them out over processes.
+    For each near pair, a Lipschitz branch-and-bound over tau_i's two angles
+    brackets min dist(tau_i, tau_j) between a certified lower bound and an
+    evaluated best value; offset-1 pairs go first, so later pairs stop
+    against their family's best.  The report has c0 = min dist(tau_i,
+    tau_j)/b^2 and c1 for the tilde family (best values found), their lower
+    bounds c0_lower and c1_lower, the relative gap between the two, and
+    rho = min(c0, c1)/10.  pass = (min(c0_lower, c1_lower) > 2 rho), which
+    makes the child tubes of radius rho*b^2 pairwise disjoint, and the
+    rotation equivariance dist(tau_i,tau_j) = dist(tau_{i+2},tau_{j+2})
+    holds.  Chord-certified pairs are never searched.  `max_offset`
+    truncates the pair sweep for calibration runs where only the near-pair
+    minimum matters.
     """
     b, m = params.b, params.m
     near, certified = representative_pairs(m, b)
     if max_offset is not None:
         near = [(i, j) for i, j in near if j - i <= max_offset]
+    near.sort(key=lambda ij: (ij[1] - ij[0], ij[0]))
     cert_bound = min((bd for _, bd in certified), default=math.inf)
-    report = {"pairs_minimized": 0, "pairs_certified": len(certified),
-              "certified_lower_bound": cert_bound}
-    mins = {}
+    report = {"pairs_minimized": 2 * len(near),
+              "pairs_certified": len(certified),
+              "certified_lower_bound": cert_bound, "cells_evaluated": 0}
+    mins, lowers = {}, {}
     for tilde in (False, True):
-        tasks = [(i, j, m, b, tilde, 4 if (j - i) > full_offset else starts,
-                  seed, grid) for i, j in near]
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as ex:
-                dists = list(ex.map(_pair_distance_task, tasks, chunksize=4))
-        else:
-            dists = [_pair_distance_task(t) for t in tasks]
-        best = min(dists, default=math.inf)
-        report["pairs_minimized"] += len(tasks)
-        if progress:
-            for (i, j, *_), d in zip(tasks, dists):
-                progress(i, j, tilde, d)
+        best, lower, best_at = math.inf, math.inf, None
+        for i, j in near:
+            f = _pair_objective(i, j, m, b, tilde)
+            best, arg, pair_lower, evaluated = _branch_and_bound(f, b, best)
+            if arg is not None:
+                best_at = (f, *arg)
+            lower = min(lower, pair_lower)
+            report["cells_evaluated"] += evaluated
+        if best_at is not None:
+            best = _polish(*best_at, best)
+        # distances are in model units; the cores have scale b
+        best, lower = best * b, lower * b
+        # chord-certified pairs must lie above the best found, so that the
+        # family's lower bound covers them too
         if max_offset is None and cert_bound < best:
             raise MinimizationNotConverged(
-                "chord bound below the optimized minimum; enlarge full_offset")
-        mins[tilde] = best
-    c0 = mins[False] / b ** 2
-    c1 = mins[True] / b ** 2
+                "chord bound below the minimized distance")
+        mins[tilde], lowers[tilde] = best, lower
+    c0, c1 = mins[False] / b ** 2, mins[True] / b ** 2
+    c0_lower, c1_lower = lowers[False] / b ** 2, lowers[True] / b ** 2
     params.c0, params.c1 = c0, c1
     rho = params.rho
 
@@ -165,11 +202,13 @@ def verify_disjointness(params, starts=32, seed=0, grid=48, progress=None,
     report.update({
         "min_distance": min(mins.values()),
         "min_distance_over_b2": c_emp,
-        "c0": c0, "c1": c1, "rho": rho,
+        "c0": c0, "c1": c1, "c0_lower": c0_lower, "c1_lower": c1_lower,
+        "gap": max((c0 - c0_lower) / c0, (c1 - c1_lower) / c1),
+        "rho": rho,
         "tube_radius_child": rho * b ** 2,
         "separation_needed": 2 * rho * b ** 2,
         "equivariance_error": equiv_err,
-        "pass": bool(c_emp > 2 * rho and equiv_err < 1e-9),
+        "pass": bool(min(c0_lower, c1_lower) > 2 * rho and equiv_err < 1e-9),
     })
     return report
 
@@ -255,7 +294,7 @@ def verify_linking(params, nodes=10_000, tol=1e-3, pairs=None):
 
 
 def calibrate_constants(m_of_b=None, bs=(0.03, 0.04, 0.05, 0.06, 0.08),
-                        starts=8, grid=32, stability=0.2, max_offset=4):
+                        stability=0.2, max_offset=4):
     """Empirical c0(b), c1(b) over a grid of b values, with a stability flag.
 
     The constants are certified when their relative variation over the grid
@@ -270,8 +309,7 @@ def calibrate_constants(m_of_b=None, bs=(0.03, 0.04, 0.05, 0.06, 0.08),
     rows = []
     for b in bs:
         params = NecklaceParams(b=b, m=m_of_b(b))
-        rep = verify_disjointness(params, starts=starts, grid=grid,
-                                  max_offset=max_offset)
+        rep = verify_disjointness(params, max_offset=max_offset)
         rows.append({"b": b, "m": params.m, "c0": rep["c0"], "c1": rep["c1"]})
     c0s = [r["c0"] for r in rows]
     c1s = [r["c1"] for r in rows]

@@ -163,7 +163,7 @@ def test_criterion_08_separating_complex():
 def necklace_disjointness():
     params = nk.NecklaceParams(b=0.05, m=1700)
     t0 = time.time()
-    rep = nk.verify_disjointness(params, starts=32, seed=0)
+    rep = nk.verify_disjointness(params, seed=0)
     return params, rep, time.time() - t0
 
 

@@ -114,6 +114,16 @@ def test_necklace_gen(capsys):
     assert code == 0 and data["pass"]
 
 
+def test_necklace_verify_disjoint_reports_lower_bound(capsys):
+    code, data = run(capsys, ["necklace", "verify-disjoint", "--b", "0.1",
+                              "--m", "450"])
+    assert code == 0 and data["pass"]
+    detail = data["detail"]
+    check = data["checks"][0]
+    assert check["value"] == min(detail["c0_lower"], detail["c1_lower"])
+    assert check["threshold"] == 2 * detail["rho"]
+
+
 def test_necklace_export_csv(capsys, tmp_path):
     out = tmp_path / "cores.csv"
     code, data = run(capsys, ["necklace", "export", "--b", "0.1", "--m", "450",

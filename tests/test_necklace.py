@@ -7,13 +7,20 @@ that keep each test under a second or two.
 
 import math
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
 
 from cubalex import necklace as nk
-from cubalex.errors import ParamsInvalid
+from cubalex.errors import MinimizationNotConverged, ParamsInvalid
 from cubalex.necklace import geometry as ge
 from cubalex.necklace import transforms as tr
+from cubalex.necklace import verify as ve
 
 
 def small_params():
@@ -165,10 +172,64 @@ def test_equivariance_small():
 
 def test_disjointness_small():
     p = small_params()
-    rep = nk.verify_disjointness(p, starts=8, grid=32)
+    rep = nk.verify_disjointness(p)
     assert rep["pass"]
     assert rep["c0"] > 0 and rep["c1"] > 0
     assert p.rho == min(rep["c0"], rep["c1"]) / 10
+
+
+angle = st.floats(0, 2 * math.pi)
+half_width = st.floats(1e-6, math.pi)
+offset = st.floats(-1, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(i=st.sampled_from([1, 2]), tilde=st.booleans(),
+       c=st.tuples(angle, angle), h=st.tuples(half_width, half_width),
+       ts=st.lists(st.tuples(offset, offset), min_size=1, max_size=32))
+def test_cell_lower_bound_is_sound(i, tilde, c, h, ts):
+    # f anywhere in a cell is at least the branch-and-bound bound of the cell;
+    # tau_1 is a flat core and tau_2 a round one
+    p = small_params()
+    f = ve._pair_objective(i, i + 1, p.m, p.b, tilde)
+    t = np.array(ts)
+    u1, u2 = c[0] + h[0] * t[:, 0], c[1] + h[1] * t[:, 1]
+    fc = f(np.array([c[0]]), np.array([c[1]]))[0]
+    radius = ve._cell_radius(p.b, *h)
+    drop = fc - f(u1, u2).min()
+    target(drop / radius)  # steer the search toward the tightest cells
+    assert drop <= radius + 1e-12
+
+
+def test_disjointness_brackets_dense_grid():
+    # lower bound <= the minimum over a dense 400 x 2000 grid on tau_i <= best;
+    # the minimizers sit at grid angles, so grid and best agree to rounding
+    p = small_params()
+    rep = nk.verify_disjointness(p, max_offset=1)
+    near, _ = ve.representative_pairs(p.m, p.b)
+    for tilde, key in ((False, "c0"), (True, "c1")):
+        dense = min(
+            ge.dist_point_to_tau(
+                ge.sample_core(i, p.m, p.b, 400, 2000, tilde=tilde),
+                j, p.m, p.b, tilde=tilde).min()
+            for i, j in near if j - i == 1) / p.b ** 2
+        assert rep[key + "_lower"] <= dense <= rep[key] * (1 + 1e-12)
+    assert 0 <= rep["gap"] <= ve.GAP
+
+
+def test_disjointness_live_cell_cap(monkeypatch):
+    monkeypatch.setattr(ve, "MAX_LIVE_CELLS", 64)
+    with pytest.raises(MinimizationNotConverged):
+        nk.verify_disjointness(small_params(), max_offset=1)
+
+
+def test_import_leaves_out_scipy_optimize():
+    src = str(Path(nk.__file__).parents[2])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cubalex; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_containment_small():
@@ -214,7 +275,7 @@ def test_tube_diameters_shrink_geometrically():
 
 
 def test_calibration_stability():
-    rep = nk.calibrate_constants(bs=(0.05, 0.07), starts=2, grid=16)
+    rep = nk.calibrate_constants(bs=(0.05, 0.07))
     assert rep["stable"]
     assert rep["b_window"] == (0.05, 0.07)
     assert all(r["c0"] > 0 and r["c1"] > 0 for r in rep["rows"])
