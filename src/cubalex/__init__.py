@@ -8,4 +8,3 @@ from . import necklace  # noqa: F401
 from .complex_core import (
     Complex, build_complex, canonical_triangulation, from_json, is_isomorphic,
 )
-from .kernels import BACKEND as kernel_backend

@@ -219,9 +219,14 @@ def cmd_necklace(args):
         extra = rep
     elif args.action == "verify-link":
         rep = nk.verify_linking(params)
-        checks = [{"name": f"lk({k})", "value": v["lk"],
-                   "threshold": v["expected_abs"], "pass": v["pass"]}
-                  for k, v in rep["pairs"].items()]
+        for k, v in rep["pairs"].items():
+            checks += [
+                {"name": f"lk({k})", "value": v["lk"],
+                 "threshold": v["expected_abs"], "pass": v["pass"]},
+                {"name": f"margin({k})", "value": v["margin"],
+                 "threshold": v["chord_error"],
+                 "pass": v["margin"] > v["chord_error"]},
+            ]
         extra = rep
     elif args.action == "gen":
         system = nk.generate(params, args.k, children_per_tube=args.children)

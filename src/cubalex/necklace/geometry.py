@@ -76,6 +76,19 @@ def core_center(j, m, b):
     return tau_similarity(j, m, b)(np.array([0.0, 0.0, 1.0, 0.0]))
 
 
+def sigma_frame(j, m, b):
+    """Centre, orthonormal axes and radius of the marked circle sigma_j.
+
+    sigma_j(t) = centre + radius (cos t axis1 + sin t axis2) is the image
+    under S_j of the model circle e3 + b (cos t e2 + sin t e3) for even j and
+    e3 + b (cos t e1 + sin t e2) for odd j.
+    """
+    S = tau_similarity(j, m, b)
+    e = np.eye(4)
+    u, v = (e[1], e[2]) if j % 2 == 0 else (e[0], e[1])
+    return S(e[2]), S.A @ u, S.A @ v, b * S.scale
+
+
 def marked_circle_model(j_parity_even, b, nodes):
     """gamma (even) or gamma-tilde (odd) as a model polyline."""
     t = np.linspace(0, 2 * np.pi, nodes, endpoint=False)

@@ -2,8 +2,10 @@
 
 Disjointness brackets pairwise core distances over representative index
 pairs (rotation by two steps is a symmetry of the chain) by branch-and-bound;
-containment and linking sample the corresponding closed forms; all
-thresholds come from the construction's own inequalities.
+containment samples the closed-form core distance; linking counts crossings
+through flat disks, an exact integer, and cross-checks the count with the
+closed-form loop field; all thresholds come from the construction's own
+inequalities.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import math
 import numpy as np
 
 from ..errors import (
-    IntegralNotConverged, MinimizationNotConverged, SamplingBudgetExceeded,
+    IntegralNotConverged, MinimizationNotConverged, ParamsInvalid,
+    SamplingBudgetExceeded,
 )
-from ..kernels import gauss_linking_sum
+from ..kernels import loop_field
 from .geometry import (
     dist_point_to_tau, dist_to_core, model_core_point, sample_core,
-    sample_model_torus, sigma_polyline, tau_pattern, tau_similarity,
+    sample_model_torus, sigma_frame, tau_pattern, tau_similarity,
     tilde_tau_similarity,
 )
 from .tubes import NecklaceParams
@@ -159,7 +162,7 @@ def verify_disjointness(params, seed=0, max_offset=None):
     cert_bound = min((bd for _, bd in certified), default=math.inf)
     report = {"pairs_minimized": 2 * len(near),
               "pairs_certified": len(certified),
-              "certified_lower_bound": cert_bound, "cells_evaluated": 0}
+              "chord_lower": cert_bound / b ** 2, "cells_evaluated": 0}
     mins, lowers = {}, {}
     for tilde in (False, True):
         best, lower, best_at = math.inf, math.inf, None
@@ -258,39 +261,139 @@ def verify_containment(params, n_phi=200, n_theta=400, tol=1e-3):
     return report
 
 
-def verify_linking(params, nodes=10_000, tol=1e-3, pairs=None):
-    """Gauss linking numbers of the marked circles in the x2 = 0 flat.
+def _axes(frame):
+    """Rows: a circle's two axes and the normal of its plane, in R^3."""
+    _, a1, a2, _ = frame
+    return np.stack([a1, a2, np.cross(a1, a2)])
 
-    |lk| = 1 exactly for cyclically adjacent circles (wraparound included),
-    below tol for offsets 2 and 3.  Convergence is certified by agreement
-    between full- and half-resolution sums.
+
+def _circle(frame, nodes):
+    """`nodes` equally spaced points of a circle and its velocity there."""
+    c, a1, a2, r = frame
+    t = np.linspace(0, 2 * np.pi, nodes, endpoint=False)
+    cos, sin = np.cos(t)[:, None], np.sin(t)[:, None]
+    return c + r * (cos * a1 + sin * a2), r * (cos * a2 - sin * a1)
+
+
+def disk_crossings(frame, q):
+    """Signed crossings of the closed polyline q through a circle's flat disk.
+
+    A segment crosses when its end heights h above the disk's plane fall on
+    either side of the half-open split h > 0 against h <= 0, and the crossing
+    point lies inside the radius; crossings toward h > 0 count +1.  The count
+    is the intersection number with the disk pushed slightly toward h > 0,
+    so it is lk(circle, q) whenever q stays away from the circle.  Returns
+    the count and the margin: the smallest distance from a vertex of q to
+    the circle minus half of q's longest segment, which bounds dist(q,
+    circle) from below.
+    """
+    c, _, _, r = frame
+    x, y, h = ((q - c) @ _axes(frame).T).T
+    up = h > 0
+    nxt = np.roll(np.arange(len(q)), -1)
+    k = np.flatnonzero(up != up[nxt])
+    s = h[k] / (h[k] - h[nxt[k]])
+    xc = x[k] + s * (x[nxt[k]] - x[k])
+    yc = y[k] + s * (y[nxt[k]] - y[k])
+    inside = xc * xc + yc * yc < r * r
+    lk = int(np.where(up[nxt[k]], 1, -1)[inside].sum())
+    longest = float(np.linalg.norm(q[nxt] - q, axis=1).max())
+    margin = float(np.hypot(h, np.hypot(x, y) - r).min()) - longest / 2
+    return lk, margin
+
+
+def field_integral(frame_i, frame_j, nodes):
+    """Gauss integral oint_{circle j} B_i . dr by the trapezoid rule.
+
+    B_i is the closed-form field of a unit current on circle i (mu0 I = 1),
+    so by Ampere's law the integral is lk(circle i, circle j).  The
+    integrand is smooth and periodic, and the rule at `nodes` points
+    converges geometrically while circle j stays away from circle i.
+    """
+    p, dp = _circle(frame_j, nodes)
+    axes = _axes(frame_i)
+    x, y, h = ((p - frame_i[0]) @ axes.T).T
+    dx, dy, dh = (dp @ axes.T).T
+    rho = np.hypot(x, y)
+    brho, bz = loop_field(rho, h, frame_i[3])
+    radial = np.divide(x * dx + y * dy, rho, out=np.zeros_like(rho),
+                       where=rho > 0)
+    return float((brho * radial + bz * dh).sum() * 2 * np.pi / nodes)
+
+
+def circle_linking(frame_i, frame_j, nodes, tol):
+    """Exact linking number of two round circles in R^3, with its evidence.
+
+    Frames are (centre, axis1, axis2, radius).  lk counts the crossings of
+    circle j's inscribed `nodes`-gon through circle i's disk.  It is exact
+    when margin > chord_error: the polygon then stays farther from circle i
+    than its largest gap to circle j, r_j (1 - cos(pi/nodes)), so moving each
+    point of circle j radially onto the polygon never meets circle i.  The
+    field integral at `nodes` and nodes // 2 points cross-checks it.  Raises
+    IntegralNotConverged when margin <= chord_error, when the two field
+    integrals differ by more than tol / 2, or when the field integral
+    differs from lk by more than tol.
+    """
+    q, _ = _circle(frame_j, nodes)
+    lk, margin = disk_crossings(frame_i, q)
+    chord_error = frame_j[3] * (1 - math.cos(math.pi / nodes))
+    if not margin > chord_error:
+        raise IntegralNotConverged(
+            f"margin {margin:.3g} <= chord error {chord_error:.3g} "
+            f"at {nodes} nodes")
+    gauss = field_integral(frame_i, frame_j, nodes)
+    gauss_half = field_integral(frame_i, frame_j, nodes // 2)
+    if abs(gauss - gauss_half) > tol / 2:
+        raise IntegralNotConverged(
+            f"field integral {gauss} vs {gauss_half} at half resolution")
+    if abs(gauss - lk) > tol:
+        raise IntegralNotConverged(
+            f"field integral {gauss} vs crossing count {lk}")
+    return {"lk": lk, "gauss": gauss, "gauss_half": gauss_half,
+            "margin": margin, "chord_error": chord_error}
+
+
+FLAT = [0, 2, 3]  # x1, x3, x4: coordinates of the x2 = 0 flat of every sigma_j
+
+
+def verify_linking(params, nodes=10_000, tol=1e-3, pairs=None):
+    """Exact linking numbers of the marked circles in the x2 = 0 flat.
+
+    |lk| = 1 for cyclically adjacent circles (wraparound included) and 0 for
+    offsets 2 and 3.  Each pair's lk is an integer crossing count certified
+    by margin > chord_error and cross-checked by the closed-form field
+    integral (see circle_linking).
     """
     b, m = params.b, params.m
     if pairs is None:
         pairs = [(1, 2), (2, 3), (1, 3), (2, 4), (1, 4), (2, 5), (m, 1)]
+    if nodes < 8:
+        raise ParamsInvalid(f"nodes = {nodes}, need at least 8")
+    for i, j in pairs:
+        if not (1 <= i <= m and 1 <= j <= m) or i == j:
+            raise ParamsInvalid(
+                f"pair ({i}, {j}) needs two distinct indices in 1..{m}")
+
+    def frame(j):
+        c, a1, a2, r = sigma_frame(j, m, b)
+        off = max(abs(c[1]), abs(a1[1]), abs(a2[1]))
+        if off > 1e-12:
+            raise IntegralNotConverged(
+                f"sigma_{j} leaves the x2=0 flat by {off}")
+        return c[FLAT], a1[FLAT], a2[FLAT], r
+
     results = {}
     for i, j in pairs:
-        ci = sigma_polyline(i, m, b, nodes)
-        cj = sigma_polyline(j, m, b, nodes)
-        flat_err = max(float(np.abs(ci[:, 1]).max()), float(np.abs(cj[:, 1]).max()))
-        if flat_err > 1e-10:
-            raise IntegralNotConverged(
-                f"sigma_{i}, sigma_{j} leave the x2=0 flat by {flat_err}")
-        p3, q3 = ci[:, [0, 2, 3]], cj[:, [0, 2, 3]]
-        lk = gauss_linking_sum(p3, q3)
-        lk_half = gauss_linking_sum(p3[::2], q3[::2])
-        if abs(lk - lk_half) > tol / 2:
-            raise IntegralNotConverged(
-                f"lk(sigma_{i},sigma_{j}) = {lk} vs {lk_half} at half resolution")
+        try:
+            rec = circle_linking(frame(i), frame(j), nodes, tol)
+        except IntegralNotConverged as exc:
+            raise IntegralNotConverged(f"sigma_{i}, sigma_{j}: {exc}") from exc
         offset = min((j - i) % m, (i - j) % m)
-        expected = 1.0 if offset == 1 else 0.0
-        results[f"{i},{j}"] = {
-            "lk": lk, "expected_abs": expected,
-            "pass": bool(abs(abs(lk) - expected) <= tol),
-        }
-    report = {"pairs": results,
-              "pass": bool(all(r["pass"] for r in results.values()))}
-    return report
+        expected = 1 if offset == 1 else 0
+        results[f"{i},{j}"] = {**rec, "expected_abs": expected,
+                               "pass": abs(rec["lk"]) == expected}
+    return {"nodes": nodes, "pairs": results,
+            "pass": all(r["pass"] for r in results.values())}
 
 
 def calibrate_constants(m_of_b=None, bs=(0.03, 0.04, 0.05, 0.06, 0.08),

@@ -24,7 +24,7 @@ from cubalex.errors import OddCycle
 from gen import random_disk_polyomino, random_molecule, random_sketch_pieces
 
 BUDGETS = {1: 1, 2: 1, 3: 60, 4: 60, 5: 1, 6: 10, 7: 30, 8: 5,
-           9: 300, 10: 120, 11: 120, 12: 10}
+           9: 300, 10: 10, 11: 120, 12: 10}
 
 
 def report(num, ok, elapsed, detail=""):
@@ -188,9 +188,13 @@ def test_criterion_10_necklace_linking(necklace_disjointness):
     far = [v for k, v in rep["pairs"].items() if v["expected_abs"] == 0.0]
     ok = (rep["pass"]
           and all(abs(abs(v["lk"]) - 1) <= 1e-3 for v in adjacent)
-          and all(abs(v["lk"]) <= 1e-3 for v in far))
+          and all(abs(v["lk"]) <= 1e-3 for v in far)
+          and [v["lk"] for v in rep["pairs"].values()] == [-1, 1, 0, 0, 0, 0, 1]
+          and all(v["margin"] > v["chord_error"] for v in rep["pairs"].values()))
+    margin = min(v["margin"] / v["chord_error"] for v in rep["pairs"].values())
     report(10, ok, time.time() - t0,
-           f"{len(adjacent)} linked pairs |lk|=1, {len(far)} unlinked, wraparound included")
+           f"{len(adjacent)} linked pairs |lk|=1, {len(far)} unlinked, wraparound "
+           f"included; margin >= {margin:.2g} x chord error")
 
 
 def test_criterion_11_necklace_containment(necklace_disjointness):

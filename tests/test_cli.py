@@ -124,6 +124,20 @@ def test_necklace_verify_disjoint_reports_lower_bound(capsys):
     assert check["threshold"] == 2 * detail["rho"]
 
 
+def test_necklace_verify_link_exact(capsys):
+    code, data = run(capsys, ["necklace", "verify-link"])
+    assert code == 0 and data["pass"]
+    pairs = data["detail"]["pairs"]
+    checks = {c["name"]: c for c in data["checks"]}
+    assert len(checks) == 2 * len(pairs) == 14
+    for key, v in pairs.items():
+        lk = checks[f"lk({key})"]
+        assert type(lk["value"]) is int and abs(lk["value"]) == lk["threshold"]
+        margin = checks[f"margin({key})"]
+        assert margin["value"] == v["margin"] > margin["threshold"] == v["chord_error"]
+    assert [pairs[k]["lk"] for k in ("1,2", "2,3", "1700,1")] == [-1, 1, 1]
+
+
 def test_necklace_export_csv(capsys, tmp_path):
     out = tmp_path / "cores.csv"
     code, data = run(capsys, ["necklace", "export", "--b", "0.1", "--m", "450",

@@ -5,8 +5,8 @@ suite; here the same machinery runs on the smallest conforming parameters
 that keep each test under a second or two.
 """
 
+import copy
 import math
-
 import subprocess
 import sys
 from pathlib import Path
@@ -176,6 +176,8 @@ def test_disjointness_small():
     assert rep["pass"]
     assert rep["c0"] > 0 and rep["c1"] > 0
     assert p.rho == min(rep["c0"], rep["c1"]) / 10
+    # the chord bound covers the unsearched pairs, in the same units of b^2
+    assert rep["chord_lower"] > max(rep["c0"], rep["c1"])
 
 
 angle = st.floats(0, 2 * math.pi)
@@ -226,10 +228,10 @@ def test_disjointness_live_cell_cap(monkeypatch):
 def test_import_leaves_out_scipy_optimize():
     src = str(Path(nk.__file__).parents[2])
     code = (f"import sys; sys.path.insert(0, {src!r}); import cubalex; "
-            "print('scipy.optimize' in sys.modules)")
+            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.special')])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
 
 
 def test_containment_small():
@@ -257,6 +259,35 @@ def test_linking_small():
     assert abs(abs(rep["pairs"]["1,2"]["lk"]) - 1) < 1e-3
     assert abs(rep["pairs"]["1,3"]["lk"]) < 1e-3
     assert abs(abs(rep["pairs"][f"{p.m},1"]["lk"]) - 1) < 1e-3
+
+
+def test_linking_exact_and_certified():
+    p = small_params()
+    rep = nk.verify_linking(p, nodes=2000)
+    assert rep["pass"] and len(rep["pairs"]) == 7
+    for r in rep["pairs"].values():
+        assert type(r["lk"]) is int and abs(r["lk"]) == r["expected_abs"]
+        assert r["margin"] > r["chord_error"]
+        assert abs(r["gauss"] - r["lk"]) < 1e-9
+
+
+def test_linking_leaves_params_unchanged():
+    p = small_params()
+    p.c0 = p.c1 = 0.45
+    before = copy.deepcopy(p)
+    nk.verify_linking(p, nodes=200)
+    assert p == before
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"nodes": 7},
+    {"pairs": [(0, 1)]},
+    {"pairs": [(1, 451)]},
+    {"pairs": [(3, 3)]},
+])
+def test_linking_rejects_bad_input(kwargs):
+    with pytest.raises(ParamsInvalid):
+        nk.verify_linking(small_params(), **kwargs)
 
 
 def test_tube_diameters_shrink_geometrically():
