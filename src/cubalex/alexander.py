@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .complex_core import (
-    SIMPLEX, SIMPLICIAL, Complex, build_complex, is_isomorphic,
+    SIMPLEX, SIMPLICIAL, Complex, build_complex,
 )
 from .errors import (
     BadCenterLabel,
@@ -464,25 +464,17 @@ def reduce_cubical(K, order=None):
 
     processed = [order[0]]
     P, cur = T, lab
+    vertex_of = {s: v for v, s in T.triangulation_source.items()}
 
     for qi in order[1:]:
         # unit edges of the wall: edges of K shared between qi and the prefix
-        wall_edges = []
-        for f in K.facet_ids(qi):
-            for j in K.coface_ids(f):
-                if j != qi and j in processed:
-                    wall_edges.append(K.cell(f).verts)
-        # vertex path of the triangulated wall: corner, midpoint, corner, ...
-        mid_of = {}
-        for e in wall_edges:
-            src = (1, e)
-            mid = next(v for v, s in T.triangulation_source.items() if s == src)
-            mid_of[e] = mid
+        wall_edges = [K.cell(f).verts for f in K.shared_facets(qi, processed)]
 
+        # vertex path of the triangulated wall: corner, midpoint, corner, ...
         def path_vertices():
             adj = {}
             for e in wall_edges:
-                m = mid_of[e]
+                m = vertex_of[(1, e)]
                 for c in e:
                     adj.setdefault(c, []).append(m)
                     adj.setdefault(m, []).append(c)
@@ -516,9 +508,3 @@ def reduce_cubical(K, order=None):
         processed.append(qi)
 
     return P, cur, ledger
-
-
-def star_replacement_matches(K, final):
-    """Check the driver output against the star-replacement of K."""
-    from .shelling import star_replacement
-    return is_isomorphic(star_replacement(K), final)

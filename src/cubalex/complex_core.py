@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from array import array
 from dataclasses import dataclass
 
 import networkx as nx
@@ -67,21 +68,26 @@ def cube_facets(order):
     return facets
 
 
+def _facet_orders(c):
+    """Vertex orders of the codimension-1 faces of cell c: `cube_facets`
+    order for cubes, vertex-drop order for simplices."""
+    if c.dim == 0:
+        return []
+    if c.kind == SIMPLEX:
+        return [c.verts[:i] + c.verts[i + 1:] for i in range(len(c.verts))]
+    return cube_facets(c.order)
+
+
 def _closure_of_cell(cell):
     """All proper faces of `cell`, recursively, as Cell objects."""
     out = {}
     stack = [cell]
     while stack:
         c = stack.pop()
-        if c.dim == 0:
-            continue
-        if c.kind == SIMPLEX:
-            subs = [c.verts[:i] + c.verts[i + 1:] for i in range(len(c.verts))]
-            faces = [Cell(c.dim - 1, s, SIMPLEX) for s in subs]
-        else:
-            faces = [Cell(c.dim - 1, tuple(sorted(o)), CUBE, o)
-                     for o in cube_facets(c.order)]
-        for f in faces:
+        for o in _facet_orders(c):
+            verts = tuple(sorted(o))
+            f = Cell(c.dim - 1, verts, c.kind,
+                     verts if c.kind == SIMPLEX else o)
             key = (f.dim, f.verts)
             if key not in out:
                 out[key] = f
@@ -113,6 +119,9 @@ class Complex:
                 if v not in self._vertex_cells:
                     raise UnknownVertex(f"cell {c.verts} uses vertex {v}")
                 self._vertex_cells[v].append(i)
+        # incidence index, CSR (offsets, flat ids); built on first use
+        self._facets = None
+        self._cofaces = None
         if validate:
             self._validate()
 
@@ -141,45 +150,71 @@ class Complex:
     def has_cell(self, dim, verts):
         return bool(self.ids_with_verts(dim, verts))
 
+    def _facet_table(self):
+        """Facets of every cell as CSR: ids flat[off[i]:off[i + 1]]."""
+        if self._facets is None:
+            off, flat = array("i", [0]), array("i")
+            for c in self._cells:
+                for o in _facet_orders(c):
+                    s = tuple(sorted(o))
+                    ids = self._index.get((c.dim - 1, s))
+                    if not ids:
+                        raise MissingFace(f"{c.kind} {c.verts} lacks face {s}")
+                    flat.append(ids[0])
+                off.append(len(flat))
+            self._facets = off, flat
+        return self._facets
+
+    def _coface_table(self):
+        """The facet table inverted (a counting sort), cofaces ascending."""
+        if self._cofaces is None:
+            off, flat = self._facet_table()
+            count = array("i", [0]) * (len(self._cells) + 1)
+            for f in flat:
+                count[f + 1] += 1
+            coff = array("i", itertools.accumulate(count))
+            cflat = array("i", [0]) * len(flat)
+            slot = coff[:-1]
+            for j in range(len(self._cells)):
+                for f in flat[off[j]:off[j + 1]]:
+                    cflat[slot[f]] = j
+                    slot[f] += 1
+            self._cofaces = coff, cflat
+        return self._cofaces
+
     def facet_ids(self, i):
-        """ids of the codimension-1 faces of cell i."""
-        c = self._cells[i]
-        if c.dim == 0:
-            return []
-        if c.kind == SIMPLEX:
-            subs = [c.verts[:j] + c.verts[j + 1:] for j in range(len(c.verts))]
-        else:
-            subs = [tuple(sorted(o)) for o in cube_facets(c.order)]
-        out = []
-        for s in subs:
-            ids = self.ids_with_verts(c.dim - 1, s)
-            if not ids:
-                raise MissingFace(
-                    f"{c.kind} {c.verts} lacks face {s}")
-            out.append(ids[0])
-        return out
+        """ids of the codimension-1 faces of cell i, in `cube_facets` order
+        (vertex-drop order for simplices)."""
+        off, flat = self._facet_table()
+        return flat[off[i]:off[i + 1]].tolist()
 
     def coface_ids(self, i):
         """ids of cells of one dimension higher having cell i as a face."""
-        c = self._cells[i]
-        candidates = set()
-        v0 = c.verts[0]
-        for j in self._vertex_cells[v0]:
-            d = self._cells[j]
-            if d.dim == c.dim + 1 and set(c.verts) <= set(d.verts):
-                candidates.add(j)
-        return sorted(j for j in candidates if i in self.facet_ids(j))
+        off, flat = self._coface_table()
+        return flat[off[i]:off[i + 1]].tolist()
+
+    def shared_facets(self, i, others):
+        """Facets of cell i that also bound a cell among `others`."""
+        others = set(others)
+        return [f for f in self.facet_ids(i)
+                if any(j != i and j in others for j in self.coface_ids(f))]
 
     # -- derived structure ----------------------------------------------------
 
-    def adjacency_graph(self):
-        """Graph on top cells; edge iff they share a codimension-1 cell."""
+    def adjacency_graph(self, ids=None):
+        """Graph on cells of one dimension d (default: the top cells).
+
+        Edge (a, b, shared=f) for each (d-1)-cell f that a and b both
+        contain, added in ascending f.
+        """
+        ids = self.top_ids() if ids is None else list(ids)
+        inside = set(ids)
         g = nx.Graph()
-        g.add_nodes_from(self.top_ids())
-        for i in self.cell_ids(self.dimension - 1):
-            cof = self.coface_ids(i)
+        g.add_nodes_from(ids)
+        for f in sorted({f for i in ids for f in self.facet_ids(i)}):
+            cof = [j for j in self.coface_ids(f) if j in inside]
             for a, b in itertools.combinations(cof, 2):
-                g.add_edge(a, b, shared=i)
+                g.add_edge(a, b, shared=f)
         return g
 
     def is_simplicially_connected(self):
@@ -188,8 +223,9 @@ class Complex:
 
     def boundary_facet_ids(self):
         """(n-1)-cells with exactly one top coface."""
+        off, _ = self._coface_table()
         return [i for i in self.cell_ids(self.dimension - 1)
-                if len(self.coface_ids(i)) == 1]
+                if off[i + 1] - off[i] == 1]
 
     def boundary_vertex_ids(self):
         out = set()
@@ -211,10 +247,7 @@ class Complex:
         seen = set(seed)
         stack = list(seed)
         while stack:
-            i = stack.pop()
-            if self._cells[i].dim == 0:
-                continue
-            for f in self.facet_ids(i):
+            for f in self.facet_ids(stack.pop()):
                 if f not in seen:
                     seen.add(f)
                     stack.append(f)
@@ -225,10 +258,7 @@ class Complex:
         take = set(ids)
         stack = list(ids)
         while stack:
-            i = stack.pop()
-            if self._cells[i].dim == 0:
-                continue
-            for f in self.facet_ids(i):
+            for f in self.facet_ids(stack.pop()):
                 if f not in take:
                     take.add(f)
                     stack.append(f)
@@ -249,10 +279,6 @@ class Complex:
                if v not in self._cells[i].verts]
         return self.subcomplex(ids)
 
-    def restriction(self, top_ids):
-        """Restriction of the complex to the space of the given top cells."""
-        return self.subcomplex(top_ids)
-
     # -- validation --------------------------------------------------------------
 
     def _validate(self):
@@ -263,10 +289,7 @@ class Complex:
             if len(ids) > 1 and (dim < n or self.mode == CUBICAL):
                 raise IllegalIntersection(
                     f"duplicate cells of dim {dim} on vertices {verts}")
-        # face closure
-        for i, c in enumerate(self._cells):
-            if c.dim > 0:
-                self.facet_ids(i)  # raises MissingFace
+        self._facet_table()  # face closure: raises MissingFace
         if self.mode == CUBICAL:
             self._validate_cubical()
         else:
@@ -276,10 +299,7 @@ class Complex:
         out = {self._cells[i].verts}
         stack = [i]
         while stack:
-            j = stack.pop()
-            if self._cells[j].dim == 0:
-                continue
-            for f in self.facet_ids(j):
+            for f in self.facet_ids(stack.pop()):
                 if self._cells[f].verts not in out:
                     out.add(self._cells[f].verts)
                     stack.append(f)
@@ -423,6 +443,7 @@ def build_complex(dimension, mode, vertices, cells):
 
     flat = [c for cells_ in pool.values() for c in cells_]
     flat.sort(key=lambda c: (c.dim, c.verts))
+    pool.clear()  # free it before validation builds the incidence index
     return Complex(dimension, mode, vmap, flat)
 
 
@@ -546,17 +567,7 @@ def cell_check(K):
     if not bfacets:
         reasons.append("no boundary")
         return reasons
-    g = nx.Graph()
-    bset = set(bfacets)
-    for i in bfacets:
-        g.add_node(i)
-    # boundary facets adjacent through shared (n-2)-cells
-    for i in bfacets:
-        for f in K.facet_ids(i):
-            for j in K.coface_ids(f):
-                if j != i and j in bset:
-                    g.add_edge(i, j)
-    if not nx.is_connected(g):
+    if not nx.is_connected(K.adjacency_graph(bfacets)):
         reasons.append("boundary not connected")
     if K.dimension == 2:
         deg = {}

@@ -117,8 +117,3 @@ def sample_core(j, m, b, n_phi=64, n_theta=256, tilde=False):
     """Point sample of the core torus tau_j."""
     S = (tilde_tau_similarity if tilde else tau_similarity)(j, m, b)
     return S(sample_model_torus(tau_pattern(j), b, n_phi, n_theta))
-
-
-def tau_param_point(j, m, b, u, v, tilde=False):
-    S = (tilde_tau_similarity if tilde else tau_similarity)(j, m, b)
-    return S(model_core_point(tau_pattern(j), b, u, v))

@@ -52,11 +52,6 @@ class NecklaceParams:
             return None
         return min(self.c0, self.c1) / 10.0
 
-    def tube_radius(self, level=0):
-        """rho * b^(level+1): the model tube radius is rho*b, children scale by b."""
-        r = self.rho
-        return None if r is None else r * self.b ** (level + 1)
-
     def strict_conforming(self):
         r = self.rho
         if r is None:
@@ -74,11 +69,6 @@ class NecklaceParams:
                 "window_conforming": self.window_conforming(),
                 "strict_conforming": self.strict_conforming(),
                 "jacobian_exponent": self.jacobian_exponent()}
-
-
-def default_params():
-    """Desk-scale defaults: b = 0.05, m = 1700 (inside the child-count window)."""
-    return NecklaceParams(b=0.05, m=1700)
 
 
 def tiny_params():

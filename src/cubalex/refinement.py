@@ -60,9 +60,6 @@ class RefinedComplex:
     k: int
     provenance: dict  # refined top id -> base top id
 
-    def scale_factor(self):
-        return 3 ** self.k
-
 
 def refine(K, k=1):
     """Subdivide every n-cube into 3^(nk) congruent subcubes.
@@ -218,12 +215,6 @@ class Face:
         return all(self.rect[a] <= other.rect[a] and
                    other.rect[a] + other.side <= self.rect[a] + self.side
                    for a in range(len(self.rect)))
-
-    def aligned_in(self, other):
-        """3-adically aligned sub-face of `other`: offsets divisible by own side."""
-        return other.contains(self) and all(
-            (self.rect[a] - other.rect[a]) % self.side == 0
-            for a in range(len(self.rect)))
 
 
 def blocks_contact(b1, b2):
@@ -521,10 +512,6 @@ class Molecule:
 
     # -- counting -----------------------------------------------------------------
 
-    def unit_facets(self, area):
-        """Unit (n-1)-cell count of a region of the given lattice area."""
-        return area
-
     def boundary_area(self, keys=None):
         keys = keys or self.all_block_keys()
         total = 0
@@ -816,15 +803,6 @@ class DentedAtom:
                         raise BadAttachment("dent meets another hull cube")
         return self
 
-    def beta_dents(self):
-        """Largest refinement index of any dent block relative to its host."""
-        out = 0
-        for dent in self.dents.values():
-            for k in dent.molecule.blocks:
-                ratio = dent.host.side // dent.molecule.block(k).side
-                out = max(out, round(math.log(ratio, 3)))
-        return out
-
 
 def classify_dent_faces(dented_atom):
     """Base/Roof/Wall/leading classification for every dent of a dented atom.
@@ -1031,15 +1009,7 @@ class SeparatingComplex:
 
 def boundary_components(K):
     """Connected components of the boundary (n-1)-complex, as facet id lists."""
-    b = K.boundary_facet_ids()
-    g = nx.Graph()
-    g.add_nodes_from(b)
-    bset = set(b)
-    for i in b:
-        for f in K.facet_ids(i):
-            for j in K.coface_ids(f):
-                if j != i and j in bset:
-                    g.add_edge(i, j)
+    g = K.adjacency_graph(K.boundary_facet_ids())
     return [sorted(c) for c in nx.connected_components(g)]
 
 
@@ -1052,7 +1022,6 @@ def find_separating_complex(K, collars=None):
     connected, contains exactly one boundary component, and peels cube by
     cube onto its collar.  The proxy is necessary but not sufficient.
     """
-    n = K.dimension
     comps = boundary_components(K)
     m = len(comps)
     comp_verts = [{v for i in c for v in K.cell(i).verts} for c in comps]
@@ -1074,33 +1043,15 @@ def find_separating_complex(K, collars=None):
     if not kprime:
         raise NoDisjointCollars("no complex left outside the collars")
 
-    g = nx.Graph()
-    g.add_nodes_from(kprime)
-    facet_between = {}
-    for i in K.cell_ids(n - 1):
-        cof = K.coface_ids(i)
-        if len(cof) == 2:
-            a, b = cof
-            if a in g and b in g:
-                g.add_edge(a, b, facet=i)
-            facet_between[frozenset(cof)] = i
+    g = K.adjacency_graph(kprime)
     if not nx.is_connected(g):
         raise NoDisjointCollars("complex outside the collars is disconnected")
     tree = nx.minimum_spanning_tree(g)
-    tree_facets = {g.edges[e]["facet"] for e in tree.edges}
+    tree_facets = {g.edges[e]["shared"] for e in tree.edges}
 
     # q1: a common facet between K' and the first collar
-    q1 = None
-    for i in sorted(kprime):
-        for f in K.facet_ids(i):
-            for j in K.coface_ids(f):
-                if j in set(collars[0]):
-                    q1 = f
-                    break
-            if q1 is not None:
-                break
-        if q1 is not None:
-            break
+    q1 = next((f for i in kprime for f in K.shared_facets(i, collars[0])),
+              None)
     if q1 is None:
         raise NoDisjointCollars("no passage from K' to the first collar")
 
@@ -1113,13 +1064,10 @@ def find_separating_complex(K, collars=None):
     z_facets = sorted(z_facets)
 
     # pieces: components of |K| minus |Z|
-    h = nx.Graph()
-    h.add_nodes_from(K.top_ids())
+    h = K.adjacency_graph()
     zset = set(z_facets)
-    for i in K.cell_ids(n - 1):
-        cof = K.coface_ids(i)
-        if len(cof) == 2 and i not in zset:
-            h.add_edge(*cof)
+    h.remove_edges_from([(a, b) for a, b, f in h.edges(data="shared")
+                         if f in zset])
     pieces = [sorted(c) for c in nx.connected_components(h)]
 
     # each piece must own exactly one boundary component
@@ -1143,12 +1091,7 @@ def find_separating_complex(K, collars=None):
         while remaining and changed:
             changed = False
             for i in sorted(remaining):
-                free = 0
-                for f in K.facet_ids(i):
-                    cof = [j for j in K.coface_ids(f) if j != i]
-                    if not cof or cof[0] not in remaining:
-                        free += 1
-                if free >= 1:
+                if len(K.shared_facets(i, remaining)) < len(K.facet_ids(i)):
                     remaining.discard(i)
                     changed = True
                     break

@@ -9,8 +9,6 @@ for n >= 4.
 
 from __future__ import annotations
 
-import itertools
-
 import networkx as nx
 
 from .complex_core import (
@@ -20,17 +18,6 @@ from .complex_core import (
 from .errors import AllOppositePairsPresent, NotACell, NotAPermutation
 
 
-def _shared_facets(K, prefix_tops, q):
-    """(n-1)-cells shared between cube q and the prefix union."""
-    pref = set(prefix_tops)
-    out = []
-    for f in K.facet_ids(q):
-        for j in K.coface_ids(f):
-            if j != q and j in pref:
-                out.append(f)
-    return out
-
-
 def _facet_complex_is_cell(K, q, facet_ids):
     """Certificate that a union of facets of cube q is an (n-1)-cell."""
     if not facet_ids:
@@ -38,17 +25,7 @@ def _facet_complex_is_cell(K, q, facet_ids):
     all_facets = K.facet_ids(q)
     if len(facet_ids) == len(all_facets):
         return False  # the whole boundary sphere
-    # connectivity through shared (n-2)-cells
-    g = nx.Graph()
-    g.add_nodes_from(facet_ids)
-    for a, b in itertools.combinations(facet_ids, 2):
-        fa = set(K.facet_ids(a)) if K.cell(a).dim > 0 else set()
-        fb = set(K.facet_ids(b)) if K.cell(b).dim > 0 else set()
-        if fa & fb:
-            g.add_edge(a, b)
-        elif K.dimension == 1:
-            g.add_edge(a, b)
-    if not nx.is_connected(g):
+    if not nx.is_connected(K.adjacency_graph(facet_ids)):
         return False
     # opposite-face test on the cube boundary: some facet's opposite absent
     chosen = set(facet_ids)
@@ -58,10 +35,7 @@ def _facet_complex_is_cell(K, q, facet_ids):
         for j in all_facets:
             if j != i and not (vi & set(K.cell(j).verts)):
                 opposite[i] = j
-    if K.dimension >= 2:
-        if not any(opposite.get(i) not in chosen for i in facet_ids):
-            return False
-    return True
+    return any(opposite.get(i) not in chosen for i in facet_ids)
 
 
 def verify_shelling(K, order):
@@ -72,7 +46,7 @@ def verify_shelling(K, order):
     for i in range(1, len(order)):
         q = order[i]
         prefix = order[:i]
-        shared = _shared_facets(K, prefix, q)
+        shared = K.shared_facets(q, prefix)
         if not _facet_complex_is_cell(K, q, shared):
             return False, i
         # every shared lower cell must lie in the shared facets' closure
@@ -162,7 +136,7 @@ def _find_shelling_backtrack(K):
             return pool
         scored = []
         for q in pool:
-            shared = _shared_facets(K, prefix, q)
+            shared = K.shared_facets(q, prefix)
             if not shared:
                 continue
             if _facet_complex_is_cell(K, q, shared):
@@ -219,7 +193,7 @@ def boundary_face_shelling(P):
         for q in tops:
             if q in used:
                 continue
-            shared = _shared_facets(P, order, q)
+            shared = P.shared_facets(q, order)
             if not shared or not _facet_complex_is_cell(P, q, shared):
                 continue
             order.append(q)
@@ -264,11 +238,14 @@ def star_replacement(K):
 
 
 def star_replacement_cover_count(K):
-    """m = (#(K^Delta)^(n) - #(K*)^(n)) / 2, the deformation ledger total."""
+    """m = (#(K^Delta)^(n) - #(K*)^(n)) / 2, the deformation ledger total.
+
+    #(K*)^(n) is the number of boundary (n-1)-simplices of K^Delta, so K*
+    itself is never built.
+    """
     T = canonical_triangulation(K)
-    S = star_replacement(K)
-    n = K.dimension
-    diff = T.n_cells(n) - S.n_cells(n)
+    assert_cell(K)
+    diff = T.n_cells(K.dimension) - len(T.boundary_facet_ids())
     if diff % 2:
         raise NotACell("odd simplex difference; input is not a cell complex")
     return diff // 2

@@ -1,15 +1,23 @@
 """Complex construction, validation, triangulation, stars, adjacency."""
 
+import itertools
 import json
 import math
+import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubalex import complex_core as cc
 from cubalex import factories as fa
+from cubalex import refinement as rf
 from cubalex.errors import (
     FaceOveruse, IllegalIntersection, MissingFace, NotCubical, UnknownVertex,
 )
+
+from gen import random_disk_polyomino
 
 
 def flag_count_oracle(n):
@@ -180,3 +188,109 @@ def test_degeneracy_flagged_not_rejected():
     ])
     # adjacent pairs sharing a vertex beyond their common edge get flagged
     assert isinstance(K.warnings, list)
+
+
+# -- incidence index -------------------------------------------------------------
+
+
+def oracle_facets(K, j):
+    """Facets of cell j re-derived from its vertex order, looked up by scan.
+
+    A k-cube in binary order has facet (axis, side) on the vertices whose
+    index has bit `axis` equal to `side`; a simplex drops one vertex at a
+    time.  Each facet resolves to the first cell on its vertex set.
+    """
+    c = K.cell(j)
+    if c.dim == 0:
+        return []
+    if c.kind == cc.SIMPLEX:
+        subs = [c.verts[:k] + c.verts[k + 1:] for k in range(len(c.verts))]
+    else:
+        subs = [[v for idx, v in enumerate(c.order) if (idx >> axis) & 1 == side]
+                for axis in range(c.dim) for side in (0, 1)]
+    cells = K.cells()
+    return [next(i for i, d in enumerate(cells)
+                 if d.dim == c.dim - 1 and d.verts == tuple(sorted(s)))
+            for s in subs]
+
+
+def oracle_incidence_graph(K, facets):
+    g = nx.Graph()
+    for i, c in enumerate(K.cells()):
+        g.add_node(i, color=f"{c.dim}:{c.kind}")
+    for i in range(len(K.cells())):
+        for f in facets[i]:
+            g.add_edge(i, f)
+    return g
+
+
+def incidence_case(kind, seed):
+    rng = random.Random(seed)
+    if kind == "polyomino":
+        return fa.grid_complex(random_disk_polyomino(rng, 7))
+    if kind == "refined":
+        return rf.refine(fa.rect_grid(rng.randint(1, 2), 1), 1).complex
+    if kind == "triangulation":
+        base = fa.grid_complex(random_disk_polyomino(rng, 4))
+        return cc.canonical_triangulation(
+            rng.choice([base, fa.unit_cube(3)]))
+    if kind == "doubled":
+        return fa.doubled_complex(fa.grid_complex(random_disk_polyomino(rng, 3)))
+    # validate=False subcomplex on a random subset of top cells
+    K = rng.choice([fa.grid_complex(random_disk_polyomino(rng, 8)),
+                    cc.canonical_triangulation(fa.domino())])
+    tops = K.top_ids()
+    return K.subcomplex(rng.sample(tops, rng.randint(1, len(tops))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["polyomino", "refined", "triangulation", "doubled",
+                        "subcomplex"]),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_incidence_index_matches_oracle(kind, seed):
+    K = incidence_case(kind, seed)
+    n = len(K.cells())
+    facets = [oracle_facets(K, j) for j in range(n)]
+    cofaces = [[j for j in range(n) if i in facets[j]] for i in range(n)]
+    assert [K.facet_ids(j) for j in range(n)] == facets
+    assert [K.coface_ids(i) for i in range(n)] == cofaces
+    g, nodes = K.incidence_graph()
+    want = oracle_incidence_graph(K, facets)
+    assert nodes == list(range(n))
+    assert list(g.nodes(data="color")) == list(want.nodes(data="color"))
+    assert list(g.edges) == list(want.edges)
+    # top-cell adjacency, edges added in ascending shared facet
+    adj = nx.Graph()
+    adj.add_nodes_from(K.top_ids())
+    for f in K.cell_ids(K.dimension - 1):
+        for a, b in itertools.combinations(cofaces[f], 2):
+            adj.add_edge(a, b, shared=f)
+    got = K.adjacency_graph()
+    assert list(got.nodes) == list(adj.nodes)
+    assert list(got.edges(data="shared")) == list(adj.edges(data="shared"))
+
+
+def test_adjacency_graph_components_of_boundary():
+    annulus = fa.grid_complex(
+        [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)])
+    disk = fa.rect_grid(3, 2)
+    for K, comps in [(annulus, 2), (disk, 1)]:
+        bd = K.boundary_facet_ids()
+        g = K.adjacency_graph(bd)
+        assert sorted(g.nodes) == bd
+        assert nx.number_connected_components(g) == comps
+        assert len(rf.boundary_components(K)) == comps
+        for a, b, f in g.edges(data="shared"):
+            assert K.cell(f).dim == K.dimension - 2
+            assert f in K.facet_ids(a) and f in K.facet_ids(b)
+
+
+def test_shared_facets():
+    K = fa.rect_grid(3, 1)
+    left, mid, right = sorted(K.top_ids(), key=lambda i: min(
+        K.vertices[v] for v in K.cell(i).verts))
+    assert K.shared_facets(mid, [left]) == \
+        [f for f in K.facet_ids(mid) if f in K.facet_ids(left)]
+    assert len(K.shared_facets(mid, [left, right])) == 2
+    assert K.shared_facets(left, [right]) == []
+    assert K.shared_facets(mid, [mid]) == []

@@ -347,6 +347,15 @@ def test_separating_product_two_pieces():
     assert len(Z.pieces) == 2
 
 
+def test_separating_product_pinned():
+    # pinned: the spanning tree, and so Z, depends on the order in which
+    # the adjacency graph adds its edges
+    P = fa.product_with_interval(fa.circle_complex(6), 3)
+    Z = rf.find_separating_complex(P)
+    assert Z.facet_ids == [30, 32, 36, 40, 44, 45, 48, 49, 51, 53, 55, 57]
+    assert Z.pieces == [list(range(66, 78)), list(range(78, 84))]
+
+
 def test_separating_disk_one_piece():
     Z = rf.find_separating_complex(fa.rect_grid(3, 3))
     assert Z.piece_count() == 1

@@ -149,6 +149,24 @@ def test_ledger_identity_nonnegative_random():
         assert sh.star_replacement_cover_count(K) >= 0
 
 
+def test_cover_count_is_star_replacement_difference():
+    # the criterion-4 inputs: m = (#K^Delta - #K*)/2 with K* built
+    rng = random.Random(42)
+    for _ in range(20):
+        K = fa.grid_complex(random_disk_polyomino(rng, 10))
+        T = cc.canonical_triangulation(K)
+        S = sh.star_replacement(K)
+        assert sh.star_replacement_cover_count(K) == \
+            (T.n_cells(2) - S.n_cells(2)) // 2
+
+
+def test_cover_count_rejects_non_cell():
+    annulus = fa.grid_complex(
+        [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)])
+    with pytest.raises(NotACell):
+        sh.star_replacement_cover_count(annulus)
+
+
 def test_every_2cell_complex_shellable_random_12():
     # every cubical complex on a 2-cell is shellable: random sweep to 12 cubes
     rng = random.Random(31)
