@@ -141,11 +141,11 @@ def alexander_label(K, vertex_labels=None, seed=None):
         raise LabelClash("labeling needs a (weakly) simplicial complex")
 
     # parity first: a non-bipartite adjacency graph means no Alexander map
-    g = K.adjacency_graph()
-    order = sorted(g.nodes, key=lambda i: K.cell(i).verts)
+    order = sorted(K.top_ids(), key=lambda i: K.cell(i).verts)
     if seed is not None:
         order = [seed] + [i for i in order if i != seed]
-    parity = _two_color(lambda u: sorted(g.neighbors(u)), order)
+    parity = _two_color(lambda u: sorted(
+        {j for f in K.facet_ids(u) for j in K.coface_ids(f)} - {u}), order)
 
     if vertex_labels is None:
         if not K.vertex_cube_dim:
@@ -188,12 +188,9 @@ def reduced_star(lab, v, apex=None):
 
 def _check_star_simplicial(K, star_ids):
     cells = [K.cell(i) for i in star_ids]
-    seen = {}
-    for c in cells:
-        key = (c.dim, c.verts)
-        if key in seen:
+    for c in cells:  # a star holds every copy of a cell it holds
+        if len(K.ids_with_verts(c.dim, c.verts)) > 1:
             raise NonSimplicialStar(f"duplicate cell {c.verts} in star")
-        seen[key] = True
     present = {c.verts for c in cells}
     for a, b in itertools.combinations([c for c in cells if c.dim == K.dimension], 2):
         shared = tuple(sorted(set(a.verts) & set(b.verts)))

@@ -73,7 +73,6 @@ def cmd_validate(args):
         return EXIT_PRECONDITION
     report = {"valid": True, "dimension": K.dimension, "mode": K.mode,
               "cells": {str(d): K.n_cells(d) for d in range(K.dimension + 1)},
-              "warnings": K.warnings,
               "hash": K.relabel_invariant_hash()}
     return _emit(report, args.out)
 

@@ -68,6 +68,15 @@ def cube_facets(order):
     return facets
 
 
+def _spans_face(order, verts):
+    """Do `verts`, some vertices of a cube in binary order, span a face?"""
+    free = 0
+    pos = [i for i, v in enumerate(order) if v in verts]
+    for i in pos:
+        free |= i ^ pos[0]  # ends as AND ^ OR over the positions
+    return len(pos) == 1 << free.bit_count()
+
+
 def _facet_orders(c):
     """Vertex orders of the codimension-1 faces of cell c: `cube_facets`
     order for cubes, vertex-drop order for simplices."""
@@ -90,7 +99,6 @@ class Complex:
         # provenance for canonical triangulations (vertex id -> source cube)
         self.vertex_cube_dim = vertex_cube_dim or {}
         self.triangulation_source = triangulation_source or {}
-        self.warnings = []
 
         self._by_dim = {}
         self._index = {}
@@ -226,33 +234,28 @@ class Complex:
         """Smallest subcomplex containing every cell incident to v (as ids)."""
         if v not in self.vertices:
             raise UnknownVertex(str(v))
-        seed = list(self._vertex_cells[v])
-        seen = set(seed)
-        stack = list(seed)
-        while stack:
-            for f in self.facet_ids(stack.pop()):
-                if f not in seen:
-                    seen.add(f)
-                    stack.append(f)
-        return sorted(seen)
+        return self._closure(self._vertex_cells[v])
 
-    def subcomplex(self, ids):
-        """Subcomplex spanned by the given cell ids (closed under faces)."""
+    def _closure(self, ids):
+        """The given cells and all their faces, as sorted ids."""
         take = set(ids)
-        stack = list(ids)
+        stack = list(take)
         while stack:
             for f in self.facet_ids(stack.pop()):
                 if f not in take:
                     take.add(f)
                     stack.append(f)
-        cells = [self._cells[i] for i in sorted(take)]
+        return sorted(take)
+
+    def subcomplex(self, ids):
+        """Subcomplex spanned by the given cell ids (closed under faces)."""
+        cells = [self._cells[i] for i in self._closure(ids)]
         verts = {v: self.vertices[v]
                  for v in {w for c in cells for w in c.verts}}
-        sub = Complex(max((c.dim for c in cells), default=0), self.mode,
-                      verts, cells, validate=False,
-                      vertex_cube_dim={v: d for v, d in self.vertex_cube_dim.items()
-                                       if v in verts})
-        return sub
+        return Complex(max((c.dim for c in cells), default=0), self.mode,
+                       verts, cells, validate=False,
+                       vertex_cube_dim={v: d for v, d in self.vertex_cube_dim.items()
+                                        if v in verts})
 
     def star(self, v):
         return self.subcomplex(self.star_cell_ids(v))
@@ -272,38 +275,50 @@ class Complex:
             if len(ids) > 1 and (dim < n or self.mode == CUBICAL):
                 raise IllegalIntersection(
                     f"duplicate cells of dim {dim} on vertices {verts}")
+            if len(set(verts)) < len(verts):
+                raise IllegalIntersection(f"cell {verts} repeats a vertex")
         self._facet_table()  # face closure: raises MissingFace
         if self.mode == CUBICAL:
             self._validate_cubical()
         else:
             self._validate_weakly_simplicial()
 
-    def _cube_subface_sets(self, i):
-        out = {self._cells[i].verts}
-        stack = [i]
-        while stack:
-            for f in self.facet_ids(stack.pop()):
-                if self._cells[f].verts not in out:
-                    out.add(self._cells[f].verts)
-                    stack.append(f)
-        return out
-
     def _validate_cubical(self):
-        for c in self._cells:
+        """Cubes that meet, meet in a common face; checked in two passes.
+
+        (a) Each stored facet of a cube has the structure the cube's binary
+        order induces: its facets' vertex sets are those of `cube_facets` of
+        the induced sub-order.  Facets fix a cube's face lattice, so by
+        induction every cube's stored face closure is the lattice of its order.
+        (b) Maximal cubes (no coface) that share vertices meet in a face of
+        both: with AND and OR over the shared vertices' positions in a binary
+        order, they span a face iff there are 2^popcount(AND ^ OR) of them.
+        Lower pairs then need no check: a face of A and a face of B, with A
+        and B meeting in the common face F, meet in a face of F.
+        """
+        cells = self._cells
+        for c in cells:
             if c.kind != CUBE:
                 raise NotCubical(f"non-cube cell {c.verts}")
-        # pairwise: a nonempty intersection of two cubes is a common face
-        subfaces = {i: self._cube_subface_sets(i) for i in range(len(self._cells))}
-        for v, incident in self._vertex_cells.items():
-            for a, b in itertools.combinations(sorted(incident), 2):
-                ca, cb = self._cells[a], self._cells[b]
-                shared = tuple(sorted(set(ca.verts) & set(cb.verts)))
-                if not shared:
-                    continue
-                if not (shared in subfaces[a] and shared in subfaces[b]):
+        for i, c in enumerate(cells):
+            if c.dim < 3:
+                continue  # an edge's facets are its vertices in any order
+            for f, sub in zip(self.facet_ids(i), cube_facets(c.order)):
+                got = {cells[g].verts for g in self.facet_ids(f)}
+                if got != {tuple(sorted(o)) for o in cube_facets(sub)}:
                     raise IllegalIntersection(
-                        f"cubes {ca.verts} and {cb.verts} meet in {shared}, "
-                        "not a common face")
+                        f"cube {c.order} has a misordered face {cells[f].order}")
+        off, _ = self._coface_table()
+        maximal = {i for i in range(len(cells)) if off[i] == off[i + 1]}
+        for a in maximal:
+            ca = cells[a]
+            near = {b for v in ca.verts for b in self._vertex_cells[v] if b > a}
+            for b in near & maximal:
+                shared = set(ca.verts) & set(cells[b].verts)
+                if not all(_spans_face(cells[x].order, shared) for x in (a, b)):
+                    raise IllegalIntersection(
+                        f"cubes {ca.verts} and {cells[b].verts} meet in "
+                        f"{tuple(sorted(shared))}, not a common face")
 
     def _validate_weakly_simplicial(self):
         n = self.dimension
@@ -313,29 +328,11 @@ class Complex:
             if len(c.verts) != c.dim + 1:
                 raise IllegalIntersection(f"degenerate simplex {c.verts}")
         # condition (4): every (n-1)-simplex is a face of at most two
-        # n-simplices; duplicated (n-1) vertex sets get 2 cofaces each
-        for (dim, verts), ids in self._index.items():
-            if dim != n - 1:
-                continue
-            cof = set()
-            for i in ids:
-                cof.update(self.coface_ids(i))
-            if len(cof) > 2 * len(ids):
-                raise FaceOveruse(
-                    f"(n-1)-simplex {verts} has {len(cof)} cofaces")
-        # Remark-level degeneracy: flag, do not reject
-        g = self.adjacency_graph()
-        for a, b in g.edges:
-            ca, cb = self._cells[a], self._cells[b]
-            shared_verts = set(ca.verts) & set(cb.verts)
-            shared_facets = [self._cells[i].verts
-                             for i in set(self.facet_ids(a)) & set(self.facet_ids(b))]
-            if len(shared_facets) == 1:
-                extra = shared_verts - set(shared_facets[0])
-                if extra:
-                    self.warnings.append(
-                        f"adjacent cells {ca.verts}/{cb.verts} share one "
-                        f"(n-1)-simplex plus extra skeleton {sorted(extra)}")
+        # n-simplices (lower cells are unique, so one index entry each)
+        for i in self.cell_ids(n - 1):
+            if len(self.coface_ids(i)) > 2:
+                raise FaceOveruse(f"(n-1)-simplex {self._cells[i].verts} has "
+                                  f"{len(self.coface_ids(i))} cofaces")
 
     # -- serialization ---------------------------------------------------------
 

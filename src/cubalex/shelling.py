@@ -9,13 +9,16 @@ for n >= 4.
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 
 from .complex_core import (
-    SIMPLEX, SIMPLICIAL, assert_cell, build_complex, canonical_triangulation,
-    cell_check,
+    CUBICAL, SIMPLEX, SIMPLICIAL, assert_cell, build_complex,
+    canonical_triangulation, cell_check,
 )
-from .errors import AllOppositePairsPresent, NotACell, NotAPermutation
+from .errors import (AllOppositePairsPresent, NotACell, NotAPermutation,
+                     NotCubical)
 
 
 def _facet_complex_is_cell(K, q, facet_ids):
@@ -27,19 +30,16 @@ def _facet_complex_is_cell(K, q, facet_ids):
         return False  # the whole boundary sphere
     if not nx.is_connected(K.adjacency_graph(facet_ids)):
         return False
-    # opposite-face test on the cube boundary: some facet's opposite absent
+    # opposite-face test: some facet's opposite (slot j ^ 1 of j) is absent
     chosen = set(facet_ids)
-    opposite = {}
-    for i in all_facets:
-        vi = set(K.cell(i).verts)
-        for j in all_facets:
-            if j != i and not (vi & set(K.cell(j).verts)):
-                opposite[i] = j
-    return any(opposite.get(i) not in chosen for i in facet_ids)
+    return any(all_facets[j ^ 1] not in chosen
+               for j, f in enumerate(all_facets) if f in chosen)
 
 
 def verify_shelling(K, order):
     """Check a shelling order; returns (ok, first violating index or None)."""
+    if K.mode != CUBICAL:
+        raise NotCubical("verify_shelling needs a cubical complex")
     tops = sorted(K.top_ids())
     if sorted(order) != tops:
         raise NotAPermutation(f"{order} is not a permutation of {tops}")
@@ -69,6 +69,8 @@ def find_shelling(K):
     backtracking with prefix pruning and reports None only after an
     exhaustive search.
     """
+    if K.mode != CUBICAL:
+        raise NotCubical("find_shelling needs a cubical complex")
     assert_cell(K)
     if K.dimension == 2:
         return _find_shelling_2d(K)
@@ -240,12 +242,15 @@ def star_replacement(K):
 def star_replacement_cover_count(K):
     """m = (#(K^Delta)^(n) - #(K*)^(n)) / 2, the deformation ledger total.
 
-    #(K*)^(n) is the number of boundary (n-1)-simplices of K^Delta, so K*
-    itself is never built.
+    A k-cube carries 2^k k! flag simplices, so #(K^Delta)^(n) = #K^(n) 2^n n!
+    and #(K*)^(n) = #(boundary of K)^(n-1) 2^(n-1) (n-1)!; neither is built.
     """
-    T = canonical_triangulation(K)
+    if K.mode != CUBICAL:
+        raise NotCubical("cover count needs a cubical complex")
     assert_cell(K)
-    diff = T.n_cells(K.dimension) - len(T.boundary_facet_ids())
+    n = K.dimension
+    diff = ((2 * n * K.n_cells(n) - len(K.boundary_facet_ids()))
+            * 2 ** (n - 1) * math.factorial(n - 1))
     if diff % 2:
         raise NotACell("odd simplex difference; input is not a cell complex")
     return diff // 2

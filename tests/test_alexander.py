@@ -1,9 +1,11 @@
 """Labelings, parity, degree, reduced stars, collapses, merges, the driver."""
 
+import gc
 import hashlib
 import itertools
 import json
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,12 @@ from hypothesis import strategies as st
 from cubalex import alexander as al
 from cubalex import complex_core as cc
 from cubalex import factories as fa
+from cubalex import refinement as rf
 from cubalex import shelling as sh
 from cubalex.complex_core import SIMPLEX, SIMPLICIAL, build_complex
 from cubalex.errors import (
-    BadCenterLabel, HasBoundary, LabelClash, NotSimplePair, OddCycle,
+    BadCenterLabel, HasBoundary, LabelClash, NonSimplicialStar, NotSimplePair,
+    OddCycle,
 )
 
 from gen import random_disk_polyomino
@@ -91,6 +95,31 @@ def test_parity_is_proper_coloring_on_fans(k):
     lab = al.alexander_label(K, vertex_labels=labels)
     g = K.adjacency_graph()
     assert all(lab.parity[a] != lab.parity[b] for a, b in g.edges)
+
+
+@pytest.mark.parametrize("make,labels", [
+    (lambda: cc.canonical_triangulation(fa.rect_grid(2, 2)), None),
+    (lambda: cc.canonical_triangulation(fa.unit_cube(3)), None),
+    (lambda: fa.doubled_complex(fa.domino()), None),
+    (lambda: fa.circle_complex(2), {0: 0, 1: 1}),
+    (lambda: cone(0, list(range(1, 8))), {v: v % 3 for v in range(8)}),
+    (fa.mutually_adjacent_triangles, {0: 0, 1: 1, 2: 2, 3: 2}),
+], ids=["grid", "cube3", "doubled", "circle", "odd_fan", "triangles"])
+def test_parity_matches_adjacency_graph_coloring(make, labels):
+    # oracle: the same coloring run on the networkx adjacency graph, down to
+    # the odd-cycle witness
+    K = make()
+    g = K.adjacency_graph()
+    order = sorted(g.nodes, key=lambda i: K.cell(i).verts)
+    try:
+        want = al._two_color(lambda u: sorted(g.neighbors(u)), order)
+    except OddCycle as exc:
+        want = exc.cycle
+    try:
+        got = al.alexander_label(K, labels).parity
+    except OddCycle as exc:
+        got = exc.cycle
+    assert got == want
 
 
 # -- degree -----------------------------------------------------------------------
@@ -208,6 +237,13 @@ def test_collapse_identity_when_no_apex_in_star():
     assert Q is dd and step.covers == 0
 
 
+def test_collapse_rejects_duplicate_cells_in_star():
+    # the two-edge circle: the star of vertex 0 holds both copies of [0, 1]
+    lab = al.alexander_label(fa.circle_complex(2), vertex_labels={0: 0, 1: 1})
+    with pytest.raises(NonSimplicialStar):
+        al.collapse_at(lab, 0)
+
+
 def test_two_collapses_compose():
     dd = fa.doubled_complex(fa.unit_cube(2))
     lab = al.alexander_label(dd)
@@ -320,7 +356,6 @@ def test_collapse_matches_rebuild_at_every_step(seed):
         if step.star_top_count:
             R, rlab = rebuilt_collapse(lab, v, apex)
             assert Q.to_json() == R.to_json()
-            assert Q.warnings == R.warnings
             assert new_lab.to_json() == rlab.to_json()
             checked.append(v)
         return Q, new_lab, step
@@ -373,3 +408,33 @@ def test_reduction_fingerprint(cells, digest):
             "ledger": ledger.to_json()}
     got = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
     assert got == digest
+
+
+# -- the collapse path without networkx or cyclic garbage -----------------------------
+
+
+def test_collapse_path_builds_no_networkx_graph(monkeypatch):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("networkx graph built")
+
+    monkeypatch.setattr(cc, "nx", types.SimpleNamespace(Graph=no_graph))
+    T = cc.canonical_triangulation(fa.domino())
+    lab = al.alexander_label(T)
+    wall = next(v for v, d in T.vertex_cube_dim.items()
+                if d == 1 and v not in T.boundary_vertex_ids())
+    Q, lab2, step = al.collapse_at(lab, wall, apex=2)
+    assert step.covers == 2 and Q.n_cells(2) == T.n_cells(2) - 4
+    assert lab2.label(wall) == 2
+
+
+def test_triangulate_label_refine_leave_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        T = cc.canonical_triangulation(fa.unit_cube(3))
+        al.alexander_label(T)
+        rf.refine(fa.unit_cube(3), 1)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert freed == 0

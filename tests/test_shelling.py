@@ -8,7 +8,9 @@ import pytest
 from cubalex import complex_core as cc
 from cubalex import factories as fa
 from cubalex import shelling as sh
-from cubalex.errors import AllOppositePairsPresent, NotACell, NotAPermutation
+from cubalex.errors import (
+    AllOppositePairsPresent, NotACell, NotAPermutation, NotCubical,
+)
 
 from gen import random_disk_polyomino
 
@@ -149,15 +151,26 @@ def test_ledger_identity_nonnegative_random():
         assert sh.star_replacement_cover_count(K) >= 0
 
 
+BOXES_3D = [
+    [(0, 0, 0)],
+    [(0, 0, 0), (1, 0, 0)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+]
+
+
 def test_cover_count_is_star_replacement_difference():
-    # the criterion-4 inputs: m = (#K^Delta - #K*)/2 with K* built
+    # the criterion-4 inputs and 3-D boxes: m = (#K^Delta - #K*)/2 with
+    # K^Delta and K* built
     rng = random.Random(42)
-    for _ in range(20):
-        K = fa.grid_complex(random_disk_polyomino(rng, 10))
+    disks = [fa.grid_complex(random_disk_polyomino(rng, 10))
+             for _ in range(20)]
+    for K in disks + [fa.box_complex(3, c) for c in BOXES_3D]:
+        n = K.dimension
         T = cc.canonical_triangulation(K)
         S = sh.star_replacement(K)
         assert sh.star_replacement_cover_count(K) == \
-            (T.n_cells(2) - S.n_cells(2)) // 2
+            (T.n_cells(n) - S.n_cells(n)) // 2
 
 
 def test_cover_count_rejects_non_cell():
@@ -165,6 +178,28 @@ def test_cover_count_rejects_non_cell():
         [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)])
     with pytest.raises(NotACell):
         sh.star_replacement_cover_count(annulus)
+
+
+def test_simplicial_input_is_not_cubical():
+    T = cc.canonical_triangulation(fa.domino())
+    with pytest.raises(NotCubical):
+        sh.star_replacement_cover_count(T)
+    with pytest.raises(NotCubical):
+        sh.find_shelling(T)
+    with pytest.raises(NotCubical):
+        sh.verify_shelling(T, T.top_ids())
+
+
+def test_opposite_facets_are_vertex_disjoint():
+    # facet slot j ^ 1 is the opposite facet
+    for K in [fa.unit_cube(2), fa.box_complex(3, BOXES_3D[3]),
+              fa.product_with_interval(fa.circle_complex(4), 1)]:
+        for q in K.top_ids():
+            fs = K.facet_ids(q)
+            for j, f in enumerate(fs):
+                for k, g in enumerate(fs):
+                    disjoint = not set(K.cell(f).verts) & set(K.cell(g).verts)
+                    assert disjoint == (k == j ^ 1)
 
 
 def test_every_2cell_complex_shellable_random_12():
