@@ -12,8 +12,10 @@ complex, so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from array import array
 from dataclasses import dataclass
 
@@ -41,7 +43,9 @@ class Cell:
 
     For cubes `order` is the binary-counter vertex tuple (vertex i sits at
     the corner whose j-th coordinate is bit j of i); simplices keep
-    `order == verts`.
+    `order == verts` unless built from another given order.  A simplex's
+    facets are its `verts` with one vertex dropped, which leaves them sorted:
+    `Complex._facet_table` relies on this and looks them up unsorted.
     """
 
     dim: int
@@ -54,18 +58,23 @@ class Cell:
             object.__setattr__(self, "order", self.verts)
 
 
+@functools.lru_cache(maxsize=None)  # keyed by powers of 2 only
+def _facet_getters(size):
+    """One getter per facet of a cube with `size` vertices, in `cube_facets`
+    order; an edge's getters return 1-tuples, not bare vertices."""
+    k = (size - 1).bit_length()
+    if 1 << k != size:
+        raise NotCubical(f"cube with {size} vertices")
+    if size == 2:
+        return (lambda o: (o[0],), lambda o: (o[1],))
+    return tuple(operator.itemgetter(*[i for i in range(size)
+                                       if (i >> axis) & 1 == side])
+                 for axis in range(k) for side in (0, 1))
+
+
 def cube_facets(order):
     """The 2k codimension-1 faces of a k-cube given in binary order."""
-    k = (len(order) - 1).bit_length()
-    if 2 ** k != len(order):
-        raise NotCubical(f"cube with {len(order)} vertices")
-    facets = []
-    for axis in range(k):
-        for side in (0, 1):
-            sub = tuple(order[i] for i in range(2 ** k)
-                        if (i >> axis) & 1 == side)
-            facets.append(sub)
-    return facets
+    return [get(order) for get in _facet_getters(len(order))]
 
 
 def _spans_face(order, verts):
@@ -146,8 +155,9 @@ class Complex:
         if self._facets is None:
             off, flat = array("i", [0]), array("i")
             for c in self._cells:
+                simplex = c.kind == SIMPLEX
                 for o in _facet_orders(c):
-                    s = tuple(sorted(o))
+                    s = o if simplex else tuple(sorted(o))
                     ids = self._index.get((c.dim - 1, s))
                     if not ids:
                         raise MissingFace(f"{c.kind} {c.verts} lacks face {s}")
@@ -329,10 +339,11 @@ class Complex:
                 raise IllegalIntersection(f"degenerate simplex {c.verts}")
         # condition (4): every (n-1)-simplex is a face of at most two
         # n-simplices (lower cells are unique, so one index entry each)
+        off, _ = self._coface_table()
         for i in self.cell_ids(n - 1):
-            if len(self.coface_ids(i)) > 2:
+            if off[i + 1] - off[i] > 2:
                 raise FaceOveruse(f"(n-1)-simplex {self._cells[i].verts} has "
-                                  f"{len(self.coface_ids(i))} cofaces")
+                                  f"{off[i + 1] - off[i]} cofaces")
 
     # -- serialization ---------------------------------------------------------
 
@@ -453,12 +464,15 @@ def from_json(data):
 
 
 def canonical_triangulation(K):
-    """Flag triangulation of a cubical complex.
+    """Flag triangulation T of a cubical complex K.
 
     One new vertex per cube of dimension >= 1 (at the barycenter when
-    coordinates exist); k-simplices are chains q_0 c q_1 c ... c q_k of
-    nested cubes.  New vertex ids start above the current maximum, ordered
-    by (dim, vertex list) so the construction is reproducible.
+    coordinates exist); new vertex ids start above the current maximum,
+    ordered by (dim, vertex list) so the construction is reproducible.  The
+    cells of T are listed here, not derived from its top simplices: the
+    centre of every cube as a 0-cell, and every chain q_0 < q_1 < ... < q_k
+    of nested cubes that lies under a top cube of K.  `Complex` validates
+    them in full.
     """
     if K.mode != CUBICAL:
         raise NotCubical("canonical_triangulation needs a cubical complex")
@@ -487,20 +501,23 @@ def canonical_triangulation(K):
             vcoords[next_id] = None
         next_id += 1
 
-    # maximal flags ending at each cube, bottom-up by dimension (`cubes` is
-    # sorted by dim, so every facet's flags are ready before its cofaces')
-    flags = {}
+    # chains ending at each cube, bottom-up by dimension (`cubes` is sorted
+    # by dim, so every face's chains are ready before its cofaces').  Centre
+    # ids rise with dimension, so each chain is a sorted vertex tuple.  A cube
+    # under no top cube is its centre alone: its chains bound no top simplex.
+    under_top = set(K._closure(K.top_ids()))
+    chains = {}
     for i in cubes:
-        flags[i] = ([[i]] if K.cell(i).dim == 0 else
-                    [chain + [i] for f in K.facet_ids(i) for chain in flags[f]])
-    tops = [(n, [center[j] for j in chain], SIMPLEX)
-            for i in K.top_ids() for chain in flags[i]]
-    flags.clear()  # free it before validation builds the incidence index
-
-    T = build_complex(n, SIMPLICIAL, vcoords, tops)
-    T.vertex_cube_dim.update(vdim)
-    T.triangulation_source.update(source)
-    return T
+        chains[i] = [(center[i],)]
+        if i in under_top:
+            chains[i] += [chain + (center[i],)
+                          for f in K._closure(K.facet_ids(i)) for chain in chains[f]]
+    simplices = sorted((t for i in cubes for t in chains[i]),
+                       key=lambda t: (len(t), t))
+    chains.clear()  # free it before validation builds the incidence index
+    return Complex(n, SIMPLICIAL, vcoords,
+                   [Cell(len(t) - 1, t, SIMPLEX) for t in simplices],
+                   vertex_cube_dim=vdim, triangulation_source=source)
 
 
 def triangulation_restriction(T, K, sub_top_ids):

@@ -1,9 +1,15 @@
-"""Random generators shared by the test modules."""
+"""Random generators and fixed shapes shared by the test modules."""
 
 import random
 
 from cubalex import factories as fa
 from cubalex import refinement as rf
+
+# A 16-square disk polyomino: its star replacement and its reduction are
+# both cones over one long polygon.
+CONE44 = ((-3, -2), (-3, -1), (-2, -2), (-2, -1), (-1, -2), (-1, -1), (-1, 0),
+          (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (2, 1),
+          (3, 1))
 
 
 def random_disk_polyomino(rng, max_cells):

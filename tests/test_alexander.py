@@ -22,7 +22,7 @@ from cubalex.errors import (
     OddCycle,
 )
 
-from gen import random_disk_polyomino
+from gen import CONE44, random_disk_polyomino
 
 
 def brute_force_two_colorable(g):
@@ -382,11 +382,6 @@ def test_collapse_doubles_edge_and_keeps_other_cells():
     assert new_lab.to_json() == rlab.to_json()
     assert step.covers == 1
     assert [c.verts for c in Q.cells(1)][:2] == [(0, 1), (0, 1)]
-
-
-CONE44 = ((-3, -2), (-3, -1), (-2, -2), (-2, -1), (-1, -2), (-1, -1), (-1, 0),
-          (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (2, 1),
-          (3, 1))
 
 
 # sha256 of the final complex (with its labeling) and the ledger, as

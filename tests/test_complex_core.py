@@ -20,7 +20,7 @@ from cubalex.errors import (
     UnknownVertex,
 )
 
-from gen import random_disk_polyomino
+from gen import CONE44, random_disk_polyomino
 
 
 def flag_count_oracle(n):
@@ -580,3 +580,173 @@ def test_cubical_check_matches_pairwise_reference(kind, how, seed):
     rng = random.Random(seed)
     args = mutate(construction_case(kind, seed), how, rng)
     assert outcome(cc.build_complex, args) == outcome(pairwise_build, args)
+
+
+# -- cube facets against the bit-test formula ---------------------------------------
+
+
+def reference_cube_facets(order):
+    """`cube_facets` as a bit test per vertex and facet."""
+    k = (len(order) - 1).bit_length()
+    if 2 ** k != len(order):
+        raise NotCubical(f"cube with {len(order)} vertices")
+    return [tuple(order[i] for i in range(2 ** k) if (i >> axis) & 1 == side)
+            for axis in range(k) for side in (0, 1)]
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 32, 64])
+def test_cube_facets_match_bit_formula(size):
+    order = random.Random(size).sample(range(1000), size)
+    want = reference_cube_facets(order)
+    assert cc.cube_facets(order) == want  # a list in, tuples out
+    assert cc.cube_facets(tuple(order)) == want
+
+
+@pytest.mark.parametrize("size", [3, 5, 6, 12])
+def test_cube_facets_reject_non_power_of_two(size):
+    with pytest.raises(NotCubical):
+        reference_cube_facets(tuple(range(size)))
+    with pytest.raises(NotCubical):
+        cc.cube_facets(tuple(range(size)))
+
+
+# -- triangulation against the flag route --------------------------------------------
+
+
+def flag_triangulation(K):
+    """T as canonical_triangulation once built it: the maximal flags of K's
+    top cubes, handed to build_complex, which derives every face."""
+    n = K.dimension
+    cubes = sorted(range(len(K.cells())),
+                   key=lambda i: (K.cell(i).dim, K.cell(i).verts))
+    next_id = max(K.vertices) + 1 if K.vertices else 0
+    center = {}
+    vcoords = dict(K.vertices)
+    vdim = {v: 0 for v in K.vertices}
+    source = {v: (0, (v,)) for v in K.vertices}
+    for i in cubes:
+        c = K.cell(i)
+        if c.dim == 0:
+            center[i] = c.verts[0]
+            continue
+        center[i] = next_id
+        vdim[next_id] = c.dim
+        source[next_id] = (c.dim, c.verts)
+        coords = [K.vertices[v] for v in c.verts]
+        if all(x is not None for x in coords):
+            d = len(coords[0])
+            vcoords[next_id] = tuple(
+                sum(x[j] for x in coords) / len(coords) for j in range(d))
+        else:
+            vcoords[next_id] = None
+        next_id += 1
+    flags = {}
+    for i in cubes:
+        flags[i] = ([[i]] if K.cell(i).dim == 0 else
+                    [chain + [i] for f in K.facet_ids(i) for chain in flags[f]])
+    tops = [(n, [center[j] for j in chain], cc.SIMPLEX)
+            for i in K.top_ids() for chain in flags[i]]
+    T = cc.build_complex(n, cc.SIMPLICIAL, vcoords, tops)
+    T.vertex_cube_dim.update(vdim)
+    T.triangulation_source.update(source)
+    return T
+
+
+# the four 3-D boxes of the benchmark's shelling workload
+BENCH_BOXES_3D = [
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0)),
+    tuple((x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)),
+]
+
+
+def square_with_dangling_edge():
+    return cc.build_complex(2, cc.CUBICAL, list(range(5)), [
+        (2, [0, 1, 2, 3], cc.CUBE), (1, [3, 4], cc.CUBE)])
+
+
+def cube_with_dangling_square():
+    # the square x in [1, 2], y in [0, 1], z = 0 shares one edge of the cube
+    K = fa.unit_cube(3)
+    pos = {p: v for v, p in K.vertices.items()}
+    for p in [(2, 0, 0), (2, 1, 0)]:
+        pos[p] = len(pos)
+    square = [pos[p] for p in [(1, 0, 0), (2, 0, 0), (1, 1, 0), (2, 1, 0)]]
+    return cc.build_complex(3, cc.CUBICAL, {v: p for p, v in pos.items()}, [
+        (3, list(K.cell(K.top_ids()[0]).order), cc.CUBE),
+        (2, square, cc.CUBE)])
+
+
+def triangulation_inputs(name):
+    if name.startswith("cube"):
+        return [fa.unit_cube(int(name[4:]))]
+    if name == "disks6":
+        return [fa.grid_complex(p) for ps in fa.free_polyominoes(6).values()
+                for p in ps if fa.is_disk_polyomino(p)]
+    if name == "cone44":
+        return [fa.grid_complex(CONE44)]
+    if name == "boxes":
+        return [fa.box_complex(3, c) for c in BENCH_BOXES_3D]
+    if name == "circle6_x_3":
+        return [fa.product_with_interval(fa.circle_complex(6), 3)]
+    if name == "refined_square":
+        return [rf.refine(fa.unit_cube(2), 1).complex]
+    return [square_with_dangling_edge(), cube_with_dangling_square()]
+
+
+def triangulation_record(T):
+    return (json.dumps(T.to_json()),
+            [T.facet_ids(i) for i in range(len(T.cells()))],
+            T.vertex_cube_dim, T.triangulation_source, list(T.vertices.items()))
+
+
+@pytest.mark.parametrize("name", ["cube1", "cube2", "cube3", "cube4", "disks6",
+                                  "cone44", "boxes", "circle6_x_3",
+                                  "refined_square", "non_pure"])
+def test_triangulation_matches_flag_route(name):
+    inputs = triangulation_inputs(name)
+    assert name != "disks6" or len(inputs) == 56
+    for K in inputs:
+        want = triangulation_record(flag_triangulation(K))
+        assert triangulation_record(cc.canonical_triangulation(K)) == want
+
+
+def test_triangulation_of_non_pure_complex_skips_dangling_chains():
+    # square: 9 vertices, 16 edges, 8 triangles; the dangling edge adds its
+    # far end and its centre, but no edge of T (no top cube lies over it)
+    T = cc.canonical_triangulation(square_with_dangling_edge())
+    assert [T.n_cells(d) for d in range(3)] == [11, 16, 8]
+
+
+def chain_count_oracle(n, k):
+    """k-simplices of the flag triangulation of the unit n-cube: a chain of
+    face dimensions d_0 < ... < d_k, counted as the d_k-faces of the n-cube
+    times, down the chain, the d_j-faces of a d_(j+1)-cube."""
+    def faces(d, e):  # e-faces of a d-cube
+        return math.comb(d, e) * 2 ** (d - e)
+    return sum(faces(n, ds[-1]) * math.prod(faces(b, a)
+                                            for a, b in zip(ds, ds[1:]))
+               for ds in itertools.combinations(range(n + 1), k + 1))
+
+
+def test_triangulation_f_vector_matches_closed_form():
+    want = [243, 2882, 10800, 17760, 13440, 3840]
+    assert [chain_count_oracle(5, k) for k in range(6)] == want  # oracle first
+    T = cc.canonical_triangulation(fa.unit_cube(5))
+    assert [T.n_cells(k) for k in range(6)] == want
+    for n in range(1, 5):
+        T = cc.canonical_triangulation(fa.unit_cube(n))
+        assert [T.n_cells(k) for k in range(n + 1)] == [
+            chain_count_oracle(n, k) for k in range(n + 1)]
+
+
+def test_triangulation_does_not_call_build_complex(monkeypatch):
+    K = fa.unit_cube(3)
+
+    def refuse(*args):
+        raise AssertionError("build_complex called")
+
+    monkeypatch.setattr(cc, "build_complex", refuse)
+    T = cc.canonical_triangulation(K)
+    assert T.n_cells(3) == 48
