@@ -4,36 +4,52 @@ The prefix-intersection test is a certificate, not a proof: an intersection
 passes when its (n-1)-cubes are nonempty, connected, account for every
 shared lower cell, and (on cube boundaries) contain a face whose opposite
 face is absent.  Exact at desk scale for n <= 3; flagged as a certificate
-for n >= 4.
+for n >= 4.  One function, `_extends`, applies this step test everywhere.
+
+In 2-D the search peels on boundary counts: a square comes off the remaining
+disk when it meets the disk's boundary in one arc, i.e. with e of its edges
+and v of its vertices on the boundary, 1 <= e <= 3 and v == e + 1.
 """
 
 from __future__ import annotations
 
 import math
 
-import networkx as nx
-
 from .complex_core import (
     CUBICAL, SIMPLEX, SIMPLICIAL, assert_cell, build_complex,
-    canonical_triangulation, cell_check,
+    canonical_triangulation,
 )
 from .errors import (AllOppositePairsPresent, NotACell, NotAPermutation,
                      NotCubical)
 
 
 def _facet_complex_is_cell(K, q, facet_ids):
-    """Certificate that a union of facets of cube q is an (n-1)-cell."""
-    if not facet_ids:
-        return False
+    """Certificate that a union of facets of cube q is an (n-1)-cell.
+
+    Two facets of a cube meet in an (n-2)-face unless they are opposite
+    (slots j and j ^ 1), so a union with some facet's opposite absent is
+    connected as well.
+    """
     all_facets = K.facet_ids(q)
-    if len(facet_ids) == len(all_facets):
-        return False  # the whole boundary sphere
-    if not nx.is_connected(K.adjacency_graph(facet_ids)):
-        return False
-    # opposite-face test: some facet's opposite (slot j ^ 1 of j) is absent
+    if not facet_ids or len(facet_ids) == len(all_facets):
+        return False  # empty, or the whole boundary sphere
     chosen = set(facet_ids)
     return any(all_facets[j ^ 1] not in chosen
                for j, f in enumerate(all_facets) if f in chosen)
+
+
+def _extends(K, q, prefix):
+    """The shelling step test: q's facets shared with the prefix when they
+    form an (n-1)-cell on which every vertex q shares with it lies; else None.
+    """
+    shared = K.shared_facets(q, prefix)
+    if not _facet_complex_is_cell(K, q, shared):
+        return None
+    prefix_verts = {v for j in prefix for v in K.cell(j).verts}
+    shared_verts = {v for f in shared for v in K.cell(f).verts}
+    if (set(K.cell(q).verts) & prefix_verts) - shared_verts:
+        return None
+    return shared
 
 
 def verify_shelling(K, order):
@@ -44,30 +60,19 @@ def verify_shelling(K, order):
     if sorted(order) != tops:
         raise NotAPermutation(f"{order} is not a permutation of {tops}")
     for i in range(1, len(order)):
-        q = order[i]
-        prefix = order[:i]
-        shared = K.shared_facets(q, prefix)
-        if not _facet_complex_is_cell(K, q, shared):
-            return False, i
-        # every shared lower cell must lie in the shared facets' closure
-        prefix_verts = {v for j in prefix for v in K.cell(j).verts}
-        shared_verts = {v for f in shared for v in K.cell(f).verts}
-        if (set(K.cell(q).verts) & prefix_verts) - shared_verts:
+        if _extends(K, order[i], order[:i]) is None:
             return False, i
     return True, None
-
-
-def _boundary_contact(K, q, boundary_facets):
-    return sum(1 for f in K.facet_ids(q) if f in boundary_facets)
 
 
 def find_shelling(K):
     """A shelling order of a cubical complex on an n-cell, or None.
 
-    n = 2 uses the constructive peel (remove a boundary cube whose
-    intersection with the boundary is connected); n >= 3 falls back to
-    backtracking with prefix pruning and reports None only after an
-    exhaustive search.
+    n = 2 peels the disk from outside in: the first square, in id order,
+    that meets the boundary of the remaining disk in one arc (one to three
+    consecutive edges, and no other vertex) comes off next, and the peel
+    reversed is the order.  n >= 3 falls back to backtracking with prefix
+    pruning and reports None only after an exhaustive search.
     """
     if K.mode != CUBICAL:
         raise NotCubical("find_shelling needs a cubical complex")
@@ -77,140 +82,111 @@ def find_shelling(K):
     return _find_shelling_backtrack(K)
 
 
-def _boundary_arc_connected(K, q, sub_tops):
-    """Is q's intersection with the boundary of the sub-complex connected?
+def _boundary_counts(K):
+    """Boundary state of the whole 2-disk K, for the peel.
 
-    Works on the boundary of the subcomplex spanned by sub_tops; the
-    intersection is taken among q's edges and vertices.
+    left[e] counts the squares still on edge e, so e lies on the boundary
+    iff left[e] == 1; on_bd[v] counts the boundary edges at vertex v.
     """
-    S = K.subcomplex(sub_tops)
-    bfacets = {S.cell(i).verts for i in S.boundary_facet_ids()}
-    bverts = set()
-    for vs in bfacets:
-        bverts.update(vs)
-    edges = [K.cell(i).verts for i in K.facet_ids(q)
-             if K.cell(i).verts in bfacets]
-    verts = [v for v in K.cell(q).verts if v in bverts]
-    if not edges and not verts:
-        return False
-    g = nx.Graph()
-    for v in verts:
-        g.add_node(("v", v))
-    for e in edges:
-        g.add_node(("e", e))
-        for v in e:
-            if ("v", v) in g:
-                g.add_edge(("e", e), ("v", v))
-    return nx.is_connected(g) and bool(edges)
+    left = {e: len(K.coface_ids(e)) for e in K.cell_ids(1)}
+    on_bd = dict.fromkeys(K.vertices, 0)
+    for e, n in left.items():
+        if n == 1:
+            for v in K.cell(e).verts:
+                on_bd[v] += 1
+    return left, on_bd
+
+
+def _meets_boundary_in_arc(K, q, left, on_bd):
+    """Does square q meet the boundary of the remaining disk in one arc?
+
+    With e of q's edges and v of its vertices on the boundary, the edges
+    form one arc and no other vertex is touched iff 1 <= e <= 3 and
+    v == e + 1; then the disk minus q is again a disk.
+    """
+    e = sum(left[f] == 1 for f in K.facet_ids(q))
+    v = sum(on_bd[w] > 0 for w in K.cell(q).verts)
+    return 1 <= e <= 3 and v - e == 1
+
+
+def _peel_off(K, q, left, on_bd):
+    """Remove square q from the boundary state."""
+    for f in K.facet_ids(q):
+        left[f] -= 1
+        if left[f] < 2:  # 2 -> 1 joins the boundary, 1 -> 0 leaves it
+            step = 1 if left[f] else -1
+            for v in K.cell(f).verts:
+                on_bd[v] += step
 
 
 def _find_shelling_2d(K):
-    remaining = list(K.top_ids())
+    left, on_bd = _boundary_counts(K)
+    remaining = set(K.top_ids())
     peel = []
     while len(remaining) > 1:
-        found = None
-        for q in sorted(remaining):
-            rest = [t for t in remaining if t != q]
-            if not _boundary_arc_connected(K, q, remaining):
-                continue
-            rest_complex = K.subcomplex(rest)
-            if cell_check(rest_complex):
-                continue
-            found = q
-            break
-        if found is None:
+        q = next((q for q in sorted(remaining)
+                  if _meets_boundary_in_arc(K, q, left, on_bd)), None)
+        if q is None:
             return None
-        peel.append(found)
-        remaining.remove(found)
-    order = list(reversed(peel + remaining))
+        _peel_off(K, q, left, on_bd)
+        remaining.remove(q)
+        peel.append(q)
+    order = list(reversed(peel + list(remaining)))
     ok, _ = verify_shelling(K, order)
     return order if ok else None
 
 
+def _complete(K, order, tops, rank):
+    """Extend `order` depth-first to all of `tops` through cubes that pass
+    the step test, tried by (rank(shared facets), id); first leaf or None."""
+    if len(order) == len(tops):
+        return list(order)
+    steps = []
+    for q in tops:
+        shared = None if q in order else _extends(K, q, order)
+        if shared is not None:
+            steps.append((rank(shared), q))
+    for _, q in sorted(steps):
+        order.append(q)
+        done = _complete(K, order, tops, rank)
+        if done:
+            return done
+        order.pop()
+    return None
+
+
 def _find_shelling_backtrack(K):
     tops = sorted(K.top_ids())
-    boundary_facets = set(K.boundary_facet_ids())
-
-    def candidates(prefix, used):
-        pool = [q for q in tops if q not in used]
-        if not prefix:
-            pool.sort(key=lambda q: (-_boundary_contact(K, q, boundary_facets), q))
-            return pool
-        scored = []
-        for q in pool:
-            shared = K.shared_facets(q, prefix)
-            if not shared:
-                continue
-            if _facet_complex_is_cell(K, q, shared):
-                prefix_verts = {v for j in prefix for v in K.cell(j).verts}
-                shared_verts = {v for f in shared for v in K.cell(f).verts}
-                if (set(K.cell(q).verts) & prefix_verts) - shared_verts:
-                    continue
-                scored.append((-len(shared), q))
-        scored.sort()
-        return [q for _, q in scored]
-
-    order = []
-    used = set()
-
-    def descend():
-        if len(order) == len(tops):
-            return True
-        for q in candidates(order, used):
-            order.append(q)
-            used.add(q)
-            if descend():
-                return True
-            order.pop()
-            used.remove(q)
-        return False
-
-    return list(order) if descend() else None
+    boundary = set(K.boundary_facet_ids())
+    contact = {q: sum(f in boundary for f in K.facet_ids(q)) for q in tops}
+    for q in sorted(tops, key=lambda q: (-contact[q], q)):
+        done = _complete(K, [q], tops, lambda shared: -len(shared))
+        if done:
+            return done
+    return None
 
 
 def boundary_face_shelling(P):
     """Shelling of a subcomplex of a cube boundary that is an (n-1)-cell.
 
     Starts at a face whose opposite face is absent, then completes through
-    adjacency (verified greedily, with backtracking for safety).
+    adjacency, backtracking; every step passes the shelling step test, so
+    the first completion found is a shelling.
     """
     tops = sorted(P.top_ids())
-    opposite = {}
-    for a in tops:
-        va = set(P.cell(a).verts)
-        for b in tops:
-            if b != a and not (va & set(P.cell(b).verts)):
-                opposite[a] = b
-    starters = [a for a in tops if opposite.get(a) not in set(tops)]
-    if len(tops) > 1 and all(opposite.get(a) in set(tops) for a in tops):
+    # a face's opposite is the face of P it shares no vertex with
+    starters = [a for a in tops
+                if all(set(P.cell(a).verts) & set(P.cell(b).verts)
+                       for b in tops if b != a)]
+    if len(tops) > 1 and not starters:
         raise AllOppositePairsPresent(
             "every face has its opposite present; |P| is not a cell")
     if len(tops) == 1:
-        return [tops[0]]
-
-    def complete(order, used):
-        if len(order) == len(tops):
-            ok, _ = verify_shelling(P, order)
-            return list(order) if ok else None
-        for q in tops:
-            if q in used:
-                continue
-            shared = P.shared_facets(q, order)
-            if not shared or not _facet_complex_is_cell(P, q, shared):
-                continue
-            order.append(q)
-            used.add(q)
-            res = complete(order, used)
-            if res:
-                return res
-            order.pop()
-            used.remove(q)
-        return None
-
+        return tops
     for s in starters:
-        res = complete([s], {s})
-        if res:
-            return res
+        done = _complete(P, [s], tops, lambda shared: 0)
+        if done:
+            return done
     raise NotACell("no shelling completion found")
 
 

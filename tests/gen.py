@@ -11,6 +11,14 @@ CONE44 = ((-3, -2), (-3, -1), (-2, -2), (-2, -1), (-1, -2), (-1, -1), (-1, 0),
           (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (2, 1),
           (3, 1))
 
+# the four 3-D boxes of the benchmark's shelling workload
+BENCH_BOXES_3D = [
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0)),
+    tuple((x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)),
+]
+
 
 def random_disk_polyomino(rng, max_cells):
     """Edge-connected polyomino whose complex is a disk."""

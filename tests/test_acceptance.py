@@ -23,7 +23,7 @@ from cubalex.errors import OddCycle
 
 from gen import random_disk_polyomino, random_molecule, random_sketch_pieces
 
-BUDGETS = {1: 1, 2: 1, 3: 60, 4: 60, 5: 1, 6: 10, 7: 30, 8: 5,
+BUDGETS = {1: 1, 2: 1, 3: 10, 4: 60, 5: 1, 6: 10, 7: 30, 8: 5,
            9: 300, 10: 10, 11: 120, 12: 10}
 
 

@@ -20,7 +20,7 @@ from cubalex.errors import (
     UnknownVertex,
 )
 
-from gen import CONE44, random_disk_polyomino
+from gen import BENCH_BOXES_3D, CONE44, random_disk_polyomino
 
 
 def flag_count_oracle(n):
@@ -650,15 +650,6 @@ def flag_triangulation(K):
     T.vertex_cube_dim.update(vdim)
     T.triangulation_source.update(source)
     return T
-
-
-# the four 3-D boxes of the benchmark's shelling workload
-BENCH_BOXES_3D = [
-    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),
-    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0)),
-    tuple((x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)),
-]
 
 
 def square_with_dangling_edge():

@@ -1,18 +1,23 @@
 """Shelling verification, search, boundary-face shellings, star-replacement."""
 
+import hashlib
 import itertools
+import json
 import random
+import types
 
+import networkx as nx
 import pytest
 
 from cubalex import complex_core as cc
 from cubalex import factories as fa
 from cubalex import shelling as sh
 from cubalex.errors import (
-    AllOppositePairsPresent, NotACell, NotAPermutation, NotCubical,
+    AllOppositePairsPresent, CubalexError, NotACell, NotAPermutation,
+    NotCubical,
 )
 
-from gen import random_disk_polyomino
+from gen import BENCH_BOXES_3D, CONE44, random_disk_polyomino
 
 
 def test_single_cube_trivial_order():
@@ -40,6 +45,18 @@ def test_grid_diagonal_first_fails_at_second():
             break
     ok, idx = sh.verify_shelling(K, diag)
     assert not ok and idx == 1  # the second cube in the order violates
+
+
+def test_vertex_shared_off_the_shared_facets_fails():
+    # (1, 1) meets the prefix in its bottom edge and, apart from it, in the
+    # corner it shares with (2, 2): the shelling step closes a ring
+    K = fa.grid_complex([(1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (2, 2),
+                         (1, 1)])
+    corner = {min(K.vertices[v] for v in K.cell(i).verts): i
+              for i in K.top_ids()}
+    order = [corner[c] for c in [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2),
+                                 (2, 2), (1, 1)]]
+    assert sh.verify_shelling(K, order) == (False, 6)
 
 
 def test_not_a_permutation():
@@ -79,8 +96,6 @@ def test_backtracking_3d_single_and_domino():
 def test_box_without_lid():
     P = fa.cube_boundary_complex(3)
     # remove one face: 5 faces of the boundary of [0,1]^3
-    tops = P.top_ids()
-    P5 = P.subcomplex(tops[:-1] if len(tops) == 6 else tops)
     P5 = P.subcomplex(P.top_ids()[:5])
     order = sh.boundary_face_shelling(P5)
     assert len(order) == 5
@@ -211,3 +226,126 @@ def test_every_2cell_complex_shellable_random_12():
         assert order is not None
         ok, _ = sh.verify_shelling(K, order)
         assert ok
+
+
+# -- the 2-D peel on boundary counts, against the subcomplex rule it replaced --
+
+
+def reference_peelable(K, q, remaining):
+    """The peel rule before boundary counts: q's edges and vertices on the
+    boundary of the subcomplex on `remaining` form a connected graph with an
+    edge, and the subcomplex on the other squares passes `cell_check`."""
+    S = K.subcomplex(remaining)
+    bfacets = {S.cell(i).verts for i in S.boundary_facet_ids()}
+    bverts = {v for vs in bfacets for v in vs}
+    edges = [K.cell(i).verts for i in K.facet_ids(q)
+             if K.cell(i).verts in bfacets]
+    verts = [v for v in K.cell(q).verts if v in bverts]
+    if not edges:
+        return False
+    g = nx.Graph()
+    g.add_nodes_from(("v", v) for v in verts)
+    for e in edges:
+        g.add_edges_from((("e", e), ("v", v)) for v in e)
+    if not nx.is_connected(g):
+        return False
+    return not cc.cell_check(K.subcomplex([t for t in remaining if t != q]))
+
+
+def test_arc_rule_matches_subcomplex_rule_along_the_peel():
+    # every square of every state along the peel, with the counts updated
+    # incrementally as find_shelling updates them
+    rng = random.Random(16)
+    shapes = [cells for k, v in fa.free_polyominoes(7).items() for cells in v
+              if fa.is_disk_polyomino(cells)]
+    shapes += [CONE44] + [random_disk_polyomino(rng, 16) for _ in range(10)]
+    checks = 0
+    for cells in shapes:
+        K = fa.grid_complex(cells)
+        left, on_bd = sh._boundary_counts(K)
+        remaining = sorted(K.top_ids())
+        while len(remaining) > 1:
+            want = [q for q in remaining if reference_peelable(K, q, remaining)]
+            got = [q for q in remaining
+                   if sh._meets_boundary_in_arc(K, q, left, on_bd)]
+            assert got == want, cells
+            checks += len(remaining)
+            sh._peel_off(K, want[0], left, on_bd)
+            remaining.remove(want[0])
+            assert (left, on_bd) == recounted(K, remaining), cells
+    assert checks > 1000
+
+
+def recounted(K, remaining):
+    left = {e: sum(c in remaining for c in K.coface_ids(e))
+            for e in K.cell_ids(1)}
+    on_bd = dict.fromkeys(K.vertices, 0)
+    for e in left:
+        for v in K.cell(e).verts:
+            on_bd[v] += left[e] == 1
+    return left, on_bd
+
+
+def test_peel_builds_no_subcomplex_or_networkx_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("subcomplex or networkx graph built")
+
+    monkeypatch.setattr(cc.Complex, "subcomplex", refuse)
+    K = fa.rect_grid(3, 3)
+    order = sh.find_shelling(K)
+    monkeypatch.setattr(cc, "nx", types.SimpleNamespace(Graph=refuse))
+    assert sh.verify_shelling(K, order) == (True, None)
+
+
+def test_facet_cell_certificate_matches_connected_route():
+    # the opposite-face test alone, against connectivity plus that test
+    for n in (2, 3, 4):
+        K = fa.unit_cube(n)
+        q = K.top_ids()[0]
+        fs = K.facet_ids(q)
+        for k in range(1, len(fs) + 1):
+            for ids in itertools.combinations(fs, k):
+                want = (k < len(fs)
+                        and nx.is_connected(K.adjacency_graph(ids))
+                        and any(fs[j ^ 1] not in ids
+                                for j, f in enumerate(fs) if f in ids))
+                assert sh._facet_complex_is_cell(K, q, list(ids)) == want
+
+
+# -- shelling outputs pinned against the route before the shared step test ------
+
+
+def digest(records):
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def test_step_test_route_pinned():
+    # boundary_face_shelling on every proper non-empty set of facets of the
+    # 3- and 4-cube boundaries (order or exception type), then find_shelling
+    # on the 3-D boxes above and the benchmark's
+    records = []
+    for n in (3, 4):
+        P = fa.cube_boundary_complex(n)
+        tops = P.top_ids()
+        for k in range(1, len(tops)):
+            for ids in itertools.combinations(tops, k):
+                try:
+                    records.append(
+                        sh.boundary_face_shelling(P.subcomplex(ids)))
+                except CubalexError as exc:
+                    records.append(type(exc).__name__)
+    boxes = BOXES_3D + [c for c in BENCH_BOXES_3D if list(c) not in BOXES_3D]
+    records += [sh.find_shelling(fa.box_complex(3, c)) for c in boxes]
+    assert len(records) == 62 + 254 + 7
+    assert digest(records) == (
+        "4aea5ebbd36aebeadf7290ee68865bfbf78c7a09082c79a5c62d3f4248d05359")
+
+
+def test_disk_shelling_orders_pinned():
+    # find_shelling on the 526 disk polyominoes of at most 8 cells
+    records = [sh.find_shelling(fa.grid_complex(cells))
+               for k, v in fa.free_polyominoes(8).items() for cells in v
+               if fa.is_disk_polyomino(cells)]
+    assert len(records) == 526
+    assert digest(records) == (
+        "bb18214a756fe387ef4eb82ad454a02ac5007e64f52b8138dd06971608290649")
