@@ -373,18 +373,24 @@ class Complex:
         return nx.weisfeiler_lehman_graph_hash(g, node_attr="color")
 
     def incidence_graph(self, vertex_labels=None):
-        """Cell-incidence graph with (dim, kind[, label]) colors, for isomorphism."""
+        """Cell-incidence graph with (dim, kind[, label]) colors."""
         g = nx.Graph()
         for i, c in enumerate(self._cells):
-            color = f"{c.dim}:{c.kind}"
-            if vertex_labels is not None and c.dim == 0:
-                color += f":{vertex_labels.get(c.verts[0], '')}"
-            g.add_node(i, color=color)
+            g.add_node(i, color=_cell_color(c, vertex_labels))
         for i, c in enumerate(self._cells):
             if c.dim > 0:
                 for f in self.facet_ids(i):
                     g.add_edge(i, f)
         return g, list(range(len(self._cells)))
+
+
+def _cell_color(c, vertex_labels):
+    """A cell's start colour for isomorphism: dim and kind, and for a vertex
+    its label when labels are given (missing labels read as '')."""
+    color = f"{c.dim}:{c.kind}"
+    if vertex_labels is not None and c.dim == 0:
+        color += f":{vertex_labels.get(c.verts[0], '')}"
+    return color
 
 
 def build_complex(dimension, mode, vertices, cells):
@@ -542,14 +548,101 @@ def triangulation_restriction(T, K, sub_top_ids):
 
 
 def is_isomorphic(K1, K2, labels1=None, labels2=None):
-    """Cell-complex isomorphism via VF2 on colored incidence graphs."""
-    g1, _ = K1.incidence_graph(labels1)
-    g2, _ = K2.incidence_graph(labels2)
-    if g1.number_of_nodes() != g2.number_of_nodes():
+    """Is there a dimension-, kind- and label-preserving bijection of cells
+    that maps incidence onto incidence?  Decided exactly by
+    individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism II", J. Symb. Comput. 60, 2014) on the disjoint union of the
+    two incidence graphs, read off both complexes' own index.
+
+    Colours start from `_cell_color` and are refined to the coarsest
+    equitable partition (colour refinement, Weisfeiler & Leman 1968).  Every
+    step depends on colours alone, never on cell ids, so any isomorphism
+    phi: K1 -> K2 maps each colour class's K1 cells onto its K2 cells, and a
+    class with unequal counts on the two sides proves that no phi exists.
+    Otherwise the first K1 cell a of the smallest class holding more than
+    one pair gets a fresh colour together with each K2 cell b of that class
+    in turn.  phi(a) is one of those b, and that branch keeps phi
+    colour-preserving, so trying every b misses no isomorphism.  When every
+    class is a pair, the partition is a bijection; it is accepted only once
+    checked to map every incidence onto an incidence.  So `True` comes only
+    from a verified bijection, `False` only from a count mismatch or an
+    exhausted search.  There is no automorphism pruning: on highly regular
+    inputs that are not isomorphic the search can take exponential time.
+    """
+    n1 = len(K1.cells())
+    if n1 != len(K2.cells()):
         return False
-    gm = nx.algorithms.isomorphism.GraphMatcher(
-        g1, g2, node_match=lambda a, b: a["color"] == b["color"])
-    return gm.is_isomorphic()
+    adj, start = [], []
+    for K, labels, base in ((K1, labels1, 0), (K2, labels2, n1)):
+        for i, c in enumerate(K.cells()):
+            adj.append(tuple({base + j
+                              for j in K.facet_ids(i) + K.coface_ids(i)}))
+            start.append(_cell_color(c, labels))
+    if sum(map(len, adj[:n1])) != sum(map(len, adj[n1:])):
+        return False
+    ids = {col: k for k, col in enumerate(sorted(set(start)))}
+    color = [ids[col] for col in start]
+    classes = [[] for _ in ids]
+    for v, k in enumerate(color):
+        classes[k].append(v)
+    return _search(adj, n1, color, classes, range(len(adj)))
+
+
+def _refine(adj, color, classes, changed):
+    """Refine `color` (cell -> class id) and `classes` (class id -> cells),
+    in place, to the coarsest equitable partition below them.  A class is
+    re-signed only when it holds a neighbour of a cell whose colour changed
+    in the last round (`changed` at first); a cell's signature is the sorted
+    tuple of its neighbours' colours.  A split class keeps its id for the
+    part with the smallest signature; the other parts get fresh ids."""
+    while changed:
+        touched = sorted({color[u] for v in changed for u in adj[v]})
+        changed, fresh = [], len(classes)
+        for k in touched:
+            if len(classes[k]) == 1:
+                continue
+            parts = {}
+            for v in classes[k]:
+                sig = tuple(sorted([color[u] for u in adj[v]]))
+                parts.setdefault(sig, []).append(v)
+            if len(parts) == 1:
+                continue
+            first, *rest = sorted(parts)
+            classes[k] = parts[first]
+            for sig in rest:
+                classes.append(parts[sig])
+                changed += parts[sig]
+        # fresh ids take effect after the round, so every class of one
+        # round is signed with the same colours
+        for k in range(fresh, len(classes)):
+            for v in classes[k]:
+                color[v] = k
+
+
+def _search(adj, n1, color, classes, changed):
+    """Refine, then decide by the counts, the leaf check or the branches.
+    Cells below `n1` are K1's."""
+    _refine(adj, color, classes, changed)
+    for part in classes:
+        if 2 * sum(v < n1 for v in part) != len(part):
+            return False
+    big = [k for k, part in enumerate(classes) if len(part) > 2]
+    if not big:
+        phi = [0] * n1
+        for a, b in map(sorted, classes):
+            phi[a] = b
+        return all(set(adj[phi[a]]) == {phi[u] for u in adj[a]}
+                   for a in range(n1))
+    k = min(big, key=lambda k: len(classes[k]))  # the first of the smallest
+    a = min(classes[k])
+    for b in [v for v in classes[k] if v >= n1]:
+        color2, classes2 = list(color), [list(part) for part in classes]
+        classes2[k] = [v for v in classes[k] if v not in (a, b)]
+        classes2.append([a, b])
+        color2[a] = color2[b] = len(classes2) - 1
+        if _search(adj, n1, color2, classes2, [a, b]):
+            return True
+    return False
 
 
 # -- heuristic cell check ----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 
+from cubalex import complex_core as cc
 from cubalex import factories as fa
 from cubalex import refinement as rf
 
@@ -33,6 +34,22 @@ def random_disk_polyomino(rng, max_cells):
             cells.add((x + dx, y + dy))
         if fa.is_disk_polyomino(sorted(cells)):
             return sorted(cells)
+
+
+def relabeled(K, rng):
+    """An isomorphic copy of K and its vertex map: the vertex ids permuted
+    and the maximal cells handed to `build_complex` in shuffled order, so
+    the cells come out in another order and the identity bijection is not
+    an isomorphism (unless the permutation happens to be one)."""
+    ids = sorted(K.vertices)
+    perm = dict(zip(ids, rng.sample(ids, len(ids))))
+    tops = [c for i, c in enumerate(K.cells()) if not K.coface_ids(i)]
+    rng.shuffle(tops)
+    K2 = cc.build_complex(K.dimension, K.mode,
+                          {perm[v]: K.vertices[v] for v in ids},
+                          [(c.dim, [perm[v] for v in c.order], c.kind)
+                           for c in tops])
+    return K2, perm
 
 
 def random_molecule(rng, n=2, max_atoms=4, max_blocks=3, max_rho=3):

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 import types
 
 import pytest
@@ -405,7 +406,7 @@ def test_reduction_fingerprint(cells, digest):
     assert got == digest
 
 
-# -- the collapse path without networkx or cyclic garbage -----------------------------
+# -- collapse and isomorphism without networkx, no cyclic garbage --------------------
 
 
 def test_collapse_path_builds_no_networkx_graph(monkeypatch):
@@ -420,6 +421,41 @@ def test_collapse_path_builds_no_networkx_graph(monkeypatch):
     Q, lab2, step = al.collapse_at(lab, wall, apex=2)
     assert step.covers == 2 and Q.n_cells(2) == T.n_cells(2) - 4
     assert lab2.label(wall) == 2
+
+
+def test_reduction_isomorphism_builds_no_networkx_graph(monkeypatch):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("networkx graph built")
+
+    K = fa.grid_complex(CONE44)
+    final, _, _ = al.reduce_cubical(K)
+    S = sh.star_replacement(K)
+    monkeypatch.setattr(cc, "nx", types.SimpleNamespace(Graph=no_graph))
+    t0 = time.perf_counter()
+    assert cc.is_isomorphic(S, final)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_reduction_isomorphism_decides_at_first_leaf(monkeypatch):
+    """A deterministic work bound: at most three refinements, and no
+    backtracking, which would start a refinement from a partition no finer
+    than the one before it."""
+    starts = []
+    real = cc._refine
+
+    def counted(adj, color, classes, changed):
+        starts.append(len(classes))
+        return real(adj, color, classes, changed)
+
+    monkeypatch.setattr(cc, "_refine", counted)
+    rng = random.Random(42)
+    for cells in [CONE44] + [random_disk_polyomino(rng, 16) for _ in range(16)]:
+        K = fa.grid_complex(cells)
+        final, _, _ = al.reduce_cubical(K)
+        starts.clear()
+        assert cc.is_isomorphic(sh.star_replacement(K), final)
+        assert len(starts) <= 3
+        assert starts == sorted(set(starts)), (cells, starts)
 
 
 def test_triangulate_label_refine_leave_no_cyclic_garbage():

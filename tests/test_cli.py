@@ -8,6 +8,8 @@ from cubalex import cli
 from cubalex import complex_core as cc
 from cubalex import factories as fa
 
+from gen import CONE44
+
 
 @pytest.fixture
 def paths(tmp_path):
@@ -59,13 +61,23 @@ def test_reduce_report(paths, capsys, monkeypatch):
         calls.append(args)
         return real(*args, **kw)
 
-    # VF2 can run for minutes on some reductions: one call per report
+    # the reduction is checked against K* once per report
     monkeypatch.setattr(cc, "is_isomorphic", counted)
     code, data = run(capsys, ["reduce", paths["domino"]])
     assert code == 0 and data["pass"]
     assert len(calls) == 1
     names = [c["name"] for c in data["checks"]]
     assert len(names) == len(set(names))  # every check exactly once
+
+
+def test_reduce_cone44(capsys, tmp_path):
+    # K* and the reduced complex are both cones over one 44-gon
+    p = tmp_path / "cone44.json"
+    p.write_text(json.dumps(fa.grid_complex(CONE44).to_json()))
+    code, data = run(capsys, ["reduce", str(p)])
+    assert code == 0 and data["pass"]
+    checks = {c["name"]: c for c in data["checks"]}
+    assert checks["isomorphic_to_star_replacement"]["value"] is True
 
 
 def test_alexander_roundtrip(paths, capsys):

@@ -20,7 +20,7 @@ from cubalex.errors import (
     UnknownVertex,
 )
 
-from gen import BENCH_BOXES_3D, CONE44, random_disk_polyomino
+from gen import BENCH_BOXES_3D, CONE44, random_disk_polyomino, relabeled
 
 
 def flag_count_oracle(n):
@@ -176,12 +176,8 @@ def test_json_roundtrip_hash():
     data = json.loads(json.dumps(K.to_json()))
     K2 = cc.from_json(data)
     assert K.relabel_invariant_hash() == K2.relabel_invariant_hash()
-    # relabeled copy hashes identically
-    shift = {v: v + 100 for v in K.vertices}
-    K3 = cc.build_complex(2, cc.CUBICAL,
-                          {shift[v]: K.vertices[v] for v in K.vertices},
-                          [(c.dim, [shift[v] for v in c.order], c.kind)
-                           for c in K.cells(2)])
+    # relabeled copy (vertex ids permuted, cells reordered) hashes identically
+    K3, _ = relabeled(K, random.Random(5))
     assert K.relabel_invariant_hash() == K3.relabel_invariant_hash()
     assert cc.is_isomorphic(K, K3)
 
@@ -741,3 +737,105 @@ def test_triangulation_does_not_call_build_complex(monkeypatch):
     monkeypatch.setattr(cc, "build_complex", refuse)
     T = cc.canonical_triangulation(K)
     assert T.n_cells(3) == 48
+
+
+# -- isomorphism against the VF2 oracle ---------------------------------------------
+
+
+def vf2_isomorphic(K1, K2, labels1=None, labels2=None):
+    """The reference: networkx VF2 on the coloured incidence graphs."""
+    g1, _ = K1.incidence_graph(labels1)
+    g2, _ = K2.incidence_graph(labels2)
+    if g1.number_of_nodes() != g2.number_of_nodes():
+        return False
+    return nx.algorithms.isomorphism.GraphMatcher(
+        g1, g2, node_match=lambda a, b: a["color"] == b["color"]).is_isomorphic()
+
+
+@pytest.fixture(scope="module")
+def small_complexes():
+    """The disk polyominoes of at most 6 cells, the triangulated square and
+    3-cube, and the 3-cube."""
+    disks = [fa.grid_complex(p) for shapes in fa.free_polyominoes(6).values()
+             for p in shapes if fa.is_disk_polyomino(p)]
+    return disks + [cc.canonical_triangulation(fa.unit_cube(2)),
+                    cc.canonical_triangulation(fa.unit_cube(3)),
+                    fa.unit_cube(3)]
+
+
+def test_isomorphism_matches_vf2_on_every_pair(small_complexes):
+    pairs = list(itertools.combinations_with_replacement(small_complexes, 2))
+    assert len(pairs) == 1770
+    for K1, K2 in pairs:
+        assert cc.is_isomorphic(K1, K2) == vf2_isomorphic(K1, K2)
+
+
+def test_relabeled_copy_is_isomorphic_and_one_cell_less_is_not(small_complexes):
+    rng = random.Random(10)
+    for K in small_complexes:
+        K2, _ = relabeled(K, rng)
+        assert cc.is_isomorphic(K, K2) and cc.is_isomorphic(K2, K)
+        top = rng.choice(K2.top_ids())
+        fewer = K2.subcomplex([i for i in range(len(K2.cells())) if i != top])
+        assert not cc.is_isomorphic(K, fewer)
+        assert not cc.is_isomorphic(fewer, K)
+
+
+def test_vertex_labels_must_correspond(small_complexes):
+    rng = random.Random(11)
+    for K in small_complexes:
+        labels = {v: rng.randrange(3) for v in K.vertices}
+        K2, perm = relabeled(K, rng)
+        moved = {perm[v]: x for v, x in labels.items()}
+        assert cc.is_isomorphic(K, K2, labels, moved)
+        one_off = dict(moved)
+        one_off[rng.choice(sorted(moved))] = 3
+        assert not cc.is_isomorphic(K, K2, labels, one_off)
+        assert not cc.is_isomorphic(K, K2, labels, None)
+        # a swap keeps every label's count, so only the structure decides
+        u, w = rng.sample(sorted(moved), 2)
+        swapped = dict(moved)
+        swapped[u], swapped[w] = moved[w], moved[u]
+        assert (cc.is_isomorphic(K, K2, labels, swapped)
+                == vf2_isomorphic(K, K2, labels, swapped))
+
+
+def cycles(*sizes):
+    """Disjoint polygons as a 1-dimensional simplicial complex."""
+    edges, base = [], 0
+    for k in sizes:
+        edges += [(1, sorted([base + i, base + (i + 1) % k]), cc.SIMPLEX)
+                  for i in range(k)]
+        base += k
+    return cc.build_complex(1, cc.SIMPLICIAL, range(base), edges)
+
+
+def test_search_backtracks_and_exhausts_where_refinement_cannot_split(monkeypatch):
+    # every cell of these has two neighbours, so refinement alone keeps the
+    # cells of a hexagon and of a triangle in one class
+    starts = []
+    real = cc._refine
+
+    def counted(adj, color, classes, changed):
+        starts.append(len(classes))
+        return real(adj, color, classes, changed)
+
+    monkeypatch.setattr(cc, "_refine", counted)
+    hexagon_first = cycles(6, 3, 3)
+    for other, want in [(cycles(3, 3, 6), True), (cycles(3, 3, 3, 3), False)]:
+        starts.clear()
+        assert cc.is_isomorphic(hexagon_first, other) is want
+        assert vf2_isomorphic(hexagon_first, other) is want
+        assert starts != sorted(set(starts))  # a first branch failed
+
+
+def test_search_alone_is_exact(monkeypatch):
+    # with refinement switched off every leaf is some bijection of equal
+    # colours: only the edge-by-edge check tells an isomorphism
+    monkeypatch.setattr(cc, "_refine", lambda adj, color, classes, changed: None)
+    K = fa.unit_cube(2)  # boundary cycle 0-1-3-2
+    pairs = {0: "a", 1: "a", 3: "b", 2: "b"}
+    opposite = {0: "a", 1: "b", 3: "a", 2: "b"}
+    assert not cc.is_isomorphic(K, K, pairs, opposite)
+    turned = {1: "a", 3: "a", 2: "b", 0: "b"}
+    assert cc.is_isomorphic(K, K, pairs, turned)
