@@ -13,13 +13,12 @@ complex, so instances are safe to share across threads.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import operator
 from array import array
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .errors import (
     FaceOveruse,
@@ -202,25 +201,19 @@ class Complex:
 
     # -- derived structure ----------------------------------------------------
 
-    def adjacency_graph(self, ids=None):
-        """Graph on cells of one dimension d (default: the top cells).
-
-        Edge (a, b, shared=f) for each (d-1)-cell f that a and b both
-        contain, added in ascending f.
-        """
-        ids = self.top_ids() if ids is None else list(ids)
-        inside = set(ids)
-        g = nx.Graph()
-        g.add_nodes_from(ids)
-        for f in sorted({f for i in ids for f in self.facet_ids(i)}):
-            cof = [j for j in self.coface_ids(f) if j in inside]
-            for a, b in itertools.combinations(cof, 2):
-                g.add_edge(a, b, shared=f)
-        return g
+    def adjacency(self, ids=None):
+        """Edges (a, b, f) between cells of one dimension d (default: the top
+        cells), one for each (d-1)-cell f that a and b both contain: in
+        ascending f, then in pairs of f's ascending cofaces."""
+        inside = set(self.top_ids() if ids is None else ids)
+        return [(a, b, f)
+                for f in sorted({f for i in inside for f in self.facet_ids(i)})
+                for a, b in itertools.combinations(
+                    [j for j in self.coface_ids(f) if j in inside], 2)]
 
     def is_simplicially_connected(self):
-        g = self.adjacency_graph()
-        return g.number_of_nodes() > 0 and nx.is_connected(g)
+        comps, _ = spanning_forest(self.top_ids(), self.adjacency())
+        return len(comps) == 1
 
     def boundary_facet_ids(self):
         """(n-1)-cells with exactly one top coface."""
@@ -369,19 +362,45 @@ class Complex:
         return json.dumps(self.to_json(**kw), indent=1)
 
     def relabel_invariant_hash(self):
-        g, _ = self.incidence_graph()
-        return nx.weisfeiler_lehman_graph_hash(g, node_attr="color")
+        """sha256 of the quotient of the coarsest equitable partition of the
+        cells (`_refine`, from dim and kind): for each class in class-id
+        order, its dim, kind and size and its members' sorted neighbour
+        classes.  Class ids come from colours alone, so relabelling vertices
+        or reordering cells leaves the hash unchanged."""
+        adj, color, classes = _start_partition([(self, None)])
+        _refine(adj, color, classes, range(len(adj)))
+        h = hashlib.sha256()
+        for part in classes:
+            c = self._cells[part[0]]
+            nbrs = sorted(color[u] for u in adj[part[0]])
+            h.update(repr((c.dim, c.kind, len(part), nbrs)).encode())
+        return h.hexdigest()
 
-    def incidence_graph(self, vertex_labels=None):
-        """Cell-incidence graph with (dim, kind[, label]) colors."""
-        g = nx.Graph()
-        for i, c in enumerate(self._cells):
-            g.add_node(i, color=_cell_color(c, vertex_labels))
-        for i, c in enumerate(self._cells):
-            if c.dim > 0:
-                for f in self.facet_ids(i):
-                    g.add_edge(i, f)
-        return g, list(range(len(self._cells)))
+
+def spanning_forest(nodes, edges):
+    """Components and spanning forest, by union-find over `edges` in order
+    (an edge is a tuple whose first two entries are its ends, both nodes).
+
+    Returns (components, tree): the components as sorted lists, in the
+    order of their first node, and the edges that joined two components.
+    """
+    parent = {v: v for v in nodes}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    tree = []
+    for e in edges:
+        a, b = find(e[0]), find(e[1])
+        if a != b:
+            parent[b] = a
+            tree.append(e)
+    comps = {}
+    for v in parent:
+        comps.setdefault(find(v), []).append(v)
+    return [sorted(c) for c in comps.values()], tree
 
 
 def _cell_color(c, vertex_labels):
@@ -572,20 +591,29 @@ def is_isomorphic(K1, K2, labels1=None, labels2=None):
     n1 = len(K1.cells())
     if n1 != len(K2.cells()):
         return False
+    adj, color, classes = _start_partition([(K1, labels1), (K2, labels2)])
+    if sum(map(len, adj[:n1])) != sum(map(len, adj[n1:])):
+        return False
+    return _search(adj, n1, color, classes, range(len(adj)))
+
+
+def _start_partition(complexes):
+    """Neighbour tuples (facets and cofaces), colours and classes of the
+    cells of the disjoint union of (K, labels) pairs, ids offset in turn.
+    Class ids follow the sorted `_cell_color` strings."""
     adj, start = [], []
-    for K, labels, base in ((K1, labels1, 0), (K2, labels2, n1)):
+    for K, labels in complexes:
+        base = len(adj)
         for i, c in enumerate(K.cells()):
             adj.append(tuple({base + j
                               for j in K.facet_ids(i) + K.coface_ids(i)}))
             start.append(_cell_color(c, labels))
-    if sum(map(len, adj[:n1])) != sum(map(len, adj[n1:])):
-        return False
     ids = {col: k for k, col in enumerate(sorted(set(start)))}
     color = [ids[col] for col in start]
     classes = [[] for _ in ids]
     for v, k in enumerate(color):
         classes[k].append(v)
-    return _search(adj, n1, color, classes, range(len(adj)))
+    return adj, color, classes
 
 
 def _refine(adj, color, classes, changed):
@@ -649,12 +677,15 @@ def _search(adj, n1, color, classes, changed):
 
 
 def cell_check(K):
-    """Warning-level check that |K| is an n-cell (n <= 3 heuristic).
+    """Warning-level check that |K| is an n-cell; a certificate, not a proof.
 
-    Verifies the Euler characteristic and that the boundary looks like a
-    sphere (connected, and for n=2 every boundary vertex lies on exactly two
-    boundary edges).  Returns a list of failure reasons, empty when the
-    heuristic passes.  This is a certificate, not a proof.
+    In every dimension it tests only that the Euler characteristic is 1 and
+    that the boundary is non-empty and connected (through shared
+    (n-2)-cells).  Only for n = 2 does it also test that the boundary is a
+    circle, unpinched: every boundary vertex lies on exactly two boundary
+    edges.  For n >= 3 that is all a verdict covers: a pinched or
+    non-spherical boundary can pass.  Returns a list of failure reasons,
+    empty when the check passes.
     """
     reasons = []
     if K.euler_characteristic() != 1:
@@ -663,7 +694,7 @@ def cell_check(K):
     if not bfacets:
         reasons.append("no boundary")
         return reasons
-    if not nx.is_connected(K.adjacency_graph(bfacets)):
+    if len(spanning_forest(bfacets, K.adjacency(bfacets))[0]) != 1:
         reasons.append("boundary not connected")
     if K.dimension == 2:
         deg = {}

@@ -9,14 +9,15 @@ convention that the identity map scales distances by 3^k.
 
 from __future__ import annotations
 
+import graphlib
+import heapq
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import networkx as nx
-
-from .complex_core import CUBE, CUBICAL, Complex, build_complex
+from .complex_core import CUBE, CUBICAL, Complex, build_complex, spanning_forest
 from .errors import (
     BadAttachment,
     CubeNotInMolecule,
@@ -108,7 +109,8 @@ def skeleton_metric(K, u, v, j=0):
     geodesic upper-bounds the length metric of the space and converges
     (from above, within a 3^-j * diameter discretization term) to the
     taxicab relaxation of it; on axis-aligned complexes the two differ by
-    at most a factor sqrt(n).
+    at most a factor sqrt(n).  Vertices the skeleton does not join are at
+    distance inf.
     """
     from .errors import UnknownVertex
 
@@ -122,13 +124,25 @@ def skeleton_metric(K, u, v, j=0):
                 return cand
         raise UnknownVertex(str(w))
 
-    g = nx.Graph()
+    nbrs = {}
     for i in R.cell_ids(1):
         a, b = R.cell(i).verts
-        pa, pb = R.vertices[a], R.vertices[b]
-        g.add_edge(a, b, weight=math.dist(pa, pb))
+        w = math.dist(R.vertices[a], R.vertices[b])
+        nbrs.setdefault(a, []).append((b, w))
+        nbrs.setdefault(b, []).append((a, w))
     src, dst = locate(u), locate(v)
-    return nx.dijkstra_path_length(g, src, dst) / scale
+    dist, heap = {src: 0.0}, [(0.0, src)]
+    while heap:  # Dijkstra
+        d, a = heapq.heappop(heap)
+        if a == dst:
+            return d / scale
+        if d > dist[a]:
+            continue
+        for b, w in nbrs.get(a, ()):
+            if d + w < dist.get(b, math.inf):
+                dist[b] = d + w
+                heapq.heappush(heap, (d + w, b))
+    return math.inf
 
 
 def core(K):
@@ -253,6 +267,12 @@ def blocks_contact(b1, b2):
     return touch_axis, coord, tuple(rect), tuple(lengths)
 
 
+def _is_tree(nodes, edges):
+    """Do the edges (distinct pairs) make a tree on the nodes?"""
+    comps, tree = spanning_forest(nodes, edges)
+    return len(comps) == 1 and len(tree) == len(edges)
+
+
 def boxes_interior_disjoint(b1, b2):
     return any(min(b1.interval(a)[1], b2.interval(a)[1]) <=
                max(b1.interval(a)[0], b2.interval(a)[0])
@@ -278,22 +298,16 @@ class Atom:
             raise BadAttachment(f"atom blocks with mixed sides {sides}")
         self.side = sides.pop()
 
-    def tree(self):
-        g = nx.Graph()
-        g.add_nodes_from(range(len(self.blocks)))
-        for i, j in itertools.combinations(range(len(self.blocks)), 2):
-            c = blocks_contact(self.blocks[i], self.blocks[j])
-            if c is not None and c[3] == (self.side,) * (self.blocks[i].n - 1):
-                g.add_edge(i, j)
-        return g
-
     def validate(self):
-        for i, j in itertools.combinations(range(len(self.blocks)), 2):
+        pairs = list(itertools.combinations(range(len(self.blocks)), 2))
+        for i, j in pairs:
             if not boxes_interior_disjoint(self.blocks[i], self.blocks[j]):
                 raise BadAttachment("atom blocks overlap")
-        g = self.tree()
-        if not (nx.is_connected(g) and
-                g.number_of_edges() == g.number_of_nodes() - 1):
+        full = (self.side,) * (self.blocks[0].n - 1)
+        edges = [(i, j) for i, j in pairs
+                 if (c := blocks_contact(self.blocks[i], self.blocks[j]))
+                 and c[3] == full]
+        if not _is_tree(range(len(self.blocks)), edges):
             raise NotATree("atom adjacency graph is not a tree")
 
 
@@ -344,8 +358,7 @@ class Molecule:
                 raise BadAttachment("atoms overlap")
 
         # cross-atom contacts: distinct indices, full smaller face, 3-adic
-        g = nx.Graph()
-        g.add_nodes_from(keys)
+        edges = []
         atom_contacts = {}
         for k1, k2 in itertools.combinations(keys, 2):
             b1, b2 = self.block(k1), self.block(k2)
@@ -355,7 +368,7 @@ class Molecule:
             axis, coord, rect, lengths = c
             if k1[0] == k2[0]:
                 if lengths == (b1.side,) * (self.n - 1):
-                    g.add_edge(k1, k2)
+                    edges.append((k1, k2))
                 continue
             small, big = (k1, k2) if b1.side < b2.side else (k2, k1)
             if self.block(small).side == self.block(big).side:
@@ -373,10 +386,9 @@ class Molecule:
                     "smaller blocks carry the larger refinement index")
             pair = (min(k1[0], k2[0]), max(k1[0], k2[0]))
             atom_contacts.setdefault(pair, []).append((small, big))
-            g.add_edge(k1, k2)
+            edges.append((k1, k2))
 
-        if not (nx.is_connected(g) and
-                g.number_of_edges() == g.number_of_nodes() - 1):
+        if not _is_tree(keys, edges):
             raise NotATree("cube adjacency graph of the molecule is not a tree")
 
         # condition (4): at most one other atom meets a given face
@@ -421,13 +433,23 @@ class Molecule:
         if self._exterior_area(lead_key, root_face) != root_face.area():
             raise BadAttachment("designated leading face is not on the boundary")
 
-        # orient the tree toward the leading cube
+        # orient the tree toward the leading cube: breadth first, each
+        # block's neighbours in contact order
         self.blocks = keys
         self.parent = {k: None for k in keys}
         self.children = {k: [] for k in keys}
-        for u, v in nx.bfs_edges(g, lead_key):
-            self.parent[v] = u
-            self.children[u].append(v)
+        nbrs = {k: [] for k in keys}
+        for k1, k2 in edges:
+            nbrs[k1].append(k2)
+            nbrs[k2].append(k1)
+        queue = deque([lead_key])
+        while queue:
+            u = queue.popleft()
+            for v in nbrs[u]:
+                if v != self.parent[u]:
+                    self.parent[v] = u
+                    self.children[u].append(v)
+                    queue.append(v)
         self.leading_face = {lead_key: root_face}
         for k in keys:
             p = self.parent[k]
@@ -848,11 +870,17 @@ class DentedMolecule:
     def validate(self):
         for d in self.dented_atoms:
             d.validate()
-        g = nx.DiGraph(self.order)
-        g.add_nodes_from(range(len(self.dented_atoms)))
-        if not nx.is_directed_acyclic_graph(g):
-            raise NotATree("dented molecule order has cycles")
-        maxima = [i for i in g.nodes if g.out_degree(i) == 0]
+        ts = graphlib.TopologicalSorter()
+        for i, j in self.order:
+            ts.add(j, i)
+        try:
+            ts.prepare()
+        except graphlib.CycleError:
+            raise NotATree("dented molecule order has cycles") from None
+        lower = {i for i, _ in self.order}
+        nodes = dict.fromkeys([*itertools.chain.from_iterable(self.order),
+                               *range(len(self.dented_atoms))])
+        maxima = [i for i in nodes if i not in lower]
         if len(maxima) != 1:
             raise DuplicateMaxAtom(f"dented atoms {maxima} are all maximal")
 
@@ -1009,8 +1037,8 @@ class SeparatingComplex:
 
 def boundary_components(K):
     """Connected components of the boundary (n-1)-complex, as facet id lists."""
-    g = K.adjacency_graph(K.boundary_facet_ids())
-    return [sorted(c) for c in nx.connected_components(g)]
+    bfacets = K.boundary_facet_ids()
+    return spanning_forest(bfacets, K.adjacency(bfacets))[0]
 
 
 def find_separating_complex(K, collars=None):
@@ -1043,11 +1071,12 @@ def find_separating_complex(K, collars=None):
     if not kprime:
         raise NoDisjointCollars("no complex left outside the collars")
 
-    g = K.adjacency_graph(kprime)
-    if not nx.is_connected(g):
+    # Kruskal on equal weights: the edges stably sorted by their first end
+    comps, tree = spanning_forest(
+        kprime, sorted(K.adjacency(kprime), key=lambda e: e[0]))
+    if len(comps) != 1:
         raise NoDisjointCollars("complex outside the collars is disconnected")
-    tree = nx.minimum_spanning_tree(g)
-    tree_facets = {g.edges[e]["shared"] for e in tree.edges}
+    tree_facets = {f for _, _, f in tree}
 
     # q1: a common facet between K' and the first collar
     q1 = next((f for i in kprime for f in K.shared_facets(i, collars[0])),
@@ -1064,11 +1093,9 @@ def find_separating_complex(K, collars=None):
     z_facets = sorted(z_facets)
 
     # pieces: components of |K| minus |Z|
-    h = K.adjacency_graph()
     zset = set(z_facets)
-    h.remove_edges_from([(a, b) for a, b, f in h.edges(data="shared")
-                         if f in zset])
-    pieces = [sorted(c) for c in nx.connected_components(h)]
+    pieces, _ = spanning_forest(
+        K.top_ids(), [e for e in K.adjacency() if e[2] not in zset])
 
     # each piece must own exactly one boundary component
     piece_of_comp = []

@@ -10,10 +10,10 @@ between the image faces.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
-import networkx as nx
-
+from .complex_core import spanning_forest
 from .errors import ColorComponentWithoutRoot, InconsistentFaces, NotSurjective
 
 
@@ -132,63 +132,52 @@ def sphericalize_counts(sketch, ranks=None):
     return m_new, per
 
 
-# -- neighborly graphs ----------------------------------------------------------------
-
-
-def neighborly_graph(pieces, colors, incidences):
-    """Graph on pieces: edges join same-color pieces sharing an (n-2)-simplex.
-
-    `incidences`: iterable of (piece, piece, shared simplex id).
-    """
-    g = nx.Graph()
-    g.add_nodes_from(pieces)
-    for a, b, s in incidences:
-        if colors[a] != colors[b]:
-            continue
-        if g.has_edge(a, b):
-            g.edges[a, b]["shared"].append(s)
-        else:
-            g.add_edge(a, b, shared=[s])
-    return g
+# -- neighborly forests -------------------------------------------------------------
 
 
 def neighborly_forest(pieces, colors, incidences, roots):
     """An R-forest: every piece in exactly one tree, one root per tree.
 
-    Returns a list of trees, each {"root": r, "nodes": [...], "edges":
-    [(a, b, designated shared simplex)]}; the designated simplex is the
-    smallest-id common (n-2)-simplex of the edge.
+    Pieces are neighbours when they have the same color and share an
+    (n-2)-simplex; `incidences` is an iterable of (piece, piece, shared
+    simplex id).  Returns a list of trees, each {"root": r, "nodes": [...],
+    "edges": [(a, b, designated shared simplex)]}; the designated simplex is
+    the smallest-id common (n-2)-simplex of the edge.
     """
-    g = neighborly_graph(pieces, colors, incidences)
+    shared = {p: {} for p in pieces}  # piece -> neighbour -> least simplex
+    for a, b, s in incidences:
+        if colors[a] != colors[b]:
+            continue
+        for x, y in ((a, b), (b, a)):
+            nbrs = shared.setdefault(x, {})
+            nbrs[y] = min(s, nbrs.get(y, s))
+    comps, _ = spanning_forest(shared, [(a, b) for a in shared
+                                        for b in shared[a]])
     roots = list(roots)
     root_set = set(roots)
     trees = []
     assigned = {}
-    for comp in nx.connected_components(g):
-        comp_roots = sorted(root_set & comp)
+    for comp in comps:
+        comp_roots = sorted(root_set.intersection(comp))
         if not comp_roots:
             raise ColorComponentWithoutRoot(
-                f"component {sorted(comp)} contains no root")
+                f"component {comp} contains no root")
         # multi-source BFS: each vertex joins the tree of the root that
         # reaches it first (ties by root order)
-        frontier = {r: r for r in comp_roots}
         parent = {r: None for r in comp_roots}
         owner = {r: r for r in comp_roots}
-        queue = list(comp_roots)
+        queue = deque(comp_roots)
         while queue:
-            u = queue.pop(0)
-            for w in sorted(g.neighbors(u)):
+            u = queue.popleft()
+            for w in sorted(shared[u]):
                 if w not in owner:
                     owner[w] = owner[u]
                     parent[w] = u
                     queue.append(w)
         for r in comp_roots:
-            nodes = sorted(v for v in comp if owner[v] == r)
-            edges = []
-            for v in nodes:
-                if parent[v] is not None:
-                    shared = sorted(g.edges[v, parent[v]]["shared"])[0]
-                    edges.append((parent[v], v, shared))
+            nodes = [v for v in comp if owner[v] == r]
+            edges = [(parent[v], v, shared[v][parent[v]])
+                     for v in nodes if parent[v] is not None]
             trees.append({"root": r, "nodes": nodes, "edges": edges})
         assigned.update(owner)
     if set(assigned) != set(pieces):

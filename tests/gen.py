@@ -2,6 +2,8 @@
 
 import random
 
+import networkx as nx
+
 from cubalex import complex_core as cc
 from cubalex import factories as fa
 from cubalex import refinement as rf
@@ -50,6 +52,16 @@ def relabeled(K, rng):
                           [(c.dim, [perm[v] for v in c.order], c.kind)
                            for c in tops])
     return K2, perm
+
+
+def nx_adjacency(K, ids=None):
+    """`K.adjacency(ids)` as a networkx graph on `ids` (default: the top
+    cells), each edge carrying its facet as `shared`: an oracle's view."""
+    g = nx.Graph()
+    g.add_nodes_from(K.top_ids() if ids is None else ids)
+    for a, b, f in K.adjacency(ids):
+        g.add_edge(a, b, shared=f)
+    return g
 
 
 def random_molecule(rng, n=2, max_atoms=4, max_blocks=3, max_rho=3):

@@ -6,7 +6,6 @@ import itertools
 import json
 import random
 import time
-import types
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,7 @@ from cubalex.errors import (
     OddCycle,
 )
 
-from gen import CONE44, random_disk_polyomino
+from gen import CONE44, nx_adjacency, random_disk_polyomino
 
 
 def brute_force_two_colorable(g):
@@ -49,14 +48,14 @@ def cone(center, cycle, closed=True):
 def test_square_triangulation_alternates():
     T = cc.canonical_triangulation(fa.unit_cube(2))
     lab = al.alexander_label(T)
-    g = T.adjacency_graph()
+    g = nx_adjacency(T)
     assert all(lab.parity[a] != lab.parity[b] for a, b in g.edges)
 
 
 def test_doubled_square_parity_split():
     dd = fa.doubled_complex(fa.unit_cube(2))
     # oracle: the adjacency graph is 2-colorable by exhaustive search
-    assert brute_force_two_colorable(dd.adjacency_graph())
+    assert brute_force_two_colorable(nx_adjacency(dd))
     lab = al.alexander_label(dd)
     plus = sum(1 for s in lab.parity.values() if s == 1)
     assert dd.n_cells(2) == 16 and plus == 8
@@ -65,7 +64,7 @@ def test_doubled_square_parity_split():
 def test_odd_cycle_raises():
     # oracle: three mutually adjacent triangles are not 2-colorable
     K = fa.mutually_adjacent_triangles()
-    assert not brute_force_two_colorable(K.adjacency_graph())
+    assert not brute_force_two_colorable(nx_adjacency(K))
     with pytest.raises(OddCycle) as exc:
         al.alexander_label(K, vertex_labels={0: 0, 1: 1, 2: 2, 3: 2})
     assert len(exc.value.cycle) >= 3
@@ -94,7 +93,7 @@ def test_parity_is_proper_coloring_on_fans(k):
     labels = {0: 0}
     labels.update({v: 1 if v % 2 else 2 for v in cycle})
     lab = al.alexander_label(K, vertex_labels=labels)
-    g = K.adjacency_graph()
+    g = nx_adjacency(K)
     assert all(lab.parity[a] != lab.parity[b] for a, b in g.edges)
 
 
@@ -110,7 +109,7 @@ def test_parity_matches_adjacency_graph_coloring(make, labels):
     # oracle: the same coloring run on the networkx adjacency graph, down to
     # the odd-cycle witness
     K = make()
-    g = K.adjacency_graph()
+    g = nx_adjacency(K)
     order = sorted(g.nodes, key=lambda i: K.cell(i).verts)
     try:
         want = al._two_color(lambda u: sorted(g.neighbors(u)), order)
@@ -409,11 +408,8 @@ def test_reduction_fingerprint(cells, digest):
 # -- collapse and isomorphism without networkx, no cyclic garbage --------------------
 
 
-def test_collapse_path_builds_no_networkx_graph(monkeypatch):
-    def no_graph(*args, **kwargs):
-        raise AssertionError("networkx graph built")
-
-    monkeypatch.setattr(cc, "nx", types.SimpleNamespace(Graph=no_graph))
+def test_collapse_path_builds_no_networkx_graph():
+    # tests/test_dependencies.py checks that no networkx module is imported
     T = cc.canonical_triangulation(fa.domino())
     lab = al.alexander_label(T)
     wall = next(v for v, d in T.vertex_cube_dim.items()
@@ -423,14 +419,10 @@ def test_collapse_path_builds_no_networkx_graph(monkeypatch):
     assert lab2.label(wall) == 2
 
 
-def test_reduction_isomorphism_builds_no_networkx_graph(monkeypatch):
-    def no_graph(*args, **kwargs):
-        raise AssertionError("networkx graph built")
-
+def test_reduction_isomorphism_builds_no_networkx_graph():
     K = fa.grid_complex(CONE44)
     final, _, _ = al.reduce_cubical(K)
     S = sh.star_replacement(K)
-    monkeypatch.setattr(cc, "nx", types.SimpleNamespace(Graph=no_graph))
     t0 = time.perf_counter()
     assert cc.is_isomorphic(S, final)
     assert time.perf_counter() - t0 < 1

@@ -4,8 +4,12 @@ import gc
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -20,7 +24,9 @@ from cubalex.errors import (
     UnknownVertex,
 )
 
-from gen import BENCH_BOXES_3D, CONE44, random_disk_polyomino, relabeled
+from gen import (
+    BENCH_BOXES_3D, CONE44, nx_adjacency, random_disk_polyomino, relabeled,
+)
 
 
 def flag_count_oracle(n):
@@ -43,8 +49,7 @@ def test_single_square_builds():
 
 def test_domino_adjacency():
     K = fa.domino()
-    g = K.adjacency_graph()
-    assert g.number_of_nodes() == 2 and g.number_of_edges() == 1
+    assert len(K.top_ids()) == 2 and len(K.adjacency()) == 1
     assert K.is_simplicially_connected()
 
 
@@ -165,10 +170,11 @@ def test_restriction_property():
 
 def test_adjacency_edges_are_codim1():
     K = fa.rect_grid(3, 2)
-    g = K.adjacency_graph()
-    for a, b in g.edges:
-        i = g.edges[a, b]["shared"]
-        assert K.cell(i).dim == K.dimension - 1
+    edges = K.adjacency()
+    assert len(edges) == 7
+    for a, b, f in edges:
+        assert K.cell(f).dim == K.dimension - 1
+        assert f in K.facet_ids(a) and f in K.facet_ids(b)
 
 
 def test_json_roundtrip_hash():
@@ -207,7 +213,7 @@ def test_degeneracy_flagged_not_rejected():
     # adjacent simplices share exactly their common facet's vertices: one
     # more shared vertex would make them share all their vertices, so the
     # "one facet plus extra skeleton" degeneracy cannot occur
-    for a, b, f in K.adjacency_graph().edges(data="shared"):
+    for a, b, f in K.adjacency():
         assert set(K.cell(a).verts) & set(K.cell(b).verts) == \
             set(K.cell(f).verts)
 
@@ -234,6 +240,18 @@ def oracle_facets(K, j):
     return [next(i for i, d in enumerate(cells)
                  if d.dim == c.dim - 1 and d.verts == tuple(sorted(s)))
             for s in subs]
+
+
+def incidence_graph(K, vertex_labels=None):
+    """Cell-incidence graph, nodes coloured by `_cell_color`: the input of
+    the VF2 and Weisfeiler-Lehman oracles."""
+    g = nx.Graph()
+    for i, c in enumerate(K.cells()):
+        g.add_node(i, color=cc._cell_color(c, vertex_labels))
+    for i in range(len(K.cells())):
+        for f in K.facet_ids(i):
+            g.add_edge(i, f)
+    return g
 
 
 def oracle_incidence_graph(K, facets):
@@ -276,20 +294,13 @@ def test_incidence_index_matches_oracle(kind, seed):
     cofaces = [[j for j in range(n) if i in facets[j]] for i in range(n)]
     assert [K.facet_ids(j) for j in range(n)] == facets
     assert [K.coface_ids(i) for i in range(n)] == cofaces
-    g, nodes = K.incidence_graph()
+    g = incidence_graph(K)
     want = oracle_incidence_graph(K, facets)
-    assert nodes == list(range(n))
     assert list(g.nodes(data="color")) == list(want.nodes(data="color"))
     assert list(g.edges) == list(want.edges)
-    # top-cell adjacency, edges added in ascending shared facet
-    adj = nx.Graph()
-    adj.add_nodes_from(K.top_ids())
-    for f in K.cell_ids(K.dimension - 1):
-        for a, b in itertools.combinations(cofaces[f], 2):
-            adj.add_edge(a, b, shared=f)
-    got = K.adjacency_graph()
-    assert list(got.nodes) == list(adj.nodes)
-    assert list(got.edges(data="shared")) == list(adj.edges(data="shared"))
+    # top-cell adjacency: ascending shared facet, then pairs of its cofaces
+    assert K.adjacency() == [(a, b, f) for f in K.cell_ids(K.dimension - 1)
+                             for a, b in itertools.combinations(cofaces[f], 2)]
 
 
 def test_adjacency_graph_components_of_boundary():
@@ -298,13 +309,47 @@ def test_adjacency_graph_components_of_boundary():
     disk = fa.rect_grid(3, 2)
     for K, comps in [(annulus, 2), (disk, 1)]:
         bd = K.boundary_facet_ids()
-        g = K.adjacency_graph(bd)
-        assert sorted(g.nodes) == bd
-        assert nx.number_connected_components(g) == comps
-        assert len(rf.boundary_components(K)) == comps
-        for a, b, f in g.edges(data="shared"):
+        want = [sorted(c) for c in nx.connected_components(nx_adjacency(K, bd))]
+        assert len(want) == comps
+        assert rf.boundary_components(K) == want
+        for a, b, f in K.adjacency(bd):
             assert K.cell(f).dim == K.dimension - 2
             assert f in K.facet_ids(a) and f in K.facet_ids(b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             max_size=3 * n))))
+def test_spanning_forest_matches_networkx(case):
+    nodes, pairs = case
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from(pairs)
+    # components: the same sorted lists, in the same order, repeated edges
+    # and loops included
+    comps, _ = cc.spanning_forest(nodes, pairs)
+    assert comps == [sorted(c) for c in nx.connected_components(g)]
+    # tree: Kruskal's on equal weights, edges taken in `g.edges` order
+    _, tree = cc.spanning_forest(nodes, list(g.edges))
+    assert {frozenset(e) for e in tree} == \
+        {frozenset(e) for e in nx.minimum_spanning_tree(g).edges}
+    assert len(tree) == len(nodes) - len(comps)
+
+
+def test_first_end_order_is_the_networkx_edge_order():
+    # find_separating_complex hands its spanning forest the adjacency sorted
+    # by first end: the order networkx's graph reported its edges in
+    rng = random.Random(3)
+    cases = [fa.product_with_interval(fa.circle_complex(6), 3),
+             cc.canonical_triangulation(fa.rect_grid(2, 2))]
+    cases += [fa.grid_complex(random_disk_polyomino(rng, 12)) for _ in range(10)]
+    for K in cases:
+        tops = K.top_ids()
+        ids = sorted(rng.sample(tops, rng.randint(1, len(tops))))
+        got = sorted(K.adjacency(ids), key=lambda e: e[0])
+        assert got == list(nx_adjacency(K, ids).edges(data="shared"))
 
 
 def test_shared_facets():
@@ -744,8 +789,8 @@ def test_triangulation_does_not_call_build_complex(monkeypatch):
 
 def vf2_isomorphic(K1, K2, labels1=None, labels2=None):
     """The reference: networkx VF2 on the coloured incidence graphs."""
-    g1, _ = K1.incidence_graph(labels1)
-    g2, _ = K2.incidence_graph(labels2)
+    g1 = incidence_graph(K1, labels1)
+    g2 = incidence_graph(K2, labels2)
     if g1.number_of_nodes() != g2.number_of_nodes():
         return False
     return nx.algorithms.isomorphism.GraphMatcher(
@@ -798,6 +843,55 @@ def test_vertex_labels_must_correspond(small_complexes):
         swapped[u], swapped[w] = moved[w], moved[u]
         assert (cc.is_isomorphic(K, K2, labels, swapped)
                 == vf2_isomorphic(K, K2, labels, swapped))
+
+
+# -- the relabelling-invariant hash ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def hash_complexes():
+    """The disk polyominoes of at most 7 cells, the triangulated square and
+    3-cube, the 3-cube, the doubled domino, and the 2- and 3-edge circles."""
+    disks = [fa.grid_complex(p) for shapes in fa.free_polyominoes(7).values()
+             for p in shapes if fa.is_disk_polyomino(p)]
+    return disks + [cc.canonical_triangulation(fa.unit_cube(2)),
+                    cc.canonical_triangulation(fa.unit_cube(3)),
+                    fa.unit_cube(3), fa.doubled_complex(fa.domino()),
+                    fa.circle_complex(2), fa.circle_complex(3)]
+
+
+def test_hash_separates_what_weisfeiler_lehman_separates(hash_complexes):
+    ours = [K.relabel_invariant_hash() for K in hash_complexes]
+    wl = [nx.weisfeiler_lehman_graph_hash(incidence_graph(K), node_attr="color")
+          for K in hash_complexes]
+    pairs = [(i, j) for i, j in itertools.combinations(range(len(wl)), 2)
+             if wl[i] != wl[j]]
+    assert len(hash_complexes) == 169 and len(pairs) == 14195
+    assert all(ours[i] != ours[j] for i, j in pairs)
+
+
+def test_hash_invariant_under_relabelling(hash_complexes):
+    rng = random.Random(12)
+    for K in hash_complexes:
+        K2, _ = relabeled(K, rng)
+        assert K2.relabel_invariant_hash() == K.relabel_invariant_hash()
+
+
+def test_hash_independent_of_string_hashing():
+    src = str(Path(cc.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "from cubalex import complex_core as cc, factories as fa; "
+            "print([K.relabel_invariant_hash() for K in ("
+            "fa.rect_grid(2, 3), cc.canonical_triangulation(fa.unit_cube(3)), "
+            "fa.doubled_complex(fa.domino()), fa.circle_complex(2))])")
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1")]
+    assert outs[0] == outs[1]
+    assert outs[0].strip() == repr([K.relabel_invariant_hash() for K in (
+        fa.rect_grid(2, 3), cc.canonical_triangulation(fa.unit_cube(3)),
+        fa.doubled_complex(fa.domino()), fa.circle_complex(2))])
 
 
 def cycles(*sizes):

@@ -7,9 +7,6 @@ that keep each test under a second or two.
 
 import copy
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,15 +220,6 @@ def test_disjointness_live_cell_cap(monkeypatch):
     monkeypatch.setattr(ve, "MAX_LIVE_CELLS", 64)
     with pytest.raises(MinimizationNotConverged):
         nk.verify_disjointness(small_params(), max_offset=1)
-
-
-def test_import_leaves_out_scipy_optimize():
-    src = str(Path(nk.__file__).parents[2])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import cubalex; "
-            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.special')])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[False, False]"
 
 
 def test_containment_small():

@@ -1,19 +1,24 @@
 """Refinement, molecules, level/expansion functions, dents, separating."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubalex import complex_core as cc
 from cubalex import factories as fa
 from cubalex import refinement as rf
 from cubalex.errors import (
     BadAttachment, CubeNotInMolecule, DuplicateMaxAtom, NoDisjointCollars,
-    NotCubical,
+    NotATree, NotCubical,
 )
 
-from gen import random_molecule
+from gen import random_disk_polyomino, random_molecule
 
 
 # -- refine / core / buffer ----------------------------------------------------
@@ -61,6 +66,32 @@ def test_skeleton_metric():
     assert math.hypot(2, 1) <= d2 <= math.sqrt(2) * math.hypot(2, 1)
 
 
+def test_skeleton_metric_matches_networkx_dijkstra():
+    rng = random.Random(8)
+    cases = [fa.rect_grid(2, 1), fa.unit_cube(3)]
+    cases += [fa.grid_complex(random_disk_polyomino(rng, 6)) for _ in range(3)]
+    for K in cases:
+        for j in (0, 1):
+            R = rf.refine(K, j).complex if j else K
+            g = nx.Graph()
+            for i in R.cell_ids(1):
+                a, b = R.cell(i).verts
+                g.add_edge(a, b, weight=math.dist(R.vertices[a], R.vertices[b]))
+            at = {pos: w for w, pos in R.vertices.items()}
+            for u, v in [rng.sample(sorted(K.vertices), 2) for _ in range(4)]:
+                want = nx.dijkstra_path_length(
+                    g, *(at[tuple(x * 3 ** j for x in K.vertices[w])]
+                         for w in (u, v))) / 3 ** j
+                assert rf.skeleton_metric(K, u, v, j) == pytest.approx(want)
+
+
+def test_skeleton_metric_between_skeleton_components_is_inf():
+    K = fa.grid_complex([(0, 0), (5, 5)])
+    vid = {pos: v for v, pos in K.vertices.items()}
+    assert rf.skeleton_metric(K, vid[(0, 0)], vid[(6, 6)]) == math.inf
+    assert rf.skeleton_metric(K, vid[(0, 0)], vid[(0, 0)]) == 0
+
+
 def test_center_cube_and_rim():
     c = rf.center_cube(((0, 0), 3))
     assert c == ((3, 3), 3)  # middle third in x3 coordinates
@@ -90,6 +121,43 @@ def test_single_cube_molecule():
 def test_two_atom_molecule_order():
     M = rf.build_molecule(2, [[((0, 0), 3)], [((3, 0), 1)]], [1, 0])
     assert M.parent[(1, 0)] == (0, 0)  # the child's cube sits below
+
+
+def bfs_oracle(M):
+    """`parent` and `children` from networkx's BFS on the contact graph,
+    edges added in contact order, as `Molecule.validate` once built it."""
+    keys = M.all_block_keys()
+    g = nx.Graph()
+    g.add_nodes_from(keys)
+    for k1, k2 in itertools.combinations(keys, 2):
+        c = rf.blocks_contact(M.block(k1), M.block(k2))
+        if c is None or (k1[0] == k2[0]
+                         and c[3] != (M.block(k1).side,) * (M.n - 1)):
+            continue
+        g.add_edge(k1, k2)
+    parent = {k: None for k in keys}
+    children = {k: [] for k in keys}
+    for u, v in nx.bfs_edges(g, M.leading[0]):
+        parent[v] = u
+        children[u].append(v)
+    return parent, children
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([2, 3]))
+def test_molecule_tree_matches_networkx_bfs(seed, n):
+    M = random_molecule(random.Random(seed), n=n, max_atoms=6, max_blocks=4)
+    assert (M.parent, M.children) == bfs_oracle(M)
+
+
+def test_non_tree_atoms_and_molecules_rejected():
+    with pytest.raises(NotATree):  # two blocks that do not touch
+        rf.build_molecule(2, [[((0, 0), 1), ((2, 0), 1)]], [0])
+    with pytest.raises(NotATree):  # a 2 x 2 square of blocks, a cycle
+        rf.build_molecule(2, [[((x, y), 1) for x in (0, 1) for y in (0, 1)]],
+                          [0])
+    with pytest.raises(NotATree):  # two atoms that do not touch
+        rf.build_molecule(2, [[((0, 0), 3)], [((5, 0), 1)]], [1, 0])
 
 
 def test_equal_indices_rejected():
@@ -295,6 +363,14 @@ def test_dented_molecule_needs_unique_maximum():
     b = rf.DentedAtom(rf.Atom([rf.Block((9, 0), 3)]), {})
     with pytest.raises(rf.DuplicateMaxAtom):
         rf.DentedMolecule(2, [a, b], []).validate()
+
+
+def test_dented_molecule_order_must_be_acyclic():
+    a = rf.DentedAtom(rf.Atom([rf.Block((0, 0), 3)]), {})
+    b = rf.DentedAtom(rf.Atom([rf.Block((9, 0), 3)]), {})
+    for order in ([(0, 1), (1, 0)], [(0, 0)]):
+        with pytest.raises(NotATree):
+            rf.DentedMolecule(2, [a, b], order).validate()
 
 
 def test_dented_atom_rejects_dent_meeting_other_cube():

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +154,75 @@ def test_forest_random_sketches():
         assert covered == sorted(pieces)
         for t in trees:
             assert sum(1 for v in t["nodes"] if v in set(roots)) == 1
+
+
+def networkx_forest(pieces, colors, incidences, roots):
+    """The reference: `neighborly_forest` as it was built on networkx."""
+    g = nx.Graph()
+    g.add_nodes_from(pieces)
+    for a, b, s in incidences:
+        if colors[a] != colors[b]:
+            continue
+        if g.has_edge(a, b):
+            g.edges[a, b]["shared"].append(s)
+        else:
+            g.add_edge(a, b, shared=[s])
+    root_set = set(roots)
+    trees = []
+    assigned = {}
+    for comp in nx.connected_components(g):
+        comp_roots = sorted(root_set & comp)
+        if not comp_roots:
+            raise ColorComponentWithoutRoot(
+                f"component {sorted(comp)} contains no root")
+        parent = {r: None for r in comp_roots}
+        owner = {r: r for r in comp_roots}
+        queue = list(comp_roots)
+        while queue:
+            u = queue.pop(0)
+            for w in sorted(g.neighbors(u)):
+                if w not in owner:
+                    owner[w] = owner[u]
+                    parent[w] = u
+                    queue.append(w)
+        for r in comp_roots:
+            nodes = sorted(v for v in comp if owner[v] == r)
+            edges = [(parent[v], v, sorted(g.edges[v, parent[v]]["shared"])[0])
+                     for v in nodes if parent[v] is not None]
+            trees.append({"root": r, "nodes": nodes, "edges": edges})
+        assigned.update(owner)
+    if set(assigned) != set(pieces):
+        raise ColorComponentWithoutRoot("forest does not cover every piece")
+    return trees
+
+
+def forest_or_error(forest, *args):
+    try:
+        return forest(*args)
+    except ColorComponentWithoutRoot as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda m: st.tuples(
+    st.permutations(range(m)),
+    st.lists(st.integers(1, 3), min_size=m, max_size=m),
+    st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1),
+                       st.integers(0, 40)), max_size=3 * m),
+    st.sets(st.integers(0, m - 1)))))
+def test_forest_matches_networkx_reference(case):
+    # random pieces, some components without a root, repeated incidences
+    pieces, colors, incidences, roots = case
+    args = (pieces, dict(enumerate(colors)), incidences, sorted(roots))
+    assert (forest_or_error(wv.neighborly_forest, *args)
+            == forest_or_error(networkx_forest, *args))
+
+
+def test_forest_matches_networkx_reference_on_sketches():
+    rng = random.Random(29)
+    for _ in range(20):
+        args = random_sketch_pieces(rng)
+        assert wv.neighborly_forest(*args) == networkx_forest(*args)
 
 
 def test_forest_dot_export():
