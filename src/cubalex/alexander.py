@@ -4,17 +4,19 @@ An Alexander labeling is a vertex assignment v -> w_i (i in 0..n) in which
 every n-simplex carries all n+1 labels, together with a parity on top
 simplices that alternates across shared (n-1)-simplices.  Collapses replace
 the star of a vertex by its reduced star and pay for it in simple covers,
-recorded in a reduction ledger; a shellable cubical complex reduces all the
-way to its star-replacement.
+recorded in a reduction ledger; a shellable cubical complex of any dimension
+reduces all the way to its star-replacement, by one recursion that reduces
+each shelling step's wall to a star one dimension down.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .complex_core import (
-    SIMPLEX, SIMPLICIAL, Cell, Complex, build_complex,
+    SIMPLEX, SIMPLICIAL, Cell, Complex, build_complex, canonical_triangulation,
 )
 from .errors import (
     BadCenterLabel,
@@ -22,11 +24,13 @@ from .errors import (
     HasBoundary,
     LabelClash,
     NonSimplicialStar,
+    NotACell,
     NotSimplePair,
     OddCycle,
     ParityImbalance,
     UnmatchedSimplex,
 )
+from .shelling import _complete, find_shelling, verify_shelling
 
 
 @dataclass
@@ -433,78 +437,60 @@ def merge_star_pair(K1, K2):
 
 
 def reduce_cubical(K, order=None):
-    """Reduce the canonical triangulation of a shellable 2-complex to a star.
+    """Reduce the canonical triangulation of a shellable n-complex to a star.
 
-    Follows the constructive double induction: peel a shelling, reduce every
-    prefix/cube wall to a two-simplex path by interior collapses (apex label
-    n-1), then merge the simple pair at the wall midpoint (apex label n).
-    Returns (final complex, final labeling, ReductionLedger).
+    Follows the constructive double induction for every n: peel a shelling,
+    reduce each cube's wall (its facets shared with the prefix, an
+    (n-1)-ball) to a star by the same induction one dimension down, then
+    collapse at the wall's centre with apex label n.  Returns (final
+    complex, final labeling, ReductionLedger).
 
-    Only the 2-dimensional driver is implemented; the collapse and merge
-    primitives themselves are dimension-generic.
+    Every collapse checks its star, so a reduction that completes is exact
+    for the given triangulation.  That K is an n-cell rests on the
+    preconditions: for n >= 3 `cell_check` tests only the Euler
+    characteristic and boundary connectivity, and for n >= 4 the shelling
+    step test is a certificate, not a proof.
     """
-    from .shelling import find_shelling, verify_shelling  # avoid an import cycle
-
-    n = K.dimension
-    if n != 2:
-        raise NotImplementedError("reduction driver is implemented for n = 2")
     if order is None:
         order = find_shelling(K)
+        if order is None:
+            raise NotACell("no shelling found")
     else:
         ok, idx = verify_shelling(K, order)
         if not ok:
             raise NonSimplicialStar(f"supplied order is not a shelling at {idx}")
-
-    from .complex_core import canonical_triangulation
     T = canonical_triangulation(K)
-    lab = alexander_label(T)
+    centre = {s: v for v, s in T.triangulation_source.items()}
     ledger = ReductionLedger()
-    if len(order) == 1:
-        return T, lab, ledger
+    lab, _ = _reduce_ball(K, order, alexander_label(T), ledger,
+                          lambda q: centre[K.cell(q).dim, K.cell(q).verts])
+    return lab.complex, lab, ledger
 
-    processed = [order[0]]
-    P, cur = T, lab
-    vertex_of = {s: v for v, s in T.triangulation_source.items()}
 
-    for qi in order[1:]:
-        # unit edges of the wall: edges of K shared between qi and the prefix
-        wall_edges = [K.cell(f).verts for f in K.shared_facets(qi, processed)]
+def _reduce_ball(K, cells, lab, ledger, centre):
+    """Reduce the triangulated ball of K's d-cubes `cells` (in shelling
+    order) to a star; returns (labeling, the star's centre vertex).
 
-        # vertex path of the triangulated wall: corner, midpoint, corner, ...
-        def path_vertices():
-            adj = {}
-            for e in wall_edges:
-                m = vertex_of[(1, e)]
-                for c in e:
-                    adj.setdefault(c, []).append(m)
-                    adj.setdefault(m, []).append(c)
-            ends = [v for v, ns in adj.items() if len(ns) == 1]
-            walk = [min(ends)]
-            prev = None
-            while True:
-                nxt = [w for w in adj[walk[-1]] if w != prev]
-                if not nxt:
-                    break
-                prev = walk[-1]
-                walk.append(nxt[0])
-                if len(adj[walk[-1]]) == 1:
-                    break
-            return walk
-
-        path = path_vertices()
-        # interior reductions with apex label n-1 until two simplices remain
-        while len(path) > 3:
-            interior = path[1:-1]
-            v = min(w for w in interior
-                    if cur.label(w) != n - 1)
-            P, cur, step = collapse_at(cur, v, apex=n - 1)
+    A path (d = 1) collapses its interior corners, lowest id first, with
+    apex label 1.  Above, each next cube's wall is reduced to a star one
+    dimension down and collapsed at its centre with apex label d.
+    """
+    d = K.cell(cells[0]).dim
+    if d == 1:
+        ends = Counter(v for e in cells for v in K.cell(e).verts)
+        corners = sorted(v for v, k in ends.items() if k == 2)
+        for v in corners:
+            _, lab, step = collapse_at(lab, v, apex=1)
             ledger.add(step)
-            k = path.index(v)
-            path = path[:k - 1] + [v] + path[k + 2:]
-        # merge the simple pair at the wall midpoint with the top apex label
-        v = path[1]
-        P, cur, step = collapse_at(cur, v, apex=n)
+        return lab, corners[-1] if corners else centre(cells[0])
+    mid = centre(cells[0])
+    for i in range(1, len(cells)):
+        wall = K.shared_facets(cells[i], cells[:i])
+        if d > 2:  # order the wall by the step test; any facet starts one
+            wall = _complete(K, wall[:1], wall, lambda shared: 0)
+            if wall is None:
+                raise NotACell(f"the wall of cube {cells[i]} has no shelling")
+        lab, mid = _reduce_ball(K, wall, lab, ledger, centre)
+        _, lab, step = collapse_at(lab, mid, apex=d)
         ledger.add(step)
-        processed.append(qi)
-
-    return P, cur, ledger
+    return lab, mid

@@ -234,16 +234,15 @@ def cmd_necklace(args):
         extra = {"tubes": len(system.tubes)}
     elif args.action == "export":
         system = nk.generate(params, 1, children_per_tube=args.children)
-        fmt = args.format if args.format in ("csv", "obj") else "csv"
-        count = nk.export_geometry(system, args.out or f"necklace.{fmt}",
-                                   what=args.what, fmt=fmt)
+        count = nk.export_geometry(system, args.out or f"necklace.{args.format}",
+                                   what=args.what, fmt=args.format)
         print(json.dumps({"records": count}))
         return EXIT_OK
     report = run_report(f"necklace {args.action}", {"b": args.b, "m": args.m},
                         checks)
     report["params"] = params.to_json()
     report["detail"] = extra
-    code = _emit(report, args.out if args.report == "json" else None)
+    code = _emit(report, args.out)
     if code:
         return code
     return EXIT_OK if report["pass"] else EXIT_NEGATIVE
@@ -261,8 +260,6 @@ def main(argv=None):
 
     def common(p):
         p.add_argument("--out", default=None)
-        p.add_argument("--format", default="json",
-                       choices=["json", "csv", "obj", "dot"])
 
     p = sub.add_parser("validate");  p.add_argument("complex"); common(p)
     p.set_defaults(func=cmd_validate)
@@ -293,7 +290,7 @@ def main(argv=None):
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--children", type=int, default=8)
     p.add_argument("--what", default="cores", choices=["cores", "tubes", "slice"])
-    p.add_argument("--report", default="json")
+    p.add_argument("--format", default="csv", choices=["csv", "obj"])
     common(p)
     p.set_defaults(func=cmd_necklace)
     p = sub.add_parser("export"); p.add_argument("complex"); common(p)

@@ -679,13 +679,14 @@ def _search(adj, n1, color, classes, changed):
 def cell_check(K):
     """Warning-level check that |K| is an n-cell; a certificate, not a proof.
 
-    In every dimension it tests only that the Euler characteristic is 1 and
-    that the boundary is non-empty and connected (through shared
-    (n-2)-cells).  Only for n = 2 does it also test that the boundary is a
-    circle, unpinched: every boundary vertex lies on exactly two boundary
-    edges.  For n >= 3 that is all a verdict covers: a pinched or
-    non-spherical boundary can pass.  Returns a list of failure reasons,
-    empty when the check passes.
+    In every dimension it tests that the Euler characteristic is 1 and that
+    the boundary is non-empty.  For n = 1 it is exact: a connected graph
+    with Euler characteristic 1 and two boundary vertices is a path.  For
+    n >= 2 it tests that the boundary is connected through shared
+    (n-2)-cells, and for n = 2 that it is a circle, unpinched: every
+    boundary vertex lies on exactly two boundary edges.  For n >= 3 that is
+    all a verdict covers: a pinched or non-spherical boundary can pass.
+    Returns a list of failure reasons, empty when the check passes.
     """
     reasons = []
     if K.euler_characteristic() != 1:
@@ -694,7 +695,10 @@ def cell_check(K):
     if not bfacets:
         reasons.append("no boundary")
         return reasons
-    if len(spanning_forest(bfacets, K.adjacency(bfacets))[0]) != 1:
+    if K.dimension == 1:  # a 0-sphere: no (n-2)-cell joins its two points
+        if len(bfacets) != 2 or not K.is_simplicially_connected():
+            reasons.append("not a path: disconnected or not two ends")
+    elif len(spanning_forest(bfacets, K.adjacency(bfacets))[0]) != 1:
         reasons.append("boundary not connected")
     if K.dimension == 2:
         deg = {}

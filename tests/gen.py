@@ -7,6 +7,8 @@ import networkx as nx
 from cubalex import complex_core as cc
 from cubalex import factories as fa
 from cubalex import refinement as rf
+from cubalex import shelling as sh
+from cubalex.errors import NotACell
 
 # A 16-square disk polyomino: its star replacement and its reduction are
 # both cones over one long polygon.
@@ -36,6 +38,29 @@ def random_disk_polyomino(rng, max_cells):
             cells.add((x + dx, y + dy))
         if fa.is_disk_polyomino(sorted(cells)):
             return sorted(cells)
+
+
+def random_shellable_polycube(rng, max_cells):
+    """Face-connected polycube of unit 3-cubes with a shelling; cubes that
+    meet only along an edge can leave a pinched, unshellable union."""
+    while True:
+        cells = {(0, 0, 0)}
+        target = rng.randint(1, max_cells)
+        while len(cells) < target:
+            x = list(rng.choice(sorted(cells)))
+            x[rng.randrange(3)] += rng.choice((-1, 1))
+            cells.add(tuple(x))
+        try:
+            if sh.find_shelling(fa.box_complex(3, cells)) is not None:
+                return sorted(cells)
+        except NotACell:
+            pass
+
+
+def cube_complex(cells):
+    """The cubical complex on unit cubes at the given integer corners (for
+    squares the same complex as `grid_complex`)."""
+    return fa.box_complex(len(cells[0]), cells)
 
 
 def relabeled(K, rng):

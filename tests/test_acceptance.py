@@ -21,8 +21,8 @@ from cubalex import shelling as sh
 from cubalex import weaving as wv
 from cubalex.errors import OddCycle
 
-from gen import (CONE44, random_disk_polyomino, random_molecule,
-                 random_sketch_pieces)
+from gen import (BENCH_BOXES_3D, CONE44, cube_complex, random_disk_polyomino,
+                 random_molecule, random_sketch_pieces)
 
 BUDGETS = {1: 1, 2: 1, 3: 10, 4: 5, 5: 1, 6: 10, 7: 30, 8: 5,
            9: 300, 10: 10, 11: 120, 12: 10}
@@ -91,8 +91,10 @@ def test_criterion_04_reduction_ledger():
     rng = random.Random(42)
     ok = True
     inputs = [random_disk_polyomino(rng, 10) for _ in range(20)] + [CONE44]
+    # 3-D: slab2x2x1, tripod, cube2x2x2; 4-D: two cubes
+    inputs += [BENCH_BOXES_3D[i] for i in (0, 1, 3)] + [((0,) * 4, (1, 0, 0, 0))]
     for cells in inputs:
-        K = fa.grid_complex(cells)
+        K = cube_complex(cells)
         final, lab, ledger = al.reduce_cubical(K)
         want_m = sh.star_replacement_cover_count(K)
         iso = cc.is_isomorphic(sh.star_replacement(K), final)
@@ -100,7 +102,8 @@ def test_criterion_04_reduction_ledger():
             ok = False
             break
     report(4, ok, time.time() - t0,
-           "20 random shellable complexes and cone44 reduced")
+           "20 random shellable disks, cone44, three 3-D boxes and a 4-D "
+           "two-cube box reduced")
 
 
 def test_criterion_05_rank_identity():

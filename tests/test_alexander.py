@@ -8,7 +8,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubalex import alexander as al
@@ -18,11 +18,14 @@ from cubalex import refinement as rf
 from cubalex import shelling as sh
 from cubalex.complex_core import SIMPLEX, SIMPLICIAL, build_complex
 from cubalex.errors import (
-    BadCenterLabel, HasBoundary, LabelClash, NonSimplicialStar, NotSimplePair,
-    OddCycle,
+    BadCenterLabel, HasBoundary, LabelClash, NonSimplicialStar, NotACell,
+    NotSimplePair, OddCycle,
 )
 
-from gen import CONE44, nx_adjacency, random_disk_polyomino
+from gen import (
+    BENCH_BOXES_3D, CONE44, cube_complex, nx_adjacency, random_disk_polyomino,
+    random_shellable_polycube,
+)
 
 
 def brute_force_two_colorable(g):
@@ -300,13 +303,39 @@ def test_merge_rejects_disjoint():
     [(0, 0), (1, 0), (0, 1)],
     [(0, 0), (1, 0), (0, 1), (1, 1)],
     [(x, y) for x in range(3) for y in range(2)],
+    *[[(x,) for x in range(k)] for k in range(1, 6)],  # paths
 ])
 def test_driver_matches_star_replacement(cells):
-    K = fa.grid_complex(cells)
+    K = cube_complex(cells)
     final, lab, ledger = al.reduce_cubical(K)
     S = sh.star_replacement(K)
     assert cc.is_isomorphic(S, final)
     assert ledger.total_covers == sh.star_replacement_cover_count(K)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_driver_random_polycubes(seed):
+    K = fa.box_complex(3, random_shellable_polycube(random.Random(seed), 9))
+    final, lab, ledger = al.reduce_cubical(K)
+    assert cc.is_isomorphic(sh.star_replacement(K), final)
+    assert ledger.total_covers == sh.star_replacement_cover_count(K)
+
+
+def test_driver_rejects_unshellable_input():
+    # cubes (-1, 0, 0) and (-1, -1, -1) meet only along an edge, a pinch
+    # that cell_check does not see; the exhaustive search finds no shelling
+    K = fa.box_complex(3, [(-1, -1, -1), (-1, 0, 0), (0, -1, -1), (0, -1, 0),
+                           (0, 0, -1), (0, 0, 0), (1, -1, -1)])
+    assert cc.cell_check(K) == [] and sh.find_shelling(K) is None
+    with pytest.raises(NotACell):
+        al.reduce_cubical(K)
+
+
+def test_driver_raises_on_a_wall_without_shelling(monkeypatch):
+    monkeypatch.setattr(al, "_complete", lambda *args: None)
+    with pytest.raises(NotACell):
+        al.reduce_cubical(cube_complex(BENCH_BOXES_3D[1]))
 
 
 def test_driver_random_disks():
@@ -346,8 +375,10 @@ def rebuilt_collapse(lab, v, apex):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_collapse_matches_rebuild_at_every_step(seed):
+@given(st.integers(min_value=0, max_value=10 ** 6).map(
+    lambda seed: random_disk_polyomino(random.Random(seed), 9)))
+@example(BENCH_BOXES_3D[1])  # the 3-D tripod
+def test_collapse_matches_rebuild_at_every_step(cells):
     real = al.collapse_at
     checked = []
 
@@ -360,10 +391,9 @@ def test_collapse_matches_rebuild_at_every_step(seed):
             checked.append(v)
         return Q, new_lab, step
 
-    cells = random_disk_polyomino(random.Random(seed), 9)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(al, "collapse_at", collapse_and_compare)
-        al.reduce_cubical(fa.grid_complex(cells))
+        al.reduce_cubical(cube_complex(cells))
     assert len(checked) >= len(cells) - 1  # at least one step per wall
 
 
@@ -386,7 +416,8 @@ def test_collapse_doubles_edge_and_keeps_other_cells():
 
 # sha256 of the final complex (with its labeling) and the ledger, as
 # reduce_cubical produced them when each collapse was rebuilt through
-# build_complex
+# build_complex; cube2x2x2 as the recursive driver produced it once both
+# star-replacement oracles and the per-collapse rebuild held on 3-D boxes
 @pytest.mark.parametrize("cells,digest", [
     (CONE44,
      "14e3ad0798c2e7ac2e041df4395c3cfb2247213a0232a03e73be32c7d194ff40"),
@@ -396,9 +427,11 @@ def test_collapse_doubles_edge_and_keeps_other_cells():
      "bde6f5b036071af71818141acade096f99a1c878d4c544876d764aac55882652"),
     ([(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3)],
      "77d7a12c44dfd43f82e0227de985da2ec7223a9da3e966224cac27568f61dfd5"),
-], ids=["cone44", "rect3x2", "plus5", "stair8"])
+    (BENCH_BOXES_3D[3],
+     "9bc0cd6a32135ef17bda60b0fa3210892fe255c93050427e4f09dced723bf412"),
+], ids=["cone44", "rect3x2", "plus5", "stair8", "cube2x2x2"])
 def test_reduction_fingerprint(cells, digest):
-    final, lab, ledger = al.reduce_cubical(fa.grid_complex(cells))
+    final, lab, ledger = al.reduce_cubical(cube_complex(cells))
     data = {"complex": final.to_json(alexander=lab.to_json()),
             "ledger": ledger.to_json()}
     got = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()

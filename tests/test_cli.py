@@ -8,7 +8,7 @@ from cubalex import cli
 from cubalex import complex_core as cc
 from cubalex import factories as fa
 
-from gen import CONE44
+from gen import BENCH_BOXES_3D, CONE44, cube_complex
 
 
 @pytest.fixture
@@ -77,6 +77,16 @@ def test_reduce_cone44(capsys, tmp_path):
     code, data = run(capsys, ["reduce", str(p)])
     assert code == 0 and data["pass"]
     checks = {c["name"]: c for c in data["checks"]}
+    assert checks["isomorphic_to_star_replacement"]["value"] is True
+
+
+def test_reduce_3d_box(capsys, tmp_path):
+    p = tmp_path / "slab.json"
+    p.write_text(json.dumps(cube_complex(BENCH_BOXES_3D[0]).to_json()))
+    code, data = run(capsys, ["reduce", str(p)])
+    assert code == 0 and data["pass"]
+    checks = {c["name"]: c for c in data["checks"]}
+    assert checks["ledger_total"]["value"] == 32  # (4 * 48 - 16 * 8) / 2
     assert checks["isomorphic_to_star_replacement"]["value"] is True
 
 
@@ -166,6 +176,27 @@ def test_necklace_export_csv(capsys, tmp_path):
                               "--children", "4", "--out", str(out)])
     assert code == 0 and data["records"] > 0
     assert out.read_text().startswith("word,index")
+
+
+def test_necklace_export_obj(capsys, tmp_path):
+    out = tmp_path / "cores.obj"
+    code, data = run(capsys, ["necklace", "export", "--b", "0.1", "--m", "450",
+                              "--children", "4", "--format", "obj",
+                              "--out", str(out)])
+    assert code == 0 and data["records"] > 0
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("#") and lines[1].startswith("v ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "x.json", "--format", "json"],
+    ["necklace", "export", "--format", "dot"],
+    ["necklace", "gen", "--report", "csv"],
+])
+def test_options_without_effect_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_export_roundtrip_isomorphic(paths, capsys, tmp_path):

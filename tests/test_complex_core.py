@@ -197,6 +197,21 @@ def test_cell_check_heuristic():
     assert cc.cell_check(pinched)  # boundary pinched / disconnected
 
 
+def test_cell_check_on_paths():
+    # a 1-cell's boundary is two vertices, joined by no (n-2)-cell
+    assert cc.cell_check(fa.unit_cube(1)) == []
+    assert cc.cell_check(fa.box_complex(1, [(0,), (1,), (2,)])) == []
+    assert cc.cell_check(fa.circle_complex(4))  # chi = 0, no boundary
+    tripod = cc.build_complex(1, cc.CUBICAL, range(4),
+                              [(1, [0, v], cc.CUBE) for v in (1, 2, 3)])
+    assert cc.cell_check(tripod)  # three ends
+    circle_and_path = cc.build_complex(
+        1, cc.CUBICAL, range(6), [(1, [i, (i + 1) % 4], cc.CUBE)
+                                  for i in range(4)] + [(1, [4, 5], cc.CUBE)])
+    assert circle_and_path.euler_characteristic() == 1
+    assert cc.cell_check(circle_and_path)  # two ends, disconnected
+
+
 def test_weakly_simplicial_duplicate_tops_allowed():
     C = fa.circle_complex(2)
     assert C.n_cells(1) == 2 and C.is_closed()

@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 # one run of each part of the engine that once asked networkx its graph
-# questions, then the modules loaded
+# questions (a 3-D reduction orders its walls by search), then the modules
+# loaded
 ENGINE_RUN = """
 import json, sys
 sys.path.insert(0, {src!r})
@@ -27,6 +28,7 @@ from cubalex import shelling as sh, weaving as wv
 K = fa.grid_complex([(0, 0), (1, 0), (1, 1), (2, 1)])
 assert sh.find_shelling(K) is not None
 al.reduce_cubical(K)
+al.reduce_cubical(fa.box_complex(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)]))
 rf.find_separating_complex(fa.product_with_interval(fa.circle_complex(6), 3))
 rf.build_molecule(2, [[((0, 0), 3), ((3, 0), 3)], [((6, 0), 1)]], [1, 0])
 wv.neighborly_forest([1, 2, 3], {{1: 1, 2: 1, 3: 2}}, [(1, 2, "s")], [1, 3])
