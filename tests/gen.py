@@ -93,12 +93,14 @@ def random_molecule(rng, n=2, max_atoms=4, max_blocks=3, max_rho=3):
     """A random valid molecule built root-first with rejection sampling."""
     while True:
         try:
-            return _try_random_molecule(rng, n, max_atoms, max_blocks, max_rho)
+            return rf.build_molecule(n, *random_molecule_spec(
+                rng, n, max_atoms, max_blocks, max_rho))
         except Exception:
             continue
 
 
-def _try_random_molecule(rng, n, max_atoms, max_blocks, max_rho):
+def random_molecule_spec(rng, n=2, max_atoms=4, max_blocks=3, max_rho=3):
+    """(atom blocks, indices) of a molecule grown root-first; may be invalid."""
     rho_root = rng.randint(1, max_rho)
     side = 3 ** rho_root
     # root atom: a straight or L-shaped run of blocks
@@ -136,7 +138,7 @@ def _try_random_molecule(rng, n, max_atoms, max_blocks, max_rho):
                 corner[a] = pb_corner[a] + side_c * rng.randrange(slots)
         atoms.append([(tuple(corner), side_c)])
         indices.append(rho_c)
-    return rf.build_molecule(n, atoms, indices)
+    return atoms, indices
 
 
 def random_sketch_pieces(rng, max_pieces=30, colors=3):

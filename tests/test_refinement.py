@@ -1,5 +1,6 @@
 """Refinement, molecules, level/expansion functions, dents, separating."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -18,7 +19,7 @@ from cubalex.errors import (
     NotATree, NotCubical,
 )
 
-from gen import random_disk_polyomino, random_molecule
+from gen import random_disk_polyomino, random_molecule, random_molecule_spec
 
 
 # -- refine / core / buffer ----------------------------------------------------
@@ -379,6 +380,46 @@ def test_dented_atom_rejects_dent_meeting_other_cube():
     M = rf.build_molecule(2, [[((6, 0), 3)]], [1], leading=((0, 0), (1, 0)))
     with pytest.raises(BadAttachment):
         rf.DentedAtom(hull, {0: rf.Dent(rf.Block((0, 0), 9), M).validate()}).validate()
+
+
+# -- one contact table per molecule ---------------------------------------------------
+
+
+def molecule_record(n, atoms, indices):
+    """A spec's exception type, or its tree and every per-block query."""
+    try:
+        M = rf.build_molecule(n, atoms, indices)
+    except Exception as exc:
+        return type(exc).__name__
+    return (sorted(M.parent.items()), sorted(M.children.items()),
+            sorted(M.leading_face.items()), sorted(M.attach.items()),
+            M.boundary_area(),
+            [(k, sorted(M.face_classification(k).items()),
+              M.boundary_area([k]), M.tail_boundary_area_minus_leading(k),
+              rf.expansion_index(M, k), rf.beta_ratio(M, k))
+             for k in M.blocks])
+
+
+def test_molecule_queries_pinned():
+    # 300 random specs, valid and rejected alike, and the dents of this
+    # module: the digest was taken before molecules kept a contact table
+    rng = random.Random(14)
+    records = [molecule_record(n, *random_molecule_spec(rng, n, max_atoms=6,
+                                                        max_blocks=4))
+               for n in (2, 3) for _ in range(150)]
+    assert {r for r in records if isinstance(r, str)} == {
+        "BadAttachment", "NotATree"}
+    dents = [(9, [[((0, 0), 3)]], [1], ((0, 0), (0, 0))),
+             (9, [[((0, 0), 3)], [((3, 0), 1)]], [1, 0], ((0, 0), (0, 0))),
+             (27, [[((0, 0), 9)]], [2], ((0, 0), (0, 0))),
+             (9, [[((6, 0), 3)]], [1], ((0, 0), (1, 0)))]
+    for side, atoms, indices, leading in dents:
+        d = rf.Dent(rf.Block((0, 0), side),
+                    rf.build_molecule(2, atoms, indices, leading)).validate()
+        records.append((d.base_roof_wall(), d.flattening_correspondence()))
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == (
+        "6d4929645f13a7e7b0ec1bf296e121ecc709dac588dad2c26e79370a81a566da")
 
 
 # -- placement scheme ------------------------------------------------------------------
