@@ -132,7 +132,7 @@ def _two_color(neighbors, seed_order):
     return color
 
 
-def alexander_label(K, vertex_labels=None, seed=None):
+def alexander_label(K, vertex_labels=None):
     """Build an AlexanderLabeling on a weakly simplicial complex.
 
     For a canonical triangulation the labels are forced by the cube-dimension
@@ -146,8 +146,6 @@ def alexander_label(K, vertex_labels=None, seed=None):
 
     # parity first: a non-bipartite adjacency graph means no Alexander map
     order = sorted(K.top_ids(), key=lambda i: K.cell(i).verts)
-    if seed is not None:
-        order = [seed] + [i for i in order if i != seed]
     parity = _two_color(lambda u: sorted(
         {j for f in K.facet_ids(u) for j in K.coface_ids(f)} - {u}), order)
 

@@ -7,6 +7,7 @@ verifications.  Reports are JSON; exit codes: 0 success, 2 negative result,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -201,6 +202,7 @@ def cmd_necklace(args):
     extra = {}
     if args.action == "verify-disjoint":
         rep = nk.verify_disjointness(params, seed=args.seed)
+        params = dataclasses.replace(params, c0=rep["c0"], c1=rep["c1"])
         lower = min(rep["c0_lower"], rep["c1_lower"])
         checks = [
             {"name": "min_core_distance_over_b2_lower", "value": lower,

@@ -8,7 +8,7 @@ linking, and the exact-scale ledger.
 """
 
 from .transforms import (
-    Similarity4, PHI, PSI, identity, rotation, scaling, phi, psi, rot_point,
+    Similarity4, PHI, PSI, identity, rotation, scaling, phi, psi,
 )
 from .tubes import NecklaceParams, Tube, TubeSystem, generate, child_tubes
 from .geometry import (
@@ -17,6 +17,6 @@ from .geometry import (
 )
 from .verify import (
     verify_disjointness, verify_containment, verify_linking,
-    calibrate_constants, jacobian_exponent,
+    calibrate_constants,
 )
 from .export import export_geometry

@@ -58,16 +58,12 @@ def tilde_tau_similarity(j, m, b):
     return rotation(j, m).compose(PSI).compose(scaling(b))
 
 
-def tau_pattern(j):
-    return pattern_of_child(j)
-
-
 def dist_point_to_tau(x, j, m, b, tilde=False):
     """Closed-form distance from points to tau_j (or tilde tau_j)."""
     S = (tilde_tau_similarity if tilde else tau_similarity)(j, m, b)
     inv = S.inverse()
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    d = dist_to_core(inv(pts), tau_pattern(j), b) * S.scale
+    d = dist_to_core(inv(pts), pattern_of_child(j), b) * S.scale
     return d if np.ndim(x) > 1 else float(np.atleast_1d(d)[0])
 
 
@@ -116,4 +112,4 @@ def sigma_tilde_polyline(j, m, b, nodes):
 def sample_core(j, m, b, n_phi=64, n_theta=256, tilde=False):
     """Point sample of the core torus tau_j."""
     S = (tilde_tau_similarity if tilde else tau_similarity)(j, m, b)
-    return S(sample_model_torus(tau_pattern(j), b, n_phi, n_theta))
+    return S(sample_model_torus(pattern_of_child(j), b, n_phi, n_theta))

@@ -103,7 +103,3 @@ def psi(x):
     """Psi(x1,x2,x3,x4) = (x3, x4, 1+x1, x2)."""
     x = np.asarray(x, dtype=float)
     return np.stack([x[..., 2], x[..., 3], 1.0 + x[..., 0], x[..., 1]], axis=-1)
-
-
-def rot_point(x, j, m):
-    return rotation(j, m)(x)

@@ -20,8 +20,8 @@ from ..errors import (
 )
 from ..kernels import loop_field
 from .geometry import (
-    dist_point_to_tau, dist_to_core, model_core_point, sample_core,
-    sample_model_torus, sigma_frame, tau_pattern, tau_similarity,
+    dist_point_to_tau, dist_to_core, model_core_point, pattern_of_child,
+    sample_core, sample_model_torus, sigma_frame, tau_similarity,
     tilde_tau_similarity,
 )
 from .tubes import NecklaceParams
@@ -30,6 +30,7 @@ from .tubes import NecklaceParams
 GAP = 1e-2                # relative gap at which branch-and-bound stops a pair
 MAX_LIVE_CELLS = 1 << 20  # live cells above this raise MinimizationNotConverged
 CHUNK = 1 << 16           # cells per distance evaluation, which bounds memory
+CHORD_MARGIN = 3.0        # tube extents a chord must exceed to skip a pair
 
 
 def _pair_objective(i, j, m, b, tilde):
@@ -40,7 +41,7 @@ def _pair_objective(i, j, m, b, tilde):
     """
     sim = tilde_tau_similarity if tilde else tau_similarity
     M = sim(j, m, b).inverse().compose(sim(i, m, b))
-    pi, pj = tau_pattern(i), tau_pattern(j)
+    pi, pj = pattern_of_child(i), pattern_of_child(j)
 
     def f(u1, u2):
         out = np.empty(len(u1))
@@ -117,11 +118,11 @@ def _polish(f, u, step, best):
     return best
 
 
-def representative_pairs(m, b, margin=3.0):
+def representative_pairs(m, b):
     """Index pairs (i, j) covering every rho^2-orbit that can be close.
 
     Classes are (parity of i, offset); offsets whose center chord exceeds
-    the tube extents by `margin` are certified apart by the chord bound.
+    CHORD_MARGIN tube extents are certified apart by the chord bound.
     """
     beta = 2 * math.pi / m
     extent = b * (2 + 2 * b)  # conservative radius of a child tube around its center
@@ -130,7 +131,7 @@ def representative_pairs(m, b, margin=3.0):
         for d in range(1, m // 2 + 1):
             j = i + d
             chord = 2 * (1 - b) * math.sin(min(d, m - d) * beta / 2)
-            bound = chord - margin * extent
+            bound = chord - CHORD_MARGIN * extent
             if bound > 0:
                 certified.append(((i, j), chord - 2 * extent))
             else:
@@ -185,8 +186,7 @@ def verify_disjointness(params, seed=0, max_offset=None):
         mins[tilde], lowers[tilde] = best, lower
     c0, c1 = mins[False] / b ** 2, mins[True] / b ** 2
     c0_lower, c1_lower = lowers[False] / b ** 2, lowers[True] / b ** 2
-    params.c0, params.c1 = c0, c1
-    rho = params.rho
+    rho = min(c0, c1) / 10
 
     # rotation equivariance at the point level, both families
     equiv_err = 0.0
@@ -427,8 +427,3 @@ def calibrate_constants(m_of_b=None, bs=(0.03, 0.04, 0.05, 0.06, 0.08),
         "stable": bool(spread(c0s) < stability and spread(c1s) < stability),
         "b_window": (min(bs), max(bs)),
     }
-
-
-def jacobian_exponent(params):
-    """s = -4 log(2mb)/log(b), the distance-to-set Jacobian exponent."""
-    return params.jacobian_exponent()

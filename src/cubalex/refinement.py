@@ -13,7 +13,7 @@ import graphlib
 import heapq
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -84,7 +84,6 @@ def refine(K, k=1):
     prov_order = []
     for i in K.top_ids():
         corner, side = boxes[i]
-        step = side  # subcube side after scaling: side * f / f ... in new coords
         for offset in itertools.product(range(f), repeat=n):
             c0 = tuple(corner[a] * f + offset[a] * side for a in range(n))
             vs = [vid(tuple(c0[a] + ((t >> a) & 1) * side for a in range(n)))
@@ -94,9 +93,7 @@ def refine(K, k=1):
     verts = {j: pos for pos, j in ids.items()}
     R = build_complex(n, CUBICAL, verts, cells)
     # build_complex may reorder; recover provenance through vertex sets
-    lookup = {}
-    for idx, (dim, vs, kind) in enumerate(cells):
-        lookup[tuple(sorted(vs))] = prov_order[idx]
+    lookup = {tuple(sorted(vs)): i for (_, vs, _), i in zip(cells, prov_order)}
     prov = {i: lookup[R.cell(i).verts] for i in R.top_ids()}
     return RefinedComplex(K, R, k, prov)
 
@@ -193,9 +190,6 @@ class Block:
     def n(self):
         return len(self.corner)
 
-    def interval(self, a):
-        return (self.corner[a], self.corner[a] + self.side)
-
     def face(self, axis, side):
         """(axis, coordinate, rect corner, rect side) of one (n-1)-face."""
         coord = self.corner[axis] + (self.side if side else 0)
@@ -223,12 +217,12 @@ class Face:
     def area(self):
         return self.side ** len(self.rect)
 
-    def contains(self, other):
-        if (self.axis, self.coord) != (other.axis, other.coord):
-            return False
-        return all(self.rect[a] <= other.rect[a] and
-                   other.rect[a] + other.side <= self.rect[a] + self.side
-                   for a in range(len(self.rect)))
+
+def _overlap(b1, b2):
+    """Per axis, the (lo, hi) of the two blocks' intervals intersected:
+    hi < lo apart, hi == lo touching, hi > lo overlapping."""
+    return [(max(c1, c2), min(c1 + b1.side, c2 + b2.side))
+            for c1, c2 in zip(b1.corner, b2.corner)]
 
 
 def blocks_contact(b1, b2):
@@ -238,33 +232,38 @@ def blocks_contact(b1, b2):
     (n-1)-box when the blocks abut along exactly one axis and overlap with
     positive area in the others.
     """
-    n = b1.n
-    touch_axis = None
-    for a in range(n):
-        lo1, hi1 = b1.interval(a)
-        lo2, hi2 = b2.interval(a)
-        if hi1 == lo2 or hi2 == lo1:
-            if touch_axis is not None:
-                return None
-            touch_axis = a
-        elif min(hi1, hi2) <= max(lo1, lo2):
-            return None
-    if touch_axis is None:
+    spans = _overlap(b1, b2)
+    touching = [a for a, (lo, hi) in enumerate(spans) if lo == hi]
+    if len(touching) != 1 or any(hi < lo for lo, hi in spans):
         return None
-    rect = []
-    lengths = []
-    for a in range(n):
-        if a == touch_axis:
-            continue
-        lo = max(b1.corner[a], b2.corner[a])
-        hi = min(b1.corner[a] + b1.side, b2.corner[a] + b2.side)
-        if hi <= lo:
-            return None
-        rect.append(lo)
-        lengths.append(hi - lo)
-    coord = b1.interval(touch_axis)[1] if b1.interval(touch_axis)[1] == b2.interval(touch_axis)[0] \
-        else b1.interval(touch_axis)[0]
-    return touch_axis, coord, tuple(rect), tuple(lengths)
+    axis = touching[0]
+    rest = spans[:axis] + spans[axis + 1:]
+    return (axis, spans[axis][0], tuple(lo for lo, _ in rest),
+            tuple(hi - lo for lo, hi in rest))
+
+
+def boxes_interior_disjoint(b1, b2):
+    return any(hi <= lo for lo, hi in _overlap(b1, b2))
+
+
+def boxes_touch(b1, b2):
+    """Closed boxes intersect (possibly only in a face, edge, or corner)."""
+    return all(lo <= hi for lo, hi in _overlap(b1, b2))
+
+
+def _contacts(blocks):
+    """The contact table of a {key: Block} mapping, each pair tested once.
+
+    Maps every key to [(other key, axis, coord, rect, lengths)], the other
+    keys in key order.
+    """
+    table = {k: [] for k in blocks}
+    for (k1, b1), (k2, b2) in itertools.combinations(blocks.items(), 2):
+        c = blocks_contact(b1, b2)
+        if c is not None:
+            table[k1].append((k2, *c))
+            table[k2].append((k1, *c))
+    return table
 
 
 def _is_tree(nodes, edges):
@@ -273,17 +272,18 @@ def _is_tree(nodes, edges):
     return len(comps) == 1 and len(tree) == len(edges)
 
 
-def boxes_interior_disjoint(b1, b2):
-    return any(min(b1.interval(a)[1], b2.interval(a)[1]) <=
-               max(b1.interval(a)[0], b2.interval(a)[0])
-               for a in range(b1.n))
-
-
-def boxes_touch(b1, b2):
-    """Closed boxes intersect (possibly only in a face, edge, or corner)."""
-    return all(max(b1.interval(a)[0], b2.interval(a)[0]) <=
-               min(b1.interval(a)[1], b2.interval(a)[1])
-               for a in range(b1.n))
+def _check_atom(blocks, contacts):
+    """One atom's {key: Block}: interiors disjoint, full-face contacts a tree."""
+    if not all(boxes_interior_disjoint(b1, b2)
+               for b1, b2 in itertools.combinations(blocks.values(), 2)):
+        raise BadAttachment("atom blocks overlap")
+    b = next(iter(blocks.values()))
+    full = (b.side,) * (b.n - 1)
+    edges = [(k1, k2) for k1 in blocks
+             for k2, *_, lengths in contacts[k1]
+             if k1 < k2 and k2 in blocks and lengths == full]
+    if not _is_tree(list(blocks), edges):
+        raise NotATree("atom adjacency graph is not a tree")
 
 
 @dataclass
@@ -299,16 +299,8 @@ class Atom:
         self.side = sides.pop()
 
     def validate(self):
-        pairs = list(itertools.combinations(range(len(self.blocks)), 2))
-        for i, j in pairs:
-            if not boxes_interior_disjoint(self.blocks[i], self.blocks[j]):
-                raise BadAttachment("atom blocks overlap")
-        full = (self.side,) * (self.blocks[0].n - 1)
-        edges = [(i, j) for i, j in pairs
-                 if (c := blocks_contact(self.blocks[i], self.blocks[j]))
-                 and c[3] == full]
-        if not _is_tree(range(len(self.blocks)), edges):
-            raise NotATree("atom adjacency graph is not a tree")
+        blocks = dict(enumerate(self.blocks))
+        _check_atom(blocks, _contacts(blocks))
 
 
 @dataclass
@@ -326,6 +318,8 @@ class Molecule:
     children: dict = field(default_factory=dict)
     leading_face: dict = field(default_factory=dict)  # block key -> Face
     attach: dict = field(default_factory=dict)      # child atom idx -> (parent block key, Face)
+    # block key -> [(other key, axis, coord, rect, lengths)], from _contacts
+    contacts: dict = field(default_factory=dict)
 
     def block(self, key):
         a, b = key
@@ -347,60 +341,70 @@ class Molecule:
     # -- validation -------------------------------------------------------------
 
     def validate(self):
+        # malformed input is rejected before any geometry
+        if len(self.indices) != len(self.atoms):
+            raise BadAttachment(
+                f"{len(self.indices)} indices for {len(self.atoms)} atoms")
+        if any(len(b.corner) != self.n for atom in self.atoms
+               for b in atom.blocks):
+            raise BadAttachment(f"a block corner has not {self.n} coordinates")
+        if self.leading is not None:
+            (a, b), (axis, side) = self.leading
+            if not (0 <= a < len(self.atoms) and 0 <= b < len(self.atoms[a].blocks)
+                    and 0 <= axis < self.n and side in (0, 1)):
+                raise BadAttachment(
+                    f"designated leading {self.leading} is not a block face")
+        keys = self.all_block_keys()
+        self.contacts = _contacts({k: self.block(k) for k in keys})
         for a, atom in enumerate(self.atoms):
-            atom.validate()
+            _check_atom({(a, b): blk for b, blk in enumerate(atom.blocks)},
+                        self.contacts)
             if atom.side != 3 ** self.indices[a]:
                 raise BadAttachment(
                     f"atom {a} side {atom.side} != 3^{self.indices[a]}")
-        keys = self.all_block_keys()
         for k1, k2 in itertools.combinations(keys, 2):
             if not boxes_interior_disjoint(self.block(k1), self.block(k2)):
                 raise BadAttachment("atoms overlap")
 
-        # cross-atom contacts: distinct indices, full smaller face, 3-adic
+        # cross-atom contacts: distinct indices, full smaller face, 3-adic;
+        # condition (4), at most one other atom meets a given face, is
+        # reported after the tree check
         edges = []
-        atom_contacts = {}
-        for k1, k2 in itertools.combinations(keys, 2):
-            b1, b2 = self.block(k1), self.block(k2)
-            c = blocks_contact(b1, b2)
-            if c is None:
-                continue
-            axis, coord, rect, lengths = c
-            if k1[0] == k2[0]:
-                if lengths == (b1.side,) * (self.n - 1):
-                    edges.append((k1, k2))
-                continue
-            small, big = (k1, k2) if b1.side < b2.side else (k2, k1)
-            if self.block(small).side == self.block(big).side:
-                raise BadAttachment(
-                    f"atoms {k1[0]} and {k2[0]} meet with equal index")
-            sb = self.block(small)
-            if lengths != (sb.side,) * (self.n - 1):
-                raise BadAttachment(
-                    "attachment is not a full face of the finer atom")
-            if any((rect[i] - _drop_axis(self.block(big).corner, axis)[i])
-                   % sb.side for i in range(self.n - 1)):
-                raise BadAttachment("attachment not 3-adically aligned")
-            if self.rho(small[0]) > self.rho(big[0]):
-                raise BadAttachment(
-                    "smaller blocks carry the larger refinement index")
-            pair = (min(k1[0], k2[0]), max(k1[0], k2[0]))
-            atom_contacts.setdefault(pair, []).append((small, big))
-            edges.append((k1, k2))
+        per_face = {}
+        shared_face = None
+        for k1 in keys:
+            for k2, axis, coord, rect, lengths in self.contacts[k1]:
+                if k2 < k1:
+                    continue
+                b1, b2 = self.block(k1), self.block(k2)
+                if k1[0] == k2[0]:
+                    if lengths == (b1.side,) * (self.n - 1):
+                        edges.append((k1, k2))
+                    continue
+                small, big = (k1, k2) if b1.side < b2.side else (k2, k1)
+                sb = self.block(small)
+                if sb.side == self.block(big).side:
+                    raise BadAttachment(
+                        f"atoms {k1[0]} and {k2[0]} meet with equal index")
+                if lengths != (sb.side,) * (self.n - 1):
+                    raise BadAttachment(
+                        "attachment is not a full face of the finer atom")
+                if any((rect[i] - _drop_axis(self.block(big).corner, axis)[i])
+                       % sb.side for i in range(self.n - 1)):
+                    raise BadAttachment("attachment not 3-adically aligned")
+                if self.rho(small[0]) > self.rho(big[0]):
+                    raise BadAttachment(
+                        "smaller blocks carry the larger refinement index")
+                if per_face.setdefault((big, axis, coord), small[0]) \
+                        != small[0] and shared_face is None:
+                    shared_face = big
+                edges.append((k1, k2))
 
         if not _is_tree(keys, edges):
             raise NotATree("cube adjacency graph of the molecule is not a tree")
-
-        # condition (4): at most one other atom meets a given face
-        per_face = {}
-        for pair, contacts in atom_contacts.items():
-            for small, big in contacts:
-                c = blocks_contact(self.block(small), self.block(big))
-                fkey = (big, c[0], c[1])
-                if fkey in per_face and per_face[fkey] != small[0]:
-                    raise BadAttachment(
-                        f"two atoms attached to one face of block {big}")
-                per_face[fkey] = small[0]
+        if shared_face is not None:
+            raise BadAttachment(
+                f"two atoms attached to one face of block {shared_face}")
 
         # unique atom of largest index
         top = max(self.indices)
@@ -412,16 +416,11 @@ class Molecule:
         # leading cube and face: a block of the leading atom with a fully
         # exterior face; lexicographically smallest unless designated
         if self.leading is None:
-            choice = None
-            for b in range(len(self.atoms[lead_atom].blocks)):
-                key = (lead_atom, b)
-                for axis in range(self.n):
-                    for side in (0, 1):
-                        f = self.block(key).face(axis, side)
-                        if self._exterior_area(key, f) == f.area():
-                            cand = (self.block(key).corner, axis, side, key)
-                            if choice is None or cand < choice:
-                                choice = cand
+            choice = min(((blk.corner, axis, side, (lead_atom, b))
+                          for b, blk in enumerate(self.atoms[lead_atom].blocks)
+                          for axis in range(self.n) for side in (0, 1)
+                          if self._free((lead_atom, b), blk.face(axis, side))),
+                         default=None)
             if choice is None:
                 raise BadAttachment("leading atom has no exterior face")
             _, axis, side, key = choice
@@ -430,7 +429,7 @@ class Molecule:
         if lead_key[0] != lead_atom:
             raise BadAttachment("designated leading cube not in the max atom")
         root_face = self.block(lead_key).face(axis, side)
-        if self._exterior_area(lead_key, root_face) != root_face.area():
+        if not self._free(lead_key, root_face):
             raise BadAttachment("designated leading face is not on the boundary")
 
         # orient the tree toward the leading cube: breadth first, each
@@ -455,37 +454,21 @@ class Molecule:
             p = self.parent[k]
             if p is None:
                 continue
-            c = blocks_contact(self.block(k), self.block(p))
-            axis, coord, rect, lengths = c
-            small = k if self.block(k).side <= self.block(p).side else p
-            f = Face(axis, coord, rect, self.block(small).side)
-            if small is not k:
+            if self.block(k).side > self.block(p).side:
                 raise BadAttachment(
                     "tree parent has a smaller block than its child")
+            _, axis, coord, rect, _ = next(c for c in self.contacts[k]
+                                           if c[0] == p)
+            f = Face(axis, coord, rect, self.block(k).side)
             self.leading_face[k] = f
             if k[0] != p[0]:
                 self.attach[k[0]] = (p, f)
         return self
 
-    def _other_blocks(self, key):
-        return [k for k in self.all_block_keys() if k != key]
-
-    def _face_overlaps(self, key, face):
-        """Contact rectangles of other blocks lying inside `face`."""
-        out = []
-        for k in self._other_blocks(key):
-            c = blocks_contact(self.block(key), self.block(k))
-            if c is None:
-                continue
-            axis, coord, rect, lengths = c
-            if (axis, coord) == (face.axis, face.coord):
-                out.append((k, rect, lengths))
-        return out
-
-    def _exterior_area(self, key, face):
-        covered = sum(math.prod(lengths)
-                      for _, _, lengths in self._face_overlaps(key, face))
-        return face.area() - covered
+    def _free(self, key, face):
+        """Does no other block touch this face of block `key`?"""
+        return all((axis, coord) != (face.axis, face.coord)
+                   for _, axis, coord, _, _ in self.contacts[key])
 
     # -- derived structure ----------------------------------------------------------
 
@@ -517,43 +500,38 @@ class Molecule:
             child_faces.setdefault((cf.axis, cf.coord), []).append(c)
         for f in self.block(key).faces():
             fk = (f.axis, f.coord)
-            if (f.axis, f.coord, f.rect) == (lead.axis, lead.coord, lead.rect) \
-                    and f.side == lead.side:
+            if f == lead:
                 out[fk] = "leading"
             elif fk in child_faces:
                 kinds = {("first" if c[0] == key[0] else "second")
                          for c in child_faces[fk]}
                 out[fk] = ("back-first-kind" if kinds == {"first"}
                            else "back-second-kind")
-            elif self._exterior_area(key, f) == f.area():
+            elif self._free(key, f):
                 out[fk] = "exterior"
             else:
-                out[fk] = "back-second-kind" if self._face_overlaps(key, f) \
-                    else "exterior"
+                out[fk] = "back-second-kind"
         return out
 
     # -- counting -----------------------------------------------------------------
 
+    def _surface(self, keys):
+        return sum(2 * self.n * self.block(k).side ** (self.n - 1)
+                   for k in keys)
+
     def boundary_area(self, keys=None):
+        """Exterior area of the blocks `keys` (default all): each contact
+        lies on one face of each of its two blocks."""
         keys = keys or self.all_block_keys()
-        total = 0
-        for k in keys:
-            for f in self.block(k).faces():
-                total += self._exterior_area(k, f)
-        return total
+        return self._surface(keys) - sum(math.prod(c[4]) for k in keys
+                                         for c in self.contacts[k])
 
     def tail_boundary_area_minus_leading(self, key):
         """Unit-cell count of the region  boundary(|tau(Q)|) minus q+_Q."""
         keys = set(self.tail(key))
-        surface = sum(2 * self.n * self.block(k).side ** (self.n - 1)
-                      for k in keys)
-        contacts = 0
-        for k1, k2 in itertools.combinations(sorted(keys), 2):
-            c = blocks_contact(self.block(k1), self.block(k2))
-            if c is not None:
-                contacts += math.prod(c[3])
-        lead = self.leading_face[key]
-        return surface - 2 * contacts - lead.area()
+        inner = sum(math.prod(c[4]) for k in keys
+                    for c in self.contacts[k] if c[0] in keys)
+        return self._surface(keys) - inner - self.leading_face[key].area()
 
     def delta_count(self, area):
         """(n-1)-simplices of the canonical triangulation over `area` unit cells."""
@@ -658,7 +636,7 @@ def level_function_from_leaves(M):
 
 def expansion_index(M, key):
     """nu(q+_Q): Alexander-degree difference across the tail of Q."""
-    if key not in set(M.all_block_keys()):
+    if key not in M.contacts:
         raise CubeNotInMolecule(str(key))
     out_area = M.tail_boundary_area_minus_leading(key)
     lead_area = M.leading_face[key].area()
@@ -689,10 +667,8 @@ def shift_indices(M, j):
     f = 3 ** j
     atom_blocks = [[(tuple(c * f for c in b.corner), b.side * f)
                     for b in atom.blocks] for atom in M.atoms]
-    leading = None
-    if M.leading is not None:
-        leading = (M.leading[0], M.leading[1])
-    return build_molecule(M.n, atom_blocks, [r + j for r in M.indices], leading)
+    return build_molecule(M.n, atom_blocks, [r + j for r in M.indices],
+                          M.leading)
 
 
 # -- dents ---------------------------------------------------------------------------
@@ -743,26 +719,21 @@ class Dent:
         base, roof, wall = [], [], []
         for k in M.blocks:
             b = M.block(k)
-            contacts = {}
-            for k2 in M.blocks:
-                if k2 == k:
-                    continue
-                c = blocks_contact(b, M.block(k2))
-                if c is not None:
-                    contacts.setdefault((c[0], c[1]), []).append(c)
+            covered = Counter()  # face (axis, coord) -> area other blocks touch
+            for _, axis, coord, _, lengths in M.contacts[k]:
+                covered[axis, coord] += math.prod(lengths)
             base_f = None
             for f in b.faces():
                 fk = (f.axis, f.coord)
                 if fk in host_faces:
-                    if k == lead_key and (f.axis, f.coord, f.rect) == \
-                            (qplus.axis, qplus.coord, qplus.rect):
+                    if f == qplus:
                         continue  # the leading face
                     base.append((k, f))
                     base_f = f
             if base_f is not None:
                 opp = next(f for f in b.faces()
                            if f.axis == base_f.axis and f.coord != base_f.coord)
-                if (opp.axis, opp.coord) in contacts:
+                if (opp.axis, opp.coord) in covered:
                     raise UnclassifiableFace(
                         f"roof of dent block {k} is covered by another block")
                 roof.append((k, opp))
@@ -774,11 +745,11 @@ class Dent:
                     continue
                 if base_f is not None and f.axis == base_f.axis:
                     continue
-                covered = sum(math.prod(c[3]) for c in contacts.get(fk, []))
-                if covered == f.area():
+                free = f.area() - covered[fk]
+                if free == 0:
                     continue  # interior contact with a neighboring dent block
                 # partially covered faces contribute their free area as wall
-                wall.append((k, f, f.area() - covered))
+                wall.append((k, f, free))
         return {"base": base, "roof": roof, "wall": wall, "leading": qplus}
 
     def flattening_correspondence(self):
@@ -797,9 +768,8 @@ class Dent:
         q = cls["leading"]
         m = len(walls)
         for i, (k, f, free) in enumerate(sorted(walls)):
-            lo = Fraction(i, m) if m else Fraction(0)
-            hi = Fraction(i + 1, m) if m else Fraction(1)
-            band = (q.axis, q.coord, q.rect, q.side, (lo, hi))
+            band = (q.axis, q.coord, q.rect, q.side,
+                    (Fraction(i, m), Fraction(i + 1, m)))
             pairs.append((("wall", k, f, free), ("leading-band", band)))
         return pairs
 
@@ -817,12 +787,10 @@ class DentedAtom:
             if dent.host != self.hull.blocks[b_idx]:
                 raise BadAttachment("dent host is not the declared hull cube")
             dent.validate()
-            for other_idx, other in enumerate(self.hull.blocks):
-                if other_idx == b_idx:
-                    continue
-                for k in dent.molecule.blocks:
-                    if boxes_touch(dent.molecule.block(k), other):
-                        raise BadAttachment("dent meets another hull cube")
+            M = dent.molecule
+            if any(boxes_touch(M.block(k), other) for k in M.blocks
+                   for i, other in enumerate(self.hull.blocks) if i != b_idx):
+                raise BadAttachment("dent meets another hull cube")
         return self
 
 
@@ -907,21 +875,15 @@ class DentedMolecule:
                     f"{used_dent_cubes[key]} and {i}")
             used_dent_cubes[key] = i
 
-        # (3): the maximal atom's hull exposes a full face on the boundary
-        top = self.dented_atoms[maxima[0]]
-        all_blocks = [b for d in self.dented_atoms for b in d.hull.blocks]
-        exposed = False
-        for hb in top.hull.blocks:
-            for f in hb.faces():
-                covered = 0
-                for other in all_blocks:
-                    if other == hb:
-                        continue
-                    c = blocks_contact(hb, other)
-                    if c is not None and (c[0], c[1]) == (f.axis, f.coord):
-                        covered += math.prod(c[3])
-                if covered == 0:
-                    exposed = True
+        # (3): the maximal atom's hull exposes a full face on the boundary,
+        # a face that no other hull block touches
+        top = maxima[0]
+        contacts = _contacts({(i, b): hb for i, d in enumerate(self.dented_atoms)
+                              for b, hb in enumerate(d.hull.blocks)})
+        exposed = any(
+            (f.axis, f.coord) not in {(c[1], c[2]) for c in contacts[(top, b)]}
+            for b, hb in enumerate(self.dented_atoms[top].hull.blocks)
+            for f in hb.faces())
         if not exposed:
             raise BadAttachment("maximal dented atom has no boundary face")
         return self

@@ -5,6 +5,7 @@ Each test prints one pass/fail line; run with `pytest tests/test_acceptance.py
 and shared (criterion 11 needs the empirical rho from criterion 9).
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -24,8 +25,8 @@ from cubalex.errors import OddCycle
 from gen import (BENCH_BOXES_3D, CONE44, cube_complex, random_disk_polyomino,
                  random_molecule, random_sketch_pieces)
 
-BUDGETS = {1: 1, 2: 1, 3: 10, 4: 5, 5: 1, 6: 10, 7: 30, 8: 5,
-           9: 300, 10: 10, 11: 120, 12: 10}
+BUDGETS = {1: 1, 2: 1, 3: 10, 4: 5, 5: 1, 6: 10, 7: 5, 8: 5,
+           9: 20, 10: 10, 11: 5, 12: 10}
 
 
 def report(num, ok, elapsed, detail=""):
@@ -173,7 +174,10 @@ def necklace_disjointness():
     params = nk.NecklaceParams(b=0.05, m=1700)
     t0 = time.time()
     rep = nk.verify_disjointness(params, seed=0)
-    return params, rep, time.time() - t0
+    elapsed = time.time() - t0
+    # the verifier leaves params alone; the constants are passed on here
+    return (dataclasses.replace(params, c0=rep["c0"], c1=rep["c1"]), rep,
+            elapsed)
 
 
 def test_criterion_09_necklace_disjointness(necklace_disjointness):

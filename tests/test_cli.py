@@ -115,6 +115,23 @@ def test_molecule_cli(tmp_path, capsys):
     assert code == 0 and all(int(v) >= 0 for v in data["nu"].values())
 
 
+@pytest.mark.parametrize("change", [
+    {"leading": [[0, 5], [0, 0]]},               # no such block
+    {"leading": [[0, 0], [2, 0]]},               # axis >= n
+    {"leading": [[0, 0], [1, 2]]},               # side neither 0 nor 1
+    {"indices": [1]},                            # fewer indices than atoms
+    {"indices": [1, 0, 0]},                      # more indices than atoms
+    {"atoms": [[[[0, 0], 3]], [[[3, 0, 0], 1]]]},  # a corner in R^3
+])
+def test_malformed_molecule_exit_3(tmp_path, capsys, change):
+    mol = {"n": 2, "atoms": [[[[0, 0], 3]], [[[3, 0], 1]]],
+           "indices": [1, 0], "leading": None, **change}
+    p = tmp_path / "mol.json"
+    p.write_text(json.dumps(mol))
+    code, data = run(capsys, ["molecule", "validate", str(p)])
+    assert code == 3 and data["valid"] is False
+
+
 def test_separate_cli(tmp_path, capsys):
     P = fa.product_with_interval(fa.circle_complex(6), 3)
     p = tmp_path / "prod.json"

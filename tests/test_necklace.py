@@ -6,6 +6,7 @@ that keep each test under a second or two.
 """
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -172,9 +173,17 @@ def test_disjointness_small():
     rep = nk.verify_disjointness(p)
     assert rep["pass"]
     assert rep["c0"] > 0 and rep["c1"] > 0
-    assert p.rho == min(rep["c0"], rep["c1"]) / 10
+    p = dataclasses.replace(p, c0=rep["c0"], c1=rep["c1"])
+    assert p.rho == rep["rho"] == min(rep["c0"], rep["c1"]) / 10
     # the chord bound covers the unsearched pairs, in the same units of b^2
     assert rep["chord_lower"] > max(rep["c0"], rep["c1"])
+
+
+def test_disjointness_leaves_params_alone():
+    p = small_params()
+    before = dataclasses.replace(p)
+    nk.verify_disjointness(p, max_offset=1)
+    assert p == before and p.c0 is None and p.rho is None
 
 
 angle = st.floats(0, 2 * math.pi)

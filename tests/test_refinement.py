@@ -422,6 +422,103 @@ def test_molecule_queries_pinned():
         "6d4929645f13a7e7b0ec1bf296e121ecc709dac588dad2c26e79370a81a566da")
 
 
+def _interval(b, a):
+    return b.corner[a], b.corner[a] + b.side
+
+
+def old_blocks_contact(b1, b2):
+    """The face-contact predicate as first written, axis by axis: an oracle."""
+    n = b1.n
+    touch_axis = None
+    for a in range(n):
+        lo1, hi1 = _interval(b1, a)
+        lo2, hi2 = _interval(b2, a)
+        if hi1 == lo2 or hi2 == lo1:
+            if touch_axis is not None:
+                return None
+            touch_axis = a
+        elif min(hi1, hi2) <= max(lo1, lo2):
+            return None
+    if touch_axis is None:
+        return None
+    rect = []
+    lengths = []
+    for a in range(n):
+        if a == touch_axis:
+            continue
+        lo = max(b1.corner[a], b2.corner[a])
+        hi = min(b1.corner[a] + b1.side, b2.corner[a] + b2.side)
+        if hi <= lo:
+            return None
+        rect.append(lo)
+        lengths.append(hi - lo)
+    coord = _interval(b1, touch_axis)[1] \
+        if _interval(b1, touch_axis)[1] == _interval(b2, touch_axis)[0] \
+        else _interval(b1, touch_axis)[0]
+    return touch_axis, coord, tuple(rect), tuple(lengths)
+
+
+def old_boxes_interior_disjoint(b1, b2):
+    return any(min(_interval(b1, a)[1], _interval(b2, a)[1]) <=
+               max(_interval(b1, a)[0], _interval(b2, a)[0])
+               for a in range(b1.n))
+
+
+def old_boxes_touch(b1, b2):
+    return all(max(_interval(b1, a)[0], _interval(b2, a)[0]) <=
+               min(_interval(b1, a)[1], _interval(b2, a)[1])
+               for a in range(b1.n))
+
+
+def block_pair(n):
+    block = st.builds(rf.Block, st.tuples(*[st.integers(0, 12)] * n),
+                      st.sampled_from([1, 2, 3, 9]))
+    return st.tuples(block, block)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(1, 4).flatmap(block_pair))
+def test_box_predicates_match_old_bodies(pair):
+    b1, b2 = pair
+    assert rf.blocks_contact(b1, b2) == old_blocks_contact(b1, b2)
+    assert rf.boxes_interior_disjoint(b1, b2) == old_boxes_interior_disjoint(b1, b2)
+    assert rf.boxes_touch(b1, b2) == old_boxes_touch(b1, b2)
+
+
+def test_contacts_derived_once(monkeypatch):
+    # build_molecule tests each block pair once; the queries read the table
+    real = rf.blocks_contact
+    calls = []
+    monkeypatch.setattr(rf, "blocks_contact",
+                        lambda b1, b2: calls.append(1) or real(b1, b2))
+    rng = random.Random(3)
+    sizes = []
+    for n in (2, 3) * 10:
+        M = random_molecule(rng, n=n, max_atoms=6, max_blocks=4)
+        atoms = [[(b.corner, b.side) for b in atom.blocks] for atom in M.atoms]
+        calls.clear()
+        M = rf.build_molecule(n, atoms, M.indices)
+        B = len(M.blocks)
+        assert len(calls) == B * (B - 1) // 2
+        sizes.append(B)
+        calls.clear()
+        M.boundary_area()
+        for k in M.blocks:
+            M.face_classification(k)
+            M.boundary_area([k])
+            M.tail_boundary_area_minus_leading(k)
+            rf.expansion_index(M, k)
+            rf.beta_ratio(M, k)
+        assert not calls
+    assert max(sizes) >= 5
+    host = rf.Block((0, 0), 9)
+    M = rf.build_molecule(2, [[((0, 0), 3)], [((3, 0), 1)]], [1, 0],
+                          leading=((0, 0), (0, 0)))
+    calls.clear()
+    rf.Dent(host, M).validate().base_roof_wall()
+    assert not calls
+
+
 # -- placement scheme ------------------------------------------------------------------
 
 
