@@ -7,6 +7,8 @@ that keep each test under a second or two.
 
 import copy
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -285,6 +287,24 @@ def test_linking_leaves_params_unchanged():
 def test_linking_rejects_bad_input(kwargs):
     with pytest.raises(ParamsInvalid):
         nk.verify_linking(small_params(), **kwargs)
+
+
+def test_necklace_reports_pinned():
+    # disjointness, linking, containment's sampled cases and every tube
+    # transform of a sampled level-3 system at b = 0.1, m = 450; the digest
+    # was taken before every similarity came from one child map
+    p = small_params()
+    containment = nk.verify_containment(p)
+    tubes = nk.generate(p, 3, children_per_tube=4).tubes
+    records = [nk.verify_disjointness(p, max_offset=1),
+               nk.verify_linking(p, nodes=2000),
+               containment["cases"], containment["max_core_distance"],
+               [(t.word, t.transform.A.tolist(), t.transform.t.tolist(),
+                 t.transform.scale) for t in tubes]]
+    digest = hashlib.sha256(
+        json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == (
+        "a76c93a79a952d8c054c17740863cb336bf51bfbc0f41055088bad65e6c2d3fc")
 
 
 def test_tube_diameters_shrink_geometrically():
