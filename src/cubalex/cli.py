@@ -235,7 +235,7 @@ def cmd_necklace(args):
                    "pass": (max(errs) if errs else 0.0) <= 1e-12}]
         extra = {"tubes": len(system.tubes)}
     elif args.action == "export":
-        system = nk.generate(params, 1, children_per_tube=args.children)
+        system = nk.generate(params, args.k, children_per_tube=args.children)
         count = nk.export_geometry(system, args.out or f"necklace.{args.format}",
                                    what=args.what, fmt=args.format)
         print(json.dumps({"records": count}))

@@ -49,10 +49,6 @@ class HasBoundary(CubalexError):
     pass
 
 
-class ParityImbalance(CubalexError):
-    pass
-
-
 class BadCenterLabel(CubalexError):
     pass
 

@@ -12,8 +12,8 @@ from .transforms import (
 )
 from .tubes import NecklaceParams, Tube, TubeSystem, generate, child_tubes
 from .geometry import (
-    dist_to_core, sample_core, sample_model_torus, sigma_polyline,
-    core_center, tau_similarity, sigma_tilde_polyline, tilde_tau_similarity,
+    child_map, circle_frame, circle_points, dist_to_core, sample_core,
+    sample_model_torus, tau_similarity,
 )
 from .verify import (
     verify_disjointness, verify_containment, verify_linking,

@@ -1,73 +1,59 @@
-"""Geometry exporters: core polylines and tube point clouds."""
+"""Geometry exporters: marked circles, core samples and slices of every tube."""
 
 from __future__ import annotations
 
 import csv
 
-import numpy as np
-
-from .geometry import sample_core, sigma_polyline
+from ..errors import ParamsInvalid
+from .geometry import circle_frame, circle_points, sample_model_torus
 
 
 def export_geometry(system, path, what="cores", fmt="csv", nodes=128):
-    """Write level-1 core curves / tube samples / x2=0 slices to disk.
+    """Write the core circles / tube samples / x2=0 slices of every tube.
 
-    cores: one closed polyline per tube word; tubes: core point clouds;
-    slice: the two offset curves of each level-1 tube in the x2 = 0 flat.
-    Returns the number of records written.
+    Each tube of level >= 1 is drawn through its own transform S: cores is
+    its marked circle S(gamma); tubes a point sample of its core torus;
+    slice the two circles of radius r +- rho b scale about the marked
+    circle, in its plane inside the x2 = 0 flat.  Returns the number of
+    records written.
     """
-    params = system.params
-    rows = []
-    if what == "cores":
-        for t in system.tubes:
-            if t.level != 1:
-                continue
-            pts = sigma_polyline(t.word[0], params.m, params.b, nodes)
-            for idx, p in enumerate(pts):
-                rows.append((t.word, idx, *p))
-    elif what == "tubes":
-        for t in system.tubes:
-            if t.level != 1:
-                continue
-            pts = sample_core(t.word[0], params.m, params.b, 16, 64)
-            for idx, p in enumerate(pts):
-                rows.append((t.word, idx, *p))
-    elif what == "slice":
-        rho = params.rho or 0.05
-        r = rho * params.b ** 2
-        for t in system.tubes:
-            if t.level != 1:
-                continue
-            pts = sigma_polyline(t.word[0], params.m, params.b, nodes)
-            center = pts.mean(axis=0)
-            for sign in (+1.0, -1.0):
-                for idx, p in enumerate(pts):
-                    d = p - center
-                    nrm = np.linalg.norm(d)
-                    q = p + sign * r * (d / nrm if nrm else 0)
-                    rows.append((t.word + (int(sign),), idx, *q))
-    else:
-        raise ValueError(f"unknown export kind {what!r}")
+    if what not in ("cores", "tubes", "slice"):
+        raise ParamsInvalid(f"unknown export kind {what!r}")
+    if fmt not in ("csv", "obj"):
+        raise ParamsInvalid(f"unknown format {fmt!r}")
+    b = system.params.b
+    rho = system.params.rho or 0.05
+    curves = {}
+    for t in system.tubes:
+        if t.level == 0:
+            continue
+        S = t.transform
+        if what == "tubes":
+            curves[t.word] = S(sample_model_torus(t.pattern, b, 16, 64))
+        elif what == "cores":
+            curves[t.word] = circle_points(circle_frame(S, t.pattern, b),
+                                           nodes)[0]
+        else:
+            c, a1, a2, r = circle_frame(S, t.pattern, b)
+            for sign in (1, -1):
+                offset = (c, a1, a2, r + sign * rho * b * S.scale)
+                curves[t.word + (sign,)] = circle_points(offset, nodes)[0]
 
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["word", "index", "x1", "x2", "x3", "x4"])
-            for word, idx, *p in rows:
-                w.writerow(["-".join(map(str, word)), idx, *p])
-    elif fmt == "obj":
+            for word, pts in curves.items():
+                for idx, p in enumerate(pts):
+                    w.writerow(["-".join(map(str, word)), idx, *p])
+    else:
         with open(path, "w") as fh:
             fh.write("# cubalex necklace export (x2 dropped)\n")
             start = 1
-            curves = {}
-            for word, idx, *p in rows:
-                curves.setdefault(word, []).append(p)
-            for word, pts in curves.items():
+            for pts in curves.values():
                 for p in pts:
                     fh.write(f"v {p[0]} {p[2]} {p[3]}\n")
                 ids = " ".join(str(start + i) for i in range(len(pts)))
                 fh.write(f"l {ids} {start}\n")
                 start += len(pts)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return len(rows)
+    return sum(len(pts) for pts in curves.values())

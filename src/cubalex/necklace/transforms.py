@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ORTHO_TOL = 1e-12
+from ..errors import ParamsInvalid
 
 
 @dataclass(frozen=True)
@@ -22,12 +22,11 @@ class Similarity4:
     scale: float = 1.0
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.float64)
-        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "A", np.asarray(self.A, dtype=np.float64))
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64))
-        err = np.abs(A @ A.T - np.eye(4)).max()
+        err = self.orthogonality_error()
         if err > 1e-9:
-            raise ValueError(f"matrix not orthogonal (err {err})")
+            raise ParamsInvalid(f"matrix not orthogonal (err {err})")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ParamsInvalid
-from .geometry import ROUND, pattern_of_child
-from .transforms import PHI, PSI, Similarity4, identity, rotation, scaling
+from .geometry import ROUND, child_map, pattern_of_child
+from .transforms import Similarity4, identity, rotation
 
 
 @dataclass
@@ -105,16 +105,12 @@ class TubeSystem:
 
 
 def child_tubes(parent, params, js=None):
-    """The m children of a tube: (S o rho^j o Phi|Psi o lambda, pattern(j))."""
-    inner = PHI if parent.pattern == ROUND else PSI
-    lam = scaling(params.b)
-    out = []
-    for j in (js if js is not None else range(1, params.m + 1)):
-        step = rotation(j, params.m).compose(inner).compose(lam)
-        out.append(Tube(parent.word + (j,),
-                        parent.transform.compose(step),
-                        pattern_of_child(j)))
-    return out
+    """The m children of a tube: (S o rho^j o child_map, pattern(j))."""
+    inner = child_map(params.b, parent.pattern != ROUND)
+    return [Tube(parent.word + (j,),
+                 parent.transform.compose(rotation(j, params.m).compose(inner)),
+                 pattern_of_child(j))
+            for j in (js if js is not None else range(1, params.m + 1))]
 
 
 def generate(params, k, children_per_tube=None):

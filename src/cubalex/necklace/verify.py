@@ -20,10 +20,11 @@ from ..errors import (
 )
 from ..kernels import loop_field
 from .geometry import (
+    ROUND, child_map, circle_frame, circle_points,
     dist_point_to_tau, dist_to_core, model_core_point, pattern_of_child,
-    sample_core, sample_model_torus, sigma_frame, tau_similarity,
-    tilde_tau_similarity,
+    sample_core, sample_model_torus, tau_similarity,
 )
+from .transforms import rotation
 from .tubes import NecklaceParams
 
 
@@ -39,8 +40,8 @@ def _pair_objective(i, j, m, b, tilde):
     Both cores have scale b, so M = S_j^-1 o S_i is an isometry and f is the
     closed-form model distance from M(model_i(u)) to tau_j's model core.
     """
-    sim = tilde_tau_similarity if tilde else tau_similarity
-    M = sim(j, m, b).inverse().compose(sim(i, m, b))
+    M = tau_similarity(j, m, b, tilde).inverse().compose(
+        tau_similarity(i, m, b, tilde))
     pi, pj = pattern_of_child(i), pattern_of_child(j)
 
     def f(u1, u2):
@@ -191,7 +192,6 @@ def verify_disjointness(params, seed=0, max_offset=None):
     # rotation equivariance at the point level, both families
     equiv_err = 0.0
     rng = np.random.default_rng(seed)
-    from .transforms import rotation
     r2 = rotation(2, m)
     for tilde in (False, True):
         pts = sample_core(1, m, b, 8, 16, tilde=tilde)
@@ -220,20 +220,22 @@ def verify_containment(params, n_phi=200, n_theta=400, tol=1e-3):
     """Child cores hug the parent core within b^2; tubes nest with margin.
 
     Checks max dist(child core, parent core) <= b^2 (1+tol) for all four
-    embedding cases and the inequality rho b^2 + b^2 < rho b / 5.
+    embedding cases.  The nesting inequality rho b'^2 + b'^2 < rho b'/5
+    holds iff 0 < b' < threshold = rho / (5 (1 + rho)); it passes when the
+    strict regime b' < rho/10 lies below the threshold, that is rho <= 1,
+    and the report gives the threshold and its margin over the actual b.
     """
     b = params.b
     if n_phi * n_theta > 4_000_000:
         raise SamplingBudgetExceeded(f"{n_phi}x{n_theta} samples requested")
-    from .transforms import PHI, PSI, scaling
-    lam = scaling(b)
     cases = {}
-    for name, outer, child_pattern, parent_pattern in (
-            ("phi.round", PHI, "T", "T"),
-            ("phi.flat", PHI, "T~", "T"),
-            ("psi.round", PSI, "T", "T~"),
-            ("psi.flat", PSI, "T~", "T~")):
-        pts = outer.compose(lam)(sample_model_torus(child_pattern, b, n_phi, n_theta))
+    for name, child_pattern, parent_pattern in (
+            ("phi.round", "T", "T"),
+            ("phi.flat", "T~", "T"),
+            ("psi.round", "T", "T~"),
+            ("psi.flat", "T~", "T~")):
+        pts = child_map(b, parent_pattern != ROUND)(
+            sample_model_torus(child_pattern, b, n_phi, n_theta))
         cases[name] = float(dist_to_core(pts, parent_pattern, b).max())
     max_dist = max(cases.values())
     rho = params.rho
@@ -244,17 +246,16 @@ def verify_containment(params, n_phi=200, n_theta=400, tol=1e-3):
         "pass_core": bool(max_dist <= b ** 2 * (1 + tol)),
     }
     if rho is not None:
-        # the nesting inequality rho b'^2 + b'^2 < rho b'/5 is claimed for
-        # every b' < rho/10; assert it numerically over that whole range
-        grid = np.linspace(rho / 10 * 1e-3, rho / 10, 200, endpoint=False)
-        algebra_ok = bool(np.all(rho * grid ** 2 + grid ** 2 < rho * grid / 5))
-        at_b = rho * b ** 2 + b ** 2 < rho * b / 5
+        threshold = rho / (5 * (1 + rho))
+        nesting = bool(rho / 10 <= threshold)
         report.update({
-            "nesting_holds_below_rho_over_10": algebra_ok,
-            "nesting_at_b": bool(at_b),
+            "nesting_threshold": threshold,
+            "nesting_margin_at_b": threshold - b,
+            "nesting_holds_below_rho_over_10": nesting,
+            "nesting_at_b": bool(b < threshold),
             "strict_regime": bool(b < rho / 10),
-            "pass_nesting": algebra_ok,
-            "pass": bool(report["pass_core"] and algebra_ok),
+            "pass_nesting": nesting,
+            "pass": report["pass_core"] and nesting,
         })
     else:
         report["pass"] = report["pass_core"]
@@ -265,14 +266,6 @@ def _axes(frame):
     """Rows: a circle's two axes and the normal of its plane, in R^3."""
     _, a1, a2, _ = frame
     return np.stack([a1, a2, np.cross(a1, a2)])
-
-
-def _circle(frame, nodes):
-    """`nodes` equally spaced points of a circle and its velocity there."""
-    c, a1, a2, r = frame
-    t = np.linspace(0, 2 * np.pi, nodes, endpoint=False)
-    cos, sin = np.cos(t)[:, None], np.sin(t)[:, None]
-    return c + r * (cos * a1 + sin * a2), r * (cos * a2 - sin * a1)
 
 
 def disk_crossings(frame, q):
@@ -310,7 +303,7 @@ def field_integral(frame_i, frame_j, nodes):
     integrand is smooth and periodic, and the rule at `nodes` points
     converges geometrically while circle j stays away from circle i.
     """
-    p, dp = _circle(frame_j, nodes)
+    p, dp = circle_points(frame_j, nodes)
     axes = _axes(frame_i)
     x, y, h = ((p - frame_i[0]) @ axes.T).T
     dx, dy, dh = (dp @ axes.T).T
@@ -334,7 +327,7 @@ def circle_linking(frame_i, frame_j, nodes, tol):
     integrals differ by more than tol / 2, or when the field integral
     differs from lk by more than tol.
     """
-    q, _ = _circle(frame_j, nodes)
+    q, _ = circle_points(frame_j, nodes)
     lk, margin = disk_crossings(frame_i, q)
     chord_error = frame_j[3] * (1 - math.cos(math.pi / nodes))
     if not margin > chord_error:
@@ -375,7 +368,8 @@ def verify_linking(params, nodes=10_000, tol=1e-3, pairs=None):
                 f"pair ({i}, {j}) needs two distinct indices in 1..{m}")
 
     def frame(j):
-        c, a1, a2, r = sigma_frame(j, m, b)
+        c, a1, a2, r = circle_frame(tau_similarity(j, m, b),
+                                    pattern_of_child(j), b)
         off = max(abs(c[1]), abs(a1[1]), abs(a2[1]))
         if off > 1e-12:
             raise IntegralNotConverged(

@@ -345,15 +345,24 @@ class Molecule:
         if len(self.indices) != len(self.atoms):
             raise BadAttachment(
                 f"{len(self.indices)} indices for {len(self.atoms)} atoms")
+        if not all(isinstance(i, int) for i in self.indices):
+            raise BadAttachment(f"indices {self.indices} are not all integers")
         if any(len(b.corner) != self.n for atom in self.atoms
                for b in atom.blocks):
             raise BadAttachment(f"a block corner has not {self.n} coordinates")
         if self.leading is not None:
-            (a, b), (axis, side) = self.leading
-            if not (0 <= a < len(self.atoms) and 0 <= b < len(self.atoms[a].blocks)
+            bad = BadAttachment(
+                f"designated leading {self.leading} is not a block face")
+            try:
+                (a, b), (axis, side) = self.leading
+            except (TypeError, ValueError):
+                raise bad from None
+            if not (all(isinstance(v, int) for v in (a, b, axis, side))
+                    and 0 <= a < len(self.atoms)
+                    and 0 <= b < len(self.atoms[a].blocks)
                     and 0 <= axis < self.n and side in (0, 1)):
-                raise BadAttachment(
-                    f"designated leading {self.leading} is not a block face")
+                raise bad
+            self.leading = ((a, b), (axis, side))
         keys = self.all_block_keys()
         self.contacts = _contacts({k: self.block(k) for k in keys})
         for a, atom in enumerate(self.atoms):
@@ -558,13 +567,10 @@ def molecule_to_json(M):
 
 
 def molecule_from_json(data):
-    leading = None
-    if data.get("leading"):
-        leading = (tuple(data["leading"][0]), tuple(data["leading"][1]))
     return build_molecule(
         data["n"],
         [[(tuple(c), s) for c, s in atom] for atom in data["atoms"]],
-        data["indices"], leading)
+        data["indices"], data.get("leading") or None)
 
 
 def build_molecule(n, atom_blocks, indices, leading=None):

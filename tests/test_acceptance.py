@@ -181,14 +181,15 @@ def necklace_disjointness():
 
 
 def test_criterion_09_necklace_disjointness(necklace_disjointness):
-    params, rep, elapsed = necklace_disjointness
-    c_emp = rep["min_distance_over_b2"]
+    _, rep, elapsed = necklace_disjointness
+    lower = min(rep["c0_lower"], rep["c1_lower"])
     ok = (rep["pass"]
-          and c_emp > 2 * rep["rho"]
+          and lower > 2 * rep["rho"]
           and rep["equivariance_error"] < 1e-9
-          and rep["min_distance"] >= c_emp * params.b ** 2 * (1 - 1e-3))
+          and 0 <= rep["gap"] <= nk.verify.GAP)
     report(9, ok, elapsed,
-           f"min dist = {c_emp:.4f} b^2 > 2 rho = {2*rep['rho']:.4f}; "
+           f"min dist >= {lower:.4f} b^2 > 2 rho = {2*rep['rho']:.4f}; "
+           f"gap {rep['gap']:.1e}; "
            f"equivariance {rep['equivariance_error']:.1e}")
 
 

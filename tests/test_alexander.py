@@ -18,8 +18,8 @@ from cubalex import refinement as rf
 from cubalex import shelling as sh
 from cubalex.complex_core import SIMPLEX, SIMPLICIAL, build_complex
 from cubalex.errors import (
-    BadCenterLabel, HasBoundary, LabelClash, NonSimplicialStar, NotACell,
-    NotSimplePair, OddCycle,
+    BadCenterLabel, BoundaryViolation, HasBoundary, LabelClash,
+    NonSimplicialStar, NotACell, NotSimplePair, OddCycle, UnmatchedSimplex,
 )
 
 from gen import (
@@ -247,6 +247,16 @@ def test_collapse_rejects_duplicate_cells_in_star():
         al.collapse_at(lab, 0)
 
 
+def test_collapse_rejects_boundary_outside_reduced_star():
+    # a corner of the triangulated unit square: its star meets the square's
+    # boundary in edges that end at label-1 vertices
+    T = cc.canonical_triangulation(fa.unit_cube(2))
+    lab = al.alexander_label(T)
+    corner = min(v for v, d in T.vertex_cube_dim.items() if d == 0)
+    with pytest.raises(BoundaryViolation):
+        al.collapse_at(lab, corner, apex=1)
+
+
 def test_two_collapses_compose():
     dd = fa.doubled_complex(fa.unit_cube(2))
     lab = al.alexander_label(dd)
@@ -266,6 +276,11 @@ def test_ledger_serialization():
     led = al.ReductionLedger()
     led.add(al.LedgerStep(3, 4, 2, -2))
     assert led.to_json()[0]["covers"] == 2
+
+
+def test_ledger_rejects_odd_star():
+    with pytest.raises(UnmatchedSimplex):
+        al.ReductionLedger().add(al.LedgerStep(3, 5, 2, -2))
 
 
 # -- merge -----------------------------------------------------------------------------

@@ -119,6 +119,9 @@ def test_molecule_cli(tmp_path, capsys):
     {"leading": [[0, 5], [0, 0]]},               # no such block
     {"leading": [[0, 0], [2, 0]]},               # axis >= n
     {"leading": [[0, 0], [1, 2]]},               # side neither 0 nor 1
+    {"leading": [[0], [0, 0]]},                  # a block key of one index
+    {"leading": [0, 0]},                         # not two pairs
+    {"indices": ["1", 0]},                       # an index that is a string
     {"indices": [1]},                            # fewer indices than atoms
     {"indices": [1, 0, 0]},                      # more indices than atoms
     {"atoms": [[[[0, 0], 3]], [[[3, 0, 0], 1]]]},  # a corner in R^3
@@ -193,6 +196,14 @@ def test_necklace_export_csv(capsys, tmp_path):
                               "--children", "4", "--out", str(out)])
     assert code == 0 and data["records"] > 0
     assert out.read_text().startswith("word,index")
+
+
+def test_necklace_export_every_level(capsys, tmp_path):
+    out = tmp_path / "cores.csv"
+    code, _ = run(capsys, ["necklace", "export", "--b", "0.1", "--m", "450",
+                           "--k", "2", "--children", "4", "--out", str(out)])
+    words = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
+    assert code == 0 and len(words) == 4 + 16
 
 
 def test_necklace_export_obj(capsys, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cubalex import kernels
 from cubalex.errors import IntegralNotConverged
+from cubalex.necklace import geometry as ge
 from cubalex.necklace import verify as ve
 
 
@@ -55,8 +56,8 @@ def test_linked_circles():
 def test_gauss_sum_matches_polygon_oracle():
     # the closed-form field integral against the polygons' exact linking
     f1, f2, _ = circles()
-    lk_exact = polygon_linking_oracle(ve._circle(f1, 120)[0],
-                                      ve._circle(f2, 120)[0])
+    lk_exact = polygon_linking_oracle(ge.circle_points(f1, 120)[0],
+                                      ge.circle_points(f2, 120)[0])
     lk_field = ve.field_integral(f1, f2, 120)
     assert abs(lk_exact - round(lk_exact)) < 1e-9  # oracle is exact
     assert abs(lk_field - lk_exact) < 5e-3
@@ -158,7 +159,7 @@ def test_crossings_match_polygon_oracle(pair, n1, n2):
     # the polygon inscribed in circle 1 links polygon 2 as circle 1 does
     # once polygon 2 stays farther from circle 1 than the polygon's chords
     f1, f2 = pair
-    poly2 = ve._circle(f2, n2)[0]
+    poly2 = ge.circle_points(f2, n2)[0]
     lk, margin = ve.disk_crossings(f1, poly2)
     # the margin bounds the distance from every point of polygon 2 to circle 1
     s = np.linspace(0, 1, 33)[:, None, None]
@@ -168,6 +169,6 @@ def test_crossings_match_polygon_oracle(pair, n1, n2):
     n = np.cross(a1, a2)
     assert margin <= np.hypot(v @ n, np.hypot(v @ a1, v @ a2) - r).min() + 1e-12
     assume(margin > r * (1 - math.cos(math.pi / n1)))
-    oracle = polygon_linking_oracle(ve._circle(f1, n1)[0], poly2)
+    oracle = polygon_linking_oracle(ge.circle_points(f1, n1)[0], poly2)
     assert abs(oracle - round(oracle)) < 1e-6
     assert lk == round(oracle)

@@ -50,6 +50,11 @@ def test_isometries_orientation_preserving():
         assert abs(S.det() - 1.0) < 1e-12
 
 
+def test_non_orthogonal_matrix_rejected():
+    with pytest.raises(ParamsInvalid):
+        tr.Similarity4(np.diag([1.0, 1.0, 1.0, 1.1]), np.zeros(4))
+
+
 def test_composition_scale_and_inverse():
     S = tr.PHI.compose(tr.scaling(0.25)).compose(tr.rotation(2, 10))
     assert abs(S.scale - 0.25) < 1e-15
@@ -100,25 +105,32 @@ def test_closed_form_thousand_points_two_stage():
                 du = two_pi / g
                 us = np.linspace(u0 - du, u0 + du, 48)
                 vs = np.linspace(v0 - du, v0 + du, 48)
-                fine = ge.model_core_points(pat, b, us, vs)
+                U, V = np.meshgrid(us, vs, indexing="ij")
+                fine = ge.model_core_point(pat, b, U.ravel(), V.ravel())
                 est[lo + t] = np.sqrt(
                     ((chunk[t] - fine) ** 2).sum(-1).min())
         assert np.abs(cf - est).max() < 1e-4
 
 
+def marked_circle(j, p, tilde=False):
+    """The marked circle sigma_j (or its tilde twin) of a level-1 tube."""
+    S = ge.tau_similarity(j, p.m, p.b, tilde)
+    return ge.circle_frame(S, ge.pattern_of_child(j), p.b)
+
+
 def test_sigma_circles_in_the_flat():
     p = small_params()
     for j in (1, 2, 3):
-        s = ge.sigma_polyline(j, p.m, p.b, 64)
+        s = ge.circle_points(marked_circle(j, p), 64)[0]
         assert np.abs(s[:, 1]).max() < 1e-15
-        st = ge.sigma_tilde_polyline(j, p.m, p.b, 64)
+        st = ge.circle_points(marked_circle(j, p, tilde=True), 64)[0]
         assert np.abs(st[:, 1]).max() < 1e-15
 
 
 def test_core_centers_on_longitude():
     p = small_params()
     for j in (1, 2, 5):
-        z = ge.core_center(j, p.m, p.b)
+        z = marked_circle(j, p)[0]
         assert abs(math.hypot(z[2], z[3]) - (1 - p.b)) < 1e-12
         assert abs(z[0]) < 1e-12 and abs(z[1]) < 1e-12
 
@@ -245,6 +257,25 @@ def test_containment_small():
     assert rho * b ** 2 + b ** 2 < rho * b / 5
 
 
+def test_containment_nesting_threshold():
+    p = small_params()
+    p.c0 = p.c1 = 0.45
+    rep = nk.verify_containment(p, n_phi=20, n_theta=40)
+    rho, threshold = p.rho, rep["nesting_threshold"]
+    assert threshold == pytest.approx(rho / (5 * (1 + rho)))
+    # rho b'^2 + b'^2 < rho b'/5 holds just below the threshold, not above
+    for scale, holds in ((1 - 1e-9, True), (1 + 1e-9, False)):
+        bp = threshold * scale
+        assert (rho * bp ** 2 + bp ** 2 < rho * bp / 5) == holds
+    # b = 0.1 lies far above the threshold, and the report says so
+    assert rep["nesting_margin_at_b"] == threshold - p.b < 0
+    assert not rep["nesting_at_b"] and rep["pass"]
+    # rho = 2 puts the strict regime b' < rho/10 past the threshold
+    p.c0 = p.c1 = 20
+    rep = nk.verify_containment(p, n_phi=20, n_theta=40)
+    assert rep["pass_core"] and not rep["pass_nesting"] and not rep["pass"]
+
+
 def test_containment_budget():
     p = small_params()
     with pytest.raises(nk.verify.SamplingBudgetExceeded):
@@ -350,6 +381,79 @@ def test_export_slice_two_curves_per_tube(tmp_path):
     words = {line.split(",")[0]
              for line in path.read_text().strip().splitlines()[1:]}
     assert len(words) == 2 * 4
+
+
+def read_curves(path):
+    curves = {}
+    for row in path.read_text().strip().splitlines()[1:]:
+        word, _, *x = row.split(",")
+        curves.setdefault(word, []).append([float(v) for v in x])
+    return {word: np.array(pts) for word, pts in curves.items()}
+
+
+def level1_oracle(j, p, what, nodes):
+    """Level-1 export curves by the formulas used before exports read each
+    tube's transform: the word's first index picks S_j = rho^j Phi lambda,
+    and the slice offsets the marked circle radially about its mean."""
+    S = tr.rotation(j, p.m).compose(tr.PHI).compose(tr.scaling(p.b))
+    if what == "tubes":
+        return {f"{j}": S(ge.sample_model_torus(ge.pattern_of_child(j), p.b,
+                                                16, 64))}
+    t = np.linspace(0, 2 * np.pi, nodes, endpoint=False)
+    zero, one = np.zeros_like(t), np.ones_like(t)
+    c, s = p.b * np.cos(t), p.b * np.sin(t)
+    model = (np.stack([zero, c, 1.0 + s, zero], axis=-1) if j % 2 == 0
+             else np.stack([c, s, one, zero], axis=-1))
+    pts = S(model)
+    if what == "cores":
+        return {f"{j}": pts}
+    d = pts - pts.mean(axis=0)
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    r = p.rho * p.b ** 2
+    return {f"{j}-1": pts + r * d, f"{j}--1": pts - r * d}
+
+
+@pytest.mark.parametrize("what", ["cores", "tubes", "slice"])
+def test_export_level1_matches_oracle(tmp_path, what):
+    p = small_params()
+    p.c0 = p.c1 = 0.45
+    system = nk.generate(p, 1, children_per_tube=6)
+    path = tmp_path / f"{what}.csv"
+    nk.export_geometry(system, str(path), what=what, nodes=40)
+    want = {}
+    for t in system.level(1):
+        want.update(level1_oracle(t.word[0], p, what, 40))
+    got = read_curves(path)
+    assert got.keys() == want.keys()
+    for word, pts in want.items():
+        assert np.abs(got[word] - pts).max() <= 1e-15
+
+
+def test_export_every_level(tmp_path):
+    # a level-2 marked circle lies on its core, which hugs the parent core
+    # within b^2 in the parent's model units
+    p = small_params()
+    system = nk.generate(p, 2, children_per_tube=3)
+    path = tmp_path / "cores.csv"
+    nk.export_geometry(system, str(path), what="cores", nodes=64)
+    curves = read_curves(path)
+    assert len(curves) == 3 + 9
+    tubes = {"-".join(map(str, t.word)): t for t in system.tubes}
+    for word, pts in curves.items():
+        child = tubes[word]
+        if child.level != 2:
+            continue
+        parent = tubes["-".join(map(str, child.word[:-1]))]
+        S = parent.transform
+        d = ge.dist_to_core(S.inverse()(pts), parent.pattern, p.b) * S.scale
+        assert d.max() <= p.b ** 2 * S.scale * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("kwargs", [{"what": "rings"}, {"fmt": "ply"}])
+def test_export_rejects_unknown_kind(tmp_path, kwargs):
+    system = nk.generate(small_params(), 1, children_per_tube=2)
+    with pytest.raises(ParamsInvalid):
+        nk.export_geometry(system, str(tmp_path / "x"), **kwargs)
 
 
 def test_export_empty_system(tmp_path):

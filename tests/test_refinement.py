@@ -16,7 +16,7 @@ from cubalex import factories as fa
 from cubalex import refinement as rf
 from cubalex.errors import (
     BadAttachment, CubeNotInMolecule, DuplicateMaxAtom, NoDisjointCollars,
-    NotATree, NotCubical,
+    NotATree, NotCubical, UnclassifiableFace,
 )
 
 from gen import random_disk_polyomino, random_molecule, random_molecule_spec
@@ -338,6 +338,14 @@ def test_place_ledger_covers_distinct_slots():
     rf.place_ledger_covers(led, scheme, "q0")
     slots = [p["slot"] for s in led.steps for p in s.placements]
     assert len(slots) == 5 and len(set(slots)) == 5
+
+
+def test_dent_block_off_the_host_boundary():
+    # the unit block at (3, 1) hangs off the leading block inside the host
+    M = rf.build_molecule(2, [[((0, 0), 3)], [((3, 1), 1)]], [1, 0],
+                          leading=((0, 0), (0, 0)))
+    with pytest.raises(UnclassifiableFace, match="0 faces"):
+        rf.Dent(rf.Block((0, 0), 9), M).validate()
 
 
 def test_dented_molecule_nesting():
