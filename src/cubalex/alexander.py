@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .complex_core import (
-    SIMPLEX, SIMPLICIAL, Cell, Complex, build_complex, canonical_triangulation,
+    SIMPLEX, SIMPLICIAL, Cell, Complex, canonical_triangulation,
 )
 from .errors import (
     BadCenterLabel,
@@ -25,7 +25,6 @@ from .errors import (
     LabelClash,
     NonSimplicialStar,
     NotACell,
-    NotSimplePair,
     OddCycle,
     UnmatchedSimplex,
 )
@@ -179,17 +178,6 @@ def degree(lab):
     return len(K.top_ids()) // 2
 
 
-def reduced_star(lab, v, apex=None):
-    """St(v) minus every simplex meeting an apex-labeled vertex."""
-    K = lab.complex
-    apex = lab.apex_default() if apex is None else apex
-    if lab.label(v) == apex:
-        raise BadCenterLabel(f"vertex {v} carries the apex label {apex}")
-    ids = [i for i in K.star_cell_ids(v)
-           if all(lab.label(w) != apex for w in K.cell(i).verts)]
-    return K.subcomplex(ids)
-
-
 def _check_star_simplicial(K, star_ids):
     cells = [K.cell(i) for i in star_ids]
     for c in cells:  # a star holds every copy of a cell it holds
@@ -233,42 +221,6 @@ def simple_pairs(lab, v, apex=None):
         if i < j:
             pairs.append((i, j))
     return pairs
-
-
-@dataclass
-class Leaf:
-    """Two n-simplices sharing n common (n-1)-simplices, kept abstract."""
-
-    center: tuple
-    midrib_face: tuple     # the shared apex-avoiding (n-1)-simplex
-    rim: tuple             # midrib vertices other than the node
-    pair: tuple            # ids of the two paired simplices in the star
-
-
-@dataclass
-class CloverComplex:
-    node: int
-    leaves: list
-    midrib: Complex        # isomorphic to the reduced star
-
-    def leaf_count(self):
-        return len(self.leaves)
-
-
-def clover_of(lab, v, apex=None):
-    """Clover corresponding to the reduced star of v: one leaf per simple pair."""
-    K = lab.complex
-    pairs = simple_pairs(lab, v, apex)
-    apex = lab.apex_default() if apex is None else apex
-    leaves = []
-    for k, (i, j) in enumerate(pairs):
-        verts = K.cell(i).verts
-        apex_v = next(w for w in verts if lab.label(w) == apex)
-        face = tuple(w for w in verts if w != apex_v)
-        leaves.append(Leaf(center=("leaf", k), midrib_face=face,
-                           rim=tuple(w for w in face if w != v), pair=(i, j)))
-    return CloverComplex(node=v, leaves=leaves,
-                         midrib=reduced_star(lab, v, apex))
 
 
 def collapse_at(lab, v, apex=None):
@@ -333,104 +285,6 @@ def collapse_at(lab, v, apex=None):
     step = LedgerStep(vertex=v, star_top_count=len(star_tops),
                       covers=m, degree_delta=-m)
     return Q, new_lab, step
-
-
-# -- Alexander star pairs ---------------------------------------------------------
-
-
-def _is_star_at(K, v):
-    return all(v in K.cell(i).verts for i in K.top_ids())
-
-
-def star_center(K):
-    """The unique interior vertex of an Alexander star."""
-    interior = set(K.vertices) - K.boundary_vertex_ids()
-    centers = [v for v in interior if _is_star_at(K, v)]
-    return centers[0] if len(centers) == 1 else None
-
-
-def union_complexes(K1, K2):
-    """Union of two complexes sharing vertex ids on their intersection."""
-    verts = dict(K1.vertices)
-    for v, c in K2.vertices.items():
-        verts.setdefault(v, c)
-    n = max(K1.dimension, K2.dimension)
-    cells = {}
-    tops = []
-    for K in (K1, K2):
-        for c in K.cells():
-            if c.dim == n:
-                tops.append((c.dim, c.verts, c.kind))
-            else:
-                cells[(c.dim, c.verts)] = (c.dim, c.verts, c.kind)
-    # shared top cells (on the common boundary) must not be doubled
-    seen = set()
-    uniq_tops = []
-    shared = {(c.dim, c.verts) for c in K1.cells(n)} & \
-             {(c.dim, c.verts) for c in K2.cells(n)}
-    for t in tops:
-        key = (t[0], t[1])
-        if key in shared and key in seen:
-            continue
-        seen.add(key)
-        uniq_tops.append(t)
-    return build_complex(n, SIMPLICIAL, verts, uniq_tops + list(cells.values()))
-
-
-def merge_star_pair(K1, K2):
-    """Merge a simple Alexander star pair into a single star.
-
-    Returns (merged complex, m) with
-    m = (#(K1 u K2)^(n) - #K^(n))/2 = #(K1 n K2)^(n-1).
-    The degenerate case of a single shared (n-1)-simplex is accepted.
-    """
-    n = K1.dimension
-    if K2.dimension != n:
-        raise NotSimplePair("dimension mismatch")
-    c1, c2 = star_center(K1), star_center(K2)
-    if c1 is None or c2 is None:
-        raise NotSimplePair("inputs are not Alexander stars")
-
-    shared_tops = [c.verts for c in K1.cells(n - 1)
-                   if K2.has_cell(n - 1, c.verts)]
-    if not shared_tops:
-        raise NotSimplePair("stars do not share an (n-1)-complex")
-    intersection_verts = sorted({v for vs in shared_tops for v in vs})
-
-    # the merge vertex: the interior vertex of the shared (n-1)-cell; in the
-    # degenerate single-simplex case the first star's center is reused
-    if len(shared_tops) > 1:
-        centers = [v for v in intersection_verts
-                   if sum(v in vs for vs in shared_tops) == len(shared_tops)]
-        if len(centers) != 1:
-            raise NotSimplePair("intersection is not the star of one vertex")
-        center = centers[0]
-        dropped = (c1, c2)
-    else:
-        center = c1
-        dropped = (c2,)
-
-    U = union_complexes(K1, K2)
-    boundary = U.boundary_facet_ids()
-    tops = [(n, tuple(sorted(set(U.cell(i).verts) | {center})), SIMPLEX)
-            for i in boundary]
-    verts = {v: U.vertices[v] for v in U.vertices if v not in dropped}
-    if center in U.boundary_vertex_ids() or center in dropped:
-        raise NotSimplePair("merge center lies on the pair boundary")
-    merged = build_complex(n, SIMPLICIAL, verts, tops)
-
-    m = (U.n_cells(n) - merged.n_cells(n)) // 2
-    m_check = len(shared_tops)
-    if m != m_check:
-        raise NotSimplePair(
-            f"cover count mismatch: {m} by count difference, "
-            f"{m_check} shared (n-1)-simplices")
-    # boundary restriction must be preserved
-    merged_bd = {merged.cell(i).verts for i in merged.boundary_facet_ids()}
-    union_bd = {U.cell(i).verts for i in boundary}
-    if merged_bd != union_bd:
-        raise NotSimplePair("merge does not preserve the boundary complex")
-    return merged, m
 
 
 # -- cubical reduction driver ------------------------------------------------------

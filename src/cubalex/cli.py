@@ -192,6 +192,12 @@ def cmd_weave_rank(args):
     return _emit(report, args.out)
 
 
+def _calibrated(params, seed):
+    """A disjointness report, and the params carrying its c0 and c1."""
+    rep = nk.verify_disjointness(params, seed=seed)
+    return rep, dataclasses.replace(params, c0=rep["c0"], c1=rep["c1"])
+
+
 def cmd_necklace(args):
     try:
         params = nk.NecklaceParams(b=args.b, m=args.m)
@@ -201,8 +207,7 @@ def cmd_necklace(args):
     checks = []
     extra = {}
     if args.action == "verify-disjoint":
-        rep = nk.verify_disjointness(params, seed=args.seed)
-        params = dataclasses.replace(params, c0=rep["c0"], c1=rep["c1"])
+        rep, params = _calibrated(params, args.seed)
         lower = min(rep["c0_lower"], rep["c1_lower"])
         checks = [
             {"name": "min_core_distance_over_b2_lower", "value": lower,
@@ -212,6 +217,7 @@ def cmd_necklace(args):
         ]
         extra = rep
     elif args.action == "verify-contain":
+        _, params = _calibrated(params, args.seed)
         rep = nk.verify_containment(params)
         checks = [{"name": "max_core_distance", "value": rep["max_core_distance"],
                    "threshold": rep["bound_b2"], "pass": rep["pass"]}]

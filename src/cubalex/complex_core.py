@@ -260,14 +260,6 @@ class Complex:
                        vertex_cube_dim={v: d for v, d in self.vertex_cube_dim.items()
                                         if v in verts})
 
-    def star(self, v):
-        return self.subcomplex(self.star_cell_ids(v))
-
-    def link(self, v):
-        ids = [i for i in self.star_cell_ids(v)
-               if v not in self._cells[i].verts]
-        return self.subcomplex(ids)
-
     # -- validation --------------------------------------------------------------
 
     def _validate(self):
@@ -357,9 +349,6 @@ class Complex:
         if alexander is not None:
             data["alexander"] = alexander
         return data
-
-    def dumps(self, **kw):
-        return json.dumps(self.to_json(**kw), indent=1)
 
     def relabel_invariant_hash(self):
         """sha256 of the quotient of the coarsest equitable partition of the
@@ -543,24 +532,6 @@ def canonical_triangulation(K):
     return Complex(n, SIMPLICIAL, vcoords,
                    [Cell(len(t) - 1, t, SIMPLEX) for t in simplices],
                    vertex_cube_dim=vdim, triangulation_source=source)
-
-
-def triangulation_restriction(T, K, sub_top_ids):
-    """Restriction of a canonical triangulation T of K to a cubical subcomplex.
-
-    `sub_top_ids` are top-cube ids of K; returns the subcomplex of T whose
-    simplices have all source cubes among the subcomplex's cells.
-    """
-    keep_vertex_sets = set()
-    sub = K.subcomplex(sub_top_ids)
-    for c in sub.cells():
-        keep_vertex_sets.add((c.dim, c.verts))
-    ids = []
-    for i in T.top_ids():
-        srcs = [T.triangulation_source[v] for v in T.cell(i).verts]
-        if all(s in keep_vertex_sets for s in srcs):
-            ids.append(i)
-    return T.subcomplex(ids)
 
 
 # -- isomorphism ---------------------------------------------------------------------

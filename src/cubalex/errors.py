@@ -65,17 +65,9 @@ class BoundaryViolation(CubalexError):
     pass
 
 
-class NotSimplePair(CubalexError):
-    pass
-
-
 # -- shelling ----------------------------------------------------------------
 
 class NotAPermutation(CubalexError):
-    pass
-
-
-class AllOppositePairsPresent(CubalexError):
     pass
 
 
@@ -97,10 +89,6 @@ class CubeNotInMolecule(CubalexError):
     pass
 
 
-class UnclassifiableFace(CubalexError):
-    pass
-
-
 class NoDisjointCollars(CubalexError):
     pass
 
@@ -112,10 +100,6 @@ class InconsistentFaces(CubalexError):
 
 
 class ColorComponentWithoutRoot(CubalexError):
-    pass
-
-
-class NotSurjective(CubalexError):
     pass
 
 

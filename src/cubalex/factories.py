@@ -41,13 +41,6 @@ def unit_cube(n):
     return box_complex(n, corners=((0,) * n,))
 
 
-def cube_boundary_complex(n):
-    """The (n-1)-complex of all 2n facets of the unit n-cube."""
-    K = unit_cube(n)
-    top = K.top_ids()[0]
-    return K.subcomplex(K.facet_ids(top))
-
-
 def domino():
     return grid_complex([(0, 0), (1, 0)])
 

@@ -47,10 +47,6 @@ class Similarity4:
     def orthogonality_error(self):
         return float(np.abs(self.A @ self.A.T - np.eye(4)).max())
 
-    def det(self):
-        return float(np.linalg.det(self.A))
-
-
 E3 = np.array([0.0, 0.0, 1.0, 0.0])
 
 A_PHI = np.array([

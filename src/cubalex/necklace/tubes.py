@@ -71,11 +71,6 @@ class NecklaceParams:
                 "jacobian_exponent": self.jacobian_exponent()}
 
 
-def tiny_params():
-    """Visualization-only profile; violates the child-count window, flagged."""
-    return NecklaceParams(b=0.2, m=12, enforce_window=False)
-
-
 @dataclass
 class Tube:
     word: tuple

@@ -1,4 +1,4 @@
-"""1/3-refinements, cores and buffers, molecules, dents, separating complexes.
+"""1/3-refinements, molecules, and separating complexes.
 
 Molecules live on the integer lattice: an atom with refinement index rho is a
 tree of blocks of side 3^rho, and the molecule's unit cells are the fully
@@ -9,11 +9,9 @@ convention that the identity map scales distances by 3^k.
 
 from __future__ import annotations
 
-import graphlib
-import heapq
 import itertools
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,7 +23,6 @@ from .errors import (
     NoDisjointCollars,
     NotATree,
     NotCubical,
-    UnclassifiableFace,
 )
 
 
@@ -98,84 +95,6 @@ def refine(K, k=1):
     return RefinedComplex(K, R, k, prov)
 
 
-def skeleton_metric(K, u, v, j=0):
-    """Geodesic distance between two vertices along the Ref_j 1-skeleton.
-
-    Edge lengths are Euclidean in the refined coordinates, rescaled by
-    3^-j so values stay comparable with the base complex.  The skeleton
-    geodesic upper-bounds the length metric of the space and converges
-    (from above, within a 3^-j * diameter discretization term) to the
-    taxicab relaxation of it; on axis-aligned complexes the two differ by
-    at most a factor sqrt(n).  Vertices the skeleton does not join are at
-    distance inf.
-    """
-    from .errors import UnknownVertex
-
-    R = refine(K, j).complex if j else K
-    scale = 3 ** j
-
-    def locate(w):
-        target = tuple(x * scale for x in K.vertices[w])
-        for cand, pos in R.vertices.items():
-            if pos == target:
-                return cand
-        raise UnknownVertex(str(w))
-
-    nbrs = {}
-    for i in R.cell_ids(1):
-        a, b = R.cell(i).verts
-        w = math.dist(R.vertices[a], R.vertices[b])
-        nbrs.setdefault(a, []).append((b, w))
-        nbrs.setdefault(b, []).append((a, w))
-    src, dst = locate(u), locate(v)
-    dist, heap = {src: 0.0}, [(0.0, src)]
-    while heap:  # Dijkstra
-        d, a = heapq.heappop(heap)
-        if a == dst:
-            return d / scale
-        if d > dist[a]:
-            continue
-        for b, w in nbrs.get(a, ()):
-            if d + w < dist.get(b, math.inf):
-                dist[b] = d + w
-                heapq.heappush(heap, (d + w, b))
-    return math.inf
-
-
-def core(K):
-    """Minimal subcomplex of the n-cubes not meeting the boundary."""
-    bverts = K.boundary_vertex_ids()
-    ids = [i for i in K.top_ids()
-           if not (set(K.cell(i).verts) & bverts)]
-    return K.subcomplex(ids) if ids else None
-
-
-def buffer(K):
-    """Minimal subcomplex of the n-cubes meeting the boundary."""
-    bverts = K.boundary_vertex_ids()
-    ids = [i for i in K.top_ids()
-           if set(K.cell(i).verts) & bverts]
-    return K.subcomplex(ids) if ids else None
-
-
-def center_cube(box):
-    """Center cube c(Q) of a box, in once-refined (x3) coordinates."""
-    corner, side = box
-    return tuple(3 * c + side for c in corner), side
-
-
-def rim_cubes(box):
-    """The 3^n - 1 subcubes around the center, in x3 coordinates."""
-    corner, side = box
-    n = len(corner)
-    out = []
-    for offset in itertools.product(range(3), repeat=n):
-        if all(o == 1 for o in offset):
-            continue
-        out.append((tuple(3 * corner[a] + offset[a] * side for a in range(n)), side))
-    return out
-
-
 # -- boxes and molecules -------------------------------------------------------------
 
 
@@ -198,11 +117,6 @@ class Block:
 
     def faces(self):
         return [self.face(a, s) for a in range(self.n) for s in (0, 1)]
-
-    def contains_box(self, other):
-        return all(self.corner[a] <= other.corner[a] and
-                   other.corner[a] + other.side <= self.corner[a] + self.side
-                   for a in range(self.n))
 
 
 @dataclass(frozen=True)
@@ -244,11 +158,6 @@ def blocks_contact(b1, b2):
 
 def boxes_interior_disjoint(b1, b2):
     return any(hi <= lo for lo, hi in _overlap(b1, b2))
-
-
-def boxes_touch(b1, b2):
-    """Closed boxes intersect (possibly only in a face, edge, or corner)."""
-    return all(lo <= hi for lo, hi in _overlap(b1, b2))
 
 
 def _contacts(blocks):
@@ -660,335 +569,6 @@ def expansion_identity_sides(M, key):
     return lhs, rhs
 
 
-def beta_ratio(M, key):
-    """#(M|_{|tau(Q)| cap boundary})^(n-1) / #(M|_{q+_Q})^(n-1)."""
-    keys = M.tail(key)
-    num = M.boundary_area(keys)
-    den = M.leading_face[key].area()
-    return Fraction(num, den)
-
-
-def shift_indices(M, j):
-    """The same molecule shape with every refinement index raised by j."""
-    f = 3 ** j
-    atom_blocks = [[(tuple(c * f for c in b.corner), b.side * f)
-                    for b in atom.blocks] for atom in M.atoms]
-    return build_molecule(M.n, atom_blocks, [r + j for r in M.indices],
-                          M.leading)
-
-
-# -- dents ---------------------------------------------------------------------------
-
-
-@dataclass
-class Dent:
-    """A properly embedded molecule in a host block."""
-
-    host: Block
-    molecule: Molecule
-
-    def validate(self):
-        M = self.molecule
-        if not all(self.host.contains_box(M.block(k)) for k in M.blocks):
-            raise BadAttachment("dent leaves its host cube")
-        host_faces = {(f.axis, f.coord) for f in self.host.faces()}
-        lead_key, (axis, side) = M.leading
-        qplus = M.leading_face[lead_key]
-        if (qplus.axis, qplus.coord) not in host_faces:
-            raise BadAttachment("leading face of the dent is not on the host boundary")
-        for k in M.blocks:
-            b = M.block(k)
-            if b.side >= self.host.side:
-                raise BadAttachment("dent blocks as large as the host")
-            if any((b.corner[a] - self.host.corner[a]) % b.side
-                   for a in range(M.n)):
-                raise BadAttachment("dent not in an iterated refinement of the host")
-            on_boundary = [f for f in b.faces()
-                           if (f.axis, f.coord) in host_faces]
-            allowed = (1, 2) if k == lead_key else (1,)
-            if len(on_boundary) not in allowed:
-                raise UnclassifiableFace(
-                    f"dent block {k} has {len(on_boundary)} faces on the host "
-                    f"boundary, wanted {allowed}")
-        return self
-
-    def base_roof_wall(self):
-        """Classify every boundary (n-1)-face of the dent.
-
-        Returns {"base": [...], "roof": [...], "wall": [...], "leading": Face}
-        with faces as (block key, Face) pairs.
-        """
-        M = self.molecule
-        host_faces = {(f.axis, f.coord) for f in self.host.faces()}
-        lead_key, _ = M.leading
-        qplus = M.leading_face[lead_key]
-        base, roof, wall = [], [], []
-        for k in M.blocks:
-            b = M.block(k)
-            covered = Counter()  # face (axis, coord) -> area other blocks touch
-            for _, axis, coord, _, lengths in M.contacts[k]:
-                covered[axis, coord] += math.prod(lengths)
-            base_f = None
-            for f in b.faces():
-                fk = (f.axis, f.coord)
-                if fk in host_faces:
-                    if f == qplus:
-                        continue  # the leading face
-                    base.append((k, f))
-                    base_f = f
-            if base_f is not None:
-                opp = next(f for f in b.faces()
-                           if f.axis == base_f.axis and f.coord != base_f.coord)
-                if (opp.axis, opp.coord) in covered:
-                    raise UnclassifiableFace(
-                        f"roof of dent block {k} is covered by another block")
-                roof.append((k, opp))
-            elif k != lead_key:
-                raise UnclassifiableFace(f"dent block {k} has no base face")
-            for f in b.faces():
-                fk = (f.axis, f.coord)
-                if fk in host_faces:
-                    continue
-                if base_f is not None and f.axis == base_f.axis:
-                    continue
-                free = f.area() - covered[fk]
-                if free == 0:
-                    continue  # interior contact with a neighboring dent block
-                # partially covered faces contribute their free area as wall
-                wall.append((k, f, free))
-        return {"base": base, "roof": roof, "wall": wall, "leading": qplus}
-
-    def flattening_correspondence(self):
-        """Bijection from Roof u Wall cells onto a partition of Base u q+.
-
-        Roofs map to their congruent bases; wall cells map to parallel bands
-        of the leading face.  The target pieces have disjoint interiors and
-        cover |Base| u q+ exactly, realizing the set-level flattening image.
-        """
-        cls = self.base_roof_wall()
-        pairs = []
-        base_by_block = {k: f for k, f in cls["base"]}
-        for k, f in cls["roof"]:
-            pairs.append((("roof", k, f), ("base", k, base_by_block[k])))
-        walls = cls["wall"]
-        q = cls["leading"]
-        m = len(walls)
-        for i, (k, f, free) in enumerate(sorted(walls)):
-            band = (q.axis, q.coord, q.rect, q.side,
-                    (Fraction(i, m), Fraction(i + 1, m)))
-            pairs.append((("wall", k, f, free), ("leading-band", band)))
-        return pairs
-
-
-@dataclass
-class DentedAtom:
-    """A hull atom with at most one dent per cube."""
-
-    hull: Atom
-    dents: dict  # block index in hull -> Dent
-
-    def validate(self):
-        self.hull.validate()
-        for b_idx, dent in self.dents.items():
-            if dent.host != self.hull.blocks[b_idx]:
-                raise BadAttachment("dent host is not the declared hull cube")
-            dent.validate()
-            M = dent.molecule
-            if any(boxes_touch(M.block(k), other) for k in M.blocks
-                   for i, other in enumerate(self.hull.blocks) if i != b_idx):
-                raise BadAttachment("dent meets another hull cube")
-        return self
-
-
-def classify_dent_faces(dented_atom):
-    """Base/Roof/Wall/leading classification for every dent of a dented atom.
-
-    Returns {hull block index: {"classes": ..., "correspondence": ...}} with
-    the flattening correspondence pairing Roof u Wall onto Base u q+.
-    """
-    dented_atom.validate()
-    out = {}
-    for b_idx, dent in dented_atom.dents.items():
-        out[b_idx] = {
-            "classes": dent.base_roof_wall(),
-            "correspondence": dent.flattening_correspondence(),
-        }
-    return out
-
-
-def place_ledger_covers(ledger, scheme, cube_key):
-    """Attach placement slots to every cover of a reduction ledger.
-
-    Covers land on distinct slots of the scheme's template for `cube_key`;
-    each ledger step gets its `placements` list filled in.
-    """
-    for step in ledger.steps:
-        slots = [scheme.occupy(cube_key) for _ in range(step.covers)]
-        step.placements = [{"cube": cube_key, "slot": s} for s in slots]
-    return ledger
-
-
-@dataclass
-class DentedMolecule:
-    """Dented atoms with a partial order; conditions checked at the box level.
-
-    A lower atom must sit inside one dent cavity of its successor, with at
-    most one lower atom per dent cube, and the unique maximal dented atom
-    must expose a full hull face on the outer boundary.
-    """
-
-    n: int
-    dented_atoms: list   # DentedAtom
-    order: list          # pairs (i, j) meaning atom i << atom j
-
-    def validate(self):
-        for d in self.dented_atoms:
-            d.validate()
-        ts = graphlib.TopologicalSorter()
-        for i, j in self.order:
-            ts.add(j, i)
-        try:
-            ts.prepare()
-        except graphlib.CycleError:
-            raise NotATree("dented molecule order has cycles") from None
-        lower = {i for i, _ in self.order}
-        nodes = dict.fromkeys([*itertools.chain.from_iterable(self.order),
-                               *range(len(self.dented_atoms))])
-        maxima = [i for i in nodes if i not in lower]
-        if len(maxima) != 1:
-            raise DuplicateMaxAtom(f"dented atoms {maxima} are all maximal")
-
-        # (1)+(2): each lower atom lies in exactly one dent cavity of its
-        # successor, and no dent cube hosts two lower atoms
-        used_dent_cubes = {}
-        for i, j in self.order:
-            lower = self.dented_atoms[i]
-            upper = self.dented_atoms[j]
-            homes = []
-            for b_idx, dent in upper.dents.items():
-                cavity = dent.molecule
-                if all(any(cavity.block(k).contains_box(hb)
-                           for k in cavity.blocks)
-                       for hb in lower.hull.blocks):
-                    homes.append(b_idx)
-            if len(homes) != 1:
-                raise BadAttachment(
-                    f"dented atom {i} fits {len(homes)} dent cavities of {j}")
-            key = (j, homes[0])
-            if key in used_dent_cubes:
-                raise BadAttachment(
-                    f"dent cube {key} hosts dented atoms "
-                    f"{used_dent_cubes[key]} and {i}")
-            used_dent_cubes[key] = i
-
-        # (3): the maximal atom's hull exposes a full face on the boundary,
-        # a face that no other hull block touches
-        top = maxima[0]
-        contacts = _contacts({(i, b): hb for i, d in enumerate(self.dented_atoms)
-                              for b, hb in enumerate(d.hull.blocks)})
-        exposed = any(
-            (f.axis, f.coord) not in {(c[1], c[2]) for c in contacts[(top, b)]}
-            for b, hb in enumerate(self.dented_atoms[top].hull.blocks)
-            for f in hb.faces())
-        if not exposed:
-            raise BadAttachment("maximal dented atom has no boundary face")
-        return self
-
-
-# -- simple-cover placement -------------------------------------------------------------
-
-
-@dataclass
-class PlacementScheme:
-    """Template of mu ball slots per (n-1)-cube for properly located covers."""
-
-    n: int
-    ell: int
-    mu: int = None
-    occupied: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        base = self.n * 3 ** (self.n - 1) * self.ell
-        if self.mu is None:
-            self.mu = 10 * base
-        if self.mu % base:
-            raise BadAttachment(
-                f"mu = {self.mu} is not a multiple of n 3^(n-1) ell = {base}")
-        self.c0 = self.mu ** (-1.0 / (self.n - 1)) / 10.0
-        d = self.n - 1
-        g = math.ceil(self.mu ** (1.0 / d))
-        pts = []
-        for idx in itertools.product(range(g), repeat=d):
-            if len(pts) == self.mu:
-                break
-            pts.append(tuple(0.1 + 0.8 * i / max(g - 1, 1) for i in idx))
-        self.slots = pts
-        spacing = 0.8 / max(g - 1, 1)
-        if spacing <= self.c0:
-            raise BadAttachment("slot spacing below c0")
-
-    def occupy(self, cube_key):
-        used = {s for (c, s) in self.occupied if c == cube_key}
-        for s in range(self.mu):
-            if s not in used:
-                self.occupied[(cube_key, s)] = True
-                return s
-        raise BadAttachment(f"no free slot in cube {cube_key}")
-
-
-def simulate_placement_game(n, rho, mu=None, covers_per_strip=None):
-    """Token game for the two rearrangement moves of the one-cube extension.
-
-    The base is the fixed (n-1)-dimensional 3^rho grid; each step every token
-    moves one buffer ring inward and the outermost ring absorbs the influx of
-    freshly created covers from the side band.  Returns a report with the
-    maximum per-cube occupancy; the scheme works iff it never exceeds mu.
-    """
-    d = n - 1
-    L = 3 ** rho
-    scheme = PlacementScheme(n, 1, mu)
-    mu = scheme.mu
-    if covers_per_strip is None:
-        covers_per_strip = 2 * (n - 1)
-    occ = {}
-
-    def ring(cell):
-        return min(min(c, L - 1 - c) for c in cell)
-
-    max_occ = 0
-    overflow = False
-    steps = 3 ** (rho - 1)
-    for step in range(steps):
-        # first rearrangement: every occupied cube sends its tokens inward
-        new_occ = {}
-        for cell, count in occ.items():
-            r = ring(cell)
-            targets = []
-            for a in range(d):
-                for dv in (-1, 1):
-                    t = list(cell)
-                    t[a] += dv
-                    t = tuple(t)
-                    if all(0 <= x < L for x in t) and ring(t) == r + 1:
-                        targets.append(t)
-            if not targets:
-                targets = [cell]  # center reached; stay
-            t = min(targets, key=lambda x: new_occ.get(x, 0))
-            new_occ[t] = new_occ.get(t, 0) + count
-        occ = new_occ
-        # second rearrangement: side-band influx into the outermost ring
-        for cell in itertools.product(range(L), repeat=d):
-            if ring(cell) == 0:
-                occ[cell] = occ.get(cell, 0) + covers_per_strip
-        m = max(occ.values(), default=0)
-        max_occ = max(max_occ, m)
-        if m > mu:
-            overflow = True
-    return {"n": n, "rho": rho, "mu": mu, "covers_per_strip": covers_per_strip,
-            "max_occupancy": max_occ, "overflow": overflow,
-            "steps": steps}
-
-
 # -- separating complexes ------------------------------------------------------------------
 
 
@@ -1095,64 +675,3 @@ def find_separating_complex(K, collars=None):
 
     neighborhood = sorted({j for f in z_facets for j in K.coface_ids(f)})
     return SeparatingComplex(K, z_facets, pieces, neighborhood)
-
-
-# -- simplex-to-cubes subdivision --------------------------------------------------------------
-
-
-def simplex_to_cubes(n):
-    """Cubical complex on the barycentric subdivision of the n-simplex.
-
-    One combinatorial n-cube per vertex star; the cube at vertex i has the
-    barycenters b_S with i in S as its corners.  Coordinates are the exact
-    barycenters (vertex j = e_j, vertex 0 = origin).
-    """
-    if n < 1:
-        raise NotCubical("n >= 1 required")
-    labels = list(range(n + 1))
-    subsets = []
-    for r in range(1, n + 2):
-        subsets.extend(itertools.combinations(labels, r))
-    vid = {s: i for i, s in enumerate(subsets)}
-
-    def barycenter(s):
-        pts = []
-        for j in s:
-            pts.append(tuple(0.0 for _ in range(n)) if j == 0
-                       else tuple(1.0 if a == j - 1 else 0.0 for a in range(n)))
-        return tuple(sum(p[a] for p in pts) / len(s) for a in range(n))
-
-    verts = {vid[s]: barycenter(s) for s in subsets}
-    cubes = []
-    for i in labels:
-        others = [j for j in labels if j != i]
-        order = []
-        for t in range(2 ** n):
-            s = tuple(sorted([i] + [others[a] for a in range(n) if (t >> a) & 1]))
-            order.append(vid[s])
-        cubes.append((n, order, CUBE))
-    K = build_complex(n, CUBICAL, verts, cubes)
-    K.vertex_cube_dim.update({vid[s]: len(s) - 1 for s in subsets})
-    return K
-
-
-def simplex_cover_counts(n):
-    """Per top cube, the barycentric n-simplices (chains) covering it."""
-    K = simplex_to_cubes(n)
-    # a chain S_0 c S_1 c ... c S_n with |S_k| = k+1 covers the cube of the
-    # singleton S_0; count chains per cube
-    labels = list(range(n + 1))
-    counts = {i: 0 for i in labels}
-
-    def chains(s):
-        if len(s) == n + 1:
-            return 1
-        total = 0
-        for j in labels:
-            if j not in s:
-                total += chains(tuple(sorted(s + (j,))))
-        return total
-
-    for i in labels:
-        counts[i] = chains((i,))
-    return counts

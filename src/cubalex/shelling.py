@@ -19,8 +19,7 @@ from .complex_core import (
     CUBICAL, SIMPLEX, SIMPLICIAL, assert_cell, build_complex,
     canonical_triangulation,
 )
-from .errors import (AllOppositePairsPresent, NotACell, NotAPermutation,
-                     NotCubical)
+from .errors import NotACell, NotAPermutation, NotCubical
 
 
 def _facet_complex_is_cell(K, q, facet_ids):
@@ -164,30 +163,6 @@ def _find_shelling_backtrack(K):
         if done:
             return done
     return None
-
-
-def boundary_face_shelling(P):
-    """Shelling of a subcomplex of a cube boundary that is an (n-1)-cell.
-
-    Starts at a face whose opposite face is absent, then completes through
-    adjacency, backtracking; every step passes the shelling step test, so
-    the first completion found is a shelling.
-    """
-    tops = sorted(P.top_ids())
-    # a face's opposite is the face of P it shares no vertex with
-    starters = [a for a in tops
-                if all(set(P.cell(a).verts) & set(P.cell(b).verts)
-                       for b in tops if b != a)]
-    if len(tops) > 1 and not starters:
-        raise AllOppositePairsPresent(
-            "every face has its opposite present; |P| is not a cell")
-    if len(tops) == 1:
-        return tops
-    for s in starters:
-        done = _complete(P, [s], tops, lambda shared: 0)
-        if done:
-            return done
-    raise NotACell("no shelling completion found")
 
 
 def star_replacement(K):

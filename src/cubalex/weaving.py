@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .complex_core import spanning_forest
-from .errors import ColorComponentWithoutRoot, InconsistentFaces, NotSurjective
+from .errors import ColorComponentWithoutRoot, InconsistentFaces
 
 
 def _wrap(k, p):
@@ -183,43 +183,6 @@ def neighborly_forest(pieces, colors, incidences, roots):
     if set(assigned) != set(pieces):
         raise ColorComponentWithoutRoot("forest does not cover every piece")
     return trees
-
-
-def forest_to_dot(trees):
-    lines = ["graph forest {"]
-    for t in trees:
-        lines.append(f'  "{t["root"]}" [shape=doublecircle];')
-        for a, b, s in t["edges"]:
-            lines.append(f'  "{a}" -- "{b}" [label="{s}"];')
-        for v in t["nodes"]:
-            if v != t["root"]:
-                lines.append(f'  "{v}";')
-    lines.append("}")
-    return "\n".join(lines)
-
-
-# -- boundary degree bookkeeping ----------------------------------------------------------
-
-
-def boundary_degree_table(assignment, degrees, p=None):
-    """Per-target degree sums and the free-simple-cover padding to equalize.
-
-    `assignment`: piece -> target in 1..p (surjective); `degrees`: piece ->
-    Alexander degree of its boundary map.  Returns (per-target sums,
-    consistent flag, per-target padding to reach the common maximum).
-    """
-    targets = sorted(set(assignment.values()))
-    if p is None:
-        p = max(targets)
-    if set(targets) != set(range(1, p + 1)):
-        raise NotSurjective(f"assignment onto {targets}, expected 1..{p}")
-    sums = {t: 0 for t in range(1, p + 1)}
-    for piece, t in assignment.items():
-        sums[t] += degrees[piece]
-    top = max(sums.values())
-    padding = {t: top - s for t, s in sums.items()}
-    consistent = all(v == 0 for v in padding.values())
-    return sums, consistent, padding
 
 
 def sweep_rank_identity(p_values=range(2, 7)):

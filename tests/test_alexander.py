@@ -1,4 +1,4 @@
-"""Labelings, parity, degree, reduced stars, collapses, merges, the driver."""
+"""Labelings, parity, degree, simple pairs, collapses, the driver."""
 
 import gc
 import hashlib
@@ -19,7 +19,7 @@ from cubalex import shelling as sh
 from cubalex.complex_core import SIMPLEX, SIMPLICIAL, build_complex
 from cubalex.errors import (
     BadCenterLabel, BoundaryViolation, HasBoundary, LabelClash,
-    NonSimplicialStar, NotACell, NotSimplePair, OddCycle, UnmatchedSimplex,
+    NonSimplicialStar, NotACell, OddCycle, UnmatchedSimplex,
 )
 
 from gen import (
@@ -147,33 +147,7 @@ def test_degree_needs_closed():
         al.degree(al.alexander_label(T))
 
 
-# -- reduced stars, pairs, clovers ------------------------------------------------------
-
-
-def filtering_oracle(lab, v, apex):
-    """Oracle: reduced star by direct filtering of the star's cells."""
-    K = lab.complex
-    return sorted(
-        K.cell(i).verts for i in K.star_cell_ids(v)
-        if all(lab.label(w) != apex for w in K.cell(i).verts))
-
-
-def test_reduced_star_filtering():
-    dd = fa.doubled_complex(fa.unit_cube(2))
-    lab = al.alexander_label(dd)
-    corner = next(v for v, d in dd.vertex_cube_dim.items() if d == 0)
-    rs = al.reduced_star(lab, corner, apex=1)
-    assert sorted(c.verts for c in rs.cells()) == filtering_oracle(lab, corner, 1)
-
-
-def test_reduced_star_identity_when_no_apex():
-    # a star whose link has no apex vertices: filtering removes nothing
-    K = cone(0, [1, 2, 3, 4])
-    labels = {0: 0, 1: 1, 2: 2, 3: 1, 4: 2}
-    lab = al.alexander_label(K, vertex_labels=labels)
-    rs = al.reduced_star(lab, 3, apex=5_000)  # label never present
-    star_cells = sorted(K.cell(i).verts for i in K.star_cell_ids(3))
-    assert sorted(c.verts for c in rs.cells()) == star_cells
+# -- simple pairs --------------------------------------------------------------------
 
 
 def test_bad_center_label():
@@ -181,7 +155,7 @@ def test_bad_center_label():
     lab = al.alexander_label(dd)
     center = next(v for v, d in dd.vertex_cube_dim.items() if d == 2)
     with pytest.raises(BadCenterLabel):
-        al.reduced_star(lab, center)  # apex defaults to w_2 = its own label
+        al.collapse_at(lab, center)  # apex defaults to w_2 = its own label
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -194,27 +168,6 @@ def test_simple_pairs_matching(k):
     pairs = al.simple_pairs(lab, 0)
     assert len(pairs) == k
     assert al.simple_pairs(lab, 0) == pairs  # rerun identical
-
-
-def test_clover_of_six_star():
-    K = cone(0, [1, 2, 3, 4, 5, 6])
-    labels = {0: 0}
-    labels.update({v: 1 if v % 2 else 2 for v in range(1, 7)})
-    lab = al.alexander_label(K, vertex_labels=labels)
-    cl = al.clover_of(lab, 0)
-    assert cl.leaf_count() == 3
-    rs = al.reduced_star(lab, 0)
-    assert cc.is_isomorphic(cl.midrib, rs)
-    assert cl.midrib.n_cells(1) == rs.n_cells(1)
-
-
-def test_clover_two_simplex_star():
-    # two triangles sharing their w2-avoiding face [0,1]: exactly one pair
-    K = build_complex(2, SIMPLICIAL, [0, 1, 2, 3],
-                      [(2, [0, 1, 2], SIMPLEX), (2, [0, 1, 3], SIMPLEX)])
-    lab = al.alexander_label(K, vertex_labels={0: 0, 1: 1, 2: 2, 3: 2})
-    cl = al.clover_of(lab, 0)
-    assert cl.leaf_count() == 1
 
 
 # -- collapse ------------------------------------------------------------------------
@@ -281,32 +234,6 @@ def test_ledger_serialization():
 def test_ledger_rejects_odd_star():
     with pytest.raises(UnmatchedSimplex):
         al.ReductionLedger().add(al.LedgerStep(3, 5, 2, -2))
-
-
-# -- merge -----------------------------------------------------------------------------
-
-
-def test_merge_simple_pair_counts():
-    K1 = cone(100, [0, 1, 2, 3])
-    K2 = cone(200, [2, 1, 0, 6])
-    merged, m = al.merge_star_pair(K1, K2)
-    union_n = K1.n_cells(2) + K2.n_cells(2)
-    assert m == (union_n - merged.n_cells(2)) // 2
-    assert m == 2  # = #(K1 cap K2)^(n-1): the shared edges [0,1],[1,2]
-    # boundary restriction preserved
-    bd = {merged.cell(i).verts for i in merged.boundary_facet_ids()}
-    U = al.union_complexes(K1, K2)
-    assert bd == {U.cell(i).verts for i in U.boundary_facet_ids()}
-
-
-def test_merge_single_edge_degenerate():
-    merged, m = al.merge_star_pair(cone(100, [0, 1, 8]), cone(300, [1, 0, 7]))
-    assert m == 1 and merged.n_cells(2) == 4
-
-
-def test_merge_rejects_disjoint():
-    with pytest.raises(NotSimplePair):
-        al.merge_star_pair(cone(100, [0, 1, 2]), cone(200, [10, 11, 12]))
 
 
 # -- reduction driver -------------------------------------------------------------------

@@ -176,6 +176,17 @@ def test_necklace_verify_disjoint_reports_lower_bound(capsys):
     assert check["threshold"] == 2 * detail["rho"]
 
 
+def test_necklace_verify_contain_reports_nesting(capsys):
+    # c0 and c1 come from a disjointness run, so the nesting check is made
+    code, data = run(capsys, ["necklace", "verify-contain", "--b", "0.1",
+                              "--m", "450"])
+    assert code == 0 and data["pass"]
+    detail = data["detail"]
+    assert "nesting_threshold" in detail
+    assert detail["nesting_margin_at_b"] == detail["nesting_threshold"] - 0.1
+    assert data["params"]["c0"] is not None and data["params"]["c1"] is not None
+
+
 def test_necklace_verify_link_exact(capsys):
     code, data = run(capsys, ["necklace", "verify-link"])
     assert code == 0 and data["pass"]

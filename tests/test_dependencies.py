@@ -32,7 +32,6 @@ al.reduce_cubical(fa.box_complex(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)]))
 rf.find_separating_complex(fa.product_with_interval(fa.circle_complex(6), 3))
 rf.build_molecule(2, [[((0, 0), 3), ((3, 0), 3)], [((6, 0), 1)]], [1, 0])
 wv.neighborly_forest([1, 2, 3], {{1: 1, 2: 1, 3: 2}}, [(1, 2, "s")], [1, 3])
-rf.skeleton_metric(fa.rect_grid(2, 1), 0, 5, 1)
 assert cubalex.cli.main(["validate", {complex!r}]) == 0
 print(json.dumps(sorted(m for m in sys.modules
                         if m.split(".")[0] in ("networkx", "scipy"))))

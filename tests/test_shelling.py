@@ -1,4 +1,4 @@
-"""Shelling verification, search, boundary-face shellings, star-replacement."""
+"""Shelling verification, search, star-replacement."""
 
 import hashlib
 import itertools
@@ -11,10 +11,7 @@ import pytest
 from cubalex import complex_core as cc
 from cubalex import factories as fa
 from cubalex import shelling as sh
-from cubalex.errors import (
-    AllOppositePairsPresent, CubalexError, NotACell, NotAPermutation,
-    NotCubical,
-)
+from cubalex.errors import NotACell, NotAPermutation, NotCubical
 
 from gen import BENCH_BOXES_3D, CONE44, nx_adjacency, random_disk_polyomino
 
@@ -87,41 +84,6 @@ def test_backtracking_3d_single_and_domino():
     order = sh.find_shelling(K2)
     ok, _ = sh.verify_shelling(K2, order)
     assert ok
-
-
-# -- boundary-face shellings ---------------------------------------------------
-
-
-def test_box_without_lid():
-    P = fa.cube_boundary_complex(3)
-    # remove one face: 5 faces of the boundary of [0,1]^3
-    P5 = P.subcomplex(P.top_ids()[:5])
-    order = sh.boundary_face_shelling(P5)
-    assert len(order) == 5
-    ok, _ = sh.verify_shelling(P5, order)
-    assert ok
-
-
-def test_single_face():
-    P = fa.cube_boundary_complex(3)
-    P1 = P.subcomplex(P.top_ids()[:1])
-    assert sh.boundary_face_shelling(P1) == P1.top_ids()
-
-
-def test_all_faces_rejected():
-    P = fa.cube_boundary_complex(3)
-    with pytest.raises(AllOppositePairsPresent):
-        sh.boundary_face_shelling(P)
-
-
-def test_shelling_starts_at_face_with_opposite_absent():
-    P = fa.cube_boundary_complex(3)
-    P5 = P.subcomplex(P.top_ids()[:5])
-    order = sh.boundary_face_shelling(P5)
-    first = set(P5.cell(order[0]).verts)
-    # its opposite (vertex-disjoint face) must be missing from P5
-    assert not any(not (set(P5.cell(t).verts) & first)
-                   for t in P5.top_ids() if t != order[0])
 
 
 # -- star replacement -------------------------------------------------------------

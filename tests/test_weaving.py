@@ -1,4 +1,4 @@
-"""Rank combinatorics, sphericalization counts, forests, degree tables."""
+"""Rank combinatorics, sphericalization counts, neighborly forests."""
 
 import itertools
 import random
@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubalex import weaving as wv
-from cubalex.errors import (
-    ColorComponentWithoutRoot, InconsistentFaces, NotSurjective,
-)
+from cubalex.errors import ColorComponentWithoutRoot, InconsistentFaces
 
 from gen import random_sketch_pieces
 
@@ -223,46 +221,3 @@ def test_forest_matches_networkx_reference_on_sketches():
     for _ in range(20):
         args = random_sketch_pieces(rng)
         assert wv.neighborly_forest(*args) == networkx_forest(*args)
-
-
-def test_forest_dot_export():
-    trees = wv.neighborly_forest([1, 2], {1: 1, 2: 1}, [(1, 2, "s")], [1])
-    dot = wv.forest_to_dot(trees)
-    assert dot.startswith("graph") and '"1" -- "2"' in dot
-
-
-# -- degree tables ------------------------------------------------------------------
-
-
-def test_degree_table_consistent():
-    sums, ok, pad = wv.boundary_degree_table({1: 1, 2: 2}, {1: 8, 2: 8})
-    assert ok and sums == {1: 8, 2: 8} and pad == {1: 0, 2: 0}
-
-
-def test_degree_table_padding():
-    sums, ok, pad = wv.boundary_degree_table({1: 1, 2: 2}, {1: 8, 2: 6})
-    assert not ok and pad == {1: 0, 2: 2}
-
-
-def test_degree_table_summing():
-    sums, ok, pad = wv.boundary_degree_table(
-        {1: 1, 2: 1, 3: 2}, {1: 3, 2: 5, 3: 8})
-    assert ok and sums == {1: 8, 2: 8}
-
-
-def test_degree_table_not_surjective():
-    with pytest.raises(NotSurjective):
-        wv.boundary_degree_table({1: 1, 2: 1}, {1: 2, 2: 2}, p=2)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.permutations(list(range(6))))
-def test_degree_table_permutation_invariant(perm):
-    colors = [1, 1, 2, 2, 1, 2]
-    degrees = [2, 3, 5, 7, 11, 13]
-    base = wv.boundary_degree_table(
-        {i: colors[i] for i in range(6)}, {i: degrees[i] for i in range(6)})
-    permuted = wv.boundary_degree_table(
-        {i: colors[perm[i]] for i in range(6)},
-        {i: degrees[perm[i]] for i in range(6)})
-    assert base[0] == permuted[0]
