@@ -1,4 +1,4 @@
-"""Labelings, parity, degree, simple pairs, collapses, the driver."""
+"""Labelings, parity, degree, reduced stars, simple pairs, collapses, the driver."""
 
 import gc
 import hashlib
@@ -147,7 +147,40 @@ def test_degree_needs_closed():
         al.degree(al.alexander_label(T))
 
 
-# -- simple pairs --------------------------------------------------------------------
+# -- reduced stars, simple pairs ------------------------------------------------------
+
+
+def filtering_oracle(lab, v, apex):
+    """Oracle: reduced star by direct filtering of the star's cells."""
+    K = lab.complex
+    return sorted(
+        K.cell(i).verts for i in K.star_cell_ids(v)
+        if all(lab.label(w) != apex for w in K.cell(i).verts))
+
+
+def test_reduced_star_filtering():
+    # collapse_at folds St(v) onto its reduced star: every cell of the star
+    # that avoids the apex label stays, at v, and the star's n-simplices go
+    dd = fa.doubled_complex(fa.unit_cube(2))
+    lab = al.alexander_label(dd)
+    corner = next(v for v, d in dd.vertex_cube_dim.items() if d == 0)
+    Q, _, step = al.collapse_at(lab, corner, apex=1)
+    kept = {Q.cell(i).verts for i in Q.star_cell_ids(corner)}
+    assert set(filtering_oracle(lab, corner, 1)) <= kept
+    assert Q.n_cells(2) == dd.n_cells(2) - step.star_top_count == 12
+
+
+def test_reduced_star_identity_when_no_apex():
+    # a star whose link has no apex vertices: filtering removes nothing, so
+    # the collapse is the identity step
+    K = cone(0, [1, 2, 3, 4])
+    labels = {0: 0, 1: 1, 2: 2, 3: 1, 4: 2}
+    lab = al.alexander_label(K, vertex_labels=labels)
+    Q, new_lab, step = al.collapse_at(lab, 3, apex=5_000)  # label never present
+    assert Q is K and new_lab is lab
+    assert (step.star_top_count, step.covers, step.degree_delta) == (0, 0, 0)
+    assert filtering_oracle(lab, 3, 5_000) == sorted(
+        K.cell(i).verts for i in K.star_cell_ids(3))
 
 
 def test_bad_center_label():
@@ -168,6 +201,25 @@ def test_simple_pairs_matching(k):
     pairs = al.simple_pairs(lab, 0)
     assert len(pairs) == k
     assert al.simple_pairs(lab, 0) == pairs  # rerun identical
+
+
+def test_clover_of_six_star():
+    # the six triangles at 0 pair off across their w2-avoiding faces
+    K = cone(0, [1, 2, 3, 4, 5, 6])
+    labels = {0: 0}
+    labels.update({v: 1 if v % 2 else 2 for v in range(1, 7)})
+    lab = al.alexander_label(K, vertex_labels=labels)
+    pairs = al.simple_pairs(lab, 0)
+    assert len(pairs) == 3
+    assert sorted(i for p in pairs for i in p) == sorted(K.top_ids())
+
+
+def test_clover_two_simplex_star():
+    # two triangles sharing their w2-avoiding face [0,1]: exactly one pair
+    K = build_complex(2, SIMPLICIAL, [0, 1, 2, 3],
+                      [(2, [0, 1, 2], SIMPLEX), (2, [0, 1, 3], SIMPLEX)])
+    lab = al.alexander_label(K, vertex_labels={0: 0, 1: 1, 2: 2, 3: 2})
+    assert al.simple_pairs(lab, 0) == [tuple(K.top_ids())]
 
 
 # -- collapse ------------------------------------------------------------------------

@@ -120,6 +120,23 @@ def test_triangulation_leaves_no_cyclic_closure():
     assert leaked == []
 
 
+def test_star_and_link_of_center():
+    K = fa.unit_cube(2)
+    T = cc.canonical_triangulation(K)
+    center = next(v for v, d in T.vertex_cube_dim.items() if d == 2)
+    star = [T.cell(i) for i in T.star_cell_ids(center)]
+    assert sum(c.dim == 2 for c in star) == 8  # cone structure: star is everything
+    # the link, the star's cells that miss the centre: an 8-cycle of edges
+    link = [c for c in star if center not in c.verts]
+    assert sum(c.dim == 1 for c in link) == 8 and sum(c.dim == 0 for c in link) == 8
+    deg = {}
+    for c in link:
+        if c.dim == 1:
+            for v in c.verts:
+                deg[v] = deg.get(v, 0) + 1
+    assert all(d == 2 for d in deg.values())
+
+
 def test_corner_star_two_triangles():
     # flags through one corner of the square: 2 edges x 1 face
     T = cc.canonical_triangulation(fa.unit_cube(2))

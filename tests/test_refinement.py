@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from cubalex.errors import (
 from gen import random_molecule, random_molecule_spec
 
 
-# -- refine ----------------------------------------------------
+# -- refine / core / buffer ----------------------------------------------------
 
 
 @pytest.mark.parametrize("n,k,count", [(2, 1, 9), (3, 2, 729), (2, 0, 1)])
@@ -44,6 +45,35 @@ def test_refine_needs_coords():
                          [(2, [0, 1, 2, 3], cc.CUBE)])
     with pytest.raises(NotCubical):
         rf.refine(K, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_core_buffer_of_refined_cube(n):
+    # one subcube stays off the boundary (the core), 3^n - 1 meet it (the buffer)
+    R = rf.refine(fa.unit_cube(n), 1).complex
+    bverts = R.boundary_vertex_ids()
+    meets = [bool(set(R.cell(i).verts) & bverts) for i in R.top_ids()]
+    assert meets.count(False) == 1
+    assert meets.count(True) == 3 ** n - 1
+
+
+def test_center_cube_and_rim():
+    # a square of side 3 refined once, in x3 coordinates: its centre cube
+    # c(Q) is the middle third and the 3^2 - 1 others form its rim
+    K = cc.build_complex(2, cc.CUBICAL,
+                         {0: (0, 0), 1: (3, 0), 2: (0, 3), 3: (3, 3)},
+                         [(2, [0, 1, 2, 3], cc.CUBE)])
+    R = rf.refine(K, 1).complex
+    bverts = R.boundary_vertex_ids()
+    boxes = {}
+    for i in R.top_ids():
+        pts = [R.vertices[v] for v in R.cell(i).verts]
+        corner = tuple(map(min, zip(*pts)))
+        boxes[corner, max(p[0] for p in pts) - corner[0]] = \
+            bool(set(R.cell(i).verts) & bverts)
+    assert [b for b, rim in boxes.items() if not rim] == [((3, 3), 3)]
+    assert len([b for b, rim in boxes.items() if rim]) == 8
+    assert set(boxes) == {((3 * a, 3 * b), 3) for a in range(3) for b in range(3)}
 
 
 # -- molecules ------------------------------------------------------------------
@@ -178,6 +208,25 @@ def test_cube_not_in_molecule():
     M = single_cube_molecule()
     with pytest.raises(CubeNotInMolecule):
         rf.expansion_index(M, (7, 7))
+
+
+def test_beta_ratio_constant_across_index_shift():
+    # beta = boundary area of tau(Q) over the area of its leading face q+_Q;
+    # raising every index by j scales both by 3^(j(n-1))
+    def beta(M, k):
+        return Fraction(M.boundary_area(M.tail(k)), M.leading_face[k].area())
+
+    rng = random.Random(17)
+    for _ in range(6):
+        M = random_molecule(rng)
+        base = {k: beta(M, k) for k in M.blocks}
+        for j in (1, 2):
+            f = 3 ** j
+            Ms = rf.build_molecule(
+                M.n, [[(tuple(c * f for c in b.corner), b.side * f)
+                       for b in atom.blocks] for atom in M.atoms],
+                [r + j for r in M.indices], M.leading)
+            assert {k: beta(Ms, k) for k in Ms.blocks} == base
 
 
 def test_face_classification_chain():
@@ -347,3 +396,19 @@ def test_separating_touching_collars():
     P = fa.product_with_interval(fa.circle_complex(6), 2)
     with pytest.raises(NoDisjointCollars):
         rf.find_separating_complex(P)
+
+
+
+# -- canonical triangulation of a cube ------------------------------------------------
+
+
+def test_simplex_cover_counts():
+    # each corner of the k-cube lies in k! barycentric simplices, and there
+    # are flag_count(k) = 2^k k! in all
+    for k in (2, 3):
+        T = cc.canonical_triangulation(fa.unit_cube(k))
+        corners = [v for v, d in T.vertex_cube_dim.items() if d == 0]
+        assert len(corners) == 2 ** k
+        assert {sum(T.cell(i).dim == k for i in T.star_cell_ids(v))
+                for v in corners} == {math.factorial(k)}
+        assert len(T.top_ids()) == rf.flag_count(k)

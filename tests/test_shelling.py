@@ -1,4 +1,4 @@
-"""Shelling verification, search, star-replacement."""
+"""Shelling verification, search, faces of the cube boundary, star-replacement."""
 
 import hashlib
 import itertools
@@ -84,6 +84,41 @@ def test_backtracking_3d_single_and_domino():
     order = sh.find_shelling(K2)
     ok, _ = sh.verify_shelling(K2, order)
     assert ok
+
+
+# -- faces of the boundary of the 3-cube -----------------------------------------
+
+
+def cube_boundary():
+    """The 2-complex of the six faces of the unit 3-cube."""
+    Q = fa.unit_cube(3)
+    return Q.subcomplex(Q.facet_ids(Q.top_ids()[0]))
+
+
+def test_box_without_lid():
+    P = cube_boundary()
+    # remove one face: 5 faces of the boundary of [0,1]^3, a disk
+    P5 = P.subcomplex(P.top_ids()[:5])
+    order = sh.find_shelling(P5)
+    assert len(order) == 5
+    ok, _ = sh.verify_shelling(P5, order)
+    assert ok
+
+
+def test_single_face():
+    P = cube_boundary()
+    P1 = P.subcomplex(P.top_ids()[:1])
+    assert sh.find_shelling(P1) == P1.top_ids()
+
+
+def test_all_faces_rejected():
+    # the whole boundary is a sphere: the last face of any order would meet
+    # the others in its whole boundary, so no order passes the step test
+    P = cube_boundary()
+    assert not any(sh.verify_shelling(P, list(order))[0]
+                   for order in itertools.permutations(P.top_ids()))
+    with pytest.raises(NotACell):
+        sh.find_shelling(P)
 
 
 # -- star replacement -------------------------------------------------------------
