@@ -28,7 +28,7 @@ from .errors import (
     OddCycle,
     UnmatchedSimplex,
 )
-from .shelling import _complete, find_shelling, verify_shelling
+from .shelling import _complete, find_shelling
 
 
 @dataclass
@@ -41,9 +41,6 @@ class AlexanderLabeling:
 
     def label(self, v):
         return self.labels[v]
-
-    def apex_default(self):
-        return self.complex.dimension
 
     def to_json(self):
         return {
@@ -58,20 +55,17 @@ class LedgerStep:
     vertex: int
     star_top_count: int
     covers: int
-    degree_delta: int
-    placements: list | None = None
 
     def to_json(self):
         return {"vertex": self.vertex, "star_top_count": self.star_top_count,
-                "covers": self.covers, "degree_delta": self.degree_delta,
-                "placements": self.placements}
+                "covers": self.covers}
 
 
 @dataclass
 class ReductionLedger:
     """Record of a reduction sequence: per-step simple-cover counts."""
 
-    steps: list = field(default_factory=list)
+    steps: list = field(default_factory=list, init=False)
 
     def add(self, step):
         if step.star_top_count % 2:
@@ -82,13 +76,6 @@ class ReductionLedger:
     @property
     def total_covers(self):
         return sum(s.covers for s in self.steps)
-
-    @property
-    def degree_delta(self):
-        return sum(s.degree_delta for s in self.steps)
-
-    def extend(self, other):
-        self.steps.extend(other.steps)
 
     def to_json(self):
         return [s.to_json() for s in self.steps]
@@ -191,11 +178,10 @@ def _check_star_simplicial(K, star_ids):
                 f"{a.verts} and {b.verts} meet in {shared}, not a face")
 
 
-def simple_pairs(lab, v, apex=None):
+def simple_pairs(lab, v, apex):
     """Perfect matching of St(v)'s n-simplices across apex-avoiding faces."""
     K = lab.complex
     n = K.dimension
-    apex = lab.apex_default() if apex is None else apex
     if lab.label(v) == apex:
         raise BadCenterLabel(f"vertex {v} carries the apex label {apex}")
     star_ids = K.star_cell_ids(v)
@@ -223,17 +209,16 @@ def simple_pairs(lab, v, apex=None):
     return pairs
 
 
-def collapse_at(lab, v, apex=None):
+def collapse_at(lab, v, apex):
     """One reduction step: collapse St(v) to its reduced star.
 
     Every apex-labeled vertex of the star is identified with v, degenerate
     images drop into the reduced star, v takes the apex label, and parity is
     recomputed.  Returns (complex, labeling, ledger step); the step counts
-    m = #St(v)^(n)/2 simple covers and a degree delta of -m.
+    m = #St(v)^(n)/2 simple covers, which lower the degree by m.
     """
     K = lab.complex
     n = K.dimension
-    apex = lab.apex_default() if apex is None else apex
     if lab.label(v) == apex:
         raise BadCenterLabel(f"vertex {v} carries the apex label {apex}")
 
@@ -246,7 +231,7 @@ def collapse_at(lab, v, apex=None):
 
     if not apex_verts:
         # the star already equals its reduced star: identity step
-        step = LedgerStep(vertex=v, star_top_count=0, covers=0, degree_delta=0)
+        step = LedgerStep(vertex=v, star_top_count=0, covers=0)
         return K, lab, step
     if star_tops:
         simple_pairs(lab, v, apex)  # raises UnmatchedSimplex on bad stars
@@ -281,16 +266,15 @@ def collapse_at(lab, v, apex=None):
     labels[v] = apex
     new_lab = alexander_label(Q, labels)
 
-    m = len(star_tops) // 2
     step = LedgerStep(vertex=v, star_top_count=len(star_tops),
-                      covers=m, degree_delta=-m)
+                      covers=len(star_tops) // 2)
     return Q, new_lab, step
 
 
 # -- cubical reduction driver ------------------------------------------------------
 
 
-def reduce_cubical(K, order=None):
+def reduce_cubical(K):
     """Reduce the canonical triangulation of a shellable n-complex to a star.
 
     Follows the constructive double induction for every n: peel a shelling,
@@ -305,14 +289,9 @@ def reduce_cubical(K, order=None):
     characteristic and boundary connectivity, and for n >= 4 the shelling
     step test is a certificate, not a proof.
     """
+    order = find_shelling(K)
     if order is None:
-        order = find_shelling(K)
-        if order is None:
-            raise NotACell("no shelling found")
-    else:
-        ok, idx = verify_shelling(K, order)
-        if not ok:
-            raise NonSimplicialStar(f"supplied order is not a shelling at {idx}")
+        raise NotACell("no shelling found")
     T = canonical_triangulation(K)
     centre = {s: v for v, s in T.triangulation_source.items()}
     ledger = ReductionLedger()

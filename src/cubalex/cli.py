@@ -87,11 +87,7 @@ def cmd_triangulate(args):
 
 def cmd_shell(args):
     K = _load_complex(args.complex)
-    try:
-        order = shelling.find_shelling(K)
-    except CubalexError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return EXIT_PRECONDITION
+    order = shelling.find_shelling(K)
     if order is None:
         print(json.dumps({"order": None}))
         return EXIT_NEGATIVE
@@ -103,12 +99,8 @@ def cmd_alexander(args):
     K = _load_complex(args.complex)
     if K.mode == complex_core.CUBICAL:
         K = complex_core.canonical_triangulation(K)
-    try:
-        lab = alexander.alexander_label(K)
-        deg = alexander.degree(lab) if K.is_closed() else None
-    except CubalexError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return EXIT_PRECONDITION
+    lab = alexander.alexander_label(K)
+    deg = alexander.degree(lab) if K.is_closed() else None
     report = K.to_json(alexander=lab.to_json())
     report["degree"] = deg
     return _emit(report, args.out)
@@ -116,12 +108,9 @@ def cmd_alexander(args):
 
 def cmd_reduce(args):
     K = _load_complex(args.complex)
-    try:
-        final, lab, ledger = alexander.reduce_cubical(K)
-    except CubalexError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return EXIT_PRECONDITION
-    iso = complex_core.is_isomorphic(shelling.star_replacement(K), final)
+    final, lab, ledger = alexander.reduce_cubical(K)
+    S = shelling.star_replacement(K)
+    iso = complex_core.is_isomorphic(S, final, S.vertex_cube_dim, lab.labels)
     covers = shelling.star_replacement_cover_count(K)
     report = run_report("reduce", K.to_json(), [
         {"name": "isomorphic_to_star_replacement",
@@ -162,11 +151,7 @@ def cmd_molecule(args):
 
 def cmd_separate(args):
     K = _load_complex(args.complex)
-    try:
-        Z = refinement.find_separating_complex(K)
-    except CubalexError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return EXIT_PRECONDITION
+    Z = refinement.find_separating_complex(K)
     report = {
         "z_cells": [list(K.cell(i).verts) for i in Z.facet_ids],
         "pieces": [[list(K.cell(i).verts) for i in piece] for piece in Z.pieces],
@@ -181,12 +166,8 @@ def cmd_weave_rank(args):
         p=data["p"], colors={int(k): v for k, v in data["colors"].items()},
         simplices=[tuple(s) for s in data["simplices"]],
         adjacency=[tuple(a) for a in data.get("adjacency", [])])
-    try:
-        ranks = weaving.rank_function(sk)
-        m_new, per = weaving.sphericalize_counts(sk, ranks)
-    except CubalexError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return EXIT_PRECONDITION
+    ranks = weaving.rank_function(sk)
+    m_new, per = weaving.sphericalize_counts(sk, ranks)
     report = {"ranks": ranks, "sphericalized_count": m_new,
               "new_pieces": per}
     return _emit(report, args.out)
@@ -199,11 +180,7 @@ def _calibrated(params, seed):
 
 
 def cmd_necklace(args):
-    try:
-        params = nk.NecklaceParams(b=args.b, m=args.m)
-    except CubalexError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return EXIT_PRECONDITION
+    params = nk.NecklaceParams(b=args.b, m=args.m)
     checks = []
     extra = {}
     if args.action == "verify-disjoint":
@@ -241,6 +218,8 @@ def cmd_necklace(args):
                    "pass": (max(errs) if errs else 0.0) <= 1e-12}]
         extra = {"tubes": len(system.tubes)}
     elif args.action == "export":
+        if args.what == "slice":
+            _, params = _calibrated(params, args.seed)
         system = nk.generate(params, args.k, children_per_tube=args.children)
         count = nk.export_geometry(system, args.out or f"necklace.{args.format}",
                                    what=args.what, fmt=args.format)

@@ -146,9 +146,6 @@ class Complex:
     def ids_with_verts(self, dim, verts):
         return self._index.get((dim, tuple(sorted(verts))), [])
 
-    def has_cell(self, dim, verts):
-        return bool(self.ids_with_verts(dim, verts))
-
     def _facet_table(self):
         """Facets of every cell as CSR: ids flat[off[i]:off[i + 1]]."""
         if self._facets is None:

@@ -7,31 +7,19 @@ from .complex_core import (
 )
 
 
-def _corner_id(coords, pos):
-    return coords.setdefault(pos, len(coords))
-
-
 def grid_complex(cells):
     """Cubical 2-complex from unit squares given by lower-left integer corners."""
-    coords = {}
-    squares = []
-    for (x, y) in cells:
-        vs = [_corner_id(coords, (x, y)), _corner_id(coords, (x + 1, y)),
-              _corner_id(coords, (x, y + 1)), _corner_id(coords, (x + 1, y + 1))]
-        squares.append((2, vs, CUBE))
-    verts = {i: pos for pos, i in coords.items()}
-    return build_complex(2, CUBICAL, verts, squares)
+    return box_complex(2, cells)
 
 
-def box_complex(n, corners=((0,) * 1,)):
+def box_complex(n, corners):
     """Cubical n-complex of unit n-cubes at the given integer corners."""
     coords = {}
     cubes = []
     for corner in corners:
-        vs = []
-        for i in range(2 ** n):
-            pos = tuple(corner[j] + ((i >> j) & 1) for j in range(n))
-            vs.append(_corner_id(coords, pos))
+        vs = [coords.setdefault(tuple(corner[j] + ((i >> j) & 1)
+                                      for j in range(n)), len(coords))
+              for i in range(2 ** n)]
         cubes.append((n, vs, CUBE))
     verts = {i: pos for pos, i in coords.items()}
     return build_complex(n, CUBICAL, verts, cubes)

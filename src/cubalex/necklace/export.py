@@ -7,22 +7,26 @@ import csv
 from ..errors import ParamsInvalid
 from .geometry import circle_frame, circle_points, sample_model_torus
 
+NODES = 128  # points drawn on each circle
 
-def export_geometry(system, path, what="cores", fmt="csv", nodes=128):
+
+def export_geometry(system, path, what="cores", fmt="csv"):
     """Write the core circles / tube samples / x2=0 slices of every tube.
 
     Each tube of level >= 1 is drawn through its own transform S: cores is
     its marked circle S(gamma); tubes a point sample of its core torus;
     slice the two circles of radius r +- rho b scale about the marked
-    circle, in its plane inside the x2 = 0 flat.  Returns the number of
-    records written.
+    circle, in its plane inside the x2 = 0 flat, and needs the params to
+    carry c0 and c1, so that rho is known.  Returns the number of records
+    written.
     """
     if what not in ("cores", "tubes", "slice"):
         raise ParamsInvalid(f"unknown export kind {what!r}")
     if fmt not in ("csv", "obj"):
         raise ParamsInvalid(f"unknown format {fmt!r}")
-    b = system.params.b
-    rho = system.params.rho or 0.05
+    b, rho = system.params.b, system.params.rho
+    if what == "slice" and rho is None:
+        raise ParamsInvalid("a slice needs rho: set c0 and c1")
     curves = {}
     for t in system.tubes:
         if t.level == 0:
@@ -32,12 +36,12 @@ def export_geometry(system, path, what="cores", fmt="csv", nodes=128):
             curves[t.word] = S(sample_model_torus(t.pattern, b, 16, 64))
         elif what == "cores":
             curves[t.word] = circle_points(circle_frame(S, t.pattern, b),
-                                           nodes)[0]
+                                           NODES)[0]
         else:
             c, a1, a2, r = circle_frame(S, t.pattern, b)
             for sign in (1, -1):
                 offset = (c, a1, a2, r + sign * rho * b * S.scale)
-                curves[t.word + (sign,)] = circle_points(offset, nodes)[0]
+                curves[t.word + (sign,)] = circle_points(offset, NODES)[0]
 
     if fmt == "csv":
         with open(path, "w", newline="") as fh:

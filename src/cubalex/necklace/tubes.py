@@ -25,14 +25,13 @@ class NecklaceParams:
     c0: float = None          # empirical: min dist(tau_i, tau_j) / b^2
     c1: float = None          # empirical: the tilde side
     b_window: tuple = (0.01, 0.1)   # (b0, b1): grid range where c's are stable
-    enforce_window: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.b < 1.0):
             raise ParamsInvalid(f"b = {self.b} outside (0,1)")
         if self.m < 4 or self.m % 2:
             raise ParamsInvalid(f"m = {self.m} must be an even integer >= 4")
-        if self.enforce_window and not self.window_conforming():
+        if not self.window_conforming():
             lo, hi = 4 * self.b ** 2 / 3, 3 * self.b ** 2 / 2
             raise ParamsInvalid(
                 f"2pi/m = {2 * math.pi / self.m:.6g} outside [{lo:.6g}, {hi:.6g}]")

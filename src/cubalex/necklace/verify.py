@@ -349,23 +349,18 @@ def circle_linking(frame_i, frame_j, nodes, tol):
 FLAT = [0, 2, 3]  # x1, x3, x4: coordinates of the x2 = 0 flat of every sigma_j
 
 
-def verify_linking(params, nodes=10_000, tol=1e-3, pairs=None):
+def verify_linking(params, nodes=10_000, tol=1e-3):
     """Exact linking numbers of the marked circles in the x2 = 0 flat.
 
     |lk| = 1 for cyclically adjacent circles (wraparound included) and 0 for
-    offsets 2 and 3.  Each pair's lk is an integer crossing count certified
+    offsets 2 and 3, over seven fixed pairs, the wraparound (m, 1) among
+    them.  Each pair's lk is an integer crossing count certified
     by margin > chord_error and cross-checked by the closed-form field
     integral (see circle_linking).
     """
     b, m = params.b, params.m
-    if pairs is None:
-        pairs = [(1, 2), (2, 3), (1, 3), (2, 4), (1, 4), (2, 5), (m, 1)]
     if nodes < 8:
         raise ParamsInvalid(f"nodes = {nodes}, need at least 8")
-    for i, j in pairs:
-        if not (1 <= i <= m and 1 <= j <= m) or i == j:
-            raise ParamsInvalid(
-                f"pair ({i}, {j}) needs two distinct indices in 1..{m}")
 
     def frame(j):
         c, a1, a2, r = circle_frame(tau_similarity(j, m, b),
@@ -377,7 +372,7 @@ def verify_linking(params, nodes=10_000, tol=1e-3, pairs=None):
         return c[FLAT], a1[FLAT], a2[FLAT], r
 
     results = {}
-    for i, j in pairs:
+    for i, j in ((1, 2), (2, 3), (1, 3), (2, 4), (1, 4), (2, 5), (m, 1)):
         try:
             rec = circle_linking(frame(i), frame(j), nodes, tol)
         except IntegralNotConverged as exc:

@@ -115,9 +115,6 @@ class Block:
         rect = tuple(c for a, c in enumerate(self.corner) if a != axis)
         return Face(axis, coord, rect, self.side)
 
-    def faces(self):
-        return [self.face(a, s) for a in range(self.n) for s in (0, 1)]
-
 
 @dataclass(frozen=True)
 class Face:
@@ -207,10 +204,6 @@ class Atom:
             raise BadAttachment(f"atom blocks with mixed sides {sides}")
         self.side = sides.pop()
 
-    def validate(self):
-        blocks = dict(enumerate(self.blocks))
-        _check_atom(blocks, _contacts(blocks))
-
 
 @dataclass
 class Molecule:
@@ -222,13 +215,13 @@ class Molecule:
     leading: tuple = None  # optional ((atom, block), (axis, side)) designation
 
     # filled by validate()
-    blocks: list = field(default_factory=list)      # (atom_idx, block_idx) in order
-    parent: dict = field(default_factory=dict)      # block key -> block key or None
-    children: dict = field(default_factory=dict)
-    leading_face: dict = field(default_factory=dict)  # block key -> Face
-    attach: dict = field(default_factory=dict)      # child atom idx -> (parent block key, Face)
+    blocks: list = field(init=False)      # (atom_idx, block_idx) in order
+    parent: dict = field(init=False)      # block key -> block key or None
+    children: dict = field(init=False)
+    leading_face: dict = field(init=False)  # block key -> Face
+    attach: dict = field(init=False)      # child atom idx -> (parent block key, Face)
     # block key -> [(other key, axis, coord, rect, lengths)], from _contacts
-    contacts: dict = field(default_factory=dict)
+    contacts: dict = field(init=False)
 
     def block(self, key):
         a, b = key
@@ -368,6 +361,7 @@ class Molecule:
                     self.children[u].append(v)
                     queue.append(v)
         self.leading_face = {lead_key: root_face}
+        self.attach = {}
         for k in keys:
             p = self.parent[k]
             if p is None:
@@ -408,48 +402,17 @@ class Molecule:
             d += 1
         return d
 
-    def face_classification(self, key):
-        """leading / exterior / back faces of the first and second kind."""
-        out = {}
-        lead = self.leading_face[key]
-        child_faces = {}
-        for c in self.children[key]:
-            cf = self.leading_face[c]
-            child_faces.setdefault((cf.axis, cf.coord), []).append(c)
-        for f in self.block(key).faces():
-            fk = (f.axis, f.coord)
-            if f == lead:
-                out[fk] = "leading"
-            elif fk in child_faces:
-                kinds = {("first" if c[0] == key[0] else "second")
-                         for c in child_faces[fk]}
-                out[fk] = ("back-first-kind" if kinds == {"first"}
-                           else "back-second-kind")
-            elif self._free(key, f):
-                out[fk] = "exterior"
-            else:
-                out[fk] = "back-second-kind"
-        return out
-
     # -- counting -----------------------------------------------------------------
 
-    def _surface(self, keys):
-        return sum(2 * self.n * self.block(k).side ** (self.n - 1)
-                   for k in keys)
-
-    def boundary_area(self, keys=None):
-        """Exterior area of the blocks `keys` (default all): each contact
-        lies on one face of each of its two blocks."""
-        keys = keys or self.all_block_keys()
-        return self._surface(keys) - sum(math.prod(c[4]) for k in keys
-                                         for c in self.contacts[k])
-
     def tail_boundary_area_minus_leading(self, key):
-        """Unit-cell count of the region  boundary(|tau(Q)|) minus q+_Q."""
+        """Unit-cell count of the region  boundary(|tau(Q)|) minus q+_Q: each
+        contact inside the tail lies on one face of each of its two blocks."""
         keys = set(self.tail(key))
+        surface = sum(2 * self.n * self.block(k).side ** (self.n - 1)
+                      for k in keys)
         inner = sum(math.prod(c[4]) for k in keys
                     for c in self.contacts[k] if c[0] in keys)
-        return self._surface(keys) - inner - self.leading_face[key].area()
+        return surface - inner - self.leading_face[key].area()
 
     def delta_count(self, area):
         """(n-1)-simplices of the canonical triangulation over `area` unit cells."""
@@ -589,11 +552,10 @@ def boundary_components(K):
     return spanning_forest(bfacets, K.adjacency(bfacets))[0]
 
 
-def find_separating_complex(K, collars=None):
+def find_separating_complex(K):
     """Construct a separating complex from disjoint boundary collars.
 
-    `collars`: optional list of top-cube id lists, one per boundary
-    component; detected as the cubes meeting each component when omitted.
+    The collar of a boundary component is the top cubes meeting it.
     Condition (3) of the definition is checked by proxy: each piece is
     connected, contains exactly one boundary component, and peels cube by
     cube onto its collar.  The proxy is necessary but not sufficient.
@@ -601,11 +563,8 @@ def find_separating_complex(K, collars=None):
     comps = boundary_components(K)
     m = len(comps)
     comp_verts = [{v for i in c for v in K.cell(i).verts} for c in comps]
-    if collars is None:
-        collars = []
-        for verts in comp_verts:
-            collars.append([i for i in K.top_ids()
-                            if set(K.cell(i).verts) & verts])
+    collars = [[i for i in K.top_ids() if set(K.cell(i).verts) & verts]
+               for verts in comp_verts]
     for (a, ca), (b, cb) in itertools.combinations(enumerate(collars), 2):
         if set(ca) & set(cb):
             raise NoDisjointCollars(f"collars {a} and {b} share cubes")

@@ -98,13 +98,14 @@ def test_criterion_04_reduction_ledger():
         K = cube_complex(cells)
         final, lab, ledger = al.reduce_cubical(K)
         want_m = sh.star_replacement_cover_count(K)
-        iso = cc.is_isomorphic(sh.star_replacement(K), final)
+        S = sh.star_replacement(K)
+        iso = cc.is_isomorphic(S, final, S.vertex_cube_dim, lab.labels)
         if not (iso and ledger.total_covers == want_m):
             ok = False
             break
     report(4, ok, time.time() - t0,
            "20 random shellable disks, cone44, three 3-D boxes and a 4-D "
-           "two-cube box reduced")
+           "two-cube box reduced onto K*, labels included")
 
 
 def test_criterion_05_rank_identity():

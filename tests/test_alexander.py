@@ -178,7 +178,7 @@ def test_reduced_star_identity_when_no_apex():
     lab = al.alexander_label(K, vertex_labels=labels)
     Q, new_lab, step = al.collapse_at(lab, 3, apex=5_000)  # label never present
     assert Q is K and new_lab is lab
-    assert (step.star_top_count, step.covers, step.degree_delta) == (0, 0, 0)
+    assert (step.star_top_count, step.covers) == (0, 0)
     assert filtering_oracle(lab, 3, 5_000) == sorted(
         K.cell(i).verts for i in K.star_cell_ids(3))
 
@@ -188,7 +188,7 @@ def test_bad_center_label():
     lab = al.alexander_label(dd)
     center = next(v for v, d in dd.vertex_cube_dim.items() if d == 2)
     with pytest.raises(BadCenterLabel):
-        al.collapse_at(lab, center)  # apex defaults to w_2 = its own label
+        al.collapse_at(lab, center, apex=2)  # w_2 is its own label
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -198,9 +198,9 @@ def test_simple_pairs_matching(k):
     labels = {0: 0}
     labels.update({v: 1 if v % 2 else 2 for v in cycle})
     lab = al.alexander_label(K, vertex_labels=labels)
-    pairs = al.simple_pairs(lab, 0)
+    pairs = al.simple_pairs(lab, 0, 2)
     assert len(pairs) == k
-    assert al.simple_pairs(lab, 0) == pairs  # rerun identical
+    assert al.simple_pairs(lab, 0, 2) == pairs  # rerun identical
 
 
 def test_clover_of_six_star():
@@ -209,7 +209,7 @@ def test_clover_of_six_star():
     labels = {0: 0}
     labels.update({v: 1 if v % 2 else 2 for v in range(1, 7)})
     lab = al.alexander_label(K, vertex_labels=labels)
-    pairs = al.simple_pairs(lab, 0)
+    pairs = al.simple_pairs(lab, 0, 2)
     assert len(pairs) == 3
     assert sorted(i for p in pairs for i in p) == sorted(K.top_ids())
 
@@ -219,7 +219,7 @@ def test_clover_two_simplex_star():
     K = build_complex(2, SIMPLICIAL, [0, 1, 2, 3],
                       [(2, [0, 1, 2], SIMPLEX), (2, [0, 1, 3], SIMPLEX)])
     lab = al.alexander_label(K, vertex_labels={0: 0, 1: 1, 2: 2, 3: 2})
-    assert al.simple_pairs(lab, 0) == [tuple(K.top_ids())]
+    assert al.simple_pairs(lab, 0, 2) == [tuple(K.top_ids())]
 
 
 # -- collapse ------------------------------------------------------------------------
@@ -249,7 +249,7 @@ def test_collapse_rejects_duplicate_cells_in_star():
     # the two-edge circle: the star of vertex 0 holds both copies of [0, 1]
     lab = al.alexander_label(fa.circle_complex(2), vertex_labels={0: 0, 1: 1})
     with pytest.raises(NonSimplicialStar):
-        al.collapse_at(lab, 0)
+        al.collapse_at(lab, 0, apex=1)
 
 
 def test_collapse_rejects_boundary_outside_reduced_star():
@@ -274,18 +274,17 @@ def test_two_collapses_compose():
     ledger.add(s2)
     assert ledger.total_covers == s1.covers + s2.covers
     assert al.degree(lab3) == al.degree(lab) - ledger.total_covers
-    assert ledger.degree_delta == -ledger.total_covers
 
 
 def test_ledger_serialization():
     led = al.ReductionLedger()
-    led.add(al.LedgerStep(3, 4, 2, -2))
+    led.add(al.LedgerStep(3, 4, 2))
     assert led.to_json()[0]["covers"] == 2
 
 
 def test_ledger_rejects_odd_star():
     with pytest.raises(UnmatchedSimplex):
-        al.ReductionLedger().add(al.LedgerStep(3, 5, 2, -2))
+        al.ReductionLedger().add(al.LedgerStep(3, 5, 2))
 
 
 # -- reduction driver -------------------------------------------------------------------

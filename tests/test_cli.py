@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from cubalex import cli
 from cubalex import complex_core as cc
 from cubalex import factories as fa
+from cubalex import necklace as nk
 
 from gen import BENCH_BOXES_3D, CONE44, cube_complex
 
@@ -45,7 +47,7 @@ def test_shell_grid(paths, capsys):
 
 def test_shell_precondition_exit_3(paths, capsys):
     code, data = run(capsys, ["shell", paths["annulus"]])
-    assert code == 3
+    assert code == 3 and data["type"] == "NotACell"
 
 
 def test_validate_reports_hash(paths, capsys):
@@ -225,6 +227,38 @@ def test_necklace_export_obj(capsys, tmp_path):
     assert code == 0 and data["records"] > 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("#") and lines[1].startswith("v ")
+
+
+def test_necklace_export_slice_offsets_by_calibrated_rho(capsys, tmp_path,
+                                                        monkeypatch):
+    # the slice circles sit rho b scale off the marked circle, with rho from
+    # a disjointness run; a level-1 tube has scale b
+    reports = []
+    real = nk.verify_disjointness
+
+    def recorded(*args, **kw):
+        reports.append(real(*args, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(nk, "verify_disjointness", recorded)
+    out = tmp_path / "slice.csv"
+    code, data = run(capsys, ["necklace", "export", "--what", "slice",
+                              "--b", "0.1", "--m", "450", "--children", "4",
+                              "--out", str(out)])
+    assert code == 0 and data["records"] > 0 and len(reports) == 1
+    curves = {}
+    for row in out.read_text().splitlines()[1:]:
+        word, _, *x = row.split(",")
+        curves.setdefault(word, []).append([float(v) for v in x])
+    radius = {}
+    for word, pts in curves.items():
+        pts = np.array(pts)
+        radius[word] = np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean()
+    inner = [w for w in curves if w.endswith("--1")]  # words j--1 and j-1
+    assert len(inner) == 4 and len(curves) == 8
+    for w in inner:
+        offset = (radius[w[:-3] + "-1"] - radius[w]) / 2
+        assert offset == pytest.approx(reports[0]["rho"] * 0.1 * 0.1, rel=1e-9)
 
 
 @pytest.mark.parametrize("argv", [

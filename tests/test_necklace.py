@@ -143,8 +143,6 @@ def test_params_window():
         nk.NecklaceParams(b=0.2, m=1700)
     with pytest.raises(ParamsInvalid):
         nk.NecklaceParams(b=0.05, m=1701)  # odd
-    p = nk.NecklaceParams(b=0.2, m=12, enforce_window=False)
-    assert not p.window_conforming()
 
 
 def test_jacobian_exponent():
@@ -284,7 +282,7 @@ def test_containment_budget():
 
 def test_linking_small():
     p = small_params()
-    rep = nk.verify_linking(p, nodes=1500, pairs=[(1, 2), (1, 3), (p.m, 1)])
+    rep = nk.verify_linking(p, nodes=1500)
     assert rep["pass"]
     assert abs(abs(rep["pairs"]["1,2"]["lk"]) - 1) < 1e-3
     assert abs(rep["pairs"]["1,3"]["lk"]) < 1e-3
@@ -311,9 +309,6 @@ def test_linking_leaves_params_unchanged():
 
 @pytest.mark.parametrize("kwargs", [
     {"nodes": 7},
-    {"pairs": [(0, 1)]},
-    {"pairs": [(1, 451)]},
-    {"pairs": [(3, 3)]},
 ])
 def test_linking_rejects_bad_input(kwargs):
     with pytest.raises(ParamsInvalid):
@@ -364,7 +359,7 @@ def test_export_cores_csv(tmp_path):
     p = small_params()
     system = nk.generate(p, 1, children_per_tube=6)
     path = tmp_path / "cores.csv"
-    count = nk.export_geometry(system, str(path), what="cores", nodes=32)
+    count = nk.export_geometry(system, str(path), what="cores")
     lines = path.read_text().strip().splitlines()
     assert len(lines) == count + 1  # header
     # m polylines at level 1 (6 sampled children here)
@@ -377,7 +372,7 @@ def test_export_slice_two_curves_per_tube(tmp_path):
     p.c0 = p.c1 = 0.45
     system = nk.generate(p, 1, children_per_tube=4)
     path = tmp_path / "slice.csv"
-    nk.export_geometry(system, str(path), what="slice", nodes=16)
+    nk.export_geometry(system, str(path), what="slice")
     words = {line.split(",")[0]
              for line in path.read_text().strip().splitlines()[1:]}
     assert len(words) == 2 * 4
@@ -419,10 +414,10 @@ def test_export_level1_matches_oracle(tmp_path, what):
     p.c0 = p.c1 = 0.45
     system = nk.generate(p, 1, children_per_tube=6)
     path = tmp_path / f"{what}.csv"
-    nk.export_geometry(system, str(path), what=what, nodes=40)
+    nk.export_geometry(system, str(path), what=what)
     want = {}
     for t in system.level(1):
-        want.update(level1_oracle(t.word[0], p, what, 40))
+        want.update(level1_oracle(t.word[0], p, what, nk.export.NODES))
     got = read_curves(path)
     assert got.keys() == want.keys()
     for word, pts in want.items():
@@ -435,7 +430,7 @@ def test_export_every_level(tmp_path):
     p = small_params()
     system = nk.generate(p, 2, children_per_tube=3)
     path = tmp_path / "cores.csv"
-    nk.export_geometry(system, str(path), what="cores", nodes=64)
+    nk.export_geometry(system, str(path), what="cores")
     curves = read_curves(path)
     assert len(curves) == 3 + 9
     tubes = {"-".join(map(str, t.word)): t for t in system.tubes}
@@ -454,6 +449,13 @@ def test_export_rejects_unknown_kind(tmp_path, kwargs):
     system = nk.generate(small_params(), 1, children_per_tube=2)
     with pytest.raises(ParamsInvalid):
         nk.export_geometry(system, str(tmp_path / "x"), **kwargs)
+
+
+def test_export_slice_needs_rho(tmp_path):
+    # without c0 and c1 there is no rho to offset the slice circles by
+    system = nk.generate(small_params(), 1, children_per_tube=2)
+    with pytest.raises(ParamsInvalid):
+        nk.export_geometry(system, str(tmp_path / "x"), what="slice")
 
 
 def test_export_empty_system(tmp_path):

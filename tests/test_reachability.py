@@ -1,5 +1,5 @@
 """Static reachability of the package: no public name that nothing uses, no
-unused import.
+unused import, no default that no caller overrides.
 
 A public top-level name of a module under `src/cubalex` must be used
 outside its own definition: elsewhere in its module, by another module of
@@ -103,3 +103,107 @@ def test_no_unused_imports():
                 unused += [(name, bound, line) for bound, line in imported(node)
                            if bound not in names]
     assert unused == []
+
+
+
+# Defaulted parameters and fields that no caller sets, kept on purpose, with
+# the reason; an entry that some caller sets fails too.
+ALLOWED_DEFAULTS = {
+    # perfbench reads these two defaults through `inspect` to count the
+    # containment samples, so they go only with a change to the benchmark
+    ("necklace.verify", "verify_containment", "n_phi"),
+    ("necklace.verify", "verify_containment", "n_theta"),
+    # the calibration sweep and the stability window it certifies are the
+    # open work on the strict regime b < min(b0, b1, rho/10)
+    ("necklace.verify", "calibrate_constants", "m_of_b"),
+    ("necklace.verify", "calibrate_constants", "bs"),
+    ("necklace.verify", "calibrate_constants", "stability"),
+    ("necklace.verify", "calibrate_constants", "max_offset"),
+    ("necklace.tubes", "NecklaceParams", "b_window"),
+}
+
+
+def function_defaults(node, skip):
+    """(position at a call, name) of each defaulted parameter, after `skip`
+    leading parameters that a call does not pass (self); keyword-only
+    parameters have no position."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                  if d is not None]
+
+
+def settable_defaults():
+    """(module, callee name, parameter, position, definition) of every
+    defaulted parameter of a public function or of a public method or
+    constructor of a public class, and of every defaulted init field of a
+    public dataclass."""
+    out = []
+    for name, mod in MODULES.items():
+        for node in mod.body:
+            if isinstance(node, ast.FunctionDef) and PUBLIC.match(node.name):
+                out += [(name, node.name, p, i, node)
+                        for i, p in function_defaults(node, 0)]
+            if not (isinstance(node, ast.ClassDef) and PUBLIC.match(node.name)):
+                continue
+            if any(ast.unparse(d).startswith("dataclass")
+                   for d in node.decorator_list):
+                fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                          and "init=False" not in ast.unparse(s)]
+                out += [(name, node.name, s.target.id, i, node)
+                        for i, s in enumerate(fields) if s.value is not None]
+            for s in node.body:
+                if isinstance(s, ast.FunctionDef) and (
+                        s.name == "__init__" or PUBLIC.match(s.name)):
+                    callee = node.name if s.name == "__init__" else s.name
+                    out += [(name, callee, p, i, s)
+                            for i, p in function_defaults(s, 1)]
+    return out
+
+
+def calls(mod):
+    """(callee name, call, ids of the enclosing definitions) of each call."""
+    out = []
+
+    def walk(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {id(node)}
+        if isinstance(node, ast.Call):
+            f = node.func
+            out.append((getattr(f, "id", None) or getattr(f, "attr", None),
+                        node, inside))
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(mod, frozenset())
+    return out
+
+
+def sets(callee, call, owner, param, position):
+    """Does the call set the parameter: a call of its owner that passes it
+    by keyword, by position or through * or **, or a `dataclasses.replace`
+    that names it?"""
+    if callee == "replace":
+        return any(k.arg == param for k in call.keywords)
+    return callee == owner and (
+        any(k.arg in (param, None) for k in call.keywords)
+        or any(isinstance(a, ast.Starred) for a in call.args)
+        or (position is not None and len(call.args) > position))
+
+
+def test_every_default_is_set_by_a_caller():
+    """A defaulted parameter or field that no call in the package, the
+    benchmark or the acceptance and CLI tests sets has one value in use: it
+    is a constant, not an option.  Calls are matched by callee name, and a
+    call inside the definition itself (a recursion) does not count."""
+    every = [c for m in [*MODULES.values(), *map(tree, USERS)]
+             for c in calls(m)]
+    unset = {(mod, owner, param)
+             for mod, owner, param, position, node in settable_defaults()
+             if not any(sets(callee, call, owner, param, position)
+                        for callee, call, inside in every
+                        if id(node) not in inside)}
+    assert unset == ALLOWED_DEFAULTS

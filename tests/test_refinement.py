@@ -210,36 +210,6 @@ def test_cube_not_in_molecule():
         rf.expansion_index(M, (7, 7))
 
 
-def test_beta_ratio_constant_across_index_shift():
-    # beta = boundary area of tau(Q) over the area of its leading face q+_Q;
-    # raising every index by j scales both by 3^(j(n-1))
-    def beta(M, k):
-        return Fraction(M.boundary_area(M.tail(k)), M.leading_face[k].area())
-
-    rng = random.Random(17)
-    for _ in range(6):
-        M = random_molecule(rng)
-        base = {k: beta(M, k) for k in M.blocks}
-        for j in (1, 2):
-            f = 3 ** j
-            Ms = rf.build_molecule(
-                M.n, [[(tuple(c * f for c in b.corner), b.side * f)
-                       for b in atom.blocks] for atom in M.atoms],
-                [r + j for r in M.indices], M.leading)
-            assert {k: beta(Ms, k) for k in Ms.blocks} == base
-
-
-def test_face_classification_chain():
-    M = chain_molecule(ell=2, rho=1)
-    lead = M.leading[0]
-    cls = rf.Molecule.face_classification(M, lead)
-    kinds = set(cls.values())
-    assert "leading" in kinds and "back-first-kind" in kinds
-    leaf = next(k for k in M.blocks if not M.children[k])
-    cls2 = M.face_classification(leaf)
-    assert sorted(cls2.values()).count("exterior") == 3
-
-
 def test_molecule_json_roundtrip():
     rng = random.Random(29)
     for _ in range(5):
@@ -354,10 +324,7 @@ def test_contacts_derived_once(monkeypatch):
         assert len(calls) == B * (B - 1) // 2
         sizes.append(B)
         calls.clear()
-        M.boundary_area()
         for k in M.blocks:
-            M.face_classification(k)
-            M.boundary_area([k])
             M.tail_boundary_area_minus_leading(k)
             rf.expansion_index(M, k)
         assert not calls
