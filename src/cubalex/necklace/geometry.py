@@ -31,6 +31,22 @@ def model_core_point(pattern, b, u, v):
                     axis=-1)
 
 
+def model_core_slopes(pattern, b, u, v, w):
+    """Rowwise dot products (w . X_u, w . X_v) of 4-vectors w with the
+    partials of model_core_point at (u, v).
+
+    The partials are orthogonal, |X_u| = b and |X_v| <= 1 + b; the second
+    partials have norms |X_uu| = b, |X_uv| <= b and |X_vv| <= 1 + b.
+    """
+    su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
+    w1, w2, w3, w4 = w.T
+    along_v = cv * w4 - sv * w3
+    if pattern == ROUND:
+        return (b * (cu * (cv * w3 + sv * w4) - su * w2),
+                (1.0 + b * su) * along_v)
+    return b * (cu * w2 - su * w1), along_v
+
+
 def dist_to_core(x, pattern, b):
     """Closed-form distance from 4-points to the model core torus."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))

@@ -14,10 +14,10 @@ from .transforms import Similarity4, identity, rotation
 class NecklaceParams:
     """Scale b, child count m, and the empirically certified constants.
 
-    The child-count window 4b^2/3 <= 2pi/m <= 3b^2/2 is a hard requirement;
-    the strict-regime inequality b < min(b0, b1, rho/10) is only reported,
-    since the empirical separation constants put that threshold far below
-    any b large enough to compute with.
+    The child-count window 4b^2/3 <= 2pi/m <= 3b^2/2 is a hard requirement,
+    so every params object is inside it; the strict-regime inequality
+    b < min(b0, b1, rho/10) is only reported, since rho comes from a
+    disjointness run at b itself.
     """
 
     b: float
@@ -31,14 +31,10 @@ class NecklaceParams:
             raise ParamsInvalid(f"b = {self.b} outside (0,1)")
         if self.m < 4 or self.m % 2:
             raise ParamsInvalid(f"m = {self.m} must be an even integer >= 4")
-        if not self.window_conforming():
-            lo, hi = 4 * self.b ** 2 / 3, 3 * self.b ** 2 / 2
-            raise ParamsInvalid(
-                f"2pi/m = {2 * math.pi / self.m:.6g} outside [{lo:.6g}, {hi:.6g}]")
-
-    def window_conforming(self):
         lo, hi = 4 * self.b ** 2 / 3, 3 * self.b ** 2 / 2
-        return lo <= 2 * math.pi / self.m <= hi
+        if not lo <= self.beta <= hi:
+            raise ParamsInvalid(
+                f"2pi/m = {self.beta:.6g} outside [{lo:.6g}, {hi:.6g}]")
 
     @property
     def beta(self):
@@ -65,7 +61,6 @@ class NecklaceParams:
     def to_json(self):
         return {"b": self.b, "m": self.m, "c0": self.c0, "c1": self.c1,
                 "rho": self.rho, "beta": self.beta,
-                "window_conforming": self.window_conforming(),
                 "strict_conforming": self.strict_conforming(),
                 "jacobian_exponent": self.jacobian_exponent()}
 

@@ -1,11 +1,12 @@
 """Numerical verification of the necklace claims.
 
 Disjointness brackets pairwise core distances over representative index
-pairs (rotation by two steps is a symmetry of the chain) by branch-and-bound;
-containment samples the closed-form core distance; linking counts crossings
-through flat disks, an exact integer, and cross-checks the count with the
-closed-form loop field; all thresholds come from the construction's own
-inequalities.
+pairs (rotation by two steps is a symmetry of the chain) by branch-and-bound,
+with a cell bound of first order everywhere and of second order (gradient
+and curvature) inside the core's reach; containment samples the closed-form
+core distance; linking counts crossings through flat disks, an exact
+integer, and cross-checks the count with the closed-form loop field; all
+thresholds come from the construction's own inequalities.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from ..errors import (
     IntegralNotConverged, MinimizationNotConverged, ParamsInvalid,
     SamplingBudgetExceeded,
 )
-from ..kernels import loop_field
+from ..kernels import loop_field, torus_distance_gradients, torus_distances
 from .geometry import (
     ROUND, child_map, circle_frame, circle_points,
-    dist_point_to_tau, dist_to_core, model_core_point, pattern_of_child,
-    sample_core, sample_model_torus, tau_similarity,
+    dist_point_to_tau, dist_to_core, model_core_point, model_core_slopes,
+    pattern_of_child, sample_core, sample_model_torus, tau_similarity,
 )
 from .transforms import rotation
 from .tubes import NecklaceParams
@@ -38,19 +39,27 @@ def _pair_objective(i, j, m, b, tilde):
     """f(u1, u2) = dist(tau_i(u1, u2), tau_j) / b, over tau_i's two angles.
 
     Both cores have scale b, so M = S_j^-1 o S_i is an isometry and f is the
-    closed-form model distance from M(model_i(u)) to tau_j's model core.
+    closed-form model distance D from Y = M(model_i(u)) to tau_j's model
+    core.  With gradient=True, f also returns its partials
+    df/du_k = grad D(Y) . A X_k, X_k the partials of model_i.
     """
     M = tau_similarity(j, m, b, tilde).inverse().compose(
         tau_similarity(i, m, b, tilde))
-    pi, pj = pattern_of_child(i), pattern_of_child(j)
+    pi, flat_j = pattern_of_child(i), pattern_of_child(j) != ROUND
 
-    def f(u1, u2):
-        out = np.empty(len(u1))
+    def f(u1, u2, gradient=False):
+        out = np.empty((3, len(u1)))
         for lo in range(0, len(u1), CHUNK):
             part = slice(lo, lo + CHUNK)
-            out[part] = dist_to_core(
-                M(model_core_point(pi, b, u1[part], u2[part])), pj, b)
-        return out
+            v1, v2 = u1[part], u2[part]
+            y = M(model_core_point(pi, b, v1, v2))
+            if not gradient:
+                out[0, part] = torus_distances(y, b, flat_j)
+                continue
+            out[0, part], grad = torus_distance_gradients(y, b, flat_j)
+            # rows A^T grad D: the gradient in model_i's frame
+            out[1:, part] = model_core_slopes(pi, b, v1, v2, grad @ M.A)
+        return out if gradient else out[0]
     return f
 
 
@@ -63,32 +72,64 @@ def _cell_radius(b, h1, h2):
     return np.hypot(b * h1, (1 + b) * h2)
 
 
-def _branch_and_bound(f, b, best):
-    """Lipschitz branch-and-bound of f over the angle torus (Piyavskii-Shubert).
+def _cell_lower_bound(b, fc, g1, g2, h1, h2):
+    """Lower bound of f over cells of centre value fc, centre partials (g1,
+    g2) and half-widths (h1, h2), and where its second-order term won.
 
-    A cell is done once its lower bound reaches (1 - GAP) * best, where best
-    is the smallest value evaluated so far, this pair's or an earlier pair's
-    of the same family.  Returns (best, (u, half-widths) of the cell where
-    this pair improved on it or None, the smallest lower bound of a finished
-    cell, cells evaluated).
+    The first-order bound is fc - r, r = _cell_radius.  When fc - r > 0 and
+    fc + r < b, the whole cell maps inside the core's reach b, where the
+    distance D is smooth with Hessian >= -1/(b - D) >= -L, L = 1/(b - fc - r).
+    Along the segment from the centre, the second derivative of f is then at
+    least -L |X_1 d1 + X_2 d2|^2 - |X_11 d1^2 + 2 X_12 d1 d2 + X_22 d2^2|, so
+    f >= fc - |g1| h1 - |g2| h2 - (L (b^2 h1^2 + (1+b)^2 h2^2) + b h1^2
+    + 2 b h1 h2 + (1+b) h2^2) / 2 (see model_core_slopes for the norms).
+    The larger of the two bounds holds.
+    """
+    r = _cell_radius(b, h1, h2)
+    first = fc - r
+    smooth = (first > 0) & (fc + r < b)
+    lam = 1 / np.where(smooth, b - fc - r, 1.0)
+    curvature = (lam * ((b * h1) ** 2 + ((1 + b) * h2) ** 2)
+                 + b * h1 * h1 + 2 * b * h1 * h2 + (1 + b) * h2 * h2)
+    second = fc - np.abs(g1) * h1 - np.abs(g2) * h2 - curvature / 2
+    by_curvature = smooth & (second > first)
+    return np.where(by_curvature, second, first), by_curvature
+
+
+def _branch_and_bound(f, b, best, work):
+    """Branch-and-bound of f over the angle torus, by gradient and curvature.
+
+    Each cell is bounded below by _cell_lower_bound: the Lipschitz bound
+    f(c) - r everywhere, and inside the core's reach the second-order bound
+    from the partials at the centre, whichever is larger.  A cell is done
+    once its lower bound reaches (1 - GAP) * best, where best is the
+    smallest value evaluated so far, this pair's or an earlier pair's of the
+    same family.  Returns (best, (u, half-widths) of the cell where this
+    pair improved on it or None, the smallest lower bound of a finished
+    cell), and adds to the counters in `work`: cells evaluated, the peak
+    number of live cells, and finished cells whose second-order bound beat
+    the first-order one.
     """
     c1 = c2 = np.array([np.pi])
     h1 = h2 = np.array([np.pi])
-    lower, arg, evaluated = math.inf, None, 0
+    lower, arg = math.inf, None
     while len(c1):
         if len(c1) > MAX_LIVE_CELLS:
             raise MinimizationNotConverged(
                 f"{len(c1)} live cells, above the cap of {MAX_LIVE_CELLS}")
-        fc = f(c1, c2)
-        evaluated += len(fc)
+        work["cells_live_peak"] = max(work["cells_live_peak"], len(c1))
+        fc, g1, g2 = f(c1, c2, gradient=True)
+        work["cells_evaluated"] += len(fc)
         k = int(np.argmin(fc))
         if fc[k] < best:
             best = float(fc[k])
             arg = (np.array([c1[k], c2[k]]), np.array([h1[k], h2[k]]))
-        lb = fc - _cell_radius(b, h1, h2)
+        lb, by_curvature = _cell_lower_bound(b, fc, g1, g2, h1, h2)
         live = lb < (1 - GAP) * best
         if not live.all():
             lower = min(lower, float(lb[~live].min()))
+            work["cells_closed_by_curvature"] += int(
+                np.count_nonzero(by_curvature & ~live))
         c1, c2, h1, h2 = c1[live], c2[live], h1[live], h2[live]
         # halve each live cell along its longer side in the torus metric
         along1 = b * h1 >= (1 + b) * h2
@@ -99,7 +140,7 @@ def _branch_and_bound(f, b, best):
         c1 = np.concatenate([c1 - d1, c1 + d1])
         c2 = np.concatenate([c2 - d2, c2 + d2])
         h1, h2 = np.tile(h1, 2), np.tile(h2, 2)
-    return best, arg, lower, evaluated
+    return best, arg, lower
 
 
 _COMPASS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1],
@@ -143,18 +184,21 @@ def representative_pairs(m, b):
 def verify_disjointness(params, seed=0, max_offset=None):
     """Certified core-separation constants and the tube-disjointness check.
 
-    For each near pair, a Lipschitz branch-and-bound over tau_i's two angles
-    brackets min dist(tau_i, tau_j) between a certified lower bound and an
-    evaluated best value; offset-1 pairs go first, so later pairs stop
-    against their family's best.  The report has c0 = min dist(tau_i,
-    tau_j)/b^2 and c1 for the tilde family (best values found), their lower
-    bounds c0_lower and c1_lower, the relative gap between the two, and
-    rho = min(c0, c1)/10.  pass = (min(c0_lower, c1_lower) > 2 rho), which
-    makes the child tubes of radius rho*b^2 pairwise disjoint, and the
-    rotation equivariance dist(tau_i,tau_j) = dist(tau_{i+2},tau_{j+2})
-    holds.  Chord-certified pairs are never searched.  `max_offset`
-    truncates the pair sweep for calibration runs where only the near-pair
-    minimum matters.
+    For each near pair, a branch-and-bound over tau_i's two angles
+    (_branch_and_bound) brackets min dist(tau_i, tau_j) between a certified
+    lower bound and an evaluated best value; offset-1 pairs go first, so
+    later pairs stop against their family's best.  The report has
+    c0 = min dist(tau_i, tau_j)/b^2 and c1 for the tilde family (best values
+    found), their lower bounds c0_lower and c1_lower, the relative gap
+    between the two, and rho = min(c0, c1)/10.  pass = (min(c0_lower,
+    c1_lower) > 2 rho), which makes the child tubes of radius rho*b^2
+    pairwise disjoint, and the rotation equivariance dist(tau_i,tau_j) =
+    dist(tau_{i+2},tau_{j+2}) holds.  Chord-certified pairs are never
+    searched.  `max_offset` truncates the pair sweep for calibration runs
+    where only the near-pair minimum matters.  The report also carries the
+    work: cells evaluated, the peak number of live cells (against
+    MAX_LIVE_CELLS), and the finished cells that the second-order bound
+    closed.
     """
     b, m = params.b, params.m
     near, certified = representative_pairs(m, b)
@@ -164,17 +208,17 @@ def verify_disjointness(params, seed=0, max_offset=None):
     cert_bound = min((bd for _, bd in certified), default=math.inf)
     report = {"pairs_minimized": 2 * len(near),
               "pairs_certified": len(certified),
-              "chord_lower": cert_bound / b ** 2, "cells_evaluated": 0}
+              "chord_lower": cert_bound / b ** 2, "cells_evaluated": 0,
+              "cells_live_peak": 0, "cells_closed_by_curvature": 0}
     mins, lowers = {}, {}
     for tilde in (False, True):
         best, lower, best_at = math.inf, math.inf, None
         for i, j in near:
             f = _pair_objective(i, j, m, b, tilde)
-            best, arg, pair_lower, evaluated = _branch_and_bound(f, b, best)
+            best, arg, pair_lower = _branch_and_bound(f, b, best, report)
             if arg is not None:
                 best_at = (f, *arg)
             lower = min(lower, pair_lower)
-            report["cells_evaluated"] += evaluated
         if best_at is not None:
             best = _polish(*best_at, best)
         # distances are in model units; the cores have scale b

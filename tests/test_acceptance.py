@@ -26,7 +26,7 @@ from gen import (BENCH_BOXES_3D, CONE44, cube_complex, random_disk_polyomino,
                  random_molecule, random_sketch_pieces)
 
 BUDGETS = {1: 1, 2: 1, 3: 10, 4: 5, 5: 1, 6: 10, 7: 5, 8: 5,
-           9: 20, 10: 10, 11: 5, 12: 10}
+           9: 20, 10: 10, 11: 5, 12: 10, 13: 15}
 
 
 def report(num, ok, elapsed, detail=""):
@@ -232,3 +232,26 @@ def test_criterion_12_scale_ledger():
     ok = len(system.level(3)) > 0 and max(errs) <= 1e-12
     report(12, ok, time.time() - t0,
            f"{len(system.tubes)} transforms, max relative scale error {max(errs):.2e}")
+
+
+def test_criterion_13_necklace_strict_regime():
+    # b = 0.005 lies inside the paper's regime b < rho/10, where the tubes
+    # nest at b itself; the b = 0.05 criteria run above it
+    t0 = time.time()
+    params = nk.NecklaceParams(b=0.005, m=179_520)
+    dis = nk.verify_disjointness(params, seed=0)
+    params = dataclasses.replace(params, c0=dis["c0"], c1=dis["c1"])
+    link = nk.verify_linking(params, nodes=10_000, tol=1e-3)
+    contain = nk.verify_containment(params, tol=1e-3)
+    lower, rho = min(dis["c0_lower"], dis["c1_lower"]), dis["rho"]
+    lks = [v["lk"] for v in link["pairs"].values()]
+    ok = (dis["pass"] and lower > 2 * rho
+          and params.b < rho / 10
+          and contain["pass"] and contain["nesting_at_b"]
+          and link["pass"] and lks == [-1, 1, 0, 0, 0, 0, 1])
+    report(13, ok, time.time() - t0,
+           f"b = {params.b} < rho/10 = {rho / 10:.5f}; min dist >= "
+           f"{lower:.4f} b^2 > 2 rho; nesting margin at b "
+           f"{contain['nesting_margin_at_b']:.4f}; lk {lks}; "
+           f"{dis['cells_evaluated']} cells, peak live "
+           f"{dis['cells_live_peak']}")

@@ -178,6 +178,18 @@ def test_necklace_verify_disjoint_reports_lower_bound(capsys):
     assert check["threshold"] == 2 * detail["rho"]
 
 
+def test_necklace_verify_disjoint_reports_work(capsys):
+    # the detail says how the verdict was reached: the peak of live cells
+    # against the cap, and the cells the second-order bound closed
+    code, data = run(capsys, ["necklace", "verify-disjoint", "--b", "0.1",
+                              "--m", "450"])
+    assert code == 0
+    detail = data["detail"]
+    assert 0 < detail["cells_live_peak"] <= nk.verify.MAX_LIVE_CELLS
+    assert 0 < detail["cells_closed_by_curvature"] < detail["cells_evaluated"]
+    assert "window_conforming" not in data["params"]
+
+
 def test_necklace_verify_contain_reports_nesting(capsys):
     # c0 and c1 come from a disjointness run, so the nesting check is made
     code, data = run(capsys, ["necklace", "verify-contain", "--b", "0.1",

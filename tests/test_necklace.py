@@ -7,6 +7,7 @@ that keep each test under a second or two.
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -219,6 +220,76 @@ def test_cell_lower_bound_is_sound(i, tilde, c, h, ts):
     drop = fc - f(u1, u2).min()
     target(drop / radius)  # steer the search toward the tightest cells
     assert drop <= radius + 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def minimizer(i, tilde):
+    """Where f of the pair (i, i + 1) is smallest, from the search itself."""
+    p = small_params()
+    f = ve._pair_objective(i, i + 1, p.m, p.b, tilde)
+    work = dict.fromkeys(
+        ("cells_evaluated", "cells_live_peak", "cells_closed_by_curvature"), 0)
+    _, (u, _), _ = ve._branch_and_bound(f, p.b, math.inf, work)
+    return tuple(u)
+
+
+def log_width(hi):
+    """Half-widths spread evenly in log scale over [1e-6, hi]."""
+    return st.floats(math.log(1e-6), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(i=st.sampled_from([1, 2]), tilde=st.booleans(), near=st.booleans(),
+       c=st.tuples(angle, angle), h=st.tuples(log_width(math.pi),
+                                              log_width(math.pi)),
+       hn=st.tuples(log_width(0.05), log_width(0.05)),
+       shift=st.tuples(offset, offset),
+       ts=st.lists(st.tuples(offset, offset), min_size=1, max_size=32))
+def test_cell_second_order_bound_is_sound(i, tilde, near, c, h, hn, shift,
+                                          ts):
+    # the combined bound never exceeds f in the cell; the second-order term
+    # applies to the narrow cells inside the core's reach, and half the
+    # cells are drawn around the minimum
+    p = small_params()
+    f = ve._pair_objective(i, i + 1, p.m, p.b, tilde)
+    if near:
+        u, h = minimizer(i, tilde), hn
+        c = (u[0] + shift[0] * h[0], u[1] + shift[1] * h[1])
+    t = np.array(ts + [(-1, -1), (-1, 1), (1, -1), (1, 1)])
+    u1, u2 = c[0] + h[0] * t[:, 0], c[1] + h[1] * t[:, 1]
+    fc, g1, g2 = f(np.array([c[0]]), np.array([c[1]]), gradient=True)
+    lb, _ = ve._cell_lower_bound(p.b, fc, g1, g2, *map(np.array, h))
+    excess = lb[0] - f(u1, u2).min()
+    target(excess / ve._cell_radius(p.b, *h))  # steer toward the tightest
+    assert excess <= 1e-12
+
+
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("tilde", [False, True])
+def test_pair_objective_partials_match_differences(i, tilde):
+    # tau_1 is a flat core and tau_2 a round one, so both patterns are met
+    # on either side of the pair
+    p = small_params()
+    f = ve._pair_objective(i, i + 1, p.m, p.b, tilde)
+    u1, u2 = np.random.default_rng(i).uniform(0, 2 * np.pi, size=(2, 64))
+    fc, g1, g2 = f(u1, u2, gradient=True)
+    assert np.array_equal(fc, f(u1, u2))
+    e = 1e-6
+    assert np.allclose(g1, (f(u1 + e, u2) - f(u1 - e, u2)) / (2 * e),
+                       rtol=0, atol=1e-7)
+    assert np.allclose(g2, (f(u1, u2 + e) - f(u1, u2 - e)) / (2 * e),
+                       rtol=0, atol=1e-7)
+
+
+def test_disjointness_cell_count_guard():
+    # the second-order bound closes the valley the first-order bound refines
+    # down to cells of width GAP * b; 2.67 M cells with the first-order
+    # bound alone, about 108,000 with both
+    rep = nk.verify_disjointness(nk.NecklaceParams(b=0.05, m=1700),
+                                 max_offset=1)
+    assert rep["cells_evaluated"] <= 200_000
+    assert 0 < rep["cells_closed_by_curvature"] < rep["cells_evaluated"]
+    assert 0 < rep["cells_live_peak"] <= ve.MAX_LIVE_CELLS
 
 
 def test_disjointness_brackets_dense_grid():
