@@ -12,11 +12,12 @@ each shelling step's wall to a star one dimension down.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import time
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .complex_core import (
-    SIMPLEX, SIMPLICIAL, Cell, Complex, canonical_triangulation,
+    SIMPLICIAL, Complex, canonical_triangulation, spanning_forest,
 )
 from .errors import (
     BadCenterLabel,
@@ -38,6 +39,7 @@ class AlexanderLabeling:
     complex: Complex
     labels: dict          # vertex id -> label in 0..n
     parity: dict          # top cell id -> +1 / -1
+    connected: bool       # are the top cells one adjacency component?
 
     def label(self, v):
         return self.labels[v]
@@ -55,6 +57,9 @@ class LedgerStep:
     vertex: int
     star_top_count: int
     covers: int
+    apex: int             # the label v takes: the dimension of the recursion
+    rewritten: int        # cells of K that meet an apex vertex
+    recoloured: bool      # did the parity need the global two-colouring?
 
     def to_json(self):
         return {"vertex": self.vertex, "star_top_count": self.star_top_count,
@@ -66,6 +71,7 @@ class ReductionLedger:
     """Record of a reduction sequence: per-step simple-cover counts."""
 
     steps: list = field(default_factory=list, init=False)
+    seconds: dict = field(default_factory=dict, init=False)  # stage -> s
 
     def add(self, step):
         if step.star_top_count % 2:
@@ -80,6 +86,18 @@ class ReductionLedger:
     def to_json(self):
         return [s.to_json() for s in self.steps]
 
+    def diagnostics(self):
+        """How the reduction reached its complex: steps per apex label (the
+        dimension of the recursion), cells rewritten, steps whose parity
+        took the global two-colouring, and seconds per stage."""
+        return {
+            "collapses": {str(d): k for d, k in
+                          sorted(Counter(s.apex for s in self.steps).items())},
+            "cells_rewritten": sum(s.rewritten for s in self.steps),
+            "global_colourings": sum(s.recoloured for s in self.steps),
+            "seconds": {k: round(t, 6) for k, t in self.seconds.items()},
+        }
+
 
 def _two_color(neighbors, seed_order):
     """Proper 2-coloring; raises OddCycle with a witness cycle."""
@@ -90,9 +108,9 @@ def _two_color(neighbors, seed_order):
             continue
         color[start] = 1
         parent[start] = None
-        queue = [start]
+        queue = deque([start])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for w in neighbors(u):
                 if w not in color:
                     color[w] = -color[u]
@@ -123,7 +141,8 @@ def alexander_label(K, vertex_labels=None):
     For a canonical triangulation the labels are forced by the cube-dimension
     rule (a vertex interior to a k-cube gets label k); otherwise a full
     vertex labeling must be supplied.  Parity is the 2-coloring of the
-    adjacency graph seeded at the lexicographically smallest n-simplex.
+    adjacency graph seeded at the lexicographically smallest n-simplex, and
+    at the smallest of each further component.
     """
     n = K.dimension
     if K.mode != SIMPLICIAL:
@@ -131,8 +150,15 @@ def alexander_label(K, vertex_labels=None):
 
     # parity first: a non-bipartite adjacency graph means no Alexander map
     order = sorted(K.top_ids(), key=lambda i: K.cell(i).verts)
-    parity = _two_color(lambda u: sorted(
-        {j for f in K.facet_ids(u) for j in K.coface_ids(f)} - {u}), order)
+
+    def neighbors(u):
+        return sorted({j for f in K.facet_ids(u)
+                       for j in K.coface_ids(f)} - {u})
+
+    parity = _two_color(neighbors, order[:1])
+    connected = len(parity) == len(order)
+    if not connected:
+        parity = _two_color(neighbors, order)
 
     if vertex_labels is None:
         if not K.vertex_cube_dim:
@@ -146,7 +172,7 @@ def alexander_label(K, vertex_labels=None):
         if got != list(range(n + 1)):
             raise LabelClash(
                 f"simplex {K.cell(i).verts} carries labels {got}")
-    return AlexanderLabeling(K, labels, parity)
+    return AlexanderLabeling(K, labels, parity, connected)
 
 
 def degree(lab):
@@ -167,11 +193,12 @@ def degree(lab):
 
 def _check_star_simplicial(K, star_ids):
     cells = [K.cell(i) for i in star_ids]
-    for c in cells:  # a star holds every copy of a cell it holds
+    tops = [c for c in cells if c.dim == K.dimension]
+    for c in tops:  # only tops repeat; a star holds every copy of its cells
         if len(K.ids_with_verts(c.dim, c.verts)) > 1:
             raise NonSimplicialStar(f"duplicate cell {c.verts} in star")
     present = {c.verts for c in cells}
-    for a, b in itertools.combinations([c for c in cells if c.dim == K.dimension], 2):
+    for a, b in itertools.combinations(tops, 2):
         shared = tuple(sorted(set(a.verts) & set(b.verts)))
         if shared and shared not in present:
             raise NonSimplicialStar(
@@ -213,9 +240,11 @@ def collapse_at(lab, v, apex):
     """One reduction step: collapse St(v) to its reduced star.
 
     Every apex-labeled vertex of the star is identified with v, degenerate
-    images drop into the reduced star, v takes the apex label, and parity is
-    recomputed.  Returns (complex, labeling, ledger step); the step counts
-    m = #St(v)^(n)/2 simple covers, which lower the degree by m.
+    images drop into the reduced star, and v takes the apex label.  Only the
+    cells that meet an apex vertex are rewritten (`Complex.identify`), and
+    only the new tops are labelled (`_carried_labeling`).  Returns (complex,
+    labeling, ledger step); the step counts m = #St(v)^(n)/2 simple covers,
+    which lower the degree by m.
     """
     K = lab.complex
     n = K.dimension
@@ -231,44 +260,69 @@ def collapse_at(lab, v, apex):
 
     if not apex_verts:
         # the star already equals its reduced star: identity step
-        step = LedgerStep(vertex=v, star_top_count=0, covers=0)
+        step = LedgerStep(vertex=v, star_top_count=0, covers=0, apex=apex,
+                          rewritten=0, recoloured=False)
         return K, lab, step
     if star_tops:
         simple_pairs(lab, v, apex)  # raises UnmatchedSimplex on bad stars
 
     # boundary condition: boundary cells inside the star must avoid apexes
-    star_set = set(star_ids)
-    for i in K.boundary_facet_ids():
-        if i in star_set and any(w in apex_verts for w in K.cell(i).verts):
+    for i in star_ids:
+        c = K.cell(i)
+        if (c.dim == n - 1 and len(K.coface_ids(i)) == 1
+                and not apex_verts.isdisjoint(c.verts)):
             raise BoundaryViolation(
                 f"star of {v} meets the boundary outside its reduced star")
 
-    # the image of a closed complex is closed under faces, so the
-    # non-degenerate images are already a whole complex: no build_complex
-    verts = {w: K.vertices[w] for w in K.vertices if w not in apex_verts}
-    lower = {}
-    tops = []
-    for c in K.cells():
-        if apex_verts.isdisjoint(c.verts):
-            image = c.verts
-        else:
-            image = tuple(sorted({v if w in apex_verts else w for w in c.verts}))
-            if len(image) < len(c.verts):
-                continue  # degenerate: its image is a cell of the reduced star
-        if c.dim == n:
-            tops.append(Cell(n, image, SIMPLEX))
-        else:
-            lower.setdefault((c.dim, image), Cell(c.dim, image, SIMPLEX))
-    cells = sorted([*lower.values(), *tops], key=lambda c: (c.dim, c.verts))
-    Q = Complex(n, SIMPLICIAL, verts, cells)
-
-    labels = {w: lab.label(w) for w in verts}
+    Q, image, touched = K.identify(apex_verts, v)
+    labels = {w: lab.label(w) for w in Q.vertices}
     labels[v] = apex
-    new_lab = alexander_label(Q, labels)
+    new_lab, recoloured = _carried_labeling(
+        lab, Q, image, [i for i in touched if K.cell(i).dim == n], labels)
 
     step = LedgerStep(vertex=v, star_top_count=len(star_tops),
-                      covers=len(star_tops) // 2)
+                      covers=len(star_tops) // 2, apex=apex,
+                      rewritten=len(touched), recoloured=recoloured)
     return Q, new_lab, step
+
+
+def _carried_labeling(lab, Q, image, moved, labels):
+    """The labeling of Q, the identified image of lab.complex, in which
+    every top keeps its preimage's parity.  `moved` are the tops that met an
+    apex vertex; the images of those that survive are Q's new tops and its
+    only tops on v, the one vertex whose label changed, so only they need
+    the label check.
+
+    The carried parity is what `alexander_label` would compute when it is
+    proper, when the seed rule keeps it (Q's lowest top is +1) and when Q is
+    connected; otherwise Q takes the global two-colouring.  Every edge
+    between two tops that survive the collapse survives with them, so only
+    the edges at new tops need checking.  For the same reason Q is
+    connected when K is and the rim, the surviving tops next to a top that
+    degenerated, is joined up through new tops: every surviving top reaches
+    the rim in K without passing a degenerate one.  (In a collapse the rim
+    is new: a top next to a star top meets an apex vertex.)  Returns
+    (labeling, did the global two-colouring run).
+    """
+    K = lab.complex
+    parity = {image[i]: s for i, s in lab.parity.items() if image[i] >= 0}
+    new = [image[i] for i in moved if image[i] >= 0]
+    rim = {image[j] for i in moved if image[i] < 0 for f in K.facet_ids(i)
+           for j in K.coface_ids(f) if image[j] >= 0}
+    edges = [(t, u) for t in new for f in Q.facet_ids(t)
+             for u in Q.coface_ids(f) if u != t]
+    joined = {*rim, *new}
+    if (any(parity[t] == parity[u] for t, u in edges)
+            or parity[Q.top_ids()[0]] != 1 or not lab.connected
+            or len(spanning_forest(joined, [e for e in edges
+                                            if e[1] in joined])[0]) > 1):
+        return alexander_label(Q, labels), True
+    n = Q.dimension
+    for t in sorted(new):
+        got = sorted(labels.get(w) for w in Q.cell(t).verts)
+        if got != list(range(n + 1)):
+            raise LabelClash(f"simplex {Q.cell(t).verts} carries labels {got}")
+    return AlexanderLabeling(Q, labels, parity, True), False
 
 
 # -- cubical reduction driver ------------------------------------------------------
@@ -289,14 +343,20 @@ def reduce_cubical(K):
     characteristic and boundary connectivity, and for n >= 4 the shelling
     step test is a certificate, not a proof.
     """
+    ledger = ReductionLedger()
+    t0 = time.perf_counter()
     order = find_shelling(K)
     if order is None:
         raise NotACell("no shelling found")
+    t1 = time.perf_counter()
     T = canonical_triangulation(K)
     centre = {s: v for v, s in T.triangulation_source.items()}
-    ledger = ReductionLedger()
-    lab, _ = _reduce_ball(K, order, alexander_label(T), ledger,
+    start = alexander_label(T)
+    t2 = time.perf_counter()
+    lab, _ = _reduce_ball(K, order, start, ledger,
                           lambda q: centre[K.cell(q).dim, K.cell(q).verts])
+    ledger.seconds.update(shelling=t1 - t0, triangulation=t2 - t1,
+                          collapses=time.perf_counter() - t2)
     return lab.complex, lab, ledger
 
 

@@ -119,6 +119,7 @@ def cmd_reduce(args):
          "threshold": covers, "pass": ledger.total_covers == covers},
     ])
     report["ledger"] = ledger.to_json()
+    report["diagnostics"] = ledger.diagnostics()
     return _emit(report, args.out)
 
 

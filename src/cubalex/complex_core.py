@@ -12,6 +12,7 @@ complex, so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import itertools
@@ -19,6 +20,8 @@ import json
 import operator
 from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     FaceOveruse,
@@ -85,6 +88,10 @@ def _spans_face(order, verts):
     return len(pos) == 1 << free.bit_count()
 
 
+_cell_key = operator.attrgetter("dim", "verts")
+_cell_verts = operator.attrgetter("verts")
+
+
 def _facet_orders(c):
     """Vertex orders of the codimension-1 faces of cell c: `cube_facets`
     order for cubes, vertex-drop order for simplices."""
@@ -121,6 +128,7 @@ class Complex:
         # incidence index, CSR (offsets, flat ids); built on first use
         self._facets = None
         self._cofaces = None
+        self._canonical = None  # see `_in_canonical_form`
         if validate:
             self._validate()
 
@@ -144,7 +152,31 @@ class Complex:
         return len(self._by_dim.get(dim, []))
 
     def ids_with_verts(self, dim, verts):
-        return self._index.get((dim, tuple(sorted(verts))), [])
+        """ids of the cells of dimension dim on `verts`: from the index, or
+        by bisection in a complex from `identify`, which keeps no index."""
+        key = dim, tuple(sorted(verts))
+        if self._index is not None:
+            return self._index.get(key, [])
+        lo = bisect.bisect_left(self._cells, key, key=_cell_key)
+        return list(range(lo, bisect.bisect_right(self._cells, key, lo,
+                                                  key=_cell_key)))
+
+    def _cells_at(self, vertices):
+        """ids of the cells that contain one of `vertices`, ascending: from
+        the vertex index, or up the coface table from their 0-cells (a cell
+        on w reaches the 0-cell of w through facets on w)."""
+        if self._vertex_cells is not None:
+            return sorted({i for w in vertices for i in self._vertex_cells[w]})
+        off, flat = self._coface_table()
+        take = {i for w in vertices for i in self.ids_with_verts(0, (w,))}
+        stack = list(take)
+        while stack:
+            j = stack.pop()
+            for k in flat[off[j]:off[j + 1]]:
+                if k not in take:
+                    take.add(k)
+                    stack.append(k)
+        return sorted(take)
 
     def _facet_table(self):
         """Facets of every cell as CSR: ids flat[off[i]:off[i + 1]]."""
@@ -234,7 +266,7 @@ class Complex:
         """Smallest subcomplex containing every cell incident to v (as ids)."""
         if v not in self.vertices:
             raise UnknownVertex(str(v))
-        return self._closure(self._vertex_cells[v])
+        return self._closure(self._cells_at((v,)))
 
     def _closure(self, ids):
         """The given cells and all their faces, as sorted ids."""
@@ -256,6 +288,167 @@ class Complex:
                        verts, cells, validate=False,
                        vertex_cube_dim={v: d for v, d in self.vertex_cube_dim.items()
                                         if v in verts})
+
+    def _in_canonical_form(self):
+        """Are the cells simplices sorted by (dim, verts), each listed in
+        vertex order?  Checked once; `identify` keeps it."""
+        if self._canonical is None:
+            keys = [(c.dim, c.verts) for c in self._cells]
+            self._canonical = (
+                all(c.kind == SIMPLEX and c.order == c.verts
+                    for c in self._cells)
+                and all(a <= b for a, b in zip(keys, keys[1:])))
+        return self._canonical
+
+    def identify(self, gone, v):
+        """Identify every vertex in the set `gone` with vertex v, in a
+        validated (weakly) simplicial complex.  Returns (Q, image, touched):
+        the new complex, the id in Q of each cell's image (-1 where it
+        degenerates), and the ids of the cells that meet `gone`, ascending.
+
+        Only the cells that meet `gone` are rewritten.  A cell that avoids
+        `gone` keeps its vertices, and so do its faces, so it is carried
+        over with its facet row, renumbered; the coface table is derived
+        from the facet table.  An image that repeats a vertex is dropped; a
+        lower image is merged with the cell on its vertices, carried or new;
+        each top image is a new top.  Q's cells are sorted as a sort of all
+        images by (dim, verts) would leave them, equal tops in the order of
+        their preimages.  Only what is new is validated: Q has a top, every
+        facet of a new cell exists, and every (n-1)-cell under a new top has
+        at most two cofaces.  The rest held here: a carried cell's facets
+        are carried, and a carried (n-1)-cell gains cofaces only among new
+        tops.  Q keeps no index; it finds cells by bisection
+        (`ids_with_verts`) and up its coface table (`_cells_at`).
+        """
+        cells = self._cells
+        if not self._in_canonical_form():  # sorted once; Q stays sorted
+            order = sorted(range(len(cells)),
+                           key=lambda i: (cells[i].dim, cells[i].verts))
+            K = Complex(self.dimension, self.mode, self.vertices,
+                        [Cell(cells[i].dim, cells[i].verts, SIMPLEX)
+                         for i in order], validate=False)
+            Q, image, touched = K.identify(gone, v)
+            back = [0] * len(order)
+            for k, i in enumerate(order):
+                back[i] = image[k]
+            return Q, back, sorted(order[k] for k in touched)
+
+        n, size = self.dimension, len(cells)
+        koff, kflat = self._facet_table()
+        touched = self._cells_at(gone)
+        # the new cells, each once: a lower image on the vertices of a
+        # carried cell (one on v) merges with it.  A non-degenerate image
+        # has one vertex w of `gone` and not v: it is c with w replaced by v,
+        # moved from place k to place p.
+        dropped = set(touched)
+        on_v = {_cell_key(cells[i]): i for i in self._cells_at((v,))
+                if i not in dropped}
+        key_of, new, seen = {}, [], set()
+        for i in touched:
+            c = cells[i]
+            hit = gone.intersection(c.verts)
+            if len(hit) > 1 or v in c.verts:
+                continue  # degenerate
+            k = c.verts.index(hit.pop())
+            rest = c.verts[:k] + c.verts[k + 1:]
+            p = bisect.bisect(rest, v)
+            t = rest[:p] + (v,) + rest[p:]
+            key_of[i] = c.dim, t, k, p
+            if c.dim == n or not ((c.dim, t) in on_v or (c.dim, t) in seen):
+                seen.add((c.dim, t))
+                new.append((c.dim, t, i))
+        new.sort()
+        count = {d: len(ids) for d, ids in self._by_dim.items()}
+        for i in touched:
+            count[cells[i].dim] -= 1
+        for d, _, _ in new:
+            count[d] += 1
+        if not count.get(n):
+            raise MissingFace(f"no cell of dimension {n}")
+
+        # Q's cells: the carried ones in order, and each new cell before the
+        # first cell of higher (dim, verts), or of equal verts and higher id.
+        # A carried cell's id drops by the touched cells before it and rises
+        # by the new cells placed before it.
+        ats, lo, dim = [], 0, None
+        for d, t, i in new:
+            if d != dim:  # the cells of dimension d
+                dim, block = d, self._by_dim[d]
+                lo, hi = block[0], block[-1] + 1
+            at = lo = bisect.bisect_left(cells, t, lo, hi, key=_cell_verts)
+            while d == n and at < i and cells[at].verts == t:
+                at += 1
+            ats.append(at)
+        ids = np.arange(size)
+        ats = np.array(ats, dtype=np.intp)
+        out = np.array(touched, dtype=np.intp)
+        image = (ids - np.searchsorted(out, ids)
+                 + np.searchsorted(ats, ids, side="right"))
+        image[out] = -1
+        qnew = ats - np.searchsorted(out, ats) + np.arange(len(new))
+        # source[q]: the id of Q's cell q among K's cells, then the new ones
+        source = np.empty(size - len(touched) + len(new), dtype=np.intp)
+        source[image[image >= 0]] = ids[image >= 0]
+        source[qnew] = np.arange(size, size + len(new))
+        qcells = list(map((cells + [Cell(d, t, SIMPLEX, t) for d, t, _ in new])
+                          .__getitem__, source.tolist()))
+        made = dict(zip(new, qnew.tolist()))
+        fresh = {e[:2]: q for e, q in made.items() if e[0] < n}
+        for i, (d, t, _, _) in key_of.items():
+            image[i] = (made[d, t, i] if d == n else fresh[d, t]
+                        if (d, t) in fresh else image[on_v[d, t]])
+
+        # facet rows: a carried cell's renumbered, and a new cell's the
+        # images of its preimage's, the one that drops w moved from place k
+        # to the place p of v.  Row q is K's row of cell i = row[q, 0],
+        # moved by (k, p) = row[q, 1:], which is (0, 0) for a carried cell.
+        row = np.zeros((len(source), 3), dtype=np.intp)
+        row[:, 0] = source
+        row[qnew] = np.fromiter(itertools.chain.from_iterable(
+            (i, *key_of[i][2:]) for _, _, i in made), dtype=np.intp,
+            count=3 * len(made)).reshape(-1, 3)
+        dims = np.repeat(sorted(count), [count[d] for d in sorted(count)])
+        i, k, p = row.T[:, :, None]
+        j = np.arange(n + 1)
+        place = np.where(j == p, k, j + ((k <= j) & (j < p))
+                         - ((p < j) & (j <= k)))
+        valid = (j <= dims[:, None]) & (dims[:, None] > 0)
+        koff = np.frombuffer(koff, dtype=np.intc)
+        flat = image[np.frombuffer(kflat, dtype=np.intc)[
+            (koff[i] + place)[valid]]].astype(np.intc)
+        if (flat < 0).any():
+            raise MissingFace("a new simplex lacks a face")
+        width = valid.sum(axis=1)
+        off = np.append(0, np.cumsum(width))
+
+        Q = object.__new__(Complex)  # the attributes of __init__
+        Q.dimension, Q.mode = n, self.mode
+        Q.vertices = {w: x for w, x in self.vertices.items() if w not in gone}
+        Q._cells = qcells
+        Q.vertex_cube_dim, Q.triangulation_source = {}, {}
+        Q._by_dim, first = {}, 0
+        for d in sorted(count):
+            if count[d]:
+                Q._by_dim[d] = list(range(first, first + count[d]))
+                first += count[d]
+        Q._index = Q._vertex_cells = None
+        Q._facets = (array("i", off.astype(np.intc).tobytes()),
+                     array("i", flat.tobytes()))
+        # cofaces: the (facet, cell) pairs sorted by facet, then cell
+        nq, facet = len(qcells), flat.astype(np.int64)
+        pairs = np.sort(facet * nq + np.repeat(np.arange(nq), width))
+        cofaces = np.bincount(facet, minlength=nq)
+        Q._cofaces = (array("i", np.append(0, np.cumsum(cofaces))
+                            .astype(np.intc).tobytes()),
+                      array("i", (pairs % nq).astype(np.intc).tobytes()))
+        Q._canonical = True
+        tops = [q for e, q in made.items() if e[0] == n]
+        under = flat[off[tops][:, None] + j]
+        if (cofaces[under] > 2).any():
+            f = under[cofaces[under] > 2].min()
+            raise FaceOveruse(f"(n-1)-simplex {qcells[f].verts} has "
+                              f"{cofaces[f]} cofaces")
+        return Q, image.tolist(), touched
 
     # -- validation --------------------------------------------------------------
 

@@ -6,6 +6,7 @@ and shared (criterion 11 needs the empirical rho from criterion 9).
 """
 
 import dataclasses
+import itertools
 import math
 import random
 import time
@@ -92,8 +93,10 @@ def test_criterion_04_reduction_ledger():
     rng = random.Random(42)
     ok = True
     inputs = [random_disk_polyomino(rng, 10) for _ in range(20)] + [CONE44]
-    # 3-D: slab2x2x1, tripod, cube2x2x2; 4-D: two cubes
-    inputs += [BENCH_BOXES_3D[i] for i in (0, 1, 3)] + [((0,) * 4, (1, 0, 0, 0))]
+    # 3-D: slab2x2x1, tripod, cube2x2x2, cube3x3x3; 4-D: two cubes
+    inputs += [BENCH_BOXES_3D[i] for i in (0, 1, 3)]
+    inputs += [list(itertools.product(range(3), repeat=3))]
+    inputs += [((0,) * 4, (1, 0, 0, 0))]
     for cells in inputs:
         K = cube_complex(cells)
         final, lab, ledger = al.reduce_cubical(K)
@@ -104,8 +107,8 @@ def test_criterion_04_reduction_ledger():
             ok = False
             break
     report(4, ok, time.time() - t0,
-           "20 random shellable disks, cone44, three 3-D boxes and a 4-D "
-           "two-cube box reduced onto K*, labels included")
+           "20 random shellable disks, cone44, four 3-D boxes up to 3x3x3 "
+           "and a 4-D two-cube box reduced onto K*, labels included")
 
 
 def test_criterion_05_rank_identity():

@@ -8,7 +8,7 @@ import random
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubalex import alexander as al
@@ -18,8 +18,8 @@ from cubalex import refinement as rf
 from cubalex import shelling as sh
 from cubalex.complex_core import SIMPLEX, SIMPLICIAL, build_complex
 from cubalex.errors import (
-    BadCenterLabel, BoundaryViolation, HasBoundary, LabelClash,
-    NonSimplicialStar, NotACell, OddCycle, UnmatchedSimplex,
+    BadCenterLabel, BoundaryViolation, CubalexError, FaceOveruse, HasBoundary,
+    LabelClash, NonSimplicialStar, NotACell, OddCycle, UnmatchedSimplex,
 )
 
 from gen import (
@@ -278,13 +278,14 @@ def test_two_collapses_compose():
 
 def test_ledger_serialization():
     led = al.ReductionLedger()
-    led.add(al.LedgerStep(3, 4, 2))
+    led.add(al.LedgerStep(3, 4, 2, apex=1, rewritten=9, recoloured=False))
     assert led.to_json()[0]["covers"] == 2
 
 
 def test_ledger_rejects_odd_star():
     with pytest.raises(UnmatchedSimplex):
-        al.ReductionLedger().add(al.LedgerStep(3, 5, 2))
+        al.ReductionLedger().add(al.LedgerStep(3, 5, 2, apex=1, rewritten=9,
+                                                 recoloured=False))
 
 
 # -- reduction driver -------------------------------------------------------------------
@@ -371,6 +372,8 @@ def rebuilt_collapse(lab, v, apex):
 @given(st.integers(min_value=0, max_value=10 ** 6).map(
     lambda seed: random_disk_polyomino(random.Random(seed), 9)))
 @example(BENCH_BOXES_3D[1])  # the 3-D tripod
+@example(CONE44)  # the largest fans
+@example(BENCH_BOXES_3D[3])  # cube2x2x2
 def test_collapse_matches_rebuild_at_every_step(cells):
     real = al.collapse_at
     checked = []
@@ -388,6 +391,251 @@ def test_collapse_matches_rebuild_at_every_step(cells):
         mp.setattr(al, "collapse_at", collapse_and_compare)
         al.reduce_cubical(cube_complex(cells))
     assert len(checked) >= len(cells) - 1  # at least one step per wall
+
+
+def checked_rebuild(lab, v, apex):
+    """collapse_at the long way: its checks on the star, the boundary
+    condition over every boundary facet of K, then `rebuilt_collapse`."""
+    K = lab.complex
+    if lab.label(v) == apex:
+        raise BadCenterLabel(str(v))
+    star = K.star_cell_ids(v)
+    al._check_star_simplicial(K, star)
+    apexes = {w for i in star for w in K.cell(i).verts if lab.label(w) == apex}
+    if not apexes:
+        return K, lab
+    if any(K.cell(i).dim == K.dimension for i in star):
+        al.simple_pairs(lab, v, apex)
+    if any(i in star and apexes & set(K.cell(i).verts)
+           for i in K.boundary_facet_ids()):
+        raise BoundaryViolation(str(v))
+    return rebuilt_collapse(lab, v, apex)
+
+
+def outcome(collapse, lab, v, apex):
+    """The collapsed complex and labeling as JSON, or the error's type."""
+    try:
+        Q, new_lab = collapse(lab, v, apex)[:2]
+    except CubalexError as exc:
+        return type(exc), None
+    return (Q.to_json(), new_lab.to_json()), new_lab
+
+
+@st.composite
+def labelled_complexes(draw):
+    """A small weakly simplicial complex of dimension 1 or 2 on random tops,
+    each with one vertex of every label 0..n, its vertices listed in random
+    order; repeated tops are allowed."""
+    n = draw(st.integers(min_value=1, max_value=2))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=n),
+                           min_size=n + 1, max_size=8))
+    labels[:n + 1] = range(n + 1)
+    by_label = [[v for v, l in enumerate(labels) if l == k] for k in range(n + 1)]
+    top = st.tuples(*map(st.sampled_from, by_label)).flatmap(
+        lambda t: st.permutations(list(t)))
+    return n, labels, draw(st.lists(top, min_size=1, max_size=9))
+
+
+def rebuilt_identify(K, gone, v):
+    """K with `gone` identified with v, rebuilt through build_complex from
+    every non-degenerate image."""
+    lower, tops = {}, []
+    for c in K.cells():
+        image = tuple(sorted({v if w in gone else w for w in c.verts}))
+        if len(image) < len(c.verts):
+            continue
+        if c.dim == K.dimension:
+            tops.append((c.dim, image, SIMPLEX))
+        else:
+            lower.setdefault((c.dim, image), (c.dim, image, SIMPLEX))
+    verts = {w: x for w, x in K.vertices.items() if w not in gone}
+    return build_complex(K.dimension, SIMPLICIAL, verts,
+                         tops + list(lower.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_complexes(), st.data())
+def test_identify_matches_rebuild(case, data):
+    # any vertices identified with any vertex, twice in turn: the same
+    # complex and incidence as a rebuild, or the same error type, and each
+    # cell's image where it says
+    n, labels, tops = case
+    try:
+        K = build_complex(n, SIMPLICIAL, range(len(labels)),
+                          [(n, list(t), SIMPLEX) for t in tops])
+    except CubalexError:
+        assume(False)
+    for _ in range(2):
+        v = data.draw(st.sampled_from(sorted(K.vertices)))
+        gone = data.draw(st.sets(st.sampled_from(sorted(set(K.vertices) - {v})),
+                                 min_size=1))
+        try:
+            R = rebuilt_identify(K, gone, v)
+        except CubalexError as exc:
+            with pytest.raises(type(exc)):
+                K.identify(gone, v)
+            return
+        Q, image, touched = K.identify(gone, v)
+        assert Q.to_json() == R.to_json()
+        assert all((Q.facet_ids(q), Q.coface_ids(q)) ==
+                   (R.facet_ids(q), R.coface_ids(q))
+                   for q in range(len(Q.cells())))
+        assert touched == [i for i, c in enumerate(K.cells())
+                           if gone & set(c.verts)]
+        for i, c in enumerate(K.cells()):
+            verts = tuple(sorted({v if w in gone else w for w in c.verts}))
+            assert (image[i] == -1 if len(verts) < len(c.verts)
+                    else Q.cell(image[i]).verts == verts)
+        K = Q
+
+
+def test_identify_keeps_equal_tops_in_preimage_order():
+    # identifying 3 with 0 lays (1, 2, 3) onto the carried top (0, 1, 2),
+    # and the image comes after it, as its preimage does; a rebuild agrees
+    K = build_complex(2, SIMPLICIAL, range(4),
+                      [(2, [0, 1, 2], SIMPLEX), (2, [1, 2, 3], SIMPLEX)])
+    Q, image, _ = K.identify({3}, 0)
+    assert Q.to_json() == rebuilt_identify(K, {3}, 0).to_json()
+    first, second = (image[i] for i in K.ids_with_verts(2, (0, 1, 2))
+                     + K.ids_with_verts(2, (1, 2, 3)))
+    assert Q.cell(first).verts == Q.cell(second).verts and first < second
+
+
+def labelled(n, labels, tops):
+    K = build_complex(n, SIMPLICIAL, range(len(labels)),
+                      [(n, list(t), SIMPLEX) for t in tops])
+    return al.alexander_label(K, dict(enumerate(labels)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_complexes(), st.data())
+def test_collapse_matches_rebuild_on_any_labelling(case, data):
+    # the local checks of collapse_at fail where the full rebuild does, with
+    # the same error type, and otherwise agree with it, on two collapses in
+    # turn (the second on a complex that identify built)
+    n = case[0]
+    try:
+        lab = labelled(*case)
+    except CubalexError:
+        assume(False)
+    for _ in range(2):
+        v = data.draw(st.sampled_from(sorted(lab.complex.vertices)))
+        apex = data.draw(st.integers(min_value=0, max_value=n))
+        got, new_lab = outcome(al.collapse_at, lab, v, apex)
+        want, _ = outcome(checked_rebuild, lab, v, apex)
+        assert got == want
+        if new_lab is None:
+            break
+        lab = new_lab
+
+
+def test_collapse_local_checks_can_fail():
+    # two cones over the square 1-3-2-4, at 0 and at 5: identifying 3 and 4
+    # with 0 lays four triangles on the new edge (0, 5)
+    lab = labelled(2, [0, 1, 1, 2, 2, 0],
+                   [(0, 1, 3), (0, 2, 4), (0, 3, 2), (0, 4, 1),
+                    (5, 1, 3), (5, 1, 4), (5, 2, 3), (5, 2, 4)])
+    for collapse in (rebuilt_collapse, al.collapse_at):
+        with pytest.raises(FaceOveruse):
+            collapse(lab, 0, 2)
+
+
+# The cone at 0 over the square 1-3-2-4, apex label 2 on 3 and 4, with one
+# triangle out of each edge of the square; collapsing St(0) identifies 3 and
+# 4 with 0.  Each case defeats one condition for keeping the carried parity.
+CONE_LABELS = [0, 1, 1, 2, 2]
+CONE = [(0, 1, 3), (0, 2, 4), (0, 3, 2), (0, 4, 1)]
+
+
+def cone_case(labels, tops, shift=0):
+    """(labels, tops) of the cone with the given outer triangles, its
+    vertices shifted up by `shift`."""
+    return (CONE_LABELS + labels,
+            [tuple(u + shift for u in t) for t in CONE + tops])
+
+
+SEED = [0, 0, 0], [(1, 3, 5), (2, 4, 6), (3, 2, 7), (4, 1, 6)]
+RECOLOURED = {
+    # two new tops on one new edge (0, 6) with the same parity
+    "improper": cone_case([0, 0, 0],
+                          [(1, 3, 7), (2, 4, 5), (3, 2, 6), (4, 1, 6)]),
+    # Q's lowest top (0, 1, 5) carries -1
+    "seed": cone_case(*SEED),
+    # Q falls apart at 0 into two pairs of tops, the second seeded at -1
+    "components": cone_case([0, 0, 0, 0],
+                            [(1, 3, 8), (2, 4, 5), (3, 2, 6), (4, 1, 7)]),
+    # K has a second component, below the cone, so the cone's part of Q
+    # is seeded apart from Q's lowest top: at -1, as in "seed"
+    "disconnected": ([0, 1, 2] + cone_case(*SEED)[0],
+                     [(0, 1, 2)] + cone_case(*SEED, shift=3)[1]),
+    # K has two components, and Q's adjacency an odd cycle
+    "odd": cone_case([0, 0, 2, 2, 0, 2],
+                     [(1, 3, 9), (2, 4, 5), (3, 2, 6), (4, 1, 6), (5, 1, 7),
+                      (5, 1, 10), (5, 2, 7), (6, 1, 8), (9, 1, 7),
+                      (9, 2, 10)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECOLOURED))
+def test_collapse_recolours_when_the_carried_parity_fails(case):
+    lab = labelled(2, *RECOLOURED[case])
+    v = 3 if case == "disconnected" else 0
+    got, new_lab = outcome(al.collapse_at, lab, v, 2)
+    assert got == outcome(rebuilt_collapse, lab, v, 2)[0]
+    if case == "odd":
+        assert got is OddCycle
+        return
+    Q, image, _ = lab.complex.identify({v + 3, v + 4}, v)
+    carried = {image[i]: s for i, s in lab.parity.items() if image[i] >= 0}
+    assert carried != new_lab.parity  # kept, it would be wrong
+    assert al.collapse_at(lab, v, 2)[2].recoloured
+
+
+def test_cone44_reduction_validates_and_colours_once(monkeypatch):
+    # a work guard: the triangulation is the one complex validated in full,
+    # and its labeling the one global two-colouring a collapse may add to
+    K = cube_complex(CONE44)
+    calls = []
+    validate, two_color = cc.Complex._validate, al._two_color
+
+    def counted_validate(self):
+        calls.append("validate")
+        return validate(self)
+
+    def counted_two_color(*args):
+        calls.append("two_color")
+        return two_color(*args)
+
+    monkeypatch.setattr(cc.Complex, "_validate", counted_validate)
+    monkeypatch.setattr(al, "_two_color", counted_two_color)
+    al.reduce_cubical(K)
+    assert calls.count("validate") <= 1
+    assert calls.count("two_color") <= 2
+
+
+def test_collapse_leaves_its_input_unchanged():
+    # verifiers do not mutate their inputs: checked at every collapse of a
+    # reduction, on the triangulation and on the complexes collapses built
+    real = al.collapse_at
+    checked = []
+
+    def state(lab):
+        K = lab.complex
+        return (json.dumps(K.to_json()), dict(lab.labels), dict(lab.parity),
+                [(K.facet_ids(i), K.coface_ids(i))
+                 for i in range(len(K.cells()))])
+
+    def collapse_and_compare(lab, v, apex):
+        before = state(lab)
+        out = real(lab, v, apex)
+        assert state(lab) == before
+        checked.append(v)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(al, "collapse_at", collapse_and_compare)
+        al.reduce_cubical(cube_complex([(0, 0), (1, 0), (1, 1), (2, 1)]))
+    assert len(checked) >= 3
 
 
 def test_collapse_doubles_edge_and_keeps_other_cells():

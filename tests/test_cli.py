@@ -92,6 +92,22 @@ def test_reduce_3d_box(capsys, tmp_path):
     assert checks["isomorphic_to_star_replacement"]["value"] is True
 
 
+def test_reduce_diagnostics(capsys, tmp_path):
+    # the slab's four cubes meet the cubes before them in three walls, each
+    # reduced to a star one dimension down and collapsed with apex label 3
+    p = tmp_path / "slab.json"
+    p.write_text(json.dumps(cube_complex(BENCH_BOXES_3D[0]).to_json()))
+    code, data = run(capsys, ["reduce", str(p)])
+    diag = data["diagnostics"]
+    assert code == 0
+    assert sum(diag["collapses"].values()) == len(data["ledger"])
+    assert set(diag["collapses"]) <= {"1", "2", "3"}
+    assert diag["collapses"]["3"] == 3
+    assert diag["cells_rewritten"] > 0 and diag["global_colourings"] == 0
+    assert set(diag["seconds"]) == {"shelling", "triangulation", "collapses"}
+    assert all(t >= 0 for t in diag["seconds"].values())
+
+
 def test_alexander_roundtrip(paths, capsys):
     code, data = run(capsys, ["alexander", paths["grid2x2"]])
     assert code == 0
@@ -297,5 +313,7 @@ def test_export_roundtrip_isomorphic(paths, capsys, tmp_path):
 def test_reports_deterministic(paths, capsys):
     _, d1 = run(capsys, ["reduce", paths["domino"]])
     _, d2 = run(capsys, ["reduce", paths["domino"]])
-    d1.pop("timestamp"); d2.pop("timestamp")
+    for d in (d1, d2):  # wall-clock fields
+        d.pop("timestamp")
+        d["diagnostics"].pop("seconds")
     assert d1 == d2
