@@ -6,6 +6,13 @@ one; in weakly simplicial mode two distinct top cells may share a vertex set
 encoded).  Cube cells carry their vertex list in binary-counter order so that
 faces can be synthesized combinatorially.
 
+Every complex lists its cells sorted by (dim, verts), equal top simplices
+in their given order; the constructors produce that order and validation
+checks it.  So each dimension's cells are one range of ids, a cell is found
+by bisection on its vertices (`ids_with_verts`), and the cells on a vertex
+are found up the coface table from its 0-cell (`star_cell_ids`).  No index
+by key or by vertex is kept.
+
 Complexes are immutable after construction; every operation returns a new
 complex, so instances are safe to share across threads.
 """
@@ -89,6 +96,7 @@ def _spans_face(order, verts):
 
 
 _cell_key = operator.attrgetter("dim", "verts")
+_cell_dim = operator.attrgetter("dim")
 _cell_verts = operator.attrgetter("verts")
 
 
@@ -110,21 +118,14 @@ class Complex:
         self.dimension = dimension
         self.mode = mode
         self.vertices = dict(vertices)  # id -> coords tuple or None
-        self._cells = list(cells)
+        self._cells = list(cells)  # sorted by (dim, verts)
         # provenance for canonical triangulations (vertex id -> source cube)
         self.vertex_cube_dim = vertex_cube_dim or {}
         self.triangulation_source = triangulation_source or {}
-
-        self._by_dim = {}
-        self._index = {}
-        self._vertex_cells = {v: [] for v in self.vertices}
-        for i, c in enumerate(self._cells):
-            self._by_dim.setdefault(c.dim, []).append(i)
-            self._index.setdefault((c.dim, c.verts), []).append(i)
-            for v in c.verts:
-                if v not in self._vertex_cells:
-                    raise UnknownVertex(f"cell {c.verts} uses vertex {v}")
-                self._vertex_cells[v].append(i)
+        self._by_dim = {d: range(  # dim -> its ids
+            bisect.bisect_left(self._cells, d, key=_cell_dim),
+            bisect.bisect_right(self._cells, d, key=_cell_dim))
+            for d in range(self._cells[-1].dim + 1 if self._cells else 0)}
         # incidence index, CSR (offsets, flat ids); built on first use
         self._facets = None
         self._cofaces = None
@@ -137,10 +138,10 @@ class Complex:
     def cells(self, dim=None):
         if dim is None:
             return list(self._cells)
-        return [self._cells[i] for i in self._by_dim.get(dim, [])]
+        return [self._cells[i] for i in self._by_dim.get(dim, ())]
 
     def cell_ids(self, dim):
-        return list(self._by_dim.get(dim, []))
+        return list(self._by_dim.get(dim, ()))
 
     def cell(self, i):
         return self._cells[i]
@@ -149,24 +150,20 @@ class Complex:
         return self.cell_ids(self.dimension)
 
     def n_cells(self, dim):
-        return len(self._by_dim.get(dim, []))
+        return len(self._by_dim.get(dim, ()))
 
     def ids_with_verts(self, dim, verts):
-        """ids of the cells of dimension dim on `verts`: from the index, or
-        by bisection in a complex from `identify`, which keeps no index."""
-        key = dim, tuple(sorted(verts))
-        if self._index is not None:
-            return self._index.get(key, [])
-        lo = bisect.bisect_left(self._cells, key, key=_cell_key)
-        return list(range(lo, bisect.bisect_right(self._cells, key, lo,
-                                                  key=_cell_key)))
+        """ids of the cells of dimension dim on `verts`, by bisection."""
+        verts, ids = tuple(sorted(verts)), self._by_dim.get(dim, range(0))
+        lo = bisect.bisect_left(self._cells, verts, ids.start, ids.stop,
+                                key=_cell_verts)
+        return list(range(lo, bisect.bisect_right(
+            self._cells, verts, lo, ids.stop, key=_cell_verts)))
 
     def _cells_at(self, vertices):
-        """ids of the cells that contain one of `vertices`, ascending: from
-        the vertex index, or up the coface table from their 0-cells (a cell
-        on w reaches the 0-cell of w through facets on w)."""
-        if self._vertex_cells is not None:
-            return sorted({i for w in vertices for i in self._vertex_cells[w]})
+        """ids of the cells that contain one of `vertices`, ascending: up
+        the coface table from their 0-cells (a cell on w reaches the 0-cell
+        of w through facets on w)."""
         off, flat = self._coface_table()
         take = {i for w in vertices for i in self.ids_with_verts(0, (w,))}
         stack = list(take)
@@ -181,15 +178,18 @@ class Complex:
     def _facet_table(self):
         """Facets of every cell as CSR: ids flat[off[i]:off[i + 1]]."""
         if self._facets is None:
+            # the first id on each key: later entries overwrite earlier ones
+            first = dict(zip(map(_cell_key, reversed(self._cells)),
+                             range(len(self._cells) - 1, -1, -1)))
             off, flat = array("i", [0]), array("i")
             for c in self._cells:
                 simplex = c.kind == SIMPLEX
                 for o in _facet_orders(c):
                     s = o if simplex else tuple(sorted(o))
-                    ids = self._index.get((c.dim - 1, s))
-                    if not ids:
+                    f = first.get((c.dim - 1, s))
+                    if f is None:
                         raise MissingFace(f"{c.kind} {c.verts} lacks face {s}")
-                    flat.append(ids[0])
+                    flat.append(f)
                 off.append(len(flat))
             self._facets = off, flat
         return self._facets
@@ -290,14 +290,11 @@ class Complex:
                                         if v in verts})
 
     def _in_canonical_form(self):
-        """Are the cells simplices sorted by (dim, verts), each listed in
-        vertex order?  Checked once; `identify` keeps it."""
+        """Are the cells simplices, each listed in vertex order?  Checked
+        once; `identify` keeps it."""
         if self._canonical is None:
-            keys = [(c.dim, c.verts) for c in self._cells]
-            self._canonical = (
-                all(c.kind == SIMPLEX and c.order == c.verts
-                    for c in self._cells)
-                and all(a <= b for a, b in zip(keys, keys[1:])))
+            self._canonical = all(c.kind == SIMPLEX and c.order == c.verts
+                                  for c in self._cells)
         return self._canonical
 
     def identify(self, gone, v):
@@ -317,21 +314,13 @@ class Complex:
         facet of a new cell exists, and every (n-1)-cell under a new top has
         at most two cofaces.  The rest held here: a carried cell's facets
         are carried, and a carried (n-1)-cell gains cofaces only among new
-        tops.  Q keeps no index; it finds cells by bisection
-        (`ids_with_verts`) and up its coface table (`_cells_at`).
+        tops.
         """
         cells = self._cells
-        if not self._in_canonical_form():  # sorted once; Q stays sorted
-            order = sorted(range(len(cells)),
-                           key=lambda i: (cells[i].dim, cells[i].verts))
-            K = Complex(self.dimension, self.mode, self.vertices,
-                        [Cell(cells[i].dim, cells[i].verts, SIMPLEX)
-                         for i in order], validate=False)
-            Q, image, touched = K.identify(gone, v)
-            back = [0] * len(order)
-            for k, i in enumerate(order):
-                back[i] = image[k]
-            return Q, back, sorted(order[k] for k in touched)
+        if not self._in_canonical_form():  # the same cells, in vertex order
+            return Complex(self.dimension, self.mode, self.vertices,
+                           [Cell(c.dim, c.verts, SIMPLEX) for c in cells],
+                           validate=False).identify(gone, v)
 
         n, size = self.dimension, len(cells)
         koff, kflat = self._facet_table()
@@ -358,13 +347,6 @@ class Complex:
                 seen.add((c.dim, t))
                 new.append((c.dim, t, i))
         new.sort()
-        count = {d: len(ids) for d, ids in self._by_dim.items()}
-        for i in touched:
-            count[cells[i].dim] -= 1
-        for d, _, _ in new:
-            count[d] += 1
-        if not count.get(n):
-            raise MissingFace(f"no cell of dimension {n}")
 
         # Q's cells: the carried ones in order, and each new cell before the
         # first cell of higher (dim, verts), or of equal verts and higher id.
@@ -373,8 +355,7 @@ class Complex:
         ats, lo, dim = [], 0, None
         for d, t, i in new:
             if d != dim:  # the cells of dimension d
-                dim, block = d, self._by_dim[d]
-                lo, hi = block[0], block[-1] + 1
+                dim, lo, hi = d, self._by_dim[d].start, self._by_dim[d].stop
             at = lo = bisect.bisect_left(cells, t, lo, hi, key=_cell_verts)
             while d == n and at < i and cells[at].verts == t:
                 at += 1
@@ -392,6 +373,10 @@ class Complex:
         source[qnew] = np.arange(size, size + len(new))
         qcells = list(map((cells + [Cell(d, t, SIMPLEX, t) for d, t, _ in new])
                           .__getitem__, source.tolist()))
+        Q = Complex(n, self.mode, {w: x for w, x in self.vertices.items()
+                                   if w not in gone}, qcells, validate=False)
+        if not Q._by_dim.get(n):
+            raise MissingFace(f"no cell of dimension {n}")
         made = dict(zip(new, qnew.tolist()))
         fresh = {e[:2]: q for e, q in made.items() if e[0] < n}
         for i, (d, t, _, _) in key_of.items():
@@ -407,7 +392,7 @@ class Complex:
         row[qnew] = np.fromiter(itertools.chain.from_iterable(
             (i, *key_of[i][2:]) for _, _, i in made), dtype=np.intp,
             count=3 * len(made)).reshape(-1, 3)
-        dims = np.repeat(sorted(count), [count[d] for d in sorted(count)])
+        dims = np.repeat(list(Q._by_dim), list(map(len, Q._by_dim.values())))
         i, k, p = row.T[:, :, None]
         j = np.arange(n + 1)
         place = np.where(j == p, k, j + ((k <= j) & (j < p))
@@ -420,18 +405,6 @@ class Complex:
             raise MissingFace("a new simplex lacks a face")
         width = valid.sum(axis=1)
         off = np.append(0, np.cumsum(width))
-
-        Q = object.__new__(Complex)  # the attributes of __init__
-        Q.dimension, Q.mode = n, self.mode
-        Q.vertices = {w: x for w, x in self.vertices.items() if w not in gone}
-        Q._cells = qcells
-        Q.vertex_cube_dim, Q.triangulation_source = {}, {}
-        Q._by_dim, first = {}, 0
-        for d in sorted(count):
-            if count[d]:
-                Q._by_dim[d] = list(range(first, first + count[d]))
-                first += count[d]
-        Q._index = Q._vertex_cells = None
         Q._facets = (array("i", off.astype(np.intc).tobytes()),
                      array("i", flat.tobytes()))
         # cofaces: the (facet, cell) pairs sorted by facet, then cell
@@ -453,15 +426,23 @@ class Complex:
     # -- validation --------------------------------------------------------------
 
     def _validate(self):
-        n = self.dimension
+        n, cells = self.dimension, self._cells
+        for c in cells:
+            if stray := set(c.verts).difference(self.vertices):
+                raise UnknownVertex(f"cell {c.verts} uses vertex {stray.pop()}")
+        # sorted by (dim, verts): a duplicate is an equal neighbour
+        for a, b in itertools.pairwise(map(_cell_key, cells)):
+            if a > b:
+                raise IllegalIntersection(
+                    f"cells out of (dim, verts) order: {b} after {a}")
+            if a == b and (a[0] < n or self.mode == CUBICAL):
+                raise IllegalIntersection(
+                    f"duplicate cells of dim {a[0]} on vertices {a[1]}")
+        for c in cells:
+            if len(set(c.verts)) < len(c.verts):
+                raise IllegalIntersection(f"cell {c.verts} repeats a vertex")
         if not self._by_dim.get(n):
             raise MissingFace(f"no cell of dimension {n}")
-        for (dim, verts), ids in self._index.items():
-            if len(ids) > 1 and (dim < n or self.mode == CUBICAL):
-                raise IllegalIntersection(
-                    f"duplicate cells of dim {dim} on vertices {verts}")
-            if len(set(verts)) < len(verts):
-                raise IllegalIntersection(f"cell {verts} repeats a vertex")
         self._facet_table()  # face closure: raises MissingFace
         if self.mode == CUBICAL:
             self._validate_cubical()
@@ -494,11 +475,14 @@ class Complex:
                     raise IllegalIntersection(
                         f"cube {c.order} has a misordered face {cells[f].order}")
         off, _ = self._coface_table()
-        maximal = {i for i in range(len(cells)) if off[i] == off[i + 1]}
+        maximal = [i for i in range(len(cells)) if off[i] == off[i + 1]]
+        on = {}  # vertex -> the maximal cubes on it
+        for a in maximal:
+            for v in cells[a].verts:
+                on.setdefault(v, []).append(a)
         for a in maximal:
             ca = cells[a]
-            near = {b for v in ca.verts for b in self._vertex_cells[v] if b > a}
-            for b in near & maximal:
+            for b in {b for v in ca.verts for b in on[v] if b > a}:
                 shared = set(ca.verts) & set(cells[b].verts)
                 if not all(_spans_face(cells[x].order, shared) for x in (a, b)):
                     raise IllegalIntersection(
@@ -513,7 +497,7 @@ class Complex:
             if len(c.verts) != c.dim + 1:
                 raise IllegalIntersection(f"degenerate simplex {c.verts}")
         # condition (4): every (n-1)-simplex is a face of at most two
-        # n-simplices (lower cells are unique, so one index entry each)
+        # n-simplices (lower cells are unique, so one cell per vertex set)
         off, _ = self._coface_table()
         for i in self.cell_ids(n - 1):
             if off[i + 1] - off[i] > 2:
@@ -667,59 +651,62 @@ def from_json(data):
 # -- canonical triangulation ------------------------------------------------------
 
 
+def flag_centres(K):
+    """The vertex of K's flag triangulation at each cube, by cube id, as
+    (id, coords): a 0-cube's own vertex, else a new id at the barycentre
+    (None unless every vertex has coordinates).  Cells are sorted by
+    (dim, verts), so cube i of dimension >= 1 gets max(K.vertices) + 1 + i
+    - K.n_cells(0): new ids rise with (dim, verts), so with dimension."""
+    n0, cells = K.n_cells(0), K.cells()
+    out = [(c.verts[0], K.vertices[c.verts[0]]) for c in cells[:n0]]
+    base = max(K.vertices) + 1 - n0
+    for i in range(n0, len(cells)):
+        coords = [K.vertices[v] for v in cells[i].verts]
+        out.append((base + i, None if any(x is None for x in coords) else
+                    tuple(sum(x) / len(coords) for x in zip(*coords))))
+    return out
+
+
+def cube_flags(K, ids, centre):
+    """The flags q_0 < q_1 < ... < q_k of nested cubes of K that end at a
+    cube of `ids` or at a face of one, keyed by their last cube: each is the
+    tuple of its cubes' centres (`centre`, by cube id, from `flag_centres`),
+    which is sorted, since centre ids rise with dimension."""
+    chains = {}
+    for i in K._closure(ids):  # ascending: every face before its cofaces
+        chains[i] = [(centre[i],)] + [
+            chain + (centre[i],)
+            for f in K._closure(K.facet_ids(i)) for chain in chains[f]]
+    return chains
+
+
 def canonical_triangulation(K):
     """Flag triangulation T of a cubical complex K.
 
-    One new vertex per cube of dimension >= 1 (at the barycenter when
-    coordinates exist); new vertex ids start above the current maximum,
-    ordered by (dim, vertex list) so the construction is reproducible.  The
-    cells of T are listed here, not derived from its top simplices: the
-    centre of every cube as a 0-cell, and every chain q_0 < q_1 < ... < q_k
-    of nested cubes that lies under a top cube of K.  `Complex` validates
-    them in full.
+    One new vertex per cube of dimension >= 1 (`flag_centres`), ordered by
+    (dim, vertex list) so the construction is reproducible.  The cells of T
+    are listed here, not derived from its top simplices: the centre of every
+    cube as a 0-cell, and every flag of nested cubes that lies under a top
+    cube of K (`cube_flags`).  `Complex` validates them in full.
     """
     if K.mode != CUBICAL:
         raise NotCubical("canonical_triangulation needs a cubical complex")
-    n = K.dimension
-
-    cubes = sorted(range(len(K.cells())), key=lambda i: (K.cell(i).dim, K.cell(i).verts))
-    next_id = max(K.vertices) + 1 if K.vertices else 0
-    center = {}
-    vcoords = dict(K.vertices)
-    vdim = {v: 0 for v in K.vertices}
-    source = {v: (0, (v,)) for v in K.vertices}
-    for i in cubes:
-        c = K.cell(i)
-        if c.dim == 0:
-            center[i] = c.verts[0]
-            continue
-        center[i] = next_id
-        vdim[next_id] = c.dim
-        source[next_id] = (c.dim, c.verts)
-        coords = [K.vertices[v] for v in c.verts]
-        if all(x is not None for x in coords):
-            d = len(coords[0])
-            vcoords[next_id] = tuple(
-                sum(x[j] for x in coords) / len(coords) for j in range(d))
-        else:
-            vcoords[next_id] = None
-        next_id += 1
-
-    # chains ending at each cube, bottom-up by dimension (`cubes` is sorted
-    # by dim, so every face's chains are ready before its cofaces').  Centre
-    # ids rise with dimension, so each chain is a sorted vertex tuple.  A cube
-    # under no top cube is its centre alone: its chains bound no top simplex.
-    under_top = set(K._closure(K.top_ids()))
-    chains = {}
-    for i in cubes:
-        chains[i] = [(center[i],)]
-        if i in under_top:
-            chains[i] += [chain + (center[i],)
-                          for f in K._closure(K.facet_ids(i)) for chain in chains[f]]
-    simplices = sorted((t for i in cubes for t in chains[i]),
-                       key=lambda t: (len(t), t))
+    centres = flag_centres(K)
+    centre = [v for v, _ in centres]
+    vcoords = dict(K.vertices) | dict(centres)
+    vdim = {v: 0 for v in K.vertices} | {
+        v: c.dim for v, c in zip(centre, K.cells())}
+    source = {v: (0, (v,)) for v in K.vertices} | {
+        v: (c.dim, c.verts) for v, c in zip(centre, K.cells())}
+    # a cube under no top cube is its centre alone: its flags bound no top
+    # simplex
+    chains = cube_flags(K, K.top_ids(), centre)
+    simplices = [(v,) for i, v in enumerate(centre) if i not in chains]
+    for flags in chains.values():
+        simplices += flags
     chains.clear()  # free it before validation builds the incidence index
-    return Complex(n, SIMPLICIAL, vcoords,
+    simplices.sort(key=lambda t: (len(t), t))
+    return Complex(K.dimension, SIMPLICIAL, vcoords,
                    [Cell(len(t) - 1, t, SIMPLEX) for t in simplices],
                    vertex_cube_dim=vdim, triangulation_source=source)
 

@@ -165,20 +165,23 @@ def representative_pairs(m, b):
 
     Classes are (parity of i, offset); offsets whose center chord exceeds
     CHORD_MARGIN tube extents are certified apart by the chord bound.
+    Returns (near pairs, number of certified pairs, the least certified
+    distance bound, inf when none is certified).
     """
     beta = 2 * math.pi / m
     extent = b * (2 + 2 * b)  # conservative radius of a child tube around its center
-    near, certified = [], []
+    near, certified, lowest = [], 0, math.inf
     for i in (1, 2):
         for d in range(1, m // 2 + 1):
             j = i + d
             chord = 2 * (1 - b) * math.sin(min(d, m - d) * beta / 2)
             bound = chord - CHORD_MARGIN * extent
             if bound > 0:
-                certified.append(((i, j), chord - 2 * extent))
+                certified += 1
+                lowest = min(lowest, chord - 2 * extent)
             else:
                 near.append((i, j))
-    return near, certified
+    return near, certified, lowest
 
 
 def verify_disjointness(params, seed=0, max_offset=None):
@@ -201,13 +204,12 @@ def verify_disjointness(params, seed=0, max_offset=None):
     closed.
     """
     b, m = params.b, params.m
-    near, certified = representative_pairs(m, b)
+    near, certified, cert_bound = representative_pairs(m, b)
     if max_offset is not None:
         near = [(i, j) for i, j in near if j - i <= max_offset]
     near.sort(key=lambda ij: (ij[1] - ij[0], ij[0]))
-    cert_bound = min((bd for _, bd in certified), default=math.inf)
     report = {"pairs_minimized": 2 * len(near),
-              "pairs_certified": len(certified),
+              "pairs_certified": certified,
               "chord_lower": cert_bound / b ** 2, "cells_evaluated": 0,
               "cells_live_peak": 0, "cells_closed_by_curvature": 0}
     mins, lowers = {}, {}

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 
 from .complex_core import (
-    CUBICAL, SIMPLEX, SIMPLICIAL, assert_cell, build_complex,
-    canonical_triangulation,
+    CUBICAL, SIMPLEX, SIMPLICIAL, assert_cell, build_complex, cube_flags,
+    flag_centres,
 )
 from .errors import NotACell, NotAPermutation, NotCubical
 
@@ -168,24 +168,24 @@ def _find_shelling_backtrack(K):
 def star_replacement(K):
     """The star-replacement K*: one interior vertex coned over K^Delta's boundary.
 
-    #(K*)^(n) equals the number of boundary (n-1)-simplices of K^Delta.
+    The boundary (n-1)-simplices of K^Delta are the full flags under K's
+    boundary (n-1)-cubes, so those flags alone are listed; K^Delta is not
+    built.  #(K*)^(n) equals their number.
     """
     assert_cell(K)
-    T = canonical_triangulation(K)
     n = K.dimension
-    bfacets = T.boundary_facet_ids()
-    center = max(T.vertices) + 1
-    verts = {}
-    keep = set()
-    for i in bfacets:
-        keep.update(T.cell(i).verts)
-    for v in keep:
-        verts[v] = T.vertices[v]
+    centres = flag_centres(K)
+    cube = {v: i for i, (v, _) in enumerate(centres)}
+    bfacets = K.boundary_facet_ids()
+    chains = cube_flags(K, bfacets, [v for v, _ in centres])
+    flags = [t for i in bfacets for t in chains[i] if len(t) == n]
+    keep = set().union(*flags)
+    verts = {v: centres[cube[v]][1] for v in keep}
+    center = max(cube) + 1
     verts[center] = None
-    tops = [(n, tuple(sorted(T.cell(i).verts + (center,))), SIMPLEX)
-            for i in bfacets]
-    S = build_complex(n, SIMPLICIAL, verts, tops)
-    S.vertex_cube_dim.update({v: T.vertex_cube_dim.get(v, 0) for v in keep})
+    S = build_complex(n, SIMPLICIAL, verts,
+                      [(n, t + (center,), SIMPLEX) for t in flags])
+    S.vertex_cube_dim.update({v: K.cell(cube[v]).dim for v in keep})
     S.vertex_cube_dim[center] = n
     return S
 

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from cubalex import alexander as al
 from cubalex import cli
 from cubalex import complex_core as cc
 from cubalex import factories as fa
 from cubalex import necklace as nk
+from cubalex import shelling as sh
 
 from gen import BENCH_BOXES_3D, CONE44, cube_complex
 
@@ -55,19 +57,24 @@ def test_validate_reports_hash(paths, capsys):
     assert code == 0 and data["valid"] and data["hash"]
 
 
-def test_reduce_report(paths, capsys, monkeypatch):
-    calls = []
-    real = cc.is_isomorphic
-
+def counter(real, calls):
     def counted(*args, **kw):
         calls.append(args)
         return real(*args, **kw)
+    return counted
 
-    # the reduction is checked against K* once per report
-    monkeypatch.setattr(cc, "is_isomorphic", counted)
+
+def test_reduce_report(paths, capsys, monkeypatch):
+    # the reduction is checked against K* once per report, and K is
+    # triangulated once: K* comes from K's own boundary flags
+    calls, triangulations = [], []
+    monkeypatch.setattr(cc, "is_isomorphic", counter(cc.is_isomorphic, calls))
+    tri = counter(cc.canonical_triangulation, triangulations)
+    for mod in (cc, al, sh):
+        monkeypatch.setattr(mod, "canonical_triangulation", tri, raising=False)
     code, data = run(capsys, ["reduce", paths["domino"]])
     assert code == 0 and data["pass"]
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(triangulations) == 1
     names = [c["name"] for c in data["checks"]]
     assert len(names) == len(set(names))  # every check exactly once
 

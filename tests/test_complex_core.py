@@ -323,6 +323,43 @@ def test_incidence_index_matches_oracle(kind, seed):
                              for a, b in itertools.combinations(cofaces[f], 2)]
 
 
+def lookup_cases():
+    """A complex from each constructor: cubical and weakly simplicial builds
+    (the two-edge circle repeats its top), a triangulation, a subcomplex,
+    and two rounds of `identify`, each an edge contracted."""
+    T = cc.canonical_triangulation(fa.unit_cube(2))
+    once = T.identify({0}, 4)[0]
+    return {"cubical": fa.domino(), "circle": fa.circle_complex(2),
+            "doubled": fa.doubled_complex(fa.unit_cube(2)),
+            "triangulation": T, "subcomplex": T.subcomplex(T.top_ids()[:3]),
+            "identify": once, "identify_twice": once.identify({3}, 7)[0]}
+
+
+@pytest.mark.parametrize("name", list(lookup_cases()))
+def test_lookups_match_scans(name):
+    # bisection and the walk up the coface table against scans of cells()
+    K = lookup_cases()[name]
+    cells = K.cells()
+    for d in range(K.dimension + 1):
+        for verts in {c.verts for c in cells}:
+            want = [i for i, c in enumerate(cells)
+                    if (c.dim, c.verts) == (d, verts)]
+            assert K.ids_with_verts(d, verts[::-1]) == want
+    for v in K.vertices:
+        on = [set(c.verts) for c in cells if v in c.verts]
+        assert K.star_cell_ids(v) == [i for i, c in enumerate(cells)
+                                      if any(set(c.verts) <= s for s in on)]
+
+
+def test_complex_rejects_cells_out_of_order():
+    # every complex lists its cells sorted by (dim, verts)
+    T = cc.canonical_triangulation(fa.unit_cube(2))
+    cells = T.cells()
+    random.Random(0).shuffle(cells)
+    with pytest.raises(IllegalIntersection):
+        cc.Complex(2, cc.SIMPLICIAL, T.vertices, cells)
+
+
 def test_adjacency_graph_components_of_boundary():
     annulus = fa.grid_complex(
         [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)])
@@ -583,22 +620,28 @@ class PairwiseComplex(cc.Complex):
     dimension, that shares a vertex must meet in a stored face of both."""
 
     def _validate(self):
-        n = self.dimension
+        n, cells = self.dimension, self.cells()
+        index, incident = {}, {v: [] for v in self.vertices}
+        for i, c in enumerate(cells):
+            index.setdefault((c.dim, c.verts), []).append(i)
+            for v in c.verts:
+                if v not in incident:
+                    raise UnknownVertex(f"cell {c.verts} uses vertex {v}")
+                incident[v].append(i)
         if not self._by_dim.get(n):
             raise MissingFace(f"no cell of dimension {n}")
-        for (dim, verts), ids in self._index.items():
+        for (dim, verts), ids in index.items():
             if len(ids) > 1 and (dim < n or self.mode == cc.CUBICAL):
                 raise IllegalIntersection(f"duplicate cells on {verts}")
         self._facet_table()
         if self.mode != cc.CUBICAL:
             return self._validate_weakly_simplicial()
-        cells = self.cells()
         for c in cells:
             if c.kind != cc.CUBE:
                 raise NotCubical(f"non-cube cell {c.verts}")
         subfaces = [reference_subfaces(self, i) for i in range(len(cells))]
-        for incident in self._vertex_cells.values():
-            for a, b in itertools.combinations(sorted(incident), 2):
+        for ids in incident.values():
+            for a, b in itertools.combinations(ids, 2):
                 shared = tuple(sorted(set(cells[a].verts) & set(cells[b].verts)))
                 if not (shared in subfaces[a] and shared in subfaces[b]):
                     raise IllegalIntersection(

@@ -297,7 +297,7 @@ def test_disjointness_brackets_dense_grid():
     # the minimizers sit at grid angles, so grid and best agree to rounding
     p = small_params()
     rep = nk.verify_disjointness(p, max_offset=1)
-    near, _ = ve.representative_pairs(p.m, p.b)
+    near, _, _ = ve.representative_pairs(p.m, p.b)
     for tilde, key in ((False, "c0"), (True, "c1")):
         dense = min(
             ge.dist_point_to_tau(
