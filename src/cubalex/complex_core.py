@@ -13,6 +13,11 @@ by bisection on its vertices (`ids_with_verts`), and the cells on a vertex
 are found up the coface table from its 0-cell (`star_cell_ids`).  No index
 by key or by vertex is kept.
 
+Incidence and validation run on each dimension's cells read once into an
+int32 array of vertex rows (`Complex._index`): facets are found by matching
+a whole dimension's facet rows against the rows one dimension down, and the
+coface table is the facet table inverted by one stable argsort.
+
 Complexes are immutable after construction; every operation returns a new
 complex, so instances are safe to share across threads.
 """
@@ -46,7 +51,7 @@ CUBICAL = "cubical"
 SIMPLICIAL = "simplicial"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """A single cell: `verts` sorted for identity, `order` structural.
 
@@ -54,7 +59,7 @@ class Cell:
     the corner whose j-th coordinate is bit j of i); simplices keep
     `order == verts` unless built from another given order.  A simplex's
     facets are its `verts` with one vertex dropped, which leaves them sorted:
-    `Complex._facet_table` relies on this and looks them up unsorted.
+    `Complex._index` relies on this and matches them unsorted.
     """
 
     dim: int
@@ -68,17 +73,33 @@ class Cell:
 
 
 @functools.lru_cache(maxsize=None)  # keyed by powers of 2 only
-def _facet_getters(size):
-    """One getter per facet of a cube with `size` vertices, in `cube_facets`
-    order; an edge's getters return 1-tuples, not bare vertices."""
+def _facet_index(size):
+    """Positions of the vertices of each facet of a cube with `size`
+    vertices in binary order, one row per facet in `cube_facets` order:
+    facet (axis, side) holds the positions whose bit `axis` is `side`."""
     k = (size - 1).bit_length()
     if 1 << k != size:
         raise NotCubical(f"cube with {size} vertices")
+    return np.array([[i for i in range(size) if (i >> axis) & 1 == side]
+                     for axis in range(k) for side in (0, 1)],
+                    dtype=np.intp).reshape(2 * k, size // 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _facet_getters(size):
+    """One getter per row of `_facet_index`; an edge's getters return
+    1-tuples, not bare vertices."""
+    index = _facet_index(size).tolist()
     if size == 2:
         return (lambda o: (o[0],), lambda o: (o[1],))
-    return tuple(operator.itemgetter(*[i for i in range(size)
-                                       if (i >> axis) & 1 == side])
-                 for axis in range(k) for side in (0, 1))
+    return tuple(operator.itemgetter(*row) for row in index)
+
+
+@functools.lru_cache(maxsize=None)
+def _drop_index(size):
+    """Row j: the positions of a simplex with `size` vertices but j."""
+    return np.array([[i for i in range(size) if i != j] for j in range(size)],
+                    dtype=np.intp).reshape(size, size - 1)
 
 
 def cube_facets(order):
@@ -86,10 +107,11 @@ def cube_facets(order):
     return [get(order) for get in _facet_getters(len(order))]
 
 
-def _spans_face(order, verts):
-    """Do `verts`, some vertices of a cube in binary order, span a face?"""
+def _spans_face(place, verts):
+    """Do `verts`, some vertices of a cube, span a face?  `place` maps each
+    vertex of the cube to its position in the cube's binary order."""
     free = 0
-    pos = [i for i, v in enumerate(order) if v in verts]
+    pos = [place[v] for v in verts]
     for i in pos:
         free |= i ^ pos[0]  # ends as AND ^ OR over the positions
     return len(pos) == 1 << free.bit_count()
@@ -98,6 +120,73 @@ def _spans_face(order, verts):
 _cell_key = operator.attrgetter("dim", "verts")
 _cell_dim = operator.attrgetter("dim")
 _cell_verts = operator.attrgetter("verts")
+_cell_order = operator.attrgetter("order")
+_cell_kind = operator.attrgetter("kind")
+
+
+def _ints(buf):
+    """An `array("i")` table as a numpy view."""
+    return np.frombuffer(buf, dtype=np.intc)
+
+
+@functools.lru_cache(maxsize=None)
+def _weights(width, bits):
+    """Packs a row of `width` ints below 2**bits into one int64 by a
+    product, its first column highest."""
+    return 1 << bits * np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _lex_keys(rows, queries, bits):
+    """int64 keys of `rows` and of `queries`, rows of one width with values
+    below 2**bits, that compare as the rows do lexicographically, so equal
+    keys mean equal rows.
+
+    Columns are packed 63 // bits to a key.  Wider rows go on in chunks:
+    each key so far is replaced by the dense rank of its prefix among
+    `rows`, and the next columns are packed below it.  A query whose prefix
+    no row has gets key -1.
+    """
+    width, step = rows.shape[1], max(1, 63 // bits)
+    if width <= step:
+        weights = _weights(width, bits)
+        return rows @ weights, queries @ weights
+    if not len(rows):
+        return rows[:, 0].astype(np.int64), np.full(len(queries), -1)
+    weights = _weights(step, bits)
+    keys, qkeys = rows[:, :step] @ weights, queries[:, :step] @ weights
+    lo, lost = step, np.zeros(len(queries), dtype=bool)
+    while lo < width:
+        prefix, keys = np.unique(keys, return_inverse=True)
+        at = np.minimum(prefix.searchsorted(qkeys), len(prefix) - 1)
+        lost |= prefix[at] != qkeys
+        hi = min(width, lo + max(1, (63 - (len(prefix) - 1).bit_length())
+                                 // bits))
+        shift, weights = bits * (hi - lo), _weights(hi - lo, bits)
+        keys = (keys.astype(np.int64) << shift) | rows[:, lo:hi] @ weights
+        qkeys = (at.astype(np.int64) << shift) | queries[:, lo:hi] @ weights
+        lo = hi
+    qkeys[lost] = -1
+    return keys, qkeys
+
+
+def _absent(keys, queries, at):
+    """Which `queries`, searched into the sorted `keys` at `at`, are not
+    among them."""
+    if not len(keys):
+        return np.ones(len(queries), dtype=bool)
+    return keys[np.minimum(at, len(keys) - 1)] != queries
+
+
+def _facet_rows(rows, cubical):
+    """The facet rows of one dimension's rows, cell by cell in facet order:
+    a simplex's drop one column, a cube's are gathered by `_facet_index`
+    and sorted."""
+    if cubical:
+        out = rows.take(_facet_index(rows.shape[1]), axis=1)
+        out.sort(axis=-1)
+    else:
+        out = rows.take(_drop_index(rows.shape[1]), axis=1)
+    return out.reshape(-1, out.shape[-1])
 
 
 def _facet_orders(c):
@@ -178,38 +267,136 @@ class Complex:
     def _facet_table(self):
         """Facets of every cell as CSR: ids flat[off[i]:off[i + 1]]."""
         if self._facets is None:
-            # the first id on each key: later entries overwrite earlier ones
-            first = dict(zip(map(_cell_key, reversed(self._cells)),
-                             range(len(self._cells) - 1, -1, -1)))
-            off, flat = array("i", [0]), array("i")
-            for c in self._cells:
-                simplex = c.kind == SIMPLEX
-                for o in _facet_orders(c):
-                    s = o if simplex else tuple(sorted(o))
-                    f = first.get((c.dim - 1, s))
-                    if f is None:
-                        raise MissingFace(f"{c.kind} {c.verts} lacks face {s}")
-                    flat.append(f)
-                off.append(len(flat))
-            self._facets = off, flat
+            self._index(check=False)
         return self._facets
 
     def _coface_table(self):
-        """The facet table inverted (a counting sort), cofaces ascending."""
+        """The facet table inverted by one stable argsort, cofaces
+        ascending."""
         if self._cofaces is None:
-            off, flat = self._facet_table()
-            count = array("i", [0]) * (len(self._cells) + 1)
-            for f in flat:
-                count[f + 1] += 1
-            coff = array("i", itertools.accumulate(count))
-            cflat = array("i", [0]) * len(flat)
-            slot = coff[:-1]
-            for j in range(len(self._cells)):
-                for f in flat[off[j]:off[j + 1]]:
-                    cflat[slot[f]] = j
-                    slot[f] += 1
-            self._cofaces = coff, cflat
+            off, flat = map(_ints, self._facet_table())
+            size = len(self._cells)
+            cell = np.arange(size, dtype=np.intc).repeat(off[1:] - off[:-1])
+            coff = np.zeros(size + 1, dtype=np.intc)
+            np.add.accumulate(np.bincount(flat, minlength=size), out=coff[1:])
+            self._cofaces = (array("i", coff.tobytes()), array(
+                "i", cell[flat.argsort(kind="stable")].tobytes()))
         return self._cofaces
+
+    def _index(self, check):
+        """Build the facet table from each dimension's cells read once into
+        an int32 array of vertex rows, and return the rows by dimension.
+
+        A row holds a cell's vertices as their places among the sorted
+        vertex ids: a cube's `order`, a simplex's `verts`.  A dimension's
+        facet rows are made in one step (`_facet_rows`) and matched against
+        the sorted rows one dimension down by `_lex_keys` and one
+        searchsorted, the first id on equal keys; a facet row with no match
+        raises MissingFace.  Cell kinds, row widths and vertex ids are
+        checked always.  With `check`, so are the (dim, verts) order, with no
+        duplicate but equal top simplices in weakly simplicial mode, repeated
+        vertices and a cell of the top dimension, before any facet.
+        """
+        cells, n, cubical = self._cells, self.dimension, self.mode == CUBICAL
+        by_dim = self._by_dim
+        if check:
+            dims = list(map(_cell_dim, cells))
+            if dims != sorted(dims):
+                i = next(i for i in range(1, len(dims))
+                         if dims[i - 1] > dims[i])
+                raise IllegalIntersection(
+                    f"cells out of (dim, verts) order: "
+                    f"{_cell_key(cells[i])} after {_cell_key(cells[i - 1])}")
+            if dims[:1] < [0]:
+                raise IllegalIntersection(f"cell {cells[0].verts} of dim "
+                                          f"{dims[0]}")
+        kind = CUBE if cubical else SIMPLEX
+        if set(map(_cell_kind, cells)) - {kind}:
+            c = next(c for c in cells if c.kind != kind)
+            raise NotCubical(f"non-cube cell {c.verts}" if cubical else
+                             f"non-simplex cell {c.verts} in simplicial mode")
+        seqs = list(map(_cell_order if cubical else _cell_verts, cells))
+        widths = [1 << d if cubical else d + 1 for d in by_dim]
+        for w, r in zip(widths, by_dim.values()):
+            if r and set(map(len, seqs[r.start:r.stop])) != {w}:
+                c = cells[next(i for i in r if len(seqs[i]) != w)]
+                raise (NotCubical(f"cube {c.order} of dim {c.dim}") if cubical
+                       else IllegalIntersection(f"degenerate simplex {c.verts}"))
+        try:
+            ids = np.frombuffer(array("q", itertools.chain.from_iterable(seqs)),
+                                dtype=np.int64)
+            vids = np.sort(np.frombuffer(array("q", self.vertices),
+                                         dtype=np.int64))
+        except (TypeError, OverflowError) as exc:
+            raise UnknownVertex(f"vertex id not a 64-bit integer: {exc}") \
+                from None
+        del seqs
+        rank = vids.searchsorted(ids)
+        stray = _absent(vids, ids, rank)
+        if np.count_nonzero(stray):
+            v = ids[stray.argmax()]
+            c = next(c for c in cells if v in c.verts)
+            raise UnknownVertex(f"cell {c.verts} uses vertex {v}")
+        del ids, stray
+        rank = rank.astype(np.int32)
+        bits = max(1, (len(vids) - 1).bit_length())
+        rows, end = [], 0
+        for w, r in zip(widths, by_dim.values()):
+            rows.append(rank[end:end + w * len(r)].reshape(len(r), w))
+            end += w * len(r)
+        del rank
+        srt = rows[:1] + [np.sort(r, axis=1) for r in rows[1:]] if cubical \
+            else rows
+        # keys[d]: dimension d's sorted rows.  Facet ids go straight into
+        # the flat table; a facet row with no match is reported only after
+        # the order checks, which the match relies on.
+        nf = [2 * d if cubical else d + 1 if d else 0 for d in by_dim]
+        flat = array("i", bytes(4 * sum(map(operator.mul, nf, map(len, rows)))))
+        out, lo, keys, miss = _ints(flat), 0, [], []
+        for d in range(1, len(rows)):
+            k, q = _lex_keys(srt[d - 1], _facet_rows(rows[d], cubical), bits)
+            at = k.searchsorted(q)
+            absent = _absent(k, q, at)
+            miss.append((d, absent.argmax()) if np.count_nonzero(absent)
+                        else None)
+            np.add(at, by_dim[d - 1].start, out=out[lo:lo + len(at)],
+                   casting="unsafe")
+            lo += len(at)
+            keys.append(k)
+        del out
+        if check:
+            if rows:  # the top dimension's keys, for its order
+                keys.append(_lex_keys(srt[-1], srt[-1][:0], bits)[0])
+            for d, r in by_dim.items():
+                k = keys[d]
+                bad = (k[1:] < k[:-1] if d == n and not cubical
+                       else k[1:] <= k[:-1])
+                if np.count_nonzero(bad):
+                    i = bad.argmax()
+                    a, b = cells[r[i]], cells[r[i] + 1]
+                    raise IllegalIntersection(
+                        f"cells out of (dim, verts) order: {_cell_key(b)} "
+                        f"after {_cell_key(a)}" if k[i + 1] < k[i] else
+                        f"duplicate cells of dim {d} on vertices {a.verts}")
+            for d in range(1, len(rows)):
+                bad = srt[d][:, 1:] <= srt[d][:, :-1]
+                if np.count_nonzero(bad):
+                    c = cells[by_dim[d][bad.any(axis=1).argmax()]]
+                    raise IllegalIntersection(
+                        f"cell {c.verts} repeats a vertex"
+                        if len(set(c.verts)) < len(c.verts)
+                        else f"cell {c.verts} lists its vertices unsorted")
+            if not by_dim.get(n):
+                raise MissingFace(f"no cell of dimension {n}")
+        del srt
+        for d, j in filter(None, miss):
+            c = cells[by_dim[d][j // nf[d]]]
+            face = vids[_facet_rows(rows[d], cubical)[j]].tolist()
+            raise MissingFace(f"{c.kind} {c.verts} lacks face {tuple(face)}")
+        self._facets = array("i", itertools.accumulate(
+            itertools.chain.from_iterable(map(itertools.repeat, nf, map(
+                len, rows))), initial=0)), flat
+        return rows
 
     def facet_ids(self, i):
         """ids of the codimension-1 faces of cell i, in `cube_facets` order
@@ -223,8 +410,10 @@ class Complex:
         return flat[off[i]:off[i + 1]].tolist()
 
     def shared_facets(self, i, others):
-        """Facets of cell i that also bound a cell among `others`."""
-        others = set(others)
+        """Facets of cell i that also bound a cell among `others`, taken
+        as it is when a set."""
+        if not isinstance(others, (set, frozenset)):
+            others = set(others)
         return [f for f in self.facet_ids(i)
                 if any(j != i and j in others for j in self.coface_ids(f))]
 
@@ -398,8 +587,8 @@ class Complex:
         place = np.where(j == p, k, j + ((k <= j) & (j < p))
                          - ((p < j) & (j <= k)))
         valid = (j <= dims[:, None]) & (dims[:, None] > 0)
-        koff = np.frombuffer(koff, dtype=np.intc)
-        flat = image[np.frombuffer(kflat, dtype=np.intc)[
+        koff = _ints(koff)
+        flat = image[_ints(kflat)[
             (koff[i] + place)[valid]]].astype(np.intc)
         if (flat < 0).any():
             raise MissingFace("a new simplex lacks a face")
@@ -407,14 +596,8 @@ class Complex:
         off = np.append(0, np.cumsum(width))
         Q._facets = (array("i", off.astype(np.intc).tobytes()),
                      array("i", flat.tobytes()))
-        # cofaces: the (facet, cell) pairs sorted by facet, then cell
-        nq, facet = len(qcells), flat.astype(np.int64)
-        pairs = np.sort(facet * nq + np.repeat(np.arange(nq), width))
-        cofaces = np.bincount(facet, minlength=nq)
-        Q._cofaces = (array("i", np.append(0, np.cumsum(cofaces))
-                            .astype(np.intc).tobytes()),
-                      array("i", (pairs % nq).astype(np.intc).tobytes()))
         Q._canonical = True
+        cofaces = np.bincount(flat, minlength=len(qcells))
         tops = [q for e, q in made.items() if e[0] == n]
         under = flat[off[tops][:, None] + j]
         if (cofaces[under] > 2).any():
@@ -426,30 +609,13 @@ class Complex:
     # -- validation --------------------------------------------------------------
 
     def _validate(self):
-        n, cells = self.dimension, self._cells
-        for c in cells:
-            if stray := set(c.verts).difference(self.vertices):
-                raise UnknownVertex(f"cell {c.verts} uses vertex {stray.pop()}")
-        # sorted by (dim, verts): a duplicate is an equal neighbour
-        for a, b in itertools.pairwise(map(_cell_key, cells)):
-            if a > b:
-                raise IllegalIntersection(
-                    f"cells out of (dim, verts) order: {b} after {a}")
-            if a == b and (a[0] < n or self.mode == CUBICAL):
-                raise IllegalIntersection(
-                    f"duplicate cells of dim {a[0]} on vertices {a[1]}")
-        for c in cells:
-            if len(set(c.verts)) < len(c.verts):
-                raise IllegalIntersection(f"cell {c.verts} repeats a vertex")
-        if not self._by_dim.get(n):
-            raise MissingFace(f"no cell of dimension {n}")
-        self._facet_table()  # face closure: raises MissingFace
+        rows = self._index(check=True)
         if self.mode == CUBICAL:
-            self._validate_cubical()
+            self._validate_cubical(rows)
         else:
             self._validate_weakly_simplicial()
 
-    def _validate_cubical(self):
+    def _validate_cubical(self, rows):
         """Cubes that meet, meet in a common face; checked in two passes.
 
         (a) Each stored facet of a cube has the structure the cube's binary
@@ -461,48 +627,64 @@ class Complex:
         order, they span a face iff there are 2^popcount(AND ^ OR) of them.
         Lower pairs then need no check: a face of A and a face of B, with A
         and B meeting in the common face F, meet in a face of F.
+
+        Pass (a) runs on the cube rows of `_index`, a dimension at a time.
+        Pass (b) loops over the pairs of maximal cubes that share a vertex:
+        batched over the rows it was slower on the small complexes that
+        shelling and reduction build.
         """
-        cells = self._cells
-        for c in cells:
-            if c.kind != CUBE:
-                raise NotCubical(f"non-cube cell {c.verts}")
-        for i, c in enumerate(cells):
-            if c.dim < 3:
-                continue  # an edge's facets are its vertices in any order
-            for f, sub in zip(self.facet_ids(i), cube_facets(c.order)):
-                got = {cells[g].verts for g in self.facet_ids(f)}
-                if got != {tuple(sorted(o)) for o in cube_facets(sub)}:
-                    raise IllegalIntersection(
-                        f"cube {c.order} has a misordered face {cells[f].order}")
-        off, _ = self._coface_table()
-        maximal = [i for i in range(len(cells)) if off[i] == off[i + 1]]
-        on = {}  # vertex -> the maximal cubes on it
+        cells, by_dim = self._cells, self._by_dim
+        off, flat = map(_ints, self._facet_table())
+        bits = max(1, (len(self.vertices) - 1).bit_length())
+
+        def table(d):  # dimension d's facet ids, a row per cell
+            r = by_dim[d]
+            return flat[off[r.start]:off[r.stop]].reshape(len(r), 2 * d)
+
+        # (a): an edge's facets are its vertices in any order
+        for d in range(3, len(rows)):
+            fid = table(d)
+            sub = rows[d].take(_facet_index(1 << d), axis=1)  # induced orders
+            want = _facet_rows(sub.reshape(-1, sub.shape[-1]), True)
+            keys, wkeys = _lex_keys(np.sort(rows[d - 2], axis=1), want, bits)
+            got = keys[table(d - 1)[fid - by_dim[d - 1].start]
+                       - by_dim[d - 2].start]
+            bad = np.argwhere((np.sort(got, axis=-1) != np.sort(
+                wkeys.reshape(got.shape), axis=-1)).any(axis=-1))
+            if bad.size:
+                i, j = bad[0]
+                raise IllegalIntersection(
+                    f"cube {cells[by_dim[d][i]].order} has a misordered face "
+                    f"{cells[fid[i, j]].order}")
+
+        # (b)
+        maximal = np.flatnonzero(
+            np.bincount(flat, minlength=len(cells)) == 0).tolist()
+        place, on = {}, {}  # cube -> vertex -> position; vertex -> cubes
         for a in maximal:
-            for v in cells[a].verts:
+            place[a] = dict(zip(cells[a].order, itertools.count()))
+            for v in place[a]:
                 on.setdefault(v, []).append(a)
         for a in maximal:
-            ca = cells[a]
-            for b in {b for v in ca.verts for b in on[v] if b > a}:
-                shared = set(ca.verts) & set(cells[b].verts)
-                if not all(_spans_face(cells[x].order, shared) for x in (a, b)):
+            for b in {b for v in place[a] for b in on[v] if b > a}:
+                shared = place[a].keys() & place[b].keys()
+                if not (_spans_face(place[a], shared)
+                        and _spans_face(place[b], shared)):
                     raise IllegalIntersection(
-                        f"cubes {ca.verts} and {cells[b].verts} meet in "
-                        f"{tuple(sorted(shared))}, not a common face")
+                        f"cubes {cells[a].verts} and {cells[b].verts} meet "
+                        f"in {tuple(sorted(shared))}, not a common face")
 
     def _validate_weakly_simplicial(self):
-        n = self.dimension
-        for c in self._cells:
-            if c.kind != SIMPLEX:
-                raise NotCubical(f"non-simplex cell {c.verts} in simplicial mode")
-            if len(c.verts) != c.dim + 1:
-                raise IllegalIntersection(f"degenerate simplex {c.verts}")
-        # condition (4): every (n-1)-simplex is a face of at most two
-        # n-simplices (lower cells are unique, so one cell per vertex set)
-        off, _ = self._coface_table()
-        for i in self.cell_ids(n - 1):
-            if off[i + 1] - off[i] > 2:
-                raise FaceOveruse(f"(n-1)-simplex {self._cells[i].verts} has "
-                                  f"{off[i + 1] - off[i]} cofaces")
+        """Condition (4): every (n-1)-simplex is a face of at most two
+        n-simplices (lower cells are unique, so one cell per vertex set)."""
+        off, flat = map(_ints, self._facet_table())
+        top = self._by_dim[self.dimension]
+        count = np.bincount(flat[off[top.start]:off[top.stop]])
+        over = np.flatnonzero(count > 2)
+        if over.size:
+            i = over[0]
+            raise FaceOveruse(f"(n-1)-simplex {self._cells[i].verts} has "
+                              f"{count[i]} cofaces")
 
     # -- serialization ---------------------------------------------------------
 

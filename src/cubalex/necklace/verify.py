@@ -167,21 +167,30 @@ def representative_pairs(m, b):
     CHORD_MARGIN tube extents are certified apart by the chord bound.
     Returns (near pairs, number of certified pairs, the least certified
     distance bound, inf when none is certified).
+
+    The chord grows with the offset d <= m/2, so the certified offsets are
+    the range d0..m/2 for both parities.  d0 is found in closed form, with
+    asin, and then set by the scalar `chord` itself; the least bound is
+    that expression at d0.
     """
     beta = 2 * math.pi / m
     extent = b * (2 + 2 * b)  # conservative radius of a child tube around its center
-    near, certified, lowest = [], 0, math.inf
-    for i in (1, 2):
-        for d in range(1, m // 2 + 1):
-            j = i + d
-            chord = 2 * (1 - b) * math.sin(min(d, m - d) * beta / 2)
-            bound = chord - CHORD_MARGIN * extent
-            if bound > 0:
-                certified += 1
-                lowest = min(lowest, chord - 2 * extent)
-            else:
-                near.append((i, j))
-    return near, certified, lowest
+
+    def chord(d):
+        return 2 * (1 - b) * math.sin(min(d, m - d) * beta / 2)
+
+    def certified(d):
+        return chord(d) - CHORD_MARGIN * extent > 0
+
+    half, t = m // 2, CHORD_MARGIN * extent / (2 * (1 - b))
+    d0 = min(half + 1, math.floor(2 * math.asin(min(t, 1)) / beta) + 1)
+    while d0 > 1 and certified(d0 - 1):
+        d0 -= 1
+    while d0 <= half and not certified(d0):
+        d0 += 1
+    near = [(i, i + d) for i in (1, 2) for d in range(1, d0)]
+    count = 2 * (half + 1 - d0)
+    return near, count, chord(d0) - 2 * extent if count else math.inf
 
 
 def verify_disjointness(params, seed=0, max_offset=None):

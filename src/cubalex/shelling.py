@@ -37,14 +37,14 @@ def _facet_complex_is_cell(K, q, facet_ids):
                for j, f in enumerate(all_facets) if f in chosen)
 
 
-def _extends(K, q, prefix):
-    """The shelling step test: q's facets shared with the prefix when they
-    form an (n-1)-cell on which every vertex q shares with it lies; else None.
+def _extends(K, q, prefix, prefix_verts):
+    """The shelling step test: q's facets shared with the prefix (a set of
+    cube ids, with `prefix_verts` the set of their vertices) when they form
+    an (n-1)-cell on which every vertex q shares with it lies; else None.
     """
     shared = K.shared_facets(q, prefix)
     if not _facet_complex_is_cell(K, q, shared):
         return None
-    prefix_verts = {v for j in prefix for v in K.cell(j).verts}
     shared_verts = {v for f in shared for v in K.cell(f).verts}
     if (set(K.cell(q).verts) & prefix_verts) - shared_verts:
         return None
@@ -52,15 +52,20 @@ def _extends(K, q, prefix):
 
 
 def verify_shelling(K, order):
-    """Check a shelling order; returns (ok, first violating index or None)."""
+    """Check a shelling order; returns (ok, first violating index or None).
+    The prefix and its vertices are carried from step to step, so the check
+    costs one step test per cube."""
     if K.mode != CUBICAL:
         raise NotCubical("verify_shelling needs a cubical complex")
     tops = sorted(K.top_ids())
     if sorted(order) != tops:
         raise NotAPermutation(f"{order} is not a permutation of {tops}")
-    for i in range(1, len(order)):
-        if _extends(K, order[i], order[:i]) is None:
+    prefix, verts = set(), set()
+    for i, q in enumerate(order):
+        if prefix and _extends(K, q, prefix, verts) is None:
             return False, i
+        prefix.add(q)
+        verts.update(K.cell(q).verts)
     return True, None
 
 
@@ -140,9 +145,10 @@ def _complete(K, order, tops, rank):
     the step test, tried by (rank(shared facets), id); first leaf or None."""
     if len(order) == len(tops):
         return list(order)
-    steps = []
+    steps, prefix = [], set(order)
+    verts = {v for j in order for v in K.cell(j).verts}
     for q in tops:
-        shared = None if q in order else _extends(K, q, order)
+        shared = None if q in prefix else _extends(K, q, prefix, verts)
         if shared is not None:
             steps.append((rank(shared), q))
     for _, q in sorted(steps):

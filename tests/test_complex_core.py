@@ -12,6 +12,7 @@ import types
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,12 +242,21 @@ def test_degeneracy_flagged_not_rejected():
 # -- incidence index -------------------------------------------------------------
 
 
-def oracle_facets(K, j):
+def first_ids(K):
+    """The first id on each (dim, verts), by one scan of `cells()`."""
+    first = {}
+    for i, c in enumerate(K.cells()):
+        first.setdefault((c.dim, c.verts), i)
+    return first
+
+
+def oracle_facets(K, j, first=None):
     """Facets of cell j re-derived from its vertex order, looked up by scan.
 
     A k-cube in binary order has facet (axis, side) on the vertices whose
     index has bit `axis` equal to `side`; a simplex drops one vertex at a
-    time.  Each facet resolves to the first cell on its vertex set.
+    time.  Each facet resolves to the first cell on its vertex set
+    (`first_ids`, made here unless given).
     """
     c = K.cell(j)
     if c.dim == 0:
@@ -256,10 +266,8 @@ def oracle_facets(K, j):
     else:
         subs = [[v for idx, v in enumerate(c.order) if (idx >> axis) & 1 == side]
                 for axis in range(c.dim) for side in (0, 1)]
-    cells = K.cells()
-    return [next(i for i, d in enumerate(cells)
-                 if d.dim == c.dim - 1 and d.verts == tuple(sorted(s)))
-            for s in subs]
+    first = first_ids(K) if first is None else first
+    return [first[c.dim - 1, tuple(sorted(s))] for s in subs]
 
 
 def incidence_graph(K, vertex_labels=None):
@@ -349,6 +357,145 @@ def test_lookups_match_scans(name):
         on = [set(c.verts) for c in cells if v in c.verts]
         assert K.star_cell_ids(v) == [i for i, c in enumerate(cells)
                                       if any(set(c.verts) <= s for s in on)]
+
+
+def random_corners(rng, n, steps):
+    """Integer corners of a box complex grown by random unit steps."""
+    corners = {(0,) * n}
+    for _ in range(steps):
+        c = rng.choice(sorted(corners))
+        axis, step = rng.randrange(n), rng.choice((-1, 1))
+        corners.add(tuple(x + step * (a == axis) for a, x in enumerate(c)))
+    return sorted(corners)
+
+
+def table_case(name):
+    rng = random.Random(name)
+    if name.startswith("box"):
+        n = int(name[-1])
+        return fa.box_complex(n, random_corners(rng, n, (8, 6, 4, 3)[n - 1]))
+    if name.startswith("triangulation"):
+        return cc.canonical_triangulation(fa.unit_cube(int(name[-1])))
+    if name == "cube5":  # rows too wide for one packed key
+        return fa.unit_cube(5)
+    if name == "doubled":
+        return fa.doubled_complex(
+            fa.grid_complex(random_disk_polyomino(rng, 4)))
+    if name == "repeated_top":
+        return cc.build_complex(2, cc.SIMPLICIAL, range(3),
+                                [(2, [0, 1, 2], cc.SIMPLEX)] * 2)
+    K = rf.refine(fa.unit_cube(3), 1).complex
+    if name == "json":
+        text = json.dumps(K.to_json())
+        K = cc.from_json(text)
+        assert json.dumps(K.to_json()) == text
+    return K
+
+
+TABLE_CASES = (["box1", "box2", "box3", "box4", "cube5", "doubled",
+                "repeated_top", "refined", "json"]
+               + [f"triangulation{n}" for n in range(1, 5)])
+
+
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_incidence_tables_match_oracle(name):
+    # facet rows against `oracle_facets`, coface rows against a scan of them
+    K = table_case(name)
+    n, first = len(K.cells()), first_ids(K)
+    facets = [oracle_facets(K, j, first) for j in range(n)]
+    cofaces = [[] for _ in range(n)]
+    for j, fs in enumerate(facets):
+        for f in fs:
+            cofaces[f].append(j)
+    assert [K.facet_ids(j) for j in range(n)] == facets
+    assert [K.coface_ids(i) for i in range(n)] == cofaces
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 7), st.integers(0, 10 ** 6))
+def test_lex_keys_compare_as_rows(bits, width, seed):
+    # packed keys, one chunk or several, order rows as tuples do, and a
+    # query's key equals a row's exactly when the rows are equal
+    rng = np.random.default_rng(seed)
+    top = 1 << bits
+    rows = np.unique(rng.integers(0, min(top, 4), (40, width)), axis=0)
+    rows[:, -1] = rng.integers(0, top, len(rows))  # some wide values
+    rows = np.unique(rows, axis=0).astype(np.int32)
+    queries = np.concatenate([rows[rng.permutation(len(rows))[:10]],
+                              rng.integers(0, top, (10, width))]).astype(np.int32)
+    keys, qkeys = cc._lex_keys(rows, queries, bits)
+    assert (np.diff(keys) > 0).all()
+    tuples = [tuple(r) for r in rows.tolist()]
+    for q, k in zip(queries.tolist(), qkeys.tolist()):
+        assert (k in keys) == (tuple(q) in tuples)
+        if tuple(q) in tuples:
+            assert k == keys[tuples.index(tuple(q))]
+
+
+def misordered_face():
+    # a square listed before the cube, its order making the cube's face
+    # diagonals edges
+    return (3, cc.CUBICAL, range(8),
+            [(2, [0, 2, 6, 4], cc.CUBE), (3, list(range(8)), cc.CUBE)])
+
+
+def complex_cells(case):
+    """(dimension, mode, vertices, cells) handed to `Complex` directly."""
+    T = cc.canonical_triangulation(fa.unit_cube(2))
+    cells = T.cells()
+    if case == "out_of_order":
+        cells = cells[::-1]
+    elif case == "duplicate":
+        cells.insert(T.cell_ids(1)[0], cells[T.cell_ids(1)[0]])
+    elif case == "missing_face":
+        del cells[T.cell_ids(1)[0]]
+    return 2, cc.SIMPLICIAL, T.vertices, cells
+
+
+@pytest.mark.parametrize("case,error", [
+    ("unknown_vertex", UnknownVertex),
+    ("non_integer_vertex", UnknownVertex),
+    ("fractional_vertex", UnknownVertex),
+    ("out_of_order", IllegalIntersection),
+    ("duplicate", IllegalIntersection),
+    ("repeated_vertex", IllegalIntersection),
+    ("degenerate_simplex", IllegalIntersection),
+    ("simplex_in_cubical", NotCubical),
+    ("cube_in_simplicial", NotCubical),
+    ("three_vertex_cube", NotCubical),
+    ("no_top", MissingFace),
+    ("missing_face", MissingFace),
+    ("overuse", FaceOveruse),
+    ("misordered_face", IllegalIntersection),
+    ("not_a_common_face", IllegalIntersection),
+])
+def test_each_typed_error(case, error):
+    # one bad input per error validation raises
+    raw = {
+        "unknown_vertex": (2, cc.CUBICAL, [0, 1, 2], [(2, [0, 1, 2, 9], cc.CUBE)]),
+        "non_integer_vertex": (1, cc.SIMPLICIAL, ["a", "b"],
+                               [(1, ["a", "b"], cc.SIMPLEX)]),
+        "fractional_vertex": (1, cc.SIMPLICIAL, [0, 1],
+                              [(1, [0, 1.5], cc.SIMPLEX)]),
+        "repeated_vertex": (2, cc.SIMPLICIAL, [0, 1], [(2, [0, 0, 1], cc.SIMPLEX)]),
+        "degenerate_simplex": (2, cc.SIMPLICIAL, [0, 1], [(2, [0, 1], cc.SIMPLEX)]),
+        "simplex_in_cubical": (2, cc.CUBICAL, [0, 1, 2],
+                               [(2, [0, 1, 2], cc.SIMPLEX)]),
+        "cube_in_simplicial": (2, cc.SIMPLICIAL, range(4),
+                               [(2, [0, 1, 2, 3], cc.CUBE)]),
+        "three_vertex_cube": (1, cc.CUBICAL, [0, 1, 2], [(1, [0, 1, 2], cc.CUBE)]),
+        "no_top": (3, cc.CUBICAL, range(6), raw_cells(fa.domino(), [2])),
+        "overuse": (2, cc.SIMPLICIAL, range(5),
+                    [(2, [0, 1, k], cc.SIMPLEX) for k in (2, 3, 4)]),
+        "misordered_face": misordered_face(),
+        "not_a_common_face": (2, cc.CUBICAL, range(6), [
+            (2, [0, 1, 2, 3], cc.CUBE), (2, [3, 4, 5, 0], cc.CUBE)]),
+    }
+    with pytest.raises(error):
+        if case in raw:
+            cc.build_complex(*raw[case])
+        else:
+            cc.Complex(*complex_cells(case))
 
 
 def test_complex_rejects_cells_out_of_order():

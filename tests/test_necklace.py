@@ -292,6 +292,31 @@ def test_disjointness_cell_count_guard():
     assert 0 < rep["cells_live_peak"] <= ve.MAX_LIVE_CELLS
 
 
+def loop_representative_pairs(m, b):
+    """`representative_pairs` as a loop over every offset of both parities."""
+    beta = 2 * math.pi / m
+    extent = b * (2 + 2 * b)
+    near, certified, lowest = [], 0, math.inf
+    for i in (1, 2):
+        for d in range(1, m // 2 + 1):
+            chord = 2 * (1 - b) * math.sin(min(d, m - d) * beta / 2)
+            if chord - ve.CHORD_MARGIN * extent > 0:
+                certified += 1
+                lowest = min(lowest, chord - 2 * extent)
+            else:
+                near.append((i, i + d))
+    return near, certified, lowest
+
+
+@pytest.mark.parametrize("m,b", [(1700, 0.05), (1796, 0.05), (11220, 0.02),
+                                 (179520, 0.005), (8, 0.05), (64, 0.3)])
+def test_representative_pairs_match_the_loop(m, b):
+    # the certified offsets are one range, counted in closed form; the least
+    # bound is the same float, so the pinned chord_lower cannot move.  At
+    # m = 8 every offset is certified, at b = 0.3 none is.
+    assert ve.representative_pairs(m, b) == loop_representative_pairs(m, b)
+
+
 def test_disjointness_brackets_dense_grid():
     # lower bound <= the minimum over a dense 400 x 2000 grid on tau_i <= best;
     # the minimizers sit at grid angles, so grid and best agree to rounding

@@ -331,3 +331,41 @@ def test_disk_shelling_orders_pinned():
     assert len(records) == 526
     assert digest(records) == (
         "bb18214a756fe387ef4eb82ad454a02ac5007e64f52b8138dd06971608290649")
+
+
+# -- the linear verification against the quadratic one it replaced ------------
+
+
+def quadratic_verify_shelling(K, order):
+    """`verify_shelling` as it was: each step rebuilds the prefix's id set
+    and its vertex set."""
+    for i in range(1, len(order)):
+        prefix = order[:i]
+        shared = K.shared_facets(order[i], prefix)
+        if not sh._facet_complex_is_cell(K, order[i], shared):
+            return False, i
+        prefix_verts = {v for j in prefix for v in K.cell(j).verts}
+        shared_verts = {v for f in shared for v in K.cell(f).verts}
+        if (set(K.cell(order[i]).verts) & prefix_verts) - shared_verts:
+            return False, i
+    return True, None
+
+
+def test_verify_shelling_matches_quadratic_check():
+    # every disk polyomino of at most 7 squares, with its found order and
+    # with random permutations of it: the same verdict at the same index
+    rng = random.Random(7)
+    seen = 0
+    for v in fa.free_polyominoes(7).values():
+        for cells in v:
+            if not fa.is_disk_polyomino(cells):
+                continue
+            K = fa.grid_complex(cells)
+            found = sh.find_shelling(K)
+            orders = [found] + [rng.sample(found, len(found))
+                                for _ in range(6)]
+            for order in orders:
+                assert sh.verify_shelling(K, order) == \
+                    quadratic_verify_shelling(K, order)
+                seen += not sh.verify_shelling(K, order)[0]
+    assert seen > 100  # the permutations reach the failing branches
