@@ -347,49 +347,48 @@ class Complex:
         del rank
         srt = rows[:1] + [np.sort(r, axis=1) for r in rows[1:]] if cubical \
             else rows
-        # keys[d]: dimension d's sorted rows.  Facet ids go straight into
-        # the flat table; a facet row with no match is reported only after
-        # the order checks, which the match relies on.
+        # Each dimension's sorted rows get keys, checked for order and
+        # repeated vertices, and the facet rows one dimension up are matched
+        # against them, their ids written straight into the flat table.  A
+        # facet row with no match is reported only after every check, since
+        # the match relies on the order.
         nf = [2 * d if cubical else d + 1 if d else 0 for d in by_dim]
         flat = array("i", bytes(4 * sum(map(operator.mul, nf, map(len, rows)))))
-        out, lo, keys, miss = _ints(flat), 0, [], []
-        for d in range(1, len(rows)):
-            k, q = _lex_keys(srt[d - 1], _facet_rows(rows[d], cubical), bits)
-            at = k.searchsorted(q)
-            absent = _absent(k, q, at)
-            miss.append((d, absent.argmax()) if np.count_nonzero(absent)
-                        else None)
-            np.add(at, by_dim[d - 1].start, out=out[lo:lo + len(at)],
-                   casting="unsafe")
-            lo += len(at)
-            keys.append(k)
-        del out
-        if check:
-            if rows:  # the top dimension's keys, for its order
-                keys.append(_lex_keys(srt[-1], srt[-1][:0], bits)[0])
-            for d, r in by_dim.items():
-                k = keys[d]
-                bad = (k[1:] < k[:-1] if d == n and not cubical
-                       else k[1:] <= k[:-1])
+        out, lo, miss = _ints(flat), 0, []
+        for d, r in by_dim.items():
+            up = d + 1 < len(rows)
+            if not (up or check):
+                break
+            keys, q = _lex_keys(srt[d], _facet_rows(rows[d + 1], cubical)
+                                if up else srt[d][:0], bits)
+            if check:
+                bad = (keys[1:] < keys[:-1] if d == n and not cubical
+                       else keys[1:] <= keys[:-1])
                 if np.count_nonzero(bad):
                     i = bad.argmax()
                     a, b = cells[r[i]], cells[r[i] + 1]
                     raise IllegalIntersection(
                         f"cells out of (dim, verts) order: {_cell_key(b)} "
-                        f"after {_cell_key(a)}" if k[i + 1] < k[i] else
+                        f"after {_cell_key(a)}" if keys[i + 1] < keys[i] else
                         f"duplicate cells of dim {d} on vertices {a.verts}")
-            for d in range(1, len(rows)):
                 bad = srt[d][:, 1:] <= srt[d][:, :-1]
                 if np.count_nonzero(bad):
-                    c = cells[by_dim[d][bad.any(axis=1).argmax()]]
+                    c = cells[r[bad.any(axis=1).argmax()]]
                     raise IllegalIntersection(
                         f"cell {c.verts} repeats a vertex"
                         if len(set(c.verts)) < len(c.verts)
                         else f"cell {c.verts} lists its vertices unsorted")
-            if not by_dim.get(n):
-                raise MissingFace(f"no cell of dimension {n}")
-        del srt
-        for d, j in filter(None, miss):
+            if up:
+                at = keys.searchsorted(q)
+                absent = _absent(keys, q, at)
+                if np.count_nonzero(absent):
+                    miss.append((d + 1, absent.argmax()))
+                np.add(at, r.start, out=out[lo:lo + len(at)], casting="unsafe")
+                lo += len(at)
+        del out, srt
+        if check and not by_dim.get(n):
+            raise MissingFace(f"no cell of dimension {n}")
+        for d, j in miss:
             c = cells[by_dim[d][j // nf[d]]]
             face = vids[_facet_rows(rows[d], cubical)[j]].tolist()
             raise MissingFace(f"{c.kind} {c.verts} lacks face {tuple(face)}")
