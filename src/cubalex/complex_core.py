@@ -362,7 +362,7 @@ class Complex:
             keys, q = _lex_keys(srt[d], _facet_rows(rows[d + 1], cubical)
                                 if up else srt[d][:0], bits)
             if check:
-                bad = (keys[1:] < keys[:-1] if d == n and not cubical
+                bad = (keys[1:] < keys[:-1] if d >= n and not cubical
                        else keys[1:] <= keys[:-1])
                 if np.count_nonzero(bad):
                     i = bad.argmax()
