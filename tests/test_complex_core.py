@@ -463,6 +463,7 @@ def complex_cells(case):
     ("simplex_in_cubical", NotCubical),
     ("cube_in_simplicial", NotCubical),
     ("three_vertex_cube", NotCubical),
+    ("four_vertex_edge", NotCubical),
     ("no_top", MissingFace),
     ("missing_face", MissingFace),
     ("overuse", FaceOveruse),
@@ -484,6 +485,8 @@ def test_each_typed_error(case, error):
         "cube_in_simplicial": (2, cc.SIMPLICIAL, range(4),
                                [(2, [0, 1, 2, 3], cc.CUBE)]),
         "three_vertex_cube": (1, cc.CUBICAL, [0, 1, 2], [(1, [0, 1, 2], cc.CUBE)]),
+        # its faces would be 0-cells on two vertices
+        "four_vertex_edge": (1, cc.CUBICAL, range(4), [(1, [0, 1, 2, 3], cc.CUBE)]),
         "no_top": (3, cc.CUBICAL, range(6), raw_cells(fa.domino(), [2])),
         "overuse": (2, cc.SIMPLICIAL, range(5),
                     [(2, [0, 1, k], cc.SIMPLEX) for k in (2, 3, 4)]),
