@@ -16,7 +16,8 @@ by key or by vertex is kept.
 Incidence and validation run on each dimension's cells read once into an
 int32 array of vertex rows (`Complex._index`): facets are found by matching
 a whole dimension's facet rows against the rows one dimension down, and the
-coface table is the facet table inverted by one stable argsort.
+coface table is the facet table inverted by one stable argsort.  The
+canonical triangulation lists its flags as int rows as well (`flag_rows`).
 
 Complexes are immutable after construction; every operation returns a new
 complex, so instances are safe to share across threads.
@@ -51,7 +52,7 @@ CUBICAL = "cubical"
 SIMPLICIAL = "simplicial"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Cell:
     """A single cell: `verts` sorted for identity, `order` structural.
 
@@ -67,9 +68,18 @@ class Cell:
     kind: str
     order: tuple = None
 
-    def __post_init__(self):
-        if self.order is None:
-            object.__setattr__(self, "order", self.verts)
+    def __init__(self, dim, verts, kind, order=None):
+        # Written through the slots' own setters, which the frozen
+        # `__setattr__` does not guard: every complex builds one Cell per
+        # cell, and the generated frozen `__init__` costs twice as much.
+        _set_dim(self, dim)
+        _set_verts(self, verts)
+        _set_kind(self, kind)
+        _set_order(self, verts if order is None else order)
+
+
+_set_dim, _set_verts, _set_kind, _set_order = (
+    Cell.__dict__[name].__set__ for name in ("dim", "verts", "kind", "order"))
 
 
 @functools.lru_cache(maxsize=None)  # keyed by powers of 2 only
@@ -816,7 +826,7 @@ def build_complex(dimension, mode, vertices, cells):
                 stack.append(f)
 
     flat = [c for cells_ in pool.values() for c in cells_]
-    flat.sort(key=lambda c: (c.dim, c.verts))
+    flat.sort(key=_cell_key)
     pool.clear()  # free it before validation builds the incidence index
     return Complex(dimension, mode, vmap, flat)
 
@@ -848,17 +858,68 @@ def flag_centres(K):
     return out
 
 
-def cube_flags(K, ids, centre):
+def _csr_rows(off, flat, ids):
+    """The CSR rows flat[off[i]:off[i + 1]] of the cells `ids`, one after
+    another, and the length of each."""
+    lo = off[ids]
+    size = off[ids + 1] - lo
+    at = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
+    return flat[at], size
+
+
+def flag_rows(K, ids):
     """The flags q_0 < q_1 < ... < q_k of nested cubes of K that end at a
-    cube of `ids` or at a face of one, keyed by their last cube: each is the
-    tuple of its cubes' centres (`centre`, by cube id, from `flag_centres`),
-    which is sorted, since centre ids rise with dimension."""
-    chains = {}
-    for i in K._closure(ids):  # ascending: every face before its cofaces
-        chains[i] = [(centre[i],)] + [
-            chain + (centre[i],)
-            for f in K._closure(K.facet_ids(i)) for chain in chains[f]]
-    return chains
+    cube of `ids` or at a face of one, as cube ids: one int32 array of rows
+    per flag length, from length 1, each sorted lexicographically.
+
+    The closure of `ids` is taken down the facet table, and the pairs
+    (proper face, cube) under it by composing facets a codimension at a
+    time.  Flags then grow one cube at a time: a flag is repeated once per
+    cube its last cube is a proper face of, and those cubes, ascending, are
+    gathered after it.  Grown so from sorted rows, the rows stay sorted.
+    """
+    off, flat = map(_ints, K._facet_table())
+    size = np.int64(len(K._cells))  # pair keys face * size + cube
+    inside = np.zeros(size, dtype=bool)
+    inside[ids] = True
+    for r in reversed(K._by_dim.values()):
+        below = np.flatnonzero(inside[r.start:r.stop]) + r.start
+        inside[_csr_rows(off, flat, below)[0]] = True
+    face = cube = cubes = np.flatnonzero(inside)
+    pairs = []
+    while len(face):  # a codimension down, each pair once
+        face, deg = _csr_rows(off, flat, face)
+        key = np.sort(np.repeat(cube, deg) * size + face)
+        cube, face = np.divmod(key[np.diff(key, prepend=-1) != 0], size)
+        pairs.append(face * size + cube)
+    face, cube = np.divmod(np.sort(np.concatenate(pairs)), size)
+    start = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(face, minlength=size), out=start[1:])
+    cube = cube.astype(np.int32)
+    rows = [cubes.astype(np.int32)[:, None]]
+    while True:
+        up, deg = _csr_rows(start, cube, rows[-1][:, -1])
+        if not len(up):
+            return rows
+        rows.append(np.column_stack((rows[-1].repeat(deg, axis=0), up)))
+
+
+def simplex_cells(rows, vertices):
+    """The simplices on `rows`, a list of row arrays by dimension, each
+    sorted, as `Cell`s in the same order: entry j of a row stands for
+    `vertices[j]`, and `vertices` ascend.
+
+    A dimension's rows are freed once converted.  They are read by columns
+    and zipped into the `verts` tuples, which share the id objects of
+    `vertices`: a list per row raised the process's peak memory.
+    """
+    ids = np.array(vertices, dtype=object)
+    cells = []
+    for d in range(len(rows)):
+        cols, rows[d] = ids[rows[d].T].tolist(), None
+        cells += map(Cell, itertools.repeat(d), zip(*cols),
+                     itertools.repeat(SIMPLEX))
+    return cells
 
 
 def canonical_triangulation(K):
@@ -868,7 +929,7 @@ def canonical_triangulation(K):
     (dim, vertex list) so the construction is reproducible.  The cells of T
     are listed here, not derived from its top simplices: the centre of every
     cube as a 0-cell, and every flag of nested cubes that lies under a top
-    cube of K (`cube_flags`).  `Complex` validates them in full.
+    cube of K (`flag_rows`).  `Complex` validates them in full.
     """
     if K.mode != CUBICAL:
         raise NotCubical("canonical_triangulation needs a cubical complex")
@@ -879,16 +940,12 @@ def canonical_triangulation(K):
         v: c.dim for v, c in zip(centre, K.cells())}
     source = {v: (0, (v,)) for v in K.vertices} | {
         v: (c.dim, c.verts) for v, c in zip(centre, K.cells())}
+    rows = flag_rows(K, K.top_ids())
     # a cube under no top cube is its centre alone: its flags bound no top
     # simplex
-    chains = cube_flags(K, K.top_ids(), centre)
-    simplices = [(v,) for i, v in enumerate(centre) if i not in chains]
-    for flags in chains.values():
-        simplices += flags
-    chains.clear()  # free it before validation builds the incidence index
-    simplices.sort(key=lambda t: (len(t), t))
+    rows[0] = np.arange(len(centre), dtype=np.int32)[:, None]
     return Complex(K.dimension, SIMPLICIAL, vcoords,
-                   [Cell(len(t) - 1, t, SIMPLEX) for t in simplices],
+                   simplex_cells(rows, centre),
                    vertex_cube_dim=vdim, triangulation_source=source)
 
 

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .complex_core import (
-    CUBICAL, SIMPLEX, SIMPLICIAL, assert_cell, build_complex, cube_flags,
-    flag_centres,
+    CUBICAL, SIMPLICIAL, Complex, assert_cell, flag_centres, flag_rows,
+    simplex_cells,
 )
 from .errors import NotACell, NotAPermutation, NotCubical
 
@@ -174,26 +176,32 @@ def _find_shelling_backtrack(K):
 def star_replacement(K):
     """The star-replacement K*: one interior vertex coned over K^Delta's boundary.
 
-    The boundary (n-1)-simplices of K^Delta are the full flags under K's
-    boundary (n-1)-cubes, so those flags alone are listed; K^Delta is not
-    built.  #(K*)^(n) equals their number.
+    The boundary of K^Delta is the flags under K's boundary (n-1)-cubes
+    (`flag_rows`), so K^Delta is not built: K*'s k-simplices are those flags
+    of length k + 1 and, coned to a new vertex above every centre, those of
+    length k.  #(K*)^(n) equals the number of full flags.
     """
     assert_cell(K)
     n = K.dimension
     centres = flag_centres(K)
-    cube = {v: i for i, (v, _) in enumerate(centres)}
-    bfacets = K.boundary_facet_ids()
-    chains = cube_flags(K, bfacets, [v for v, _ in centres])
-    flags = [t for i in bfacets for t in chains[i] if len(t) == n]
-    keep = set().union(*flags)
-    verts = {v: centres[cube[v]][1] for v in keep}
-    center = max(cube) + 1
-    verts[center] = None
-    S = build_complex(n, SIMPLICIAL, verts,
-                      [(n, t + (center,), SIMPLEX) for t in flags])
-    S.vertex_cube_dim.update({v: K.cell(cube[v]).dim for v in keep})
-    S.vertex_cube_dim[center] = n
-    return S
+    # by length, from the empty flag; the apex is cube id len(centres)
+    flags = [np.zeros((1, 0), dtype=np.int32)] + flag_rows(
+        K, K.boundary_facet_ids())
+    apex = len(centres)
+    rows = []
+    for k in range(n + 1):
+        simplices = np.column_stack((flags[k], np.full(len(flags[k]), apex,
+                                                        dtype=np.int32)))
+        if k < n:
+            simplices = np.concatenate((flags[k + 1], simplices))
+            simplices = simplices[np.lexsort(simplices.T[::-1])]
+        rows.append(simplices)
+    keep = flags[1][:, 0].tolist()
+    ids = [v for v, _ in centres] + [centres[-1][0] + 1]
+    verts = {ids[i]: centres[i][1] for i in keep} | {ids[apex]: None}
+    vdim = {ids[i]: K.cell(i).dim for i in keep} | {ids[apex]: n}
+    return Complex(n, SIMPLICIAL, verts, simplex_cells(rows, ids),
+                   vertex_cube_dim=vdim)
 
 
 def star_replacement_cover_count(K):

@@ -1,5 +1,6 @@
 """Complex construction, validation, triangulation, stars, adjacency."""
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from cubalex import complex_core as cc
 from cubalex import factories as fa
 from cubalex import refinement as rf
+from cubalex import shelling as sh
 from cubalex.errors import (
     CubalexError, FaceOveruse, IllegalIntersection, MissingFace, NotCubical,
     UnknownVertex,
@@ -995,6 +997,143 @@ def test_triangulation_does_not_call_build_complex(monkeypatch):
     monkeypatch.setattr(cc, "build_complex", refuse)
     T = cc.canonical_triangulation(K)
     assert T.n_cells(3) == 48
+
+
+def oracle_cube_flags(K, ids, centre):
+    """The flags of nested cubes that end at a cube of `ids` or a face of
+    one, keyed by their last cube, as tuples of centres, by recursion: a
+    cube's flags are itself alone and each flag of a proper face, extended
+    by it."""
+    chains = {}
+    for i in K._closure(ids):  # ascending: every face before its cofaces
+        chains[i] = [(centre[i],)] + [
+            chain + (centre[i],)
+            for f in K._closure(K.facet_ids(i)) for chain in chains[f]]
+    return chains
+
+
+def oracle_triangulation(K):
+    """The flag triangulation listed from the recursive flags and sorted
+    by (length, centres)."""
+    centres = cc.flag_centres(K)
+    centre = [v for v, _ in centres]
+    chains = oracle_cube_flags(K, K.top_ids(), centre)
+    simplices = [(v,) for i, v in enumerate(centre) if i not in chains]
+    simplices += [t for flags in chains.values() for t in flags]
+    simplices.sort(key=lambda t: (len(t), t))
+    return cc.Complex(
+        K.dimension, cc.SIMPLICIAL, dict(K.vertices) | dict(centres),
+        [cc.Cell(len(t) - 1, t, cc.SIMPLEX) for t in simplices],
+        vertex_cube_dim={v: 0 for v in K.vertices} | {
+            v: c.dim for v, c in zip(centre, K.cells())},
+        triangulation_source={v: (0, (v,)) for v in K.vertices} | {
+            v: (c.dim, c.verts) for v, c in zip(centre, K.cells())})
+
+
+def oracle_star_replacement(K):
+    """K* built by `build_complex` from its top simplices: the full flags
+    under K's boundary (n-1)-cubes, each coned to a new vertex."""
+    cc.assert_cell(K)
+    n = K.dimension
+    centres = cc.flag_centres(K)
+    cube = {v: i for i, (v, _) in enumerate(centres)}
+    bfacets = K.boundary_facet_ids()
+    chains = oracle_cube_flags(K, bfacets, [v for v, _ in centres])
+    flags = [t for i in bfacets for t in chains[i] if len(t) == n]
+    keep = set().union(*flags)
+    verts = {v: centres[cube[v]][1] for v in keep}
+    apex = max(cube) + 1
+    verts[apex] = None
+    S = cc.build_complex(n, cc.SIMPLICIAL, verts,
+                         [(n, t + (apex,), cc.SIMPLEX) for t in flags])
+    S.vertex_cube_dim.update({v: K.cell(cube[v]).dim for v in keep})
+    S.vertex_cube_dim[apex] = n
+    return S
+
+
+def shifted(K, by):
+    """K with every vertex id raised by `by`."""
+    return cc.build_complex(
+        K.dimension, K.mode, {v + by: x for v, x in K.vertices.items()},
+        [(c.dim, [v + by for v in c.order], c.kind)
+         for c in K.cells(K.dimension)])
+
+
+def flag_case(name):
+    rng = random.Random(name)
+    if name.startswith("cube"):
+        return fa.unit_cube(int(name[-1]))
+    if name.startswith("disk"):
+        return fa.grid_complex(random_disk_polyomino(rng, 9))
+    if name.startswith("box"):
+        return fa.box_complex(3, random_corners(rng, 3, 5))
+    if name == "product":
+        return fa.product_with_interval(fa.grid_complex([(0, 0), (1, 0)]), 2)
+    if name == "refined":
+        return rf.refine(fa.unit_cube(2), 1).complex
+    if name == "dangling":  # a maximal edge below the top dimension
+        return square_with_dangling_edge()
+    if name == "dangling3":
+        return cube_with_dangling_square()
+    return shifted(fa.box_complex(3, BENCH_BOXES_3D[2]), 2 ** 33)  # "big_ids"
+
+
+FLAG_CASES = ([f"cube{n}" for n in range(1, 6)]
+              + [f"disk{i}" for i in range(6)] + [f"box{i}" for i in range(4)]
+              + ["product", "refined", "dangling", "dangling3", "big_ids"])
+
+
+def flag_digest(build, K):
+    """Everything a triangulation is compared on, or its error type; the
+    facet and coface tables are compared whole, as `facet_ids` and
+    `coface_ids` slice them."""
+    try:
+        T = build(K)
+    except CubalexError as exc:
+        return type(exc).__name__
+    return (json.dumps(T.to_json()), T.vertex_cube_dim,
+            T.triangulation_source,
+            [bytes(a) for a in T._facet_table() + T._coface_table()])
+
+
+@pytest.mark.parametrize("name", FLAG_CASES)
+def test_flag_kernel_matches_recursive_flags(name):
+    K = flag_case(name)
+    assert flag_digest(cc.canonical_triangulation, K) == flag_digest(
+        oracle_triangulation, K)
+    assert flag_digest(sh.star_replacement, K) == flag_digest(
+        oracle_star_replacement, K)
+
+
+def test_flag_rows_are_sorted_flags():
+    K = cube_with_dangling_square()
+    rows = cc.flag_rows(K, K.top_ids())
+    chains = oracle_cube_flags(K, K.top_ids(), range(len(K.cells())))
+    want = sorted(t for flags in chains.values() for t in flags)
+    assert [r.dtype for r in rows] == [np.int32] * len(rows)
+    assert [tuple(t) for r in rows for t in r.tolist()] == sorted(
+        want, key=len)
+
+
+def test_cell_contract():
+    t = (3, 5, 8)
+    c = cc.Cell(2, t, cc.SIMPLEX)
+    assert c.order is t
+    assert cc.Cell(2, t, cc.SIMPLEX, (8, 5, 3)).order == (8, 5, 3)
+    for name in ("dim", "verts", "kind", "order"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(c, name)
+    same = cc.Cell(2, (3, 5, 8), cc.SIMPLEX, (3, 5, 8))
+    assert c == same and hash(c) == hash(same)
+    assert c != cc.Cell(2, t, cc.CUBE)
+    assert repr(c) == ("Cell(dim=2, verts=(3, 5, 8), kind='simplex', "
+                       "order=(3, 5, 8))")
+    assert [f.name for f in dataclasses.fields(cc.Cell)] == [
+        "dim", "verts", "kind", "order"]
+    assert dataclasses.replace(c, dim=1) == cc.Cell(1, t, cc.SIMPLEX)
+    assert not hasattr(c, "__dict__")
 
 
 # -- isomorphism against the VF2 oracle ---------------------------------------------
