@@ -15,8 +15,5 @@ from .geometry import (
     child_map, circle_frame, circle_points, dist_to_core, sample_core,
     sample_model_torus, tau_similarity,
 )
-from .verify import (
-    verify_disjointness, verify_containment, verify_linking,
-    calibrate_constants,
-)
+from .verify import verify_disjointness, verify_containment, verify_linking
 from .export import export_geometry

@@ -12,19 +12,19 @@ from .transforms import Similarity4, identity, rotation
 
 @dataclass
 class NecklaceParams:
-    """Scale b, child count m, and the empirically certified constants.
+    """Scale b, child count m, and the separation constants of a
+    disjointness run at b.
 
     The child-count window 4b^2/3 <= 2pi/m <= 3b^2/2 is a hard requirement,
-    so every params object is inside it; the strict-regime inequality
-    b < min(b0, b1, rho/10) is only reported, since rho comes from a
-    disjointness run at b itself.
+    so every params object is inside it.  The strict regime b < rho/10,
+    rho = min(c0, c1)/10, is only reported (strict_conforming), since c0 and
+    c1 come from a disjointness run at b itself.
     """
 
     b: float
     m: int
-    c0: float = None          # empirical: min dist(tau_i, tau_j) / b^2
-    c1: float = None          # empirical: the tilde side
-    b_window: tuple = (0.01, 0.1)   # (b0, b1): grid range where c's are stable
+    c0: float = None          # min dist(tau_i, tau_j) / b^2, from a run
+    c1: float = None          # the same for the tilde family
 
     def __post_init__(self):
         if not (0.0 < self.b < 1.0):
@@ -48,11 +48,8 @@ class NecklaceParams:
         return min(self.c0, self.c1) / 10.0
 
     def strict_conforming(self):
-        r = self.rho
-        if r is None:
-            return False
-        b0, b1 = self.b_window
-        return self.b < min(b0, b1, r / 10.0)
+        """b < rho/10, the paper's regime; False without c0 and c1."""
+        return self.rho is not None and self.b < self.rho / 10
 
     def jacobian_exponent(self):
         """s = -4 log(2mb) / log(b)."""

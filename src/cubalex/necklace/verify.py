@@ -11,6 +11,7 @@ thresholds come from the construction's own inequalities.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from .geometry import (
     pattern_of_child, sample_core, sample_model_torus, tau_similarity,
 )
 from .transforms import rotation
-from .tubes import NecklaceParams
 
 
 GAP = 1e-2                # relative gap at which branch-and-bound stops a pair
@@ -206,8 +206,9 @@ def verify_disjointness(params, seed=0, max_offset=None):
     c1_lower) > 2 rho), which makes the child tubes of radius rho*b^2
     pairwise disjoint, and the rotation equivariance dist(tau_i,tau_j) =
     dist(tau_{i+2},tau_{j+2}) holds.  Chord-certified pairs are never
-    searched.  `max_offset` truncates the pair sweep for calibration runs
-    where only the near-pair minimum matters.  The report also carries the
+    searched.  `max_offset` truncates the pair sweep to the offsets up to it,
+    for runs where only the near-pair minimum matters (the benchmark's
+    near-pair operation, fast unit tests).  The report also carries the
     work: cells evaluated, the peak number of live cells (against
     MAX_LIVE_CELLS), and the finished cells that the second-order bound
     closed.
@@ -242,7 +243,7 @@ def verify_disjointness(params, seed=0, max_offset=None):
         mins[tilde], lowers[tilde] = best, lower
     c0, c1 = mins[False] / b ** 2, mins[True] / b ** 2
     c0_lower, c1_lower = lowers[False] / b ** 2, lowers[True] / b ** 2
-    rho = min(c0, c1) / 10
+    rho = dataclasses.replace(params, c0=c0, c1=c1).rho
 
     # rotation equivariance at the point level, both families
     equiv_err = 0.0
@@ -308,7 +309,7 @@ def verify_containment(params, n_phi=200, n_theta=400, tol=1e-3):
             "nesting_margin_at_b": threshold - b,
             "nesting_holds_below_rho_over_10": nesting,
             "nesting_at_b": bool(b < threshold),
-            "strict_regime": bool(b < rho / 10),
+            "strict_regime": params.strict_conforming(),
             "pass_nesting": nesting,
             "pass": report["pass_core"] and nesting,
         })
@@ -438,36 +439,3 @@ def verify_linking(params, nodes=10_000, tol=1e-3):
                                "pass": abs(rec["lk"]) == expected}
     return {"nodes": nodes, "pairs": results,
             "pass": all(r["pass"] for r in results.values())}
-
-
-def calibrate_constants(m_of_b=None, bs=(0.03, 0.04, 0.05, 0.06, 0.08),
-                        stability=0.2, max_offset=4):
-    """Empirical c0(b), c1(b) over a grid of b values, with a stability flag.
-
-    The constants are certified when their relative variation over the grid
-    stays below `stability` (20% by default); the grid range becomes the
-    empirical (b0, b1) window.  The minimum sits on near pairs, so the sweep
-    is capped at `max_offset`.
-    """
-    if m_of_b is None:
-        def m_of_b(b):
-            m = round(2 * math.pi / (1.4 * b * b))
-            return m + (m % 2)
-    rows = []
-    for b in bs:
-        params = NecklaceParams(b=b, m=m_of_b(b))
-        rep = verify_disjointness(params, max_offset=max_offset)
-        rows.append({"b": b, "m": params.m, "c0": rep["c0"], "c1": rep["c1"]})
-    c0s = [r["c0"] for r in rows]
-    c1s = [r["c1"] for r in rows]
-
-    def spread(xs):
-        return (max(xs) - min(xs)) / max(xs)
-
-    return {
-        "rows": rows,
-        "c0_spread": spread(c0s),
-        "c1_spread": spread(c1s),
-        "stable": bool(spread(c0s) < stability and spread(c1s) < stability),
-        "b_window": (min(bs), max(bs)),
-    }

@@ -249,7 +249,7 @@ def test_criterion_13_necklace_strict_regime():
     lower, rho = min(dis["c0_lower"], dis["c1_lower"]), dis["rho"]
     lks = [v["lk"] for v in link["pairs"].values()]
     ok = (dis["pass"] and lower > 2 * rho
-          and params.b < rho / 10
+          and params.strict_conforming() and contain["strict_regime"]
           and contain["pass"] and contain["nesting_at_b"]
           and link["pass"] and lks == [-1, 1, 0, 0, 0, 0, 1])
     report(13, ok, time.time() - t0,

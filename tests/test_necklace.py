@@ -453,11 +453,39 @@ def test_tube_diameters_shrink_geometrically():
         assert ratio == pytest.approx(p.b, rel=0.2)
 
 
-def test_calibration_stability():
-    rep = nk.calibrate_constants(bs=(0.05, 0.07))
-    assert rep["stable"]
-    assert rep["b_window"] == (0.05, 0.07)
-    assert all(r["c0"] > 0 and r["c1"] > 0 for r in rep["rows"])
+@pytest.mark.parametrize("b, m", [(0.1, 450), (0.05, 1700), (0.02, 11220)])
+def test_separation_constants_closed_form(b, m):
+    # the offset-1 minima follow c1 = 2 - beta/b^2 and c0 = c1 - beta/b up
+    # to O(b^4); the residuals measure between -0.75 b^4 and -0.57 b^4
+    p = nk.NecklaceParams(b=b, m=m)
+    rep = nk.verify_disjointness(p, max_offset=1)
+    c1 = 2 - p.beta / b ** 2
+    c0 = c1 - p.beta / b
+    assert abs(rep["c1"] - c1) <= b ** 4
+    assert abs(rep["c0"] - c0) <= b ** 4
+    assert rep["c0_lower"] <= rep["c0"] and rep["c1_lower"] <= rep["c1"]
+
+
+def test_strict_conforming_is_b_below_rho_over_10():
+    # without c0 and c1 there is no rho, so no claim
+    p = small_params()
+    assert p.rho is None and p.strict_conforming() is False
+    # b = 0.1 lies above rho/10 for a run's constants, and containment
+    # reports the same verdict
+    rep = nk.verify_disjointness(p, max_offset=1)
+    p = dataclasses.replace(p, c0=rep["c0"], c1=rep["c1"])
+    contain = nk.verify_containment(p, n_phi=20, n_theta=40)
+    assert p.strict_conforming() is False
+    assert contain["strict_regime"] is p.strict_conforming()
+    # b = 0.005 with the closed-form constants: rho/10 = 0.00593 > b
+    p = nk.NecklaceParams(b=0.005, m=179_520)
+    c1 = 2 - p.beta / p.b ** 2
+    p = dataclasses.replace(p, c0=c1 - p.beta / p.b, c1=c1)
+    assert p.rho / 10 == pytest.approx(0.00593, abs=1e-5)
+    assert p.strict_conforming() is True
+    # no window caps b: rho/10 = 0.02 > b = 0.015 conforms
+    p = nk.NecklaceParams(b=0.015, m=19_948, c0=2.0, c1=2.0)
+    assert p.strict_conforming() is True
 
 
 def test_export_cores_csv(tmp_path):

@@ -4,10 +4,11 @@ unused import, no default that no caller overrides.
 A public top-level name of a module under `src/cubalex` must be used
 outside its own definition: elsewhere in its module, by another module of
 the package, by the benchmark (`perfbench/`), or by the acceptance or CLI
-tests.  A name that only unit tests reach is code that no criterion,
-command or benchmark operation needs.  Names are matched by identifier, so
-a use is a name, an attribute or an imported name, not a mention in a
-comment or a string."""
+tests.  A package `__init__` that re-exports a name does not use it; a
+use through the package, as `nk.X`, does.  A name that only unit tests
+reach is code that no criterion, command or benchmark operation needs.
+Names are matched by identifier, so a use is a name, an attribute or an
+imported name, not a mention in a comment or a string."""
 
 import ast
 import re
@@ -22,6 +23,8 @@ USERS = [*sorted((ROOT / "perfbench").glob("*.py")),
 ALLOWED = {
     # the round-trip oracle of molecule_from_json in the unit tests
     ("refinement", "molecule_to_json"),
+    # the coordinate formula that the unit tests check PSI against
+    ("necklace.transforms", "psi"),
 }
 
 PUBLIC = re.compile(r"^[A-Za-z]\w*$")
@@ -72,12 +75,16 @@ def uses_outside(mod, name):
                          if name not in defined(ast.Module([node], []))))
 
 
+def is_init(name):
+    return name == "__init__" or name.endswith(".__init__")
+
+
 def test_every_public_name_is_reached():
     outside = set().union(*(used(tree(p)) for p in USERS))
     unreached = set()
     for name, mod in MODULES.items():
         others = set().union(*(used(m) for n, m in MODULES.items()
-                               if n != name))
+                               if n != name and not is_init(n)))
         unreached |= {(name, d) for d in defined(mod)
                       if d not in others | outside | uses_outside(mod, d)}
     assert unreached == ALLOWED
@@ -95,7 +102,7 @@ def imported(node):
 def test_no_unused_imports():
     unused = []
     for name, mod in MODULES.items():
-        if name == "__init__" or name.endswith(".__init__"):
+        if is_init(name):
             continue  # a package's imports are its exports
         names = {n.id for n in ast.walk(mod) if isinstance(n, ast.Name)}
         for node in ast.walk(mod):
@@ -113,13 +120,6 @@ ALLOWED_DEFAULTS = {
     # containment samples, so they go only with a change to the benchmark
     ("necklace.verify", "verify_containment", "n_phi"),
     ("necklace.verify", "verify_containment", "n_theta"),
-    # the calibration sweep and the stability window it certifies are the
-    # open work on the strict regime b < min(b0, b1, rho/10)
-    ("necklace.verify", "calibrate_constants", "m_of_b"),
-    ("necklace.verify", "calibrate_constants", "bs"),
-    ("necklace.verify", "calibrate_constants", "stability"),
-    ("necklace.verify", "calibrate_constants", "max_offset"),
-    ("necklace.tubes", "NecklaceParams", "b_window"),
 }
 
 
