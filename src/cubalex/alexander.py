@@ -17,7 +17,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .complex_core import (
-    SIMPLICIAL, Complex, canonical_triangulation, spanning_forest,
+    SIMPLICIAL, Complex, canonical_triangulation, flag_centres,
+    spanning_forest,
 )
 from .errors import (
     BadCenterLabel,
@@ -208,11 +209,16 @@ def _check_star_simplicial(K, star_ids):
 def simple_pairs(lab, v, apex):
     """Perfect matching of St(v)'s n-simplices across apex-avoiding faces."""
     K = lab.complex
-    n = K.dimension
     if lab.label(v) == apex:
         raise BadCenterLabel(f"vertex {v} carries the apex label {apex}")
-    star_ids = K.star_cell_ids(v)
-    star_tops = [i for i in star_ids if K.cell(i).dim == n]
+    return _match_tops(lab, [i for i in K.star_cell_ids(v)
+                             if K.cell(i).dim == K.dimension], apex)
+
+
+def _match_tops(lab, star_tops, apex):
+    """The pairs of `simple_pairs` on a star's n-simplices `star_tops`."""
+    K = lab.complex
+    n = K.dimension
     star_set = set(star_tops)
     pairs = []
     matched = {}
@@ -264,7 +270,7 @@ def collapse_at(lab, v, apex):
                           rewritten=0, recoloured=False)
         return K, lab, step
     if star_tops:
-        simple_pairs(lab, v, apex)  # raises UnmatchedSimplex on bad stars
+        _match_tops(lab, star_tops, apex)  # raises UnmatchedSimplex
 
     # boundary condition: boundary cells inside the star must avoid apexes
     for i in star_ids:
@@ -349,12 +355,10 @@ def reduce_cubical(K):
     if order is None:
         raise NotACell("no shelling found")
     t1 = time.perf_counter()
-    T = canonical_triangulation(K)
-    centre = {s: v for v, s in T.triangulation_source.items()}
-    start = alexander_label(T)
+    start = alexander_label(canonical_triangulation(K))
+    centre = [v for v, _ in flag_centres(K)]
     t2 = time.perf_counter()
-    lab, _ = _reduce_ball(K, order, start, ledger,
-                          lambda q: centre[K.cell(q).dim, K.cell(q).verts])
+    lab, _ = _reduce_ball(K, order, start, ledger, centre.__getitem__)
     ledger.seconds.update(shelling=t1 - t0, triangulation=t2 - t1,
                           collapses=time.perf_counter() - t2)
     return lab.complex, lab, ledger

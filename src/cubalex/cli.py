@@ -88,11 +88,10 @@ def cmd_triangulate(args):
 def cmd_shell(args):
     K = _load_complex(args.complex)
     order = shelling.find_shelling(K)
-    if order is None:
-        print(json.dumps({"order": None}))
-        return EXIT_NEGATIVE
-    _emit({"order": order}, args.out)
-    return EXIT_OK
+    code = _emit({"order": order}, args.out)
+    if code:
+        return code
+    return EXIT_OK if order is not None else EXIT_NEGATIVE
 
 
 def cmd_alexander(args):

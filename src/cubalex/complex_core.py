@@ -3,8 +3,10 @@
 Cells are determined by their vertex sets in every dimension below the top
 one; in weakly simplicial mode two distinct top cells may share a vertex set
 (that is how a sphere doubled along its boundary, or a two-edge circle, is
-encoded).  Cube cells carry their vertex list in binary-counter order so that
-faces can be synthesized combinatorially.
+encoded).  Each cell is stored in one form: a simplex in vertex order, a
+cube in its given binary-counter order, so that its faces can be
+synthesized combinatorially.  The vertex at the centre of a cube in the
+canonical triangulation comes only from `flag_centres`.
 
 Every complex lists its cells sorted by (dim, verts), equal top simplices
 in their given order; the constructors produce that order and validation
@@ -57,10 +59,11 @@ class Cell:
     """A single cell: `verts` sorted for identity, `order` structural.
 
     For cubes `order` is the binary-counter vertex tuple (vertex i sits at
-    the corner whose j-th coordinate is bit j of i); simplices keep
-    `order == verts` unless built from another given order.  A simplex's
-    facets are its `verts` with one vertex dropped, which leaves them sorted:
-    `Complex._index` relies on this and matches them unsorted.
+    the corner whose j-th coordinate is bit j of i); every constructor
+    stores a simplex in vertex order, `order == verts`, whatever order it
+    was given in.  A simplex's facets are its `verts` with one vertex
+    dropped, which leaves them sorted: `Complex._index` relies on this and
+    matches them unsorted.
     """
 
     dim: int
@@ -213,14 +216,14 @@ class Complex:
     """A validated cubical or weakly simplicial complex."""
 
     def __init__(self, dimension, mode, vertices, cells, validate=True,
-                 vertex_cube_dim=None, triangulation_source=None):
+                 vertex_cube_dim=None):
         self.dimension = dimension
         self.mode = mode
         self.vertices = dict(vertices)  # id -> coords tuple or None
         self._cells = list(cells)  # sorted by (dim, verts)
-        # provenance for canonical triangulations (vertex id -> source cube)
+        # provenance for canonical triangulations: vertex id -> the
+        # dimension of the cube it is the centre of
         self.vertex_cube_dim = vertex_cube_dim or {}
-        self.triangulation_source = triangulation_source or {}
         self._by_dim = {d: range(  # dim -> its ids
             bisect.bisect_left(self._cells, d, key=_cell_dim),
             bisect.bisect_right(self._cells, d, key=_cell_dim))
@@ -228,16 +231,13 @@ class Complex:
         # incidence index, CSR (offsets, flat ids); built on first use
         self._facets = None
         self._cofaces = None
-        self._canonical = None  # see `_in_canonical_form`
         if validate:
             self._validate()
 
     # -- basic queries ------------------------------------------------------
 
-    def cells(self, dim=None):
-        if dim is None:
-            return list(self._cells)
-        return [self._cells[i] for i in self._by_dim.get(dim, ())]
+    def cells(self):
+        return list(self._cells)
 
     def cell_ids(self, dim):
         return list(self._by_dim.get(dim, ()))
@@ -448,12 +448,6 @@ class Complex:
         return [i for i in self.cell_ids(self.dimension - 1)
                 if off[i + 1] - off[i] == 1]
 
-    def boundary_vertex_ids(self):
-        out = set()
-        for i in self.boundary_facet_ids():
-            out.update(self._cells[i].verts)
-        return out
-
     def is_closed(self):
         return not self.boundary_facet_ids()
 
@@ -487,14 +481,6 @@ class Complex:
                        vertex_cube_dim={v: d for v, d in self.vertex_cube_dim.items()
                                         if v in verts})
 
-    def _in_canonical_form(self):
-        """Are the cells simplices, each listed in vertex order?  Checked
-        once; `identify` keeps it."""
-        if self._canonical is None:
-            self._canonical = all(c.kind == SIMPLEX and c.order == c.verts
-                                  for c in self._cells)
-        return self._canonical
-
     def identify(self, gone, v):
         """Identify every vertex in the set `gone` with vertex v, in a
         validated (weakly) simplicial complex.  Returns (Q, image, touched):
@@ -515,11 +501,6 @@ class Complex:
         tops.
         """
         cells = self._cells
-        if not self._in_canonical_form():  # the same cells, in vertex order
-            return Complex(self.dimension, self.mode, self.vertices,
-                           [Cell(c.dim, c.verts, SIMPLEX) for c in cells],
-                           validate=False).identify(gone, v)
-
         n, size = self.dimension, len(cells)
         koff, kflat = self._facet_table()
         touched = self._cells_at(gone)
@@ -569,7 +550,7 @@ class Complex:
         source = np.empty(size - len(touched) + len(new), dtype=np.intp)
         source[image[image >= 0]] = ids[image >= 0]
         source[qnew] = np.arange(size, size + len(new))
-        qcells = list(map((cells + [Cell(d, t, SIMPLEX, t) for d, t, _ in new])
+        qcells = list(map((cells + [Cell(d, t, SIMPLEX) for d, t, _ in new])
                           .__getitem__, source.tolist()))
         Q = Complex(n, self.mode, {w: x for w, x in self.vertices.items()
                                    if w not in gone}, qcells, validate=False)
@@ -605,7 +586,6 @@ class Complex:
         off = np.append(0, np.cumsum(width))
         Q._facets = (array("i", off.astype(np.intc).tobytes()),
                      array("i", flat.tobytes()))
-        Q._canonical = True
         cofaces = np.bincount(flat, minlength=len(qcells))
         tops = [q for e, q in made.items() if e[0] == n]
         under = flat[off[tops][:, None] + j]
@@ -770,7 +750,8 @@ def build_complex(dimension, mode, vertices, cells):
     """Validate raw cell data into a Complex.
 
     `vertices`: iterable of ids or mapping id -> coords (or None).
-    `cells`: iterables (dim, vertex-list, kind); cube vertex lists must be in
+    `cells`: (dim, vertex-list, kind) tuples or dicts; a simplex is stored
+    in vertex order, a cube in its given order, which must be the
     binary-counter order.  Missing faces are synthesized by one face worklist
     shared by all given cells, so each face is derived once: a face already
     present is not descended into, since its own faces came with it.  On a
@@ -789,15 +770,13 @@ def build_complex(dimension, mode, vertices, cells):
     kind_default = CUBE if mode == CUBICAL else SIMPLEX
     given = []
     for entry in cells:
-        if isinstance(entry, Cell):
-            given.append(entry)
-            continue
         if isinstance(entry, dict):
             dim, vs, kind = entry["dim"], entry["vertices"], entry.get("kind", kind_default)
         else:
             dim, vs, kind = entry
         order = tuple(vs)
-        given.append(Cell(dim, tuple(sorted(order)), kind, order))
+        given.append(Cell(dim, tuple(sorted(order)), kind,
+                          order if kind == CUBE else None))
 
     pool = {}
 
@@ -821,7 +800,7 @@ def build_complex(dimension, mode, vertices, cells):
                 if key in pool:
                     continue  # derived before, and its faces with it
                 f = Cell(p.dim - 1, verts, p.kind,
-                         verts if p.kind == SIMPLEX else o)
+                         o if p.kind == CUBE else None)
                 pool[key] = [f]
                 stack.append(f)
 
@@ -886,7 +865,7 @@ def flag_rows(K, ids):
         below = np.flatnonzero(inside[r.start:r.stop]) + r.start
         inside[_csr_rows(off, flat, below)[0]] = True
     face = cube = cubes = np.flatnonzero(inside)
-    pairs = []
+    pairs = [face[:0]]  # so that empty `ids` give no pairs, not an error
     while len(face):  # a codimension down, each pair once
         face, deg = _csr_rows(off, flat, face)
         key = np.sort(np.repeat(cube, deg) * size + face)
@@ -938,15 +917,13 @@ def canonical_triangulation(K):
     vcoords = dict(K.vertices) | dict(centres)
     vdim = {v: 0 for v in K.vertices} | {
         v: c.dim for v, c in zip(centre, K.cells())}
-    source = {v: (0, (v,)) for v in K.vertices} | {
-        v: (c.dim, c.verts) for v, c in zip(centre, K.cells())}
     rows = flag_rows(K, K.top_ids())
     # a cube under no top cube is its centre alone: its flags bound no top
     # simplex
     rows[0] = np.arange(len(centre), dtype=np.int32)[:, None]
     return Complex(K.dimension, SIMPLICIAL, vcoords,
                    simplex_cells(rows, centre),
-                   vertex_cube_dim=vdim, triangulation_source=source)
+                   vertex_cube_dim=vdim)
 
 
 # -- isomorphism ---------------------------------------------------------------------

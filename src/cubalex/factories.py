@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from .complex_core import (
-    CUBE, CUBICAL, SIMPLEX, SIMPLICIAL, build_complex, canonical_triangulation,
+    CUBE, CUBICAL, SIMPLEX, SIMPLICIAL, Cell, Complex, build_complex,
+    canonical_triangulation, flag_centres, flag_rows,
 )
 
 
@@ -40,33 +41,29 @@ def rect_grid(w, h):
 def doubled_complex(K):
     """Double of a cubical cell complex along its boundary.
 
-    Triangulates K twice; triangulation vertices whose source cube lies on
-    the boundary are shared, interior ones are duplicated.  The result is a
-    closed simplicial complex (16 triangles for a square, 96 tetrahedra for
-    a 3-cube).
+    Triangulates K twice: the centres of the cubes on K's boundary (the
+    closure of its boundary facets, `flag_rows`) are shared, every other
+    vertex w of T gets a copy w + offset.  D's cells are T's and a copy of
+    each cell of T with an interior vertex, sorted by (dim, verts).  Interior
+    vertices end a simplex's vertex list, since a cube above an interior one
+    is interior too, so a copy stays in vertex order.  The result is a closed
+    simplicial complex (16 triangles for a square, 96 tetrahedra for a
+    3-cube).
     """
     T = canonical_triangulation(K)
-    boundary = {(c.dim, c.verts)
-                for c in K.subcomplex(K.boundary_facet_ids()).cells()}
-    boundary |= {(0, (v,)) for v in K.boundary_vertex_ids()}
+    centres = flag_centres(K)
+    shared = {centres[i][0] for i in
+              flag_rows(K, K.boundary_facet_ids())[0][:, 0].tolist()}
     offset = max(T.vertices) + 1
-    remap = {}
-    for v in T.vertices:
-        src = T.triangulation_source[v]
-        remap[v] = v if src in boundary else v + offset
-
-    verts = dict(T.vertices)
-    vdim = dict(T.vertex_cube_dim)
-    cells = [(c.dim, list(c.verts), SIMPLEX) for c in T.cells(T.dimension)]
-    for v, w in remap.items():
-        if w != v:
-            verts[w] = T.vertices[v]
-            vdim[w] = T.vertex_cube_dim[v]
-    for c in T.cells(T.dimension):
-        cells.append((c.dim, [remap[v] for v in c.verts], SIMPLEX))
-    D = build_complex(T.dimension, SIMPLICIAL, verts, cells)
-    D.vertex_cube_dim.update(vdim)
-    return D
+    copy = {v: v + offset for v in T.vertices if v not in shared}
+    cells = T.cells() + [
+        Cell(c.dim, tuple(copy.get(v, v) for v in c.verts), SIMPLEX)
+        for c in T.cells() if not shared.issuperset(c.verts)]
+    cells.sort(key=lambda c: (c.dim, c.verts))
+    return Complex(T.dimension, SIMPLICIAL,
+                   T.vertices | {w: T.vertices[v] for v, w in copy.items()},
+                   cells, vertex_cube_dim=T.vertex_cube_dim | {
+                       w: T.vertex_cube_dim[v] for v, w in copy.items()})
 
 
 def circle_complex(edges=2):

@@ -606,10 +606,12 @@ def test_collapse_recolours_when_the_carried_parity_fails(case):
 
 def test_cone44_reduction_validates_and_colours_once(monkeypatch):
     # a work guard: the triangulation is the one complex validated in full,
-    # and its labeling the one global two-colouring a collapse may add to
+    # its labeling the one global two-colouring a collapse may add to, and
+    # each collapse walks its star once
     K = cube_complex(CONE44)
     calls = []
     validate, two_color = cc.Complex._validate, al._two_color
+    star = cc.Complex.star_cell_ids
 
     def counted_validate(self):
         calls.append("validate")
@@ -619,11 +621,17 @@ def test_cone44_reduction_validates_and_colours_once(monkeypatch):
         calls.append("two_color")
         return two_color(*args)
 
+    def counted_star(self, v):
+        calls.append("star")
+        return star(self, v)
+
     monkeypatch.setattr(cc.Complex, "_validate", counted_validate)
     monkeypatch.setattr(al, "_two_color", counted_two_color)
-    al.reduce_cubical(K)
+    monkeypatch.setattr(cc.Complex, "star_cell_ids", counted_star)
+    _, _, ledger = al.reduce_cubical(K)
     assert calls.count("validate") <= 1
     assert calls.count("two_color") <= 2
+    assert calls.count("star") == len(ledger.steps) > 0
 
 
 def test_collapse_leaves_its_input_unchanged():
@@ -665,7 +673,7 @@ def test_collapse_doubles_edge_and_keeps_other_cells():
     assert Q.to_json() == R.to_json()
     assert new_lab.to_json() == rlab.to_json()
     assert step.covers == 1
-    assert [c.verts for c in Q.cells(1)][:2] == [(0, 1), (0, 1)]
+    assert [c.verts for c in Q.cells() if c.dim == 1][:2] == [(0, 1), (0, 1)]
 
 
 # sha256 of the final complex (with its labeling) and each ledger step's
@@ -695,6 +703,57 @@ def test_reduction_fingerprint(cells, digest):
     assert got == digest
 
 
+def double_and_reduce_record(K):
+    """The doubled complex (to_json with its labeling, vertex_cube_dim,
+    degree) and the reduction (final complex with its labeling, ledger)."""
+    D = fa.doubled_complex(K)
+    lab = al.alexander_label(D)
+    final, flab, ledger = al.reduce_cubical(K)
+    return {"doubled": D.to_json(alexander=lab.to_json()),
+            "vertex_cube_dim": sorted(D.vertex_cube_dim.items()),
+            "degree": al.degree(lab),
+            "reduced": final.to_json(alexander=flab.to_json()),
+            "ledger": ledger.to_json()}
+
+
+def pinned_input(name):
+    if name.startswith("cube"):
+        return fa.unit_cube(int(name[-1]))
+    if name == "rect3x2":
+        return fa.rect_grid(3, 2)
+    if name == "cone44":
+        return cube_complex(CONE44)
+    if name == "refined":
+        return rf.refine(fa.unit_cube(2), 1).complex
+    return fa.grid_complex(random_disk_polyomino(random.Random(name), 9))
+
+
+# sha256 of `double_and_reduce_record`, computed before the simplex order,
+# the centre lookup and the doubling were each stored in one place
+@pytest.mark.parametrize("name,digest", [
+    ("cube2",
+     "9ab42528829180097d52159aee4e80b023cc7c1379ade653b67ccf0c81b2239a"),
+    ("cube3",
+     "85e080bb54b7e935dd2447346465065d26945a0b7b0bcfa1c228727e62a10747"),
+    ("rect3x2",
+     "62c59dc9bd726c7baba9bdd954b22e8378c3b8ed3ef5e698cd9b055709f39949"),
+    ("cone44",
+     "e02aa224f7b7a906da03bfb5dafbe49d53f4dcf1f1878eff8440b82878e06bde"),
+    ("refined",
+     "ef54e43fc9913861734626f4735cfc665c01a6a9998c976428d8b233dc3a320a"),
+    ("disk0",
+     "24ea25db865dfa220818e4fa74411d465f13ffbcf61fe93ea5cc67a2ffaa6057"),
+    ("disk1",
+     "237a73d9d308126395046b710d083e312a0081dc1e14b8d4bb01b4cc873d60ef"),
+    ("disk2",
+     "d2465b7e132653dc65d0b5bbb496c408dda7276578568468d5f732dcf1661f9e"),
+])
+def test_double_and_reduce_fingerprint(name, digest):
+    record = double_and_reduce_record(pinned_input(name))
+    assert hashlib.sha256(json.dumps(record, sort_keys=True).encode()
+                          ).hexdigest() == digest
+
+
 # -- collapse and isomorphism without networkx, no cyclic garbage --------------------
 
 
@@ -702,8 +761,9 @@ def test_collapse_path_builds_no_networkx_graph():
     # tests/test_dependencies.py checks that no networkx module is imported
     T = cc.canonical_triangulation(fa.domino())
     lab = al.alexander_label(T)
+    rim = {v for i in T.boundary_facet_ids() for v in T.cell(i).verts}
     wall = next(v for v, d in T.vertex_cube_dim.items()
-                if d == 1 and v not in T.boundary_vertex_ids())
+                if d == 1 and v not in rim)
     Q, lab2, step = al.collapse_at(lab, wall, apex=2)
     assert step.covers == 2 and Q.n_cells(2) == T.n_cells(2) - 4
     assert lab2.label(wall) == 2

@@ -47,6 +47,25 @@ def test_shell_grid(paths, capsys):
     assert code == 0 and len(data["order"]) == 4
 
 
+def test_shell_negative_report_is_emitted(paths, capsys, tmp_path,
+                                          monkeypatch):
+    # no shelling: exit 2, and the report goes where --out says
+    monkeypatch.setattr(sh, "find_shelling", lambda K: None)
+    code, data = run(capsys, ["shell", paths["grid2x2"]])
+    assert code == 2 and data == {"order": None}
+    out = tmp_path / "order.json"
+    code, data = run(capsys, ["shell", paths["grid2x2"], "--out", str(out)])
+    assert code == 2 and data is None
+    assert json.loads(out.read_text()) == {"order": None}
+
+
+@pytest.mark.parametrize("command", ["shell", "triangulate"])
+def test_unwritable_out_exits_4(paths, capsys, tmp_path, command):
+    out = tmp_path / "missing" / "x.json"
+    code, data = run(capsys, [command, paths["grid2x2"], "--out", str(out)])
+    assert code == 4 and data is None and not out.exists()
+
+
 def test_shell_precondition_exit_3(paths, capsys):
     code, data = run(capsys, ["shell", paths["annulus"]])
     assert code == 3 and data["type"] == "NotACell"

@@ -162,17 +162,18 @@ def test_restriction_property():
     # (K')^Delta isomorphic to K^Delta restricted to |K'|
     K = fa.rect_grid(2, 2)
     T = cc.canonical_triangulation(K)
-    sub_tops = K.top_ids()[:2]
-    sub = K.subcomplex(sub_tops)
+    sub = K.subcomplex(K.top_ids()[:2])
     TK = cc.canonical_triangulation(
         cc.build_complex(2, cc.CUBICAL,
                          {v: K.vertices[v] for v in sub.vertices},
-                         [(c.dim, list(c.order), c.kind) for c in sub.cells(2)]))
-    # the simplices of T whose vertices all come from cells of K'
-    keep = {(c.dim, c.verts) for c in sub.cells()}
+                         [(c.dim, list(c.order), c.kind) for c in sub.cells()
+                          if c.dim == 2]))
+    # the simplices of T whose vertices are all centres of cells of K'
+    inside = {(c.dim, c.verts) for c in sub.cells()}
+    keep = {v for (v, _), c in zip(cc.flag_centres(K), K.cells())
+            if (c.dim, c.verts) in inside}
     R = T.subcomplex([i for i in T.top_ids()
-                      if all(T.triangulation_source[v] in keep
-                             for v in T.cell(i).verts)])
+                      if keep.issuperset(T.cell(i).verts)])
     assert cc.is_isomorphic(TK, R)
 
 
@@ -613,7 +614,8 @@ def oracle_build(dimension, mode, vertices, cells):
     for v in vertices:
         add(cc.Cell(0, (v,), kind_default))
     for dim, vs, kind in cells:
-        c = cc.Cell(dim, tuple(sorted(vs)), kind, tuple(vs))
+        c = cc.Cell(dim, tuple(sorted(vs)), kind,
+                    tuple(vs) if kind == cc.CUBE else None)
         add(c)
         for f in oracle_closure(c):
             add(f)
@@ -641,7 +643,7 @@ def reorient(order, rng):
 
 
 def raw_cells(K, dims):
-    return [(c.dim, list(c.order), c.kind) for d in dims for c in K.cells(d)]
+    return [(c.dim, list(c.order), c.kind) for c in K.cells() if c.dim in dims]
 
 
 def construction_case(kind, seed):
@@ -879,7 +881,6 @@ def flag_triangulation(K):
     center = {}
     vcoords = dict(K.vertices)
     vdim = {v: 0 for v in K.vertices}
-    source = {v: (0, (v,)) for v in K.vertices}
     for i in cubes:
         c = K.cell(i)
         if c.dim == 0:
@@ -887,7 +888,6 @@ def flag_triangulation(K):
             continue
         center[i] = next_id
         vdim[next_id] = c.dim
-        source[next_id] = (c.dim, c.verts)
         coords = [K.vertices[v] for v in c.verts]
         if all(x is not None for x in coords):
             d = len(coords[0])
@@ -904,7 +904,6 @@ def flag_triangulation(K):
             for i in K.top_ids() for chain in flags[i]]
     T = cc.build_complex(n, cc.SIMPLICIAL, vcoords, tops)
     T.vertex_cube_dim.update(vdim)
-    T.triangulation_source.update(source)
     return T
 
 
@@ -945,7 +944,7 @@ def triangulation_inputs(name):
 def triangulation_record(T):
     return (json.dumps(T.to_json()),
             [T.facet_ids(i) for i in range(len(T.cells()))],
-            T.vertex_cube_dim, T.triangulation_source, list(T.vertices.items()))
+            T.vertex_cube_dim, list(T.vertices.items()))
 
 
 @pytest.mark.parametrize("name", ["cube1", "cube2", "cube3", "cube4", "disks6",
@@ -1025,9 +1024,7 @@ def oracle_triangulation(K):
         K.dimension, cc.SIMPLICIAL, dict(K.vertices) | dict(centres),
         [cc.Cell(len(t) - 1, t, cc.SIMPLEX) for t in simplices],
         vertex_cube_dim={v: 0 for v in K.vertices} | {
-            v: c.dim for v, c in zip(centre, K.cells())},
-        triangulation_source={v: (0, (v,)) for v in K.vertices} | {
-            v: (c.dim, c.verts) for v, c in zip(centre, K.cells())})
+            v: c.dim for v, c in zip(centre, K.cells())})
 
 
 def oracle_star_replacement(K):
@@ -1056,7 +1053,7 @@ def shifted(K, by):
     return cc.build_complex(
         K.dimension, K.mode, {v + by: x for v, x in K.vertices.items()},
         [(c.dim, [v + by for v in c.order], c.kind)
-         for c in K.cells(K.dimension)])
+         for c in K.cells() if c.dim == K.dimension])
 
 
 def flag_case(name):
@@ -1092,7 +1089,6 @@ def flag_digest(build, K):
     except CubalexError as exc:
         return type(exc).__name__
     return (json.dumps(T.to_json()), T.vertex_cube_dim,
-            T.triangulation_source,
             [bytes(a) for a in T._facet_table() + T._coface_table()])
 
 
@@ -1113,6 +1109,28 @@ def test_flag_rows_are_sorted_flags():
     assert [r.dtype for r in rows] == [np.int32] * len(rows)
     assert [tuple(t) for r in rows for t in r.tolist()] == sorted(
         want, key=len)
+
+
+def test_simplices_are_stored_in_vertex_order():
+    # the second edge of the two-edge circle is given as [1, 0]
+    C = fa.circle_complex(2)
+    assert [c["vertices"] for c in C.to_json()["cells"]] == [
+        [0], [1], [0, 1], [0, 1]]
+    assert all(c.order == c.verts for c in C.cells())
+
+
+def test_doubled_closed_complex_is_two_copies():
+    # no boundary facet: the closure of none is no cube, so no vertex of the
+    # triangulated cube surface (26 vertices, 72 edges, 48 triangles) is
+    # shared by its two copies
+    K = fa.unit_cube(3)
+    S = cc.build_complex(2, cc.CUBICAL, K.vertices,
+                         [(2, list(c.order), c.kind) for c in K.cells()
+                          if c.dim == 2])
+    assert [r.shape for r in cc.flag_rows(S, [])] == [(0, 1)]
+    D = fa.doubled_complex(S)
+    assert [D.n_cells(d) for d in range(3)] == [52, 144, 96]
+    assert D.is_closed() and not D.is_simplicially_connected()
 
 
 def test_cell_contract():

@@ -51,7 +51,7 @@ def test_refine_needs_coords():
 def test_core_buffer_of_refined_cube(n):
     # one subcube stays off the boundary (the core), 3^n - 1 meet it (the buffer)
     R = rf.refine(fa.unit_cube(n), 1).complex
-    bverts = R.boundary_vertex_ids()
+    bverts = {v for i in R.boundary_facet_ids() for v in R.cell(i).verts}
     meets = [bool(set(R.cell(i).verts) & bverts) for i in R.top_ids()]
     assert meets.count(False) == 1
     assert meets.count(True) == 3 ** n - 1
@@ -64,7 +64,7 @@ def test_center_cube_and_rim():
                          {0: (0, 0), 1: (3, 0), 2: (0, 3), 3: (3, 3)},
                          [(2, [0, 1, 2, 3], cc.CUBE)])
     R = rf.refine(K, 1).complex
-    bverts = R.boundary_vertex_ids()
+    bverts = {v for i in R.boundary_facet_ids() for v in R.cell(i).verts}
     boxes = {}
     for i in R.top_ids():
         pts = [R.vertices[v] for v in R.cell(i).verts]
