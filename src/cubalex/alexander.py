@@ -206,17 +206,11 @@ def _check_star_simplicial(K, star_ids):
                 f"{a.verts} and {b.verts} meet in {shared}, not a face")
 
 
-def simple_pairs(lab, v, apex):
-    """Perfect matching of St(v)'s n-simplices across apex-avoiding faces."""
-    K = lab.complex
-    if lab.label(v) == apex:
-        raise BadCenterLabel(f"vertex {v} carries the apex label {apex}")
-    return _match_tops(lab, [i for i in K.star_cell_ids(v)
-                             if K.cell(i).dim == K.dimension], apex)
-
-
 def _match_tops(lab, star_tops, apex):
-    """The pairs of `simple_pairs` on a star's n-simplices `star_tops`."""
+    """Perfect matching of a star's n-simplices `star_tops` across their
+    apex-avoiding faces, as pairs (i, j) with i < j: each simplex has one
+    apex vertex, and the face opposite it has one other coface in the
+    star.  UnmatchedSimplex if there is no such matching."""
     K = lab.complex
     n = K.dimension
     star_set = set(star_tops)

@@ -70,8 +70,8 @@ def cmd_validate(args):
     try:
         K = _load_complex(args.complex)
     except CubalexError as exc:
-        print(json.dumps({"valid": False, "error": str(exc)}))
-        return EXIT_PRECONDITION
+        return (_emit({"valid": False, "error": str(exc)}, args.out)
+                or EXIT_PRECONDITION)
     report = {"valid": True, "dimension": K.dimension, "mode": K.mode,
               "cells": {str(d): K.n_cells(d) for d in range(K.dimension + 1)},
               "hash": K.relabel_invariant_hash()}
@@ -135,8 +135,8 @@ def cmd_molecule(args):
     try:
         M = refinement.molecule_from_json(data)
     except CubalexError as exc:
-        print(json.dumps({"valid": False, "error": str(exc)}))
-        return EXIT_PRECONDITION
+        return (_emit({"valid": False, "error": str(exc)}, args.out)
+                or EXIT_PRECONDITION)
     if args.action == "validate":
         report = {"valid": True, "ell": M.ell(), "varrho": M.varrho(),
                   "blocks": len(M.blocks), "leading": M.leading}
@@ -284,14 +284,17 @@ def main(argv=None):
     p.set_defaults(func=cmd_export)
 
     args = ap.parse_args(argv)
+    # necklace export writes its geometry to --out, its reports to stdout
+    out = None if getattr(args, "action", None) == "export" else args.out
     try:
         return args.func(args)
     except CubalexError as exc:
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
-        return EXIT_PRECONDITION
+        report = {"error": str(exc), "type": type(exc).__name__}
+        code = EXIT_PRECONDITION
     except OSError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return EXIT_IO
+        report = {"error": str(exc)}
+        code = EXIT_IO
+    return _emit(report, out) or code
 
 
 if __name__ == "__main__":

@@ -471,16 +471,6 @@ class Complex:
                     stack.append(f)
         return sorted(take)
 
-    def subcomplex(self, ids):
-        """Subcomplex spanned by the given cell ids (closed under faces)."""
-        cells = [self._cells[i] for i in self._closure(ids)]
-        verts = {v: self.vertices[v]
-                 for v in {w for c in cells for w in c.verts}}
-        return Complex(max((c.dim for c in cells), default=0), self.mode,
-                       verts, cells, validate=False,
-                       vertex_cube_dim={v: d for v, d in self.vertex_cube_dim.items()
-                                        if v in verts})
-
     def identify(self, gone, v):
         """Identify every vertex in the set `gone` with vertex v, in a
         validated (weakly) simplicial complex.  Returns (Q, image, touched):

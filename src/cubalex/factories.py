@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import operator
+
 from .complex_core import (
     CUBE, CUBICAL, SIMPLEX, SIMPLICIAL, Cell, Complex, build_complex,
     canonical_triangulation, flag_centres, flag_rows,
 )
+from .errors import ParamsInvalid
 
 
 def grid_complex(cells):
@@ -13,11 +16,30 @@ def grid_complex(cells):
     return box_complex(2, cells)
 
 
+def _corners(n, corners):
+    """The corners as tuples of n integers; ParamsInvalid if there are none,
+    if one repeats or if one is not n integers."""
+    out = []
+    for corner in corners:
+        try:
+            c = tuple(map(operator.index, corner))
+        except TypeError:
+            c = ()
+        if len(c) != n:
+            raise ParamsInvalid(f"corner {corner!r} is not {n} integers")
+        out.append(c)
+    if not out:
+        raise ParamsInvalid("no corners given")
+    if len(set(out)) != len(out):
+        raise ParamsInvalid("a corner is given twice")
+    return out
+
+
 def box_complex(n, corners):
     """Cubical n-complex of unit n-cubes at the given integer corners."""
     coords = {}
     cubes = []
-    for corner in corners:
+    for corner in _corners(n, corners):
         vs = [coords.setdefault(tuple(corner[j] + ((i >> j) & 1)
                                       for j in range(n)), len(coords))
               for i in range(2 ** n)]
@@ -110,40 +132,86 @@ def product_with_interval(base, layers):
 # -- polyominoes ------------------------------------------------------------------
 
 
-def _canon_polyomino(cells):
-    best = None
-    pts = list(cells)
-    for flip in (False, True):
-        q = [(-x, y) if flip else (x, y) for x, y in pts]
-        for _ in range(4):
-            q = [(y, -x) for x, y in q]
-            mx = min(x for x, _ in q)
-            my = min(y for _, y in q)
-            norm = tuple(sorted((x - mx, y - my) for x, y in q))
-            if best is None or norm < best:
-                best = norm
-    return best
+def _canon_code(form, base):
+    """The least of a fixed form's eight D4 images, as a sorted tuple of codes.
+
+    A square (x, y) of a form translated to touch both axes has the code
+    (x + 1) * base + y + 1, so its four neighbours are the codes +-base and
+    +-1 without wrapping, and tuples of codes compare as the tuples of
+    (x, y) pairs they stand for.  In a w x h bounding box the images of
+    (x, y) are its reflections (w-1-x, y) and (x, h-1-y) and the swap
+    (y, x), composed: each image of a code is linear in x and y.
+    """
+    pts = [divmod(c - base - 1, base) for c in form]
+    w = max(x for x, _ in pts)  # width - 1
+    h = max(y for _, y in pts)
+    one = base + 1
+    return min(tuple(sorted(a * x + b * y + c for x, y in pts))
+               for a, b, c in ((base, 1, one), (-base, 1, w * base + one),
+                               (base, -1, h + one),
+                               (-base, -1, w * base + h + one),
+                               (1, base, one), (1, -base, h * base + one),
+                               (-1, base, w + one),
+                               (-1, -base, h * base + w + one)))
 
 
 def free_polyominoes(max_cells):
-    """Free polyominoes (up to D4 symmetry) with up to `max_cells` squares."""
-    levels = {1: {((0, 0),)}}
-    for k in range(2, max_cells + 1):
-        new = set()
-        for poly in levels[k - 1]:
-            cells = set(poly)
-            for (x, y) in poly:
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    c = (x + dx, y + dy)
-                    if c in cells:
-                        continue
-                    new.add(_canon_polyomino(cells | {c}))
-        levels[k] = new
-    return {k: sorted(levels[k]) for k in range(1, max_cells + 1)}
+    """Free polyominoes (up to D4 symmetry) with up to `max_cells` squares:
+    {size: sorted canonical forms}, a form being the sorted (x, y) corners
+    of its squares that is least among its eight images, each translated to
+    touch both axes.
+
+    Each level grows every form of the last by one square.  The grown fixed
+    forms are translated and deduplicated as integer codes first, so only
+    the distinct ones are canonicalised."""
+    base = max_cells + 2
+    level = [(base + 1,)]
+    out = {}
+    for k in range(1, max_cells + 1):
+        if k > 1:
+            fixed = set()
+            for form in level:
+                have = set(form)
+                for c in form:
+                    for n in (c + base, c - base, c + 1, c - 1):
+                        if n in have:
+                            continue
+                        grown = [*form, n]
+                        shift = (min(grown) // base - 1) * base + min(
+                            g % base for g in grown) - 1
+                        fixed.add(tuple(sorted(g - shift for g in grown)))
+            level = sorted({_canon_code(f, base) for f in fixed})
+        out[k] = [tuple((c // base - 1, c % base - 1) for c in form)
+                  for form in level]
+    return out
 
 
 def is_disk_polyomino(cells):
-    """True iff the polyomino's complex is a 2-cell (disk)."""
-    from .complex_core import cell_check
-    K = grid_complex(cells)
-    return not cell_check(K)
+    """True iff the polyomino's complex is a 2-cell (disk).
+
+    Exact on the lattice: the squares are edge-connected and V - E + F = 1,
+    counting distinct lattice vertices, unit edges and squares.  An
+    edge-connected polyomino P has b0 = 1, and b1(P) is its number of holes
+    (bounded components of the complement) by Alexander duality, so
+    chi(P) = 1 - holes.  A pinch, a vertex where only two diagonally opposite
+    squares meet, always brings a hole: a path of squares between the two,
+    closed through that vertex, is a loop that encloses one of the two
+    missing squares.  So chi = 1 leaves P simply connected and a surface
+    with boundary, a disk; a disk is edge-connected with chi = 1.
+    """
+    squares = set(_corners(2, cells))
+    seen = {next(iter(squares))}
+    stack = list(seen)
+    while stack:
+        x, y = stack.pop()
+        for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if n in squares and n not in seen:
+                seen.add(n)
+                stack.append(n)
+    if len(seen) != len(squares):
+        return False
+    verts = {(x + i, y + j) for x, y in squares for i in (0, 1) for j in (0, 1)}
+    # (x, y, 0) is the edge east of corner (x, y), (x, y, 1) the one north
+    edges = {e for x, y in squares
+             for e in ((x, y, 0), (x, y + 1, 0), (x, y, 1), (x + 1, y, 1))}
+    return len(verts) - len(edges) + len(squares) == 1

@@ -76,6 +76,41 @@ def test_validate_reports_hash(paths, capsys):
     assert code == 0 and data["valid"] and data["hash"]
 
 
+def test_invalid_complex_report_goes_to_out(capsys, tmp_path):
+    # a 1-cube on a repeated vertex: exit 3, the report only in --out
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "dimension": 1, "mode": "cubical",
+        "vertices": [{"id": 0, "coords": [0.0]}],
+        "cells": [{"dim": 0, "vertices": [0], "kind": "cube"},
+                  {"dim": 1, "vertices": [0, 0], "kind": "cube"}]}))
+    out = tmp_path / "v.json"
+    code, data = run(capsys, ["validate", str(bad), "--out", str(out)])
+    assert code == 3 and data is None
+    assert json.loads(out.read_text())["valid"] is False
+
+
+def test_error_report_goes_to_out(paths, capsys, tmp_path):
+    out = tmp_path / "order.json"
+    code, data = run(capsys, ["shell", paths["annulus"], "--out", str(out)])
+    assert code == 3 and data is None
+    assert json.loads(out.read_text())["type"] == "NotACell"
+
+
+def test_error_report_to_unwritable_out_exits_4(paths, capsys, tmp_path):
+    out = tmp_path / "missing" / "order.json"
+    code, data = run(capsys, ["shell", paths["annulus"], "--out", str(out)])
+    assert code == 4 and data is None and not out.exists()
+
+
+def test_export_error_report_stays_on_stdout(capsys, tmp_path):
+    # necklace export's --out names its geometry file, not a report
+    out = tmp_path / "cores.csv"
+    code, data = run(capsys, ["necklace", "export", "--b", "0.3", "--m", "1700",
+                              "--out", str(out)])
+    assert code == 3 and data["type"] == "ParamsInvalid" and not out.exists()
+
+
 def counter(real, calls):
     def counted(*args, **kw):
         calls.append(args)
@@ -177,6 +212,10 @@ def test_malformed_molecule_exit_3(tmp_path, capsys, change):
     p.write_text(json.dumps(mol))
     code, data = run(capsys, ["molecule", "validate", str(p)])
     assert code == 3 and data["valid"] is False
+    out = tmp_path / "report.json"
+    code, data = run(capsys, ["molecule", "validate", str(p), "--out", str(out)])
+    assert code == 3 and data is None
+    assert json.loads(out.read_text())["valid"] is False
 
 
 def test_separate_cli(tmp_path, capsys):

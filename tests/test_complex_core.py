@@ -29,6 +29,7 @@ from cubalex.errors import (
 
 from gen import (
     BENCH_BOXES_3D, CONE44, nx_adjacency, random_disk_polyomino, relabeled,
+    subcomplex,
 )
 
 
@@ -162,7 +163,7 @@ def test_restriction_property():
     # (K')^Delta isomorphic to K^Delta restricted to |K'|
     K = fa.rect_grid(2, 2)
     T = cc.canonical_triangulation(K)
-    sub = K.subcomplex(K.top_ids()[:2])
+    sub = subcomplex(K, K.top_ids()[:2])
     TK = cc.canonical_triangulation(
         cc.build_complex(2, cc.CUBICAL,
                          {v: K.vertices[v] for v in sub.vertices},
@@ -172,8 +173,8 @@ def test_restriction_property():
     inside = {(c.dim, c.verts) for c in sub.cells()}
     keep = {v for (v, _), c in zip(cc.flag_centres(K), K.cells())
             if (c.dim, c.verts) in inside}
-    R = T.subcomplex([i for i in T.top_ids()
-                      if keep.issuperset(T.cell(i).verts)])
+    R = subcomplex(T, [i for i in T.top_ids()
+                       if keep.issuperset(T.cell(i).verts)])
     assert cc.is_isomorphic(TK, R)
 
 
@@ -311,7 +312,7 @@ def incidence_case(kind, seed):
     K = rng.choice([fa.grid_complex(random_disk_polyomino(rng, 8)),
                     cc.canonical_triangulation(fa.domino())])
     tops = K.top_ids()
-    return K.subcomplex(rng.sample(tops, rng.randint(1, len(tops))))
+    return subcomplex(K, rng.sample(tops, rng.randint(1, len(tops))))
 
 
 @settings(max_examples=40, deadline=None)
@@ -342,7 +343,7 @@ def lookup_cases():
     once = T.identify({0}, 4)[0]
     return {"cubical": fa.domino(), "circle": fa.circle_complex(2),
             "doubled": fa.doubled_complex(fa.unit_cube(2)),
-            "triangulation": T, "subcomplex": T.subcomplex(T.top_ids()[:3]),
+            "triangulation": T, "subcomplex": subcomplex(T, T.top_ids()[:3]),
             "identify": once, "identify_twice": once.identify({3}, 7)[0]}
 
 
@@ -1191,7 +1192,7 @@ def test_relabeled_copy_is_isomorphic_and_one_cell_less_is_not(small_complexes):
         K2, _ = relabeled(K, rng)
         assert cc.is_isomorphic(K, K2) and cc.is_isomorphic(K2, K)
         top = rng.choice(K2.top_ids())
-        fewer = K2.subcomplex([i for i in range(len(K2.cells())) if i != top])
+        fewer = subcomplex(K2, [i for i in range(len(K2.cells())) if i != top])
         assert not cc.is_isomorphic(K, fewer)
         assert not cc.is_isomorphic(fewer, K)
 

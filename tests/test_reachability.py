@@ -27,12 +27,6 @@ ALLOWED = {
     ("refinement", "molecule_to_json"),
     # the coordinate formula that the unit tests check PSI against
     ("necklace.transforms", "psi"),
-    # the oracles of the shelling peel rule and of the restriction property
-    # in the unit tests
-    ("complex_core", "Complex.subcomplex"),
-    # the public form of the star matching that collapse_at runs on the star
-    # it has walked already; the unit tests call it on its own
-    ("alexander", "simple_pairs"),
 }
 
 PUBLIC = re.compile(r"^[A-Za-z]\w*$")
