@@ -16,8 +16,10 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .complex_core import (
-    SIMPLICIAL, Complex, canonical_triangulation, flag_centres,
+    SIMPLICIAL, Complex, canonical_triangulation, centre_ids, deferred,
     spanning_forest,
 )
 from .errors import (
@@ -28,6 +30,7 @@ from .errors import (
     NonSimplicialStar,
     NotACell,
     OddCycle,
+    UnknownVertex,
     UnmatchedSimplex,
 )
 from .shelling import _complete, find_shelling
@@ -35,12 +38,22 @@ from .shelling import _complete, find_shelling
 
 @dataclass
 class AlexanderLabeling:
-    """A vertex labeling plus parity housing an Alexander map combinatorially."""
+    """A vertex labeling plus parity housing an Alexander map combinatorially.
+
+    A labeling from `collapse_at` carries the form a reduction works on
+    (`_Work`), and builds its labels and parity from it on first use."""
 
     complex: Complex
     labels: dict          # vertex id -> label in 0..n
     parity: dict          # top cell id -> +1 / -1
     connected: bool       # are the top cells one adjacency component?
+
+    def __getattr__(self, name):
+        work = self.__dict__.get("_work")
+        if work is None or name not in ("labels", "parity"):
+            raise AttributeError(name)
+        self.labels, self.parity = work.public_labels()
+        return getattr(self, name)
 
     def label(self, v):
         return self.labels[v]
@@ -236,35 +249,125 @@ def _match_tops(lab, star_tops, apex):
     return pairs
 
 
+class _Work:
+    """A labeling as a reduction carries it from collapse to collapse.
+
+    A collapse keeps its hub, the merged vertex with the most edges, so the
+    complex here calls each merged vertex by its hub's id; `alias` maps the
+    public id of each such vertex (the v of its last collapse) to (its id
+    here, its coordinates), and `names` back.  `labels` may still hold
+    vertices merged away.  `parity` and `rows` (the vertices) are arrays
+    over the tops, by top id.  `public()` renames the hubs back, once.
+    """
+
+    def __init__(self, complex, labels, parity, rows, alias, connected):
+        self.complex, self.labels, self.parity = complex, labels, parity
+        self.rows, self.alias, self.connected = rows, alias, connected
+        self.names = {w: p for p, (w, _) in alias.items()}
+        self._public = None
+
+    @classmethod
+    def of(cls, lab):
+        """The form `lab` carries, or `lab` itself in that form."""
+        work = lab.__dict__.get("_work")
+        if work is None:
+            K = lab.complex
+            tops = K.top_ids()
+            work = cls(K, lab.labels,
+                       np.array([lab.parity[i] for i in tops], dtype=np.int8),
+                       np.array([K.cell(i).verts for i in tops],
+                                dtype=np.int64).reshape(len(tops), -1),
+                       {}, lab.connected)
+        return work
+
+    def label(self, w):
+        return self.labels[w]
+
+    def public(self):
+        """(complex, ids): the complex with public ids, and the id there of
+        each cell here (None when no id changes)."""
+        if self._public is None:
+            K = self.complex
+            self._public = K.renamed(self.names, {
+                p: x for p, (_, x) in self.alias.items()}) if self.alias \
+                else (K, None)
+        return self._public
+
+    def public_labels(self):
+        """(labels, parity) with public ids."""
+        K, (_, ids) = self.complex, self.public()
+        tops = K.top_ids() if ids is None else ids[K.top_ids()].tolist()
+        return ({self.names.get(w, w): self.labels[w] for w in K.vertices},
+                dict(zip(tops, self.parity.tolist())))
+
+    def labeling(self):
+        """The labeling with public ids, built on first use."""
+        lab = AlexanderLabeling.__new__(AlexanderLabeling)
+        lab.complex = deferred(lambda: self.public()[0]) if self.alias \
+            else self.complex
+        lab.connected, lab._work = self.connected, self
+        return lab
+
+    def plain(self):
+        """The labeling with public ids, built now."""
+        labels, parity = self.public_labels()
+        return AlexanderLabeling(self.public()[0], labels, parity,
+                                 self.connected)
+
+    def lowest_top(self):
+        """The position among the tops of the first top with public ids."""
+        if not self.names:
+            return 0
+        keys = np.array(sorted(self.names), dtype=np.int64)
+        at = np.minimum(keys.searchsorted(self.rows), len(keys) - 1)
+        rows = np.where(keys[at] == self.rows, np.array(
+            [self.names[w] for w in keys.tolist()])[at], self.rows)
+        rows.sort(axis=1)
+        return np.lexsort(rows.T[::-1])[0]
+
+
 def collapse_at(lab, v, apex):
     """One reduction step: collapse St(v) to its reduced star.
 
     Every apex-labeled vertex of the star is identified with v, degenerate
-    images drop into the reduced star, and v takes the apex label.  Only the
-    cells that meet an apex vertex are rewritten (`Complex.identify`), and
-    only the new tops are labelled (`_carried_labeling`).  Returns (complex,
-    labeling, ledger step); the step counts m = #St(v)^(n)/2 simple covers,
-    which lower the degree by m.
+    images drop into the reduced star, and the merged vertex, called v,
+    carries the apex label.  Of v and those vertices the hub, the one with
+    the most edges, keeps its cells: the others are identified with it
+    (`Complex.identify`), so only the cells on them are rewritten, and only
+    the new tops are labelled (`_carried_labeling`).  When the hub is an
+    apex vertex no label changes.  The complex and labeling returned call
+    the hub v; they are built on first use, and the labeling carries the
+    hub-named form, which the next collapse reads, so a reduction renames
+    the hubs back only once, at the end.  Returns (complex, labeling, ledger
+    step); the step counts m = #St(v)^(n)/2 simple covers, which lower the
+    degree by m.
     """
-    K = lab.complex
+    work = _Work.of(lab)
+    K, labels = work.complex, work.labels
     n = K.dimension
-    if lab.label(v) == apex:
+    if v in work.alias:
+        w = work.alias[v][0]
+    elif v in work.names:
+        raise UnknownVertex(str(v))
+    else:
+        w = v
+    if labels[w] == apex:
         raise BadCenterLabel(f"vertex {v} carries the apex label {apex}")
 
-    star_ids = K.star_cell_ids(v)
+    star_ids = K.star_cell_ids(w)
     star_tops = [i for i in star_ids if K.cell(i).dim == n]
     _check_star_simplicial(K, star_ids)
 
-    star_verts = {w for i in star_ids for w in K.cell(i).verts}
-    apex_verts = {w for w in star_verts if lab.label(w) == apex}
+    star_verts = {x for i in star_ids for x in K.cell(i).verts}
+    apex_verts = {x for x in star_verts if labels[x] == apex}
 
     if not apex_verts:
         # the star already equals its reduced star: identity step
         step = LedgerStep(vertex=v, star_top_count=0, covers=0, apex=apex,
                           rewritten=0, recoloured=False)
-        return K, lab, step
+        return lab.complex, lab, step
     if star_tops:
-        _match_tops(lab, star_tops, apex)  # raises UnmatchedSimplex
+        _match_tops(work, star_tops, apex)  # raises UnmatchedSimplex
 
     # boundary condition: boundary cells inside the star must avoid apexes
     for i in star_ids:
@@ -274,55 +377,79 @@ def collapse_at(lab, v, apex):
             raise BoundaryViolation(
                 f"star of {v} meets the boundary outside its reduced star")
 
-    Q, image, touched = K.identify(apex_verts, v)
-    labels = {w: lab.label(w) for w in Q.vertices}
-    labels[v] = apex
-    new_lab, recoloured = _carried_labeling(
-        lab, Q, image, [i for i in touched if K.cell(i).dim == n], labels)
+    merged = apex_verts | {w}
+    hub = max(sorted(merged), key=lambda x: (
+        len(K.coface_ids(K.ids_with_verts(0, (x,))[0])), x == w))
+    Q, image, touched = K.identify(merged - {hub}, hub)
+    moved = [i for i in touched if K.cell(i).dim == n]
+    new = [image[i] for i in moved if image[i] >= 0]
+    tops = Q.top_ids()
+    if work.alias and any(Q.cell(q).verts == Q.cell(q + d).verts
+                          for q in new for d in (-1, 1)
+                          if tops[0] <= q + d <= tops[-1]):
+        # a new top equal to another one: their order with public ids is
+        # that of their preimages with public ids, which can differ here
+        return collapse_at(work.plain(), v, apex)
+
+    keep = np.array(image[K.top_ids()[0]:])
+    at = keep[keep >= 0] - tops[0]
+    parity = np.empty(len(tops), dtype=np.int8)
+    parity[at] = work.parity[keep >= 0]
+    rows = np.empty((len(tops), n + 1), dtype=np.int64)
+    rows[at] = work.rows[keep >= 0]
+    if new:
+        rows[np.array(new) - tops[0]] = [Q.cell(q).verts for q in new]
+    alias = {p: a for p, a in work.alias.items() if a[0] not in merged}
+    if hub != v:
+        alias[v] = hub, work.alias[v][1] if v in work.alias else K.vertices[v]
+    out = _Work(Q, labels if hub != w else labels | {w: apex}, parity, rows,
+                alias, True)
+    new_lab, recoloured = _carried_labeling(K, image, moved, work, out)
 
     step = LedgerStep(vertex=v, star_top_count=len(star_tops),
                       covers=len(star_tops) // 2, apex=apex,
                       rewritten=len(touched), recoloured=recoloured)
-    return Q, new_lab, step
+    return new_lab.complex, new_lab, step
 
 
-def _carried_labeling(lab, Q, image, moved, labels):
-    """The labeling of Q, the identified image of lab.complex, in which
-    every top keeps its preimage's parity.  `moved` are the tops that met an
-    apex vertex; the images of those that survive are Q's new tops and its
-    only tops on v, the one vertex whose label changed, so only they need
-    the label check.
+def _carried_labeling(K, image, moved, work, out):
+    """The labeling of `out`, the collapse of `work` on K, in which every
+    top keeps its preimage's parity.  `moved` are the tops that met a vertex
+    identified with the hub; the images of those that survive are Q's new
+    tops.  No other top meets a vertex whose label changed (at most the
+    hub's, when it is the collapse's own centre), so only they need the
+    label check.
 
     The carried parity is what `alexander_label` would compute when it is
-    proper, when the seed rule keeps it (Q's lowest top is +1) and when Q is
-    connected; otherwise Q takes the global two-colouring.  Every edge
-    between two tops that survive the collapse survives with them, so only
-    the edges at new tops need checking.  For the same reason Q is
-    connected when K is and the rim, the surviving tops next to a top that
-    degenerated, is joined up through new tops: every surviving top reaches
-    the rim in K without passing a degenerate one.  (In a collapse the rim
-    is new: a top next to a star top meets an apex vertex.)  Returns
-    (labeling, did the global two-colouring run).
+    proper, when the seed rule keeps it (Q's lowest top with public ids is
+    +1) and when Q is connected; otherwise Q takes the global two-colouring,
+    with public ids.  Every edge between two tops that survive the collapse
+    survives with them, so only the edges at new tops need checking.  For
+    the same reason Q is connected when K is and the rim, the surviving tops
+    next to a top that degenerated, is joined up through new tops: every
+    surviving top reaches the rim in K without passing a degenerate one.
+    (In a collapse the rim is new: a top next to a star top meets an apex
+    vertex.)  Returns (labeling, did the global two-colouring run).
     """
-    K = lab.complex
-    parity = {image[i]: s for i, s in lab.parity.items() if image[i] >= 0}
+    Q, parity = out.complex, out.parity
+    first = Q.top_ids()[0]
     new = [image[i] for i in moved if image[i] >= 0]
     rim = {image[j] for i in moved if image[i] < 0 for f in K.facet_ids(i)
            for j in K.coface_ids(f) if image[j] >= 0}
     edges = [(t, u) for t in new for f in Q.facet_ids(t)
              for u in Q.coface_ids(f) if u != t]
     joined = {*rim, *new}
-    if (any(parity[t] == parity[u] for t, u in edges)
-            or parity[Q.top_ids()[0]] != 1 or not lab.connected
+    if (any(parity[t - first] == parity[u - first] for t, u in edges)
+            or parity[out.lowest_top()] != 1 or not work.connected
             or len(spanning_forest(joined, [e for e in edges
                                             if e[1] in joined])[0]) > 1):
-        return alexander_label(Q, labels), True
-    n = Q.dimension
+        return alexander_label(out.public()[0], out.public_labels()[0]), True
+    n, labels = Q.dimension, out.labels
     for t in sorted(new):
         got = sorted(labels.get(w) for w in Q.cell(t).verts)
         if got != list(range(n + 1)):
             raise LabelClash(f"simplex {Q.cell(t).verts} carries labels {got}")
-    return AlexanderLabeling(Q, labels, parity, True), False
+    return out.labeling(), False
 
 
 # -- cubical reduction driver ------------------------------------------------------
@@ -350,7 +477,7 @@ def reduce_cubical(K):
         raise NotACell("no shelling found")
     t1 = time.perf_counter()
     start = alexander_label(canonical_triangulation(K))
-    centre = [v for v, _ in flag_centres(K)]
+    centre = centre_ids(K)
     t2 = time.perf_counter()
     lab, _ = _reduce_ball(K, order, start, ledger, centre.__getitem__)
     ledger.seconds.update(shelling=t1 - t0, triangulation=t2 - t1,

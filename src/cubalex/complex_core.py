@@ -234,6 +234,14 @@ class Complex:
         if validate:
             self._validate()
 
+    def __getattr__(self, name):
+        # reached only while a complex from `deferred` is unbuilt
+        build = self.__dict__.pop("_build", None)
+        if build is None:
+            raise AttributeError(name)
+        self.__dict__.update(build().__dict__)
+        return getattr(self, name)
+
     # -- basic queries ------------------------------------------------------
 
     def cells(self):
@@ -585,6 +593,24 @@ class Complex:
                               f"{cofaces[f]} cofaces")
         return Q, image.tolist(), touched
 
+    def renamed(self, names, coords):
+        """This complex with each vertex w of `names` called names[w], at
+        coords[names[w]], and the id there of each of its cells (an array).
+        The new ids are distinct from each other and from the vertices kept.
+        Cells are sorted again by (dim, verts), equal tops in their order
+        here; the incidence tables are derived on first use."""
+        cells = [c if names.keys().isdisjoint(c.verts) else Cell(
+            c.dim, tuple(sorted(names.get(w, w) for w in c.verts)), c.kind)
+            for c in self._cells]
+        order = sorted(range(len(cells)), key=lambda i: _cell_key(cells[i]))
+        ids = np.empty(len(order), dtype=np.intp)
+        ids[order] = np.arange(len(order))
+        vertices = {names[w] if w in names else w:
+                    coords[names[w]] if w in names else x
+                    for w, x in self.vertices.items()}
+        return Complex(self.dimension, self.mode, vertices,
+                       [cells[i] for i in order], validate=False), ids
+
     # -- validation --------------------------------------------------------------
 
     def _validate(self):
@@ -701,6 +727,13 @@ class Complex:
         return h.hexdigest()
 
 
+def deferred(build):
+    """A Complex that is `build()`, called when the complex is first used."""
+    K = Complex.__new__(Complex)
+    K._build = build
+    return K
+
+
 def spanning_forest(nodes, edges):
     """Components and spanning forest, by union-find over `edges` in order
     (an edge is a tuple whose first two entries are its ends, both nodes).
@@ -811,18 +844,25 @@ def from_json(data):
 # -- canonical triangulation ------------------------------------------------------
 
 
-def flag_centres(K):
-    """The vertex of K's flag triangulation at each cube, by cube id, as
-    (id, coords): a 0-cube's own vertex, else a new id at the barycentre
-    (None unless every vertex has coordinates).  Cells are sorted by
-    (dim, verts), so cube i of dimension >= 1 gets max(K.vertices) + 1 + i
-    - K.n_cells(0): new ids rise with (dim, verts), so with dimension."""
-    n0, cells = K.n_cells(0), K.cells()
-    out = [(c.verts[0], K.vertices[c.verts[0]]) for c in cells[:n0]]
+def centre_ids(K):
+    """The vertex of K's flag triangulation at each cube, by cube id: a
+    0-cube's own vertex, else a new id.  Cells are sorted by (dim, verts),
+    so cube i of dimension >= 1 gets max(K.vertices) + 1 + i - K.n_cells(0):
+    new ids rise with (dim, verts), so with dimension."""
+    n0, size = K.n_cells(0), len(K.cells())
     base = max(K.vertices) + 1 - n0
-    for i in range(n0, len(cells)):
-        coords = [K.vertices[v] for v in cells[i].verts]
-        out.append((base + i, None if any(x is None for x in coords) else
+    return [c.verts[0] for c in K.cells()[:n0]] + list(range(base + n0,
+                                                            base + size))
+
+
+def flag_centres(K):
+    """`centre_ids` with coordinates, as (id, coords): a 0-cube's own, else
+    the barycentre (None unless every vertex has coordinates)."""
+    out = []
+    for v, c in zip(centre_ids(K), K.cells()):
+        coords = [K.vertices[w] for w in c.verts]
+        out.append((v, coords[0] if c.dim == 0 else None
+                    if any(x is None for x in coords) else
                     tuple(sum(x) / len(coords) for x in zip(*coords))))
     return out
 
