@@ -485,31 +485,32 @@ class Complex:
         the new complex, the id in Q of each cell's image (-1 where it
         degenerates), and the ids of the cells that meet `gone`, ascending.
 
-        Only the cells that meet `gone` are rewritten.  A cell that avoids
-        `gone` keeps its vertices, and so do its faces, so it is carried
-        over with its facet row, renumbered; the coface table is derived
-        from the facet table.  An image that repeats a vertex is dropped; a
-        lower image is merged with the cell on its vertices, carried or new;
-        each top image is a new top.  Q's cells are sorted as a sort of all
-        images by (dim, verts) would leave them, equal tops in the order of
-        their preimages.  Only what is new is validated: Q has a top, every
-        facet of a new cell exists, and every (n-1)-cell under a new top has
-        at most two cofaces.  The rest held here: a carried cell's facets
-        are carried, and a carried (n-1)-cell gains cofaces only among new
-        tops.
+        Only the cells that meet `gone` are rewritten, and the work is in
+        their number, apart from copying K's tables renumbered.  A cell
+        that avoids `gone` keeps its vertices, and so do its faces, so it is
+        carried over with its facet row renumbered, and with its coface row
+        renumbered unless a touched cell is a coface of it or merges with
+        it.  An image that repeats a vertex is dropped; a lower image is
+        merged with the cell on its vertices, carried or new, found by
+        bisection; each top image is a new top.  Q's cells are sorted as a
+        sort of all images by (dim, verts) would leave them, equal tops in
+        the order of their preimages.  Only what is new is validated: Q has
+        a top, and every (n-1)-cell has at most two cofaces (a carried one
+        gains cofaces only among new tops).  The rest held here: a carried
+        cell's facets are carried, and a new cell's facets are the images of
+        its preimage's.
         """
-        cells = self._cells
+        cells, by_dim = self._cells, self._by_dim
         n, size = self.dimension, len(cells)
         koff, kflat = self._facet_table()
+        coff, cflat = self._coface_table()
         touched = self._cells_at(gone)
-        # the new cells, each once: a lower image on the vertices of a
-        # carried cell (one on v) merges with it.  A non-degenerate image
-        # has one vertex w of `gone` and not v: it is c with w replaced by v,
-        # moved from place k to place p.
-        dropped = set(touched)
-        on_v = {_cell_key(cells[i]): i for i in self._cells_at((v,))
-                if i not in dropped}
-        key_of, new, seen = {}, [], set()
+        # A non-degenerate image has one vertex w of `gone` and not v: it is
+        # c with w replaced by v, moved from place k to place p.  A lower
+        # image merges with the carried cell on its vertices (`onto`) or
+        # with an earlier new one (`same`).  A new cell goes before the
+        # first cell of higher (dim, verts), or of equal verts and higher id.
+        new, move, onto, same, seen = [], {}, {}, {}, set()
         for i in touched:
             c = cells[i]
             hit = gone.intersection(c.verts)
@@ -519,79 +520,116 @@ class Complex:
             rest = c.verts[:k] + c.verts[k + 1:]
             p = bisect.bisect(rest, v)
             t = rest[:p] + (v,) + rest[p:]
-            key_of[i] = c.dim, t, k, p
-            if c.dim == n or not ((c.dim, t) in on_v or (c.dim, t) in seen):
-                seen.add((c.dim, t))
-                new.append((c.dim, t, i))
+            move[i] = k, p
+            r = by_dim[c.dim]
+            at = bisect.bisect_left(cells, t, r.start, r.stop, key=_cell_verts)
+            if c.dim == n:
+                while at < i and cells[at].verts == t:
+                    at += 1
+            elif at < r.stop and cells[at].verts == t:
+                onto[i] = at
+                continue
+            elif t in seen:
+                same[i] = t
+                continue
+            seen.add(t)
+            new.append((c.dim, t, i, at))
         new.sort()
 
-        # Q's cells: the carried ones in order, and each new cell before the
-        # first cell of higher (dim, verts), or of equal verts and higher id.
         # A carried cell's id drops by the touched cells before it and rises
         # by the new cells placed before it.
-        ats, lo, dim = [], 0, None
-        for d, t, i in new:
-            if d != dim:  # the cells of dimension d
-                dim, lo, hi = d, self._by_dim[d].start, self._by_dim[d].stop
-            at = lo = bisect.bisect_left(cells, t, lo, hi, key=_cell_verts)
-            while d == n and at < i and cells[at].verts == t:
-                at += 1
-            ats.append(at)
-        ids = np.arange(size)
-        ats = np.array(ats, dtype=np.intp)
+        ats = np.array([e[3] for e in new], dtype=np.intp)
         out = np.array(touched, dtype=np.intp)
-        image = (ids - np.searchsorted(out, ids)
-                 + np.searchsorted(ats, ids, side="right"))
+        ids = np.arange(size)
+        image = ids - out.searchsorted(ids) + ats.searchsorted(ids, "right")
         image[out] = -1
-        qnew = ats - np.searchsorted(out, ats) + np.arange(len(new))
-        # source[q]: the id of Q's cell q among K's cells, then the new ones
-        source = np.empty(size - len(touched) + len(new), dtype=np.intp)
-        source[image[image >= 0]] = ids[image >= 0]
-        source[qnew] = np.arange(size, size + len(new))
-        qcells = list(map((cells + [Cell(d, t, SIMPLEX) for d, t, _ in new])
-                          .__getitem__, source.tolist()))
-        Q = Complex(n, self.mode, {w: x for w, x in self.vertices.items()
-                                   if w not in gone}, qcells, validate=False)
+        qnew = (ats - out.searchsorted(ats) + np.arange(len(new))).tolist()
+        made = {}
+        for (d, t, i, _), q in zip(new, qnew):
+            image[i] = made[t] = q
+        for i, at in onto.items():
+            image[i] = image[at]
+        for i, t in same.items():
+            image[i] = made[t]
+        qcells, lo = [], 0
+        for at, drop, j in sorted([(e[3], 0, j) for j, e in enumerate(new)]
+                                  + [(i, 1, 0) for i in touched]):
+            qcells += cells[lo:at]
+            if drop:
+                lo = at + 1
+            else:
+                qcells.append(Cell(new[j][0], new[j][1], SIMPLEX))
+                lo = at
+        qcells += cells[lo:]
+        vertices = dict(self.vertices)
+        for w in gone:
+            del vertices[w]
+        Q = Complex(n, self.mode, vertices, qcells, validate=False)
         if not Q._by_dim.get(n):
             raise MissingFace(f"no cell of dimension {n}")
-        made = dict(zip(new, qnew.tolist()))
-        fresh = {e[:2]: q for e, q in made.items() if e[0] < n}
-        for i, (d, t, _, _) in key_of.items():
-            image[i] = (made[d, t, i] if d == n else fresh[d, t]
-                        if (d, t) in fresh else image[on_v[d, t]])
 
-        # facet rows: a carried cell's renumbered, and a new cell's the
-        # images of its preimage's, the one that drops w moved from place k
-        # to the place p of v.  Row q is K's row of cell i = row[q, 0],
-        # moved by (k, p) = row[q, 1:], which is (0, 0) for a carried cell.
-        row = np.zeros((len(source), 3), dtype=np.intp)
-        row[:, 0] = source
-        row[qnew] = np.fromiter(itertools.chain.from_iterable(
-            (i, *key_of[i][2:]) for _, _, i in made), dtype=np.intp,
-            count=3 * len(made)).reshape(-1, 3)
-        dims = np.repeat(list(Q._by_dim), list(map(len, Q._by_dim.values())))
-        i, k, p = row.T[:, :, None]
-        j = np.arange(n + 1)
-        place = np.where(j == p, k, j + ((k <= j) & (j < p))
-                         - ((p < j) & (j <= k)))
-        valid = (j <= dims[:, None]) & (dims[:, None] > 0)
-        koff = _ints(koff)
-        flat = image[_ints(kflat)[
-            (koff[i] + place)[valid]]].astype(np.intc)
-        if (flat < 0).any():
-            raise MissingFace("a new simplex lacks a face")
-        width = valid.sum(axis=1)
-        off = np.append(0, np.cumsum(width))
-        Q._facets = (array("i", off.astype(np.intc).tobytes()),
-                     array("i", flat.tobytes()))
-        cofaces = np.bincount(flat, minlength=len(qcells))
-        tops = [q for e, q in made.items() if e[0] == n]
-        under = flat[off[tops][:, None] + j]
-        if (cofaces[under] > 2).any():
-            f = under[cofaces[under] > 2].min()
+        # facet rows: a carried cell's renumbered, a new cell's the images of
+        # its preimage's, the one that drops w moved from place k to the
+        # place p of v
+        koff, kflat, coff, cflat = map(_ints, (koff, kflat, coff, cflat))
+        alive = np.ones(size, dtype=bool)
+        alive[out] = False
+        qoff = np.zeros(len(qcells) + 1, dtype=np.intp)
+        np.cumsum(np.repeat([d + 1 if d else 0 for d in Q._by_dim],
+                            list(map(len, Q._by_dim.values()))), out=qoff[1:])
+        flat = np.empty(qoff[-1], dtype=np.intc)
+        img, pos, vals = image.tolist(), [], []
+        for (d, _, i, _), q in zip(new, qnew):
+            (k, p), base = move[i], koff[i]
+            pos += range(qoff[q], qoff[q] + d + 1)
+            vals += [img[kflat[base + (k if j == p else j + (k <= j < p)
+                                       - (p < j <= k))]] for j in range(d + 1)]
+        rest = np.ones(len(flat), dtype=bool)
+        rest[pos] = False
+        flat[rest] = image[kflat[np.repeat(alive, np.diff(koff))]]
+        flat[pos] = vals
+        Q._facets = array("i", qoff.astype(np.intc).tobytes()), array(
+            "i", flat.tobytes())
+        top = qoff[Q._by_dim[n].start]
+        count = np.bincount(flat[top:], minlength=len(qcells))
+        if count.max() > 2:
+            f = np.flatnonzero(count > 2)[0]
             raise FaceOveruse(f"(n-1)-simplex {qcells[f].verts} has "
-                              f"{cofaces[f]} cofaces")
-        return Q, image.tolist(), touched
+                              f"{count[f]} cofaces")
+
+        # coface rows: a carried cell's renumbered, unless a touched cell is
+        # a coface of it or merges with it; then, like a new cell's, the
+        # images of its preimages' cofaces
+        pre = {}  # Q id -> the cells whose cofaces make its row
+        for i in touched:
+            if img[i] >= 0:
+                pre.setdefault(img[i], []).append(i)
+        redo = {f for i in touched for f in kflat[koff[i]:koff[i + 1]].tolist()
+                if alive[f]}
+        redo.update(onto.values())
+        for f in redo:
+            pre.setdefault(img[f], []).append(f)
+        rows = {q: sorted({img[e] for f in fs for e in cflat[
+            coff[f]:coff[f + 1]].tolist() if img[e] >= 0})
+            for q, fs in pre.items()}
+        keep = alive.copy()
+        keep[list(redo)] = False
+        csize = np.diff(coff)
+        size_q = np.zeros(len(qcells), dtype=np.intp)
+        size_q[image[keep]] = csize[keep]
+        size_q[list(rows)] = list(map(len, rows.values()))
+        qcoff = np.zeros(len(qcells) + 1, dtype=np.intp)
+        np.cumsum(size_q, out=qcoff[1:])
+        qcflat = np.empty(qcoff[-1], dtype=np.intc)
+        pos = [j for q, a in zip(rows, qcoff[list(rows)].tolist())
+               for j in range(a, a + len(rows[q]))]
+        rest = np.ones(len(qcflat), dtype=bool)
+        rest[pos] = False
+        qcflat[rest] = image[cflat[np.repeat(keep, csize)]]
+        qcflat[pos] = [e for r in rows.values() for e in r]
+        Q._cofaces = array("i", qcoff.astype(np.intc).tobytes()), array(
+            "i", qcflat.tobytes())
+        return Q, img, touched
 
     def renamed(self, names, coords):
         """This complex with each vertex w of `names` called names[w], at
