@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complex_core import (
-    SIMPLICIAL, Complex, canonical_triangulation, centre_ids, deferred,
-    spanning_forest,
+    SIMPLICIAL, Complex, _Rows, canonical_triangulation, centre_ids,
+    deferred, spanning_forest,
 )
 from .errors import (
     BadCenterLabel,
@@ -249,20 +249,28 @@ def _match_tops(lab, star_tops, apex):
     return pairs
 
 
+_FAR = np.iinfo(np.int64).max  # a vertex row that sorts after every top's
+
+
 class _Work:
     """A labeling as a reduction carries it from collapse to collapse.
 
-    A collapse keeps its hub, the merged vertex with the most edges, so the
-    complex here calls each merged vertex by its hub's id; `alias` maps the
-    public id of each such vertex (the v of its last collapse) to (its id
-    here, its coordinates), and `names` back.  `labels` may still hold
-    vertices merged away.  `parity` and `rows` (the vertices) are arrays
-    over the tops, by top id.  `public()` renames the hubs back, once.
+    The complex is rows whose ids stay fixed (`_Rows`), and a collapse
+    keeps its hub, the merged vertex with the most edges, so the
+    rows call each merged vertex by its hub's id; `alias` maps the public id
+    of each such vertex (the v of its last collapse) to (its id here, its
+    coordinates), and `names` back.  `labels` may still hold vertices merged
+    away; `parity` maps each top to its sign, and `verts` holds each top's
+    vertices as a row (other rows sort last).  `public()` sorts the rows and
+    renames the hubs back, once.  The rows are `fresh` when ranked by the
+    public ids, as when made from a public labeling.
     """
 
-    def __init__(self, complex, labels, parity, rows, alias, connected):
-        self.complex, self.labels, self.parity = complex, labels, parity
-        self.rows, self.alias, self.connected = rows, alias, connected
+    def __init__(self, complex, labels, parity, verts, alias, connected,
+                 fresh):
+        self.complex, self.labels, self.parity, self.verts = (
+            complex, labels, parity, verts)
+        self.alias, self.connected, self.fresh = alias, connected, fresh
         self.names = {w: p for p, (w, _) in alias.items()}
         self._public = None
 
@@ -273,11 +281,10 @@ class _Work:
         if work is None:
             K = lab.complex
             tops = K.top_ids()
-            work = cls(K, lab.labels,
-                       np.array([lab.parity[i] for i in tops], dtype=np.int8),
-                       np.array([K.cell(i).verts for i in tops],
-                                dtype=np.int64).reshape(len(tops), -1),
-                       {}, lab.connected)
+            verts = np.full((len(K.cells()), K.dimension + 1), _FAR)
+            verts[tops] = [K.cell(i).verts for i in tops]
+            work = cls(_Rows.of(K), lab.labels, dict(lab.parity), verts, {},
+                       lab.connected, True)
         return work
 
     def label(self, w):
@@ -285,26 +292,23 @@ class _Work:
 
     def public(self):
         """(complex, ids): the complex with public ids, and the id there of
-        each cell here (None when no id changes)."""
+        each row."""
         if self._public is None:
-            K = self.complex
-            self._public = K.renamed(self.names, {
-                p: x for p, (_, x) in self.alias.items()}) if self.alias \
-                else (K, None)
+            self._public = self.complex.complex(self.names, {
+                p: x for p, (_, x) in self.alias.items()})
         return self._public
 
     def public_labels(self):
         """(labels, parity) with public ids."""
-        K, (_, ids) = self.complex, self.public()
-        tops = K.top_ids() if ids is None else ids[K.top_ids()].tolist()
-        return ({self.names.get(w, w): self.labels[w] for w in K.vertices},
-                dict(zip(tops, self.parity.tolist())))
+        ids = self.public()[1]
+        return ({self.names.get(w, w): self.labels[w]
+                 for w in self.complex.vertices},
+                {ids[t]: s for t, s in self.parity.items()})
 
     def labeling(self):
         """The labeling with public ids, built on first use."""
         lab = AlexanderLabeling.__new__(AlexanderLabeling)
-        lab.complex = deferred(lambda: self.public()[0]) if self.alias \
-            else self.complex
+        lab.complex = deferred(lambda: self.public()[0])
         lab.connected, lab._work = self.connected, self
         return lab
 
@@ -315,15 +319,17 @@ class _Work:
                                  self.connected)
 
     def lowest_top(self):
-        """The position among the tops of the first top with public ids."""
-        if not self.names:
-            return 0
-        keys = np.array(sorted(self.names), dtype=np.int64)
-        at = np.minimum(keys.searchsorted(self.rows), len(keys) - 1)
-        rows = np.where(keys[at] == self.rows, np.array(
-            [self.names[w] for w in keys.tolist()])[at], self.rows)
-        rows.sort(axis=1)
-        return np.lexsort(rows.T[::-1])[0]
+        """The top that comes first with public ids: the least vertex row,
+        then the least rank."""
+        tops = np.fromiter(self.parity, dtype=np.intp, count=len(self.parity))
+        rows = self.verts[tops]
+        if self.names:
+            keys = np.array(sorted(self.names), dtype=np.int64)
+            at = np.minimum(keys.searchsorted(rows), len(keys) - 1)
+            rows = np.where(keys[at] == rows, np.array(
+                [self.names[w] for w in keys.tolist()])[at], rows)
+            rows.sort(axis=1)
+        return tops[np.lexsort((self.complex.rank[tops], *rows.T[::-1]))[0]]
 
 
 def collapse_at(lab, v, apex):
@@ -333,12 +339,12 @@ def collapse_at(lab, v, apex):
     images drop into the reduced star, and the merged vertex, called v,
     carries the apex label.  Of v and those vertices the hub, the one with
     the most edges, keeps its cells: the others are identified with it
-    (`Complex.identify`), so only the cells on them are rewritten, and only
-    the new tops are labelled (`_carried_labeling`).  When the hub is an
-    apex vertex no label changes.  The complex and labeling returned call
-    the hub v; they are built on first use, and the labeling carries the
-    hub-named form, which the next collapse reads, so a reduction renames
-    the hubs back only once, at the end.  Returns (complex, labeling, ledger
+    (`_Rows.identify`), so only the cells on them are rewritten, and only the
+    new tops are labelled (`_carried_labeling`).  When the hub is an apex
+    vertex no label changes.  The complex and labeling returned call the hub
+    v and are built on first use; the labeling carries the rows, which the
+    next collapse works on, so a reduction sorts the cells and renames the
+    hubs back only once, at the end.  Returns (complex, labeling, ledger
     step); the step counts m = #St(v)^(n)/2 simple covers, which lower the
     degree by m.
     """
@@ -383,27 +389,28 @@ def collapse_at(lab, v, apex):
     Q, image, touched = K.identify(merged - {hub}, hub)
     moved = [i for i in touched if K.cell(i).dim == n]
     new = [image[i] for i in moved if image[i] >= 0]
-    tops = Q.top_ids()
-    if work.alias and any(Q.cell(q).verts == Q.cell(q + d).verts
-                          for q in new for d in (-1, 1)
-                          if tops[0] <= q + d <= tops[-1]):
+    if not work.fresh and any(len(Q.ids_with_verts(n, Q.cell(q).verts)) > 1
+                              for q in new):
         # a new top equal to another one: their order with public ids is
-        # that of their preimages with public ids, which can differ here
+        # that of their preimages with public ids, which the ranks here
+        # need not follow, so collapse the public labeling
         return collapse_at(work.plain(), v, apex)
 
-    keep = np.array(image[K.top_ids()[0]:])
-    at = keep[keep >= 0] - tops[0]
-    parity = np.empty(len(tops), dtype=np.int8)
-    parity[at] = work.parity[keep >= 0]
-    rows = np.empty((len(tops), n + 1), dtype=np.int64)
-    rows[at] = work.rows[keep >= 0]
+    parity = dict(work.parity)
+    for i in moved:
+        s = parity.pop(i)
+        if image[i] >= 0:
+            parity[image[i]] = s
+    verts = np.concatenate((work.verts, np.full(
+        (len(Q._cells) - len(K._cells), n + 1), _FAR)))
+    verts[moved] = _FAR
     if new:
-        rows[np.array(new) - tops[0]] = [Q.cell(q).verts for q in new]
+        verts[new] = [Q.cell(q).verts for q in new]
     alias = {p: a for p, a in work.alias.items() if a[0] not in merged}
     if hub != v:
         alias[v] = hub, work.alias[v][1] if v in work.alias else K.vertices[v]
-    out = _Work(Q, labels if hub != w else labels | {w: apex}, parity, rows,
-                alias, True)
+    out = _Work(Q, labels if hub != w else labels | {w: apex}, parity, verts,
+                alias, True, False)
     new_lab, recoloured = _carried_labeling(K, image, moved, work, out)
 
     step = LedgerStep(vertex=v, star_top_count=len(star_tops),
@@ -413,33 +420,34 @@ def collapse_at(lab, v, apex):
 
 
 def _carried_labeling(K, image, moved, work, out):
-    """The labeling of `out`, the collapse of `work` on K, in which every
-    top keeps its preimage's parity.  `moved` are the tops that met a vertex
-    identified with the hub; the images of those that survive are Q's new
-    tops.  No other top meets a vertex whose label changed (at most the
-    hub's, when it is the collapse's own centre), so only they need the
-    label check.
+    """The labeling of `out`, the collapse of `work` on the rows K, in which
+    every top keeps its preimage's parity.  `image` maps each row that met
+    a vertex identified with the hub to its image's (-1 where it
+    degenerates); every other row keeps its id.  `moved` are the tops among
+    them; the images of those that survive are the new tops.  No other top
+    meets a vertex whose label changed (at most the hub's, when it is the
+    collapse's own centre), so only they need the label check.
 
     The carried parity is what `alexander_label` would compute when it is
-    proper, when the seed rule keeps it (Q's lowest top with public ids is
-    +1) and when Q is connected; otherwise Q takes the global two-colouring,
-    with public ids.  Every edge between two tops that survive the collapse
-    survives with them, so only the edges at new tops need checking.  For
-    the same reason Q is connected when K is and the rim, the surviving tops
-    next to a top that degenerated, is joined up through new tops: every
-    surviving top reaches the rim in K without passing a degenerate one.
-    (In a collapse the rim is new: a top next to a star top meets an apex
-    vertex.)  Returns (labeling, did the global two-colouring run).
+    proper, when the seed rule keeps it (the top that comes first with
+    public ids is +1) and when Q is connected; otherwise Q takes the global
+    two-colouring, with public ids.  Every edge between two tops that
+    survive the collapse survives with them, so only the edges at new tops
+    need checking.  For the same reason Q is connected when K is and the
+    rim, the surviving tops next to a top that degenerated, is joined up
+    through new tops: every surviving top reaches the rim in K without
+    passing a degenerate one.  (In a collapse the rim is new: a top next to
+    a star top meets an apex vertex.)  Returns (labeling, did the global
+    two-colouring run).
     """
     Q, parity = out.complex, out.parity
-    first = Q.top_ids()[0]
     new = [image[i] for i in moved if image[i] >= 0]
-    rim = {image[j] for i in moved if image[i] < 0 for f in K.facet_ids(i)
-           for j in K.coface_ids(f) if image[j] >= 0}
+    rim = {image.get(j, j) for i in moved if image[i] < 0
+           for f in K.facet_ids(i) for j in K.coface_ids(f)} - {-1}
     edges = [(t, u) for t in new for f in Q.facet_ids(t)
              for u in Q.coface_ids(f) if u != t]
     joined = {*rim, *new}
-    if (any(parity[t - first] == parity[u - first] for t, u in edges)
+    if (any(parity[t] == parity[u] for t, u in edges)
             or parity[out.lowest_top()] != 1 or not work.connected
             or len(spanning_forest(joined, [e for e in edges
                                             if e[1] in joined])[0]) > 1):

@@ -485,169 +485,16 @@ class Complex:
         the new complex, the id in Q of each cell's image (-1 where it
         degenerates), and the ids of the cells that meet `gone`, ascending.
 
-        Only the cells that meet `gone` are rewritten, and the work is in
-        their number, apart from copying K's tables renumbered.  A cell
-        that avoids `gone` keeps its vertices, and so do its faces, so it is
-        carried over with its facet row renumbered, and with its coface row
-        renumbered unless a touched cell is a coface of it or merges with
-        it.  An image that repeats a vertex is dropped; a lower image is
-        merged with the cell on its vertices, carried or new, found by
-        bisection; each top image is a new top.  Q's cells are sorted as a
-        sort of all images by (dim, verts) would leave them, equal tops in
-        the order of their preimages.  Only what is new is validated: Q has
-        a top, and every (n-1)-cell has at most two cofaces (a carried one
-        gains cofaces only among new tops).  The rest held here: a carried
-        cell's facets are carried, and a new cell's facets are the images of
-        its preimage's.
+        The identification is `_Rows.identify`, sorted into a complex: Q's
+        cells are sorted as a sort of all images by (dim, verts) would leave
+        them, equal tops in the order of their preimages.
         """
-        cells, by_dim = self._cells, self._by_dim
-        n, size = self.dimension, len(cells)
-        koff, kflat = self._facet_table()
-        coff, cflat = self._coface_table()
-        touched = self._cells_at(gone)
-        # A non-degenerate image has one vertex w of `gone` and not v: it is
-        # c with w replaced by v, moved from place k to place p.  A lower
-        # image merges with the carried cell on its vertices (`onto`) or
-        # with an earlier new one (`same`).  A new cell goes before the
-        # first cell of higher (dim, verts), or of equal verts and higher id.
-        new, move, onto, same, seen = [], {}, {}, {}, set()
+        rows, moved, touched = _Rows.of(self).identify(gone, v)
+        Q, ids = rows.complex({}, {})
+        image = ids[:len(self._cells)]
         for i in touched:
-            c = cells[i]
-            hit = gone.intersection(c.verts)
-            if len(hit) > 1 or v in c.verts:
-                continue  # degenerate
-            k = c.verts.index(hit.pop())
-            rest = c.verts[:k] + c.verts[k + 1:]
-            p = bisect.bisect(rest, v)
-            t = rest[:p] + (v,) + rest[p:]
-            move[i] = k, p
-            r = by_dim[c.dim]
-            at = bisect.bisect_left(cells, t, r.start, r.stop, key=_cell_verts)
-            if c.dim == n:
-                while at < i and cells[at].verts == t:
-                    at += 1
-            elif at < r.stop and cells[at].verts == t:
-                onto[i] = at
-                continue
-            elif t in seen:
-                same[i] = t
-                continue
-            seen.add(t)
-            new.append((c.dim, t, i, at))
-        new.sort()
-
-        # A carried cell's id drops by the touched cells before it and rises
-        # by the new cells placed before it.
-        ats = np.array([e[3] for e in new], dtype=np.intp)
-        out = np.array(touched, dtype=np.intp)
-        ids = np.arange(size)
-        image = ids - out.searchsorted(ids) + ats.searchsorted(ids, "right")
-        image[out] = -1
-        qnew = (ats - out.searchsorted(ats) + np.arange(len(new))).tolist()
-        made = {}
-        for (d, t, i, _), q in zip(new, qnew):
-            image[i] = made[t] = q
-        for i, at in onto.items():
-            image[i] = image[at]
-        for i, t in same.items():
-            image[i] = made[t]
-        qcells, lo = [], 0
-        for at, drop, j in sorted([(e[3], 0, j) for j, e in enumerate(new)]
-                                  + [(i, 1, 0) for i in touched]):
-            qcells += cells[lo:at]
-            if drop:
-                lo = at + 1
-            else:
-                qcells.append(Cell(new[j][0], new[j][1], SIMPLEX))
-                lo = at
-        qcells += cells[lo:]
-        vertices = dict(self.vertices)
-        for w in gone:
-            del vertices[w]
-        Q = Complex(n, self.mode, vertices, qcells, validate=False)
-        if not Q._by_dim.get(n):
-            raise MissingFace(f"no cell of dimension {n}")
-
-        # facet rows: a carried cell's renumbered, a new cell's the images of
-        # its preimage's, the one that drops w moved from place k to the
-        # place p of v
-        koff, kflat, coff, cflat = map(_ints, (koff, kflat, coff, cflat))
-        alive = np.ones(size, dtype=bool)
-        alive[out] = False
-        qoff = np.zeros(len(qcells) + 1, dtype=np.intp)
-        np.cumsum(np.repeat([d + 1 if d else 0 for d in Q._by_dim],
-                            list(map(len, Q._by_dim.values()))), out=qoff[1:])
-        flat = np.empty(qoff[-1], dtype=np.intc)
-        img, pos, vals = image.tolist(), [], []
-        for (d, _, i, _), q in zip(new, qnew):
-            (k, p), base = move[i], koff[i]
-            pos += range(qoff[q], qoff[q] + d + 1)
-            vals += [img[kflat[base + (k if j == p else j + (k <= j < p)
-                                       - (p < j <= k))]] for j in range(d + 1)]
-        rest = np.ones(len(flat), dtype=bool)
-        rest[pos] = False
-        flat[rest] = image[kflat[np.repeat(alive, np.diff(koff))]]
-        flat[pos] = vals
-        Q._facets = array("i", qoff.astype(np.intc).tobytes()), array(
-            "i", flat.tobytes())
-        top = qoff[Q._by_dim[n].start]
-        count = np.bincount(flat[top:], minlength=len(qcells))
-        if count.max() > 2:
-            f = np.flatnonzero(count > 2)[0]
-            raise FaceOveruse(f"(n-1)-simplex {qcells[f].verts} has "
-                              f"{count[f]} cofaces")
-
-        # coface rows: a carried cell's renumbered, unless a touched cell is
-        # a coface of it or merges with it; then, like a new cell's, the
-        # images of its preimages' cofaces
-        pre = {}  # Q id -> the cells whose cofaces make its row
-        for i in touched:
-            if img[i] >= 0:
-                pre.setdefault(img[i], []).append(i)
-        redo = {f for i in touched for f in kflat[koff[i]:koff[i + 1]].tolist()
-                if alive[f]}
-        redo.update(onto.values())
-        for f in redo:
-            pre.setdefault(img[f], []).append(f)
-        rows = {q: sorted({img[e] for f in fs for e in cflat[
-            coff[f]:coff[f + 1]].tolist() if img[e] >= 0})
-            for q, fs in pre.items()}
-        keep = alive.copy()
-        keep[list(redo)] = False
-        csize = np.diff(coff)
-        size_q = np.zeros(len(qcells), dtype=np.intp)
-        size_q[image[keep]] = csize[keep]
-        size_q[list(rows)] = list(map(len, rows.values()))
-        qcoff = np.zeros(len(qcells) + 1, dtype=np.intp)
-        np.cumsum(size_q, out=qcoff[1:])
-        qcflat = np.empty(qcoff[-1], dtype=np.intc)
-        pos = [j for q, a in zip(rows, qcoff[list(rows)].tolist())
-               for j in range(a, a + len(rows[q]))]
-        rest = np.ones(len(qcflat), dtype=bool)
-        rest[pos] = False
-        qcflat[rest] = image[cflat[np.repeat(keep, csize)]]
-        qcflat[pos] = [e for r in rows.values() for e in r]
-        Q._cofaces = array("i", qcoff.astype(np.intc).tobytes()), array(
-            "i", qcflat.tobytes())
-        return Q, img, touched
-
-    def renamed(self, names, coords):
-        """This complex with each vertex w of `names` called names[w], at
-        coords[names[w]], and the id there of each of its cells (an array).
-        The new ids are distinct from each other and from the vertices kept.
-        Cells are sorted again by (dim, verts), equal tops in their order
-        here; the incidence tables are derived on first use."""
-        cells = [c if names.keys().isdisjoint(c.verts) else Cell(
-            c.dim, tuple(sorted(names.get(w, w) for w in c.verts)), c.kind)
-            for c in self._cells]
-        order = sorted(range(len(cells)), key=lambda i: _cell_key(cells[i]))
-        ids = np.empty(len(order), dtype=np.intp)
-        ids[order] = np.arange(len(order))
-        vertices = {names[w] if w in names else w:
-                    coords[names[w]] if w in names else x
-                    for w, x in self.vertices.items()}
-        return Complex(self.dimension, self.mode, vertices,
-                       [cells[i] for i in order], validate=False), ids
+            image[i] = ids[moved[i]] if moved[i] >= 0 else -1
+        return Q, image, touched
 
     # -- validation --------------------------------------------------------------
 
@@ -763,6 +610,167 @@ class Complex:
             nbrs = sorted(color[u] for u in adj[part[0]])
             h.update(repr((c.dim, c.kind, len(part), nbrs)).encode())
         return h.hexdigest()
+
+
+class _Rows(Complex):
+    """A weakly simplicial complex whose cells keep their ids while vertices
+    are identified (`identify`), so that an identification costs the cells
+    it touches; the form a reduction works on between collapses.
+
+    Row i holds cell i (None once it is gone), its facets in vertex-drop
+    order and its cofaces in no set order, as tuples; `where` finds a cell
+    below the top by its vertices, and `rank` orders equal tops.  The rows
+    are not sorted, so of Complex's queries only those a collapse makes
+    hold: `cell`, `facet_ids`, `coface_ids`, `ids_with_verts` and
+    `star_cell_ids`, and `identify` answers in rows.  It copies the lists of
+    rows, a pointer per cell, and writes only the rows it touches; `complex`
+    sorts the live rows into a Complex.
+    """
+
+    def __init__(self, dimension, vertices, cells, facets, cofaces, where,
+                 rank, tops):
+        self.dimension, self.mode, self.vertices = (dimension, SIMPLICIAL,
+                                                    vertices)
+        self._cells, self._facet_rows, self._coface_rows = (cells, facets,
+                                                            cofaces)
+        self._where, self.rank, self.tops = where, rank, tops
+
+    @classmethod
+    def of(cls, K):
+        """K's rows, its ids kept; its order ranks equal tops."""
+        (off, flat), (coff, cflat) = (map(array.tolist, table) for table in (
+            K._facet_table(), K._coface_table()))
+        top = K._by_dim[K.dimension].start
+        return cls(K.dimension, dict(K.vertices), list(K._cells),
+                   [tuple(flat[a:b]) for a, b in zip(off, off[1:])],
+                   [tuple(cflat[a:b]) for a, b in zip(coff, coff[1:])],
+                   dict(zip(map(_cell_verts, K._cells[:top]), range(top))),
+                   np.arange(len(K._cells)), len(K._cells) - top)
+
+    def facet_ids(self, i):
+        return self._facet_rows[i]
+
+    def coface_ids(self, i):
+        return self._coface_rows[i]
+
+    def ids_with_verts(self, dim, verts):
+        """ids of the cells of dimension dim on `verts`: a top on `verts`
+        is a coface of its facet on verts[1:]."""
+        verts = tuple(sorted(verts))
+        if dim < self.dimension:
+            return [self._where[verts]] if verts in self._where else []
+        f = self._where.get(verts[1:])
+        return [] if f is None else sorted(
+            j for j in self._coface_rows[f] if self._cells[j].verts == verts)
+
+    def _cells_at(self, vertices):
+        """ids of the cells on one of `vertices`, ascending: up the coface
+        rows from their 0-cells."""
+        cof = self._coface_rows
+        take = {self._where[(w,)] for w in vertices}
+        stack = list(take)
+        while stack:
+            for k in cof[stack.pop()]:
+                if k not in take:
+                    take.add(k)
+                    stack.append(k)
+        return sorted(take)
+
+    def identify(self, gone, v):
+        """Identify every vertex in the set `gone` with vertex v.  Returns
+        (rows, image, touched): the rows after, in which every cell that
+        avoids `gone` keeps its id; the id there of the image of each cell
+        that meets `gone` (-1 where it degenerates), as a dict over those
+        cells only; and those cells, ascending.
+
+        A non-degenerate image has one vertex w of `gone` and not v: it is
+        c with w replaced by v, moved from place k to place p, and its
+        facets are the images of c's, the one that drops w moved from place
+        k to p.  A lower image merges with the cell on its vertices, carried
+        or new; each top image is a new top, of its preimage's rank.  The
+        facets of a carried cell are carried, so only the coface rows of the
+        cells under a touched one change.  Only what is new is validated:
+        some top is left, and every (n-1)-cell has at most two cofaces (a
+        carried one gains cofaces only among new tops).
+        """
+        n, cells = self.dimension, self._cells
+        touched = self._cells_at(gone)
+        out, facets = list(cells), list(self._facet_rows)
+        where, image, rank, under = dict(self._where), {}, [], {}
+        for i in sorted(touched, key=lambda i: cells[i].dim):
+            c = cells[i]
+            hit = gone.intersection(c.verts)
+            if len(hit) > 1 or v in c.verts:
+                image[i] = -1
+                continue
+            k = c.verts.index(hit.pop())
+            rest = c.verts[:k] + c.verts[k + 1:]
+            p = bisect.bisect(rest, v)
+            t = rest[:p] + (v,) + rest[p:]
+            if c.dim < n and t in where:
+                image[i] = where[t]
+                continue
+            j = image[i] = len(out)
+            out.append(Cell(c.dim, t, SIMPLEX))
+            row, fs = facets[i], []
+            for m in range(c.dim + 1):
+                f = row[k if m == p else m + (k <= m < p) - (p < m <= k)]
+                f = image.get(f, f)
+                fs.append(f)
+                under.setdefault(f, []).append(j)
+            facets.append(tuple(fs))
+            rank.append(self.rank[i])
+            if c.dim < n:
+                where[t] = j
+        dead = set(touched)
+        for i in touched:
+            out[i] = None
+            if cells[i].dim < n:
+                del where[cells[i].verts]
+            for f in facets[i]:
+                if f not in dead:
+                    under.setdefault(f, [])
+        cofaces = self._coface_rows + [()] * (len(out) - len(cells))
+        for f, new in under.items():
+            cofaces[f] = tuple(j for j in cofaces[f] if j not in dead) + tuple(
+                new)
+        tops = self.tops - sum(cells[i].dim == n for i in touched) + sum(
+            c.dim == n for c in out[len(cells):])
+        if not tops:
+            raise MissingFace(f"no cell of dimension {n}")
+        R = _Rows(n, {w: x for w, x in self.vertices.items() if w not in gone},
+                  out, facets, cofaces, where, np.concatenate((
+                      self.rank, np.array(rank, dtype=np.intp))), tops)
+        for f in sorted(under):
+            if out[f] is not None and out[f].dim == n - 1 \
+                    and len(cofaces[f]) > 2:
+                raise FaceOveruse(f"(n-1)-simplex {out[f].verts} has "
+                                  f"{len(cofaces[f])} cofaces")
+        return R, image, touched
+
+    def complex(self, names, coords):
+        """(Q, ids): the live rows sorted into a Complex, each vertex w of
+        `names` called names[w] and placed at coords[names[w]], equal tops
+        in rank order; and the id in Q of each row (-1 once gone).  The
+        incidence tables are derived on first use."""
+        live = [i for i, c in enumerate(self._cells) if c is not None]
+        verts = [c.verts if names.keys().isdisjoint(c.verts) else tuple(
+            sorted(names.get(w, w) for w in c.verts))
+            for c in map(self._cells.__getitem__, live)]
+        rank = self.rank.tolist()
+        order = sorted(range(len(live)), key=lambda m: (
+            len(verts[m]), verts[m], rank[live[m]]))
+        ids = [-1] * len(self._cells)
+        for q, m in enumerate(order):
+            ids[live[m]] = q
+        vertices = {names[w] if w in names else w:
+                    coords[names[w]] if w in names else x
+                    for w, x in self.vertices.items()}
+        cells = [self._cells[live[m]] if verts[m] is self._cells[live[m]].verts
+                 else Cell(len(verts[m]) - 1, verts[m], SIMPLEX)
+                 for m in order]
+        return Complex(self.dimension, SIMPLICIAL, vertices, cells,
+                       validate=False), ids
 
 
 def deferred(build):
