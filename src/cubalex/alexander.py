@@ -11,7 +11,6 @@ each shelling step's wall to a star one dimension down.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -206,17 +205,15 @@ def degree(lab):
 
 
 def _check_star_simplicial(K, star_ids):
-    cells = [K.cell(i) for i in star_ids]
-    tops = [c for c in cells if c.dim == K.dimension]
-    for c in tops:  # only tops repeat; a star holds every copy of its cells
-        if len(K.ids_with_verts(c.dim, c.verts)) > 1:
+    """A star is simplicial unless it repeats a top (it holds every copy of
+    its cells; lower cells are unique).  Two tops of a star meet in a face
+    of both: every top of St(v) contains v, so they share a vertex, and the
+    vertices they share span a face of each, since every face of a cell is
+    a cell."""
+    for i in star_ids:
+        c = K.cell(i)
+        if c.dim == K.dimension and len(K.ids_with_verts(c.dim, c.verts)) > 1:
             raise NonSimplicialStar(f"duplicate cell {c.verts} in star")
-    present = {c.verts for c in cells}
-    for a, b in itertools.combinations(tops, 2):
-        shared = tuple(sorted(set(a.verts) & set(b.verts)))
-        if shared and shared not in present:
-            raise NonSimplicialStar(
-                f"{a.verts} and {b.verts} meet in {shared}, not a face")
 
 
 def _match_tops(lab, star_tops, apex):
@@ -389,8 +386,9 @@ def collapse_at(lab, v, apex):
     Q, image, touched = K.identify(merged - {hub}, hub)
     moved = [i for i in touched if K.cell(i).dim == n]
     new = [image[i] for i in moved if image[i] >= 0]
-    if not work.fresh and any(len(Q.ids_with_verts(n, Q.cell(q).verts)) > 1
-                              for q in new):
+    if not work.fresh and any(Q.cell(j).verts == Q.cell(q).verts
+                              for q in new for j in Q.coface_ids(
+                                  Q.facet_ids(q)[0]) if j != q):
         # a new top equal to another one: their order with public ids is
         # that of their preimages with public ids, which the ranks here
         # need not follow, so collapse the public labeling
@@ -488,6 +486,8 @@ def reduce_cubical(K):
     centre = centre_ids(K)
     t2 = time.perf_counter()
     lab, _ = _reduce_ball(K, order, start, ledger, centre.__getitem__)
+    lab = _Work.of(lab).plain()  # the hubs renamed back, once
+    lab.complex._coface_table()
     ledger.seconds.update(shelling=t1 - t0, triangulation=t2 - t1,
                           collapses=time.perf_counter() - t2)
     return lab.complex, lab, ledger

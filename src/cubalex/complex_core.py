@@ -738,8 +738,10 @@ class _Rows(Complex):
             c.dim == n for c in out[len(cells):])
         if not tops:
             raise MissingFace(f"no cell of dimension {n}")
-        R = _Rows(n, {w: x for w, x in self.vertices.items() if w not in gone},
-                  out, facets, cofaces, where, np.concatenate((
+        vertices = dict(self.vertices)
+        for w in gone:
+            del vertices[w]
+        R = _Rows(n, vertices, out, facets, cofaces, where, np.concatenate((
                       self.rank, np.array(rank, dtype=np.intp))), tops)
         for f in sorted(under):
             if out[f] is not None and out[f].dim == n - 1 \
