@@ -732,8 +732,7 @@ class _Rows(Complex):
                     under.setdefault(f, [])
         cofaces = self._coface_rows + [()] * (len(out) - len(cells))
         for f, new in under.items():
-            cofaces[f] = tuple(j for j in cofaces[f] if j not in dead) + tuple(
-                new)
+            cofaces[f] = tuple([j for j in cofaces[f] if j not in dead] + new)
         tops = self.tops - sum(cells[i].dim == n for i in touched) + sum(
             c.dim == n for c in out[len(cells):])
         if not tops:
