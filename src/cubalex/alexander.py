@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complex_core import (
-    SIMPLICIAL, Complex, _Rows, canonical_triangulation, centre_ids,
-    deferred, spanning_forest,
+    SIMPLICIAL, Complex, Deferred, _Rows, canonical_triangulation,
+    centre_ids, spanning_forest,
 )
 from .errors import (
     BadCenterLabel,
@@ -40,19 +40,13 @@ class AlexanderLabeling:
     """A vertex labeling plus parity housing an Alexander map combinatorially.
 
     A labeling from `collapse_at` carries the form a reduction works on
-    (`_Work`), and builds its labels and parity from it on first use."""
+    (`_Work`), from which it builds its complex, labels and parity on first
+    use (`_Deferred`)."""
 
     complex: Complex
     labels: dict          # vertex id -> label in 0..n
     parity: dict          # top cell id -> +1 / -1
     connected: bool       # are the top cells one adjacency component?
-
-    def __getattr__(self, name):
-        work = self.__dict__.get("_work")
-        if work is None or name not in ("labels", "parity"):
-            raise AttributeError(name)
-        self.labels, self.parity = work.public_labels()
-        return getattr(self, name)
 
     def label(self, v):
         return self.labels[v]
@@ -110,6 +104,23 @@ class ReductionLedger:
             "global_colourings": sum(s.recoloured for s in self.steps),
             "seconds": {k: round(t, 6) for k, t in self.seconds.items()},
         }
+
+
+class _Deferred(AlexanderLabeling):
+    """The labeling of a `_Work`: its complex is built on first use
+    (`Deferred`), and so are its labels and parity, when it turns into an
+    AlexanderLabeling that keeps the `_Work`."""
+
+    def __init__(self, work):
+        self.complex = Deferred(lambda: work.public()[0])
+        self.connected, self._work = work.connected, work
+
+    def __getattr__(self, name):
+        if name not in ("labels", "parity"):
+            raise AttributeError(name)
+        self.labels, self.parity = self._work.public_labels()
+        self.__class__ = AlexanderLabeling
+        return getattr(self, name)
 
 
 def _two_color(neighbors, seed_order):
@@ -302,13 +313,6 @@ class _Work:
                  for w in self.complex.vertices},
                 {ids[t]: s for t, s in self.parity.items()})
 
-    def labeling(self):
-        """The labeling with public ids, built on first use."""
-        lab = AlexanderLabeling.__new__(AlexanderLabeling)
-        lab.complex = deferred(lambda: self.public()[0])
-        lab.connected, lab._work = self.connected, self
-        return lab
-
     def plain(self):
         """The labeling with public ids, built now."""
         labels, parity = self.public_labels()
@@ -455,7 +459,7 @@ def _carried_labeling(K, image, moved, work, out):
         got = sorted(labels.get(w) for w in Q.cell(t).verts)
         if got != list(range(n + 1)):
             raise LabelClash(f"simplex {Q.cell(t).verts} carries labels {got}")
-    return out.labeling(), False
+    return _Deferred(out), False
 
 
 # -- cubical reduction driver ------------------------------------------------------

@@ -234,14 +234,6 @@ class Complex:
         if validate:
             self._validate()
 
-    def __getattr__(self, name):
-        # reached only while a complex from `deferred` is unbuilt
-        build = self.__dict__.pop("_build", None)
-        if build is None:
-            raise AttributeError(name)
-        self.__dict__.update(build().__dict__)
-        return getattr(self, name)
-
     # -- basic queries ------------------------------------------------------
 
     def cells(self):
@@ -774,11 +766,21 @@ class _Rows(Complex):
                        validate=False), ids
 
 
-def deferred(build):
-    """A Complex that is `build()`, called when the complex is first used."""
-    K = Complex.__new__(Complex)
-    K._build = build
-    return K
+class Deferred(Complex):
+    """The Complex `build()`, built when first used, when it turns into
+    that Complex.  (A `__getattr__` on Complex itself would slow every
+    attribute read of every complex.)"""
+
+    def __init__(self, build):
+        self._build = build
+
+    def __getattr__(self, name):
+        build = self.__dict__.pop("_build", None)
+        if build is None:
+            raise AttributeError(name)
+        self.__dict__.update(build().__dict__)
+        self.__class__ = Complex
+        return getattr(self, name)
 
 
 def spanning_forest(nodes, edges):
