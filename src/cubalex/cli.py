@@ -221,10 +221,10 @@ def cmd_necklace(args):
         if args.what == "slice":
             _, params = _calibrated(params, args.seed)
         system = nk.generate(params, args.k, children_per_tube=args.children)
-        count = nk.export_geometry(system, args.out or f"necklace.{args.format}",
-                                   what=args.what, fmt=args.format)
-        print(json.dumps({"records": count}))
-        return EXIT_OK
+        count = nk.export_geometry(
+            system, args.geometry or f"necklace.{args.format}",
+            what=args.what, fmt=args.format)
+        return _emit({"records": count}, args.out)
     report = run_report(f"necklace {args.action}", {"b": args.b, "m": args.m},
                         checks)
     report["params"] = params.to_json()
@@ -278,14 +278,14 @@ def main(argv=None):
     p.add_argument("--children", type=int, default=8)
     p.add_argument("--what", default="cores", choices=["cores", "tubes", "slice"])
     p.add_argument("--format", default="csv", choices=["csv", "obj"])
+    p.add_argument("--geometry", default=None,
+                   help="the file export writes (default necklace.FORMAT)")
     common(p)
     p.set_defaults(func=cmd_necklace)
     p = sub.add_parser("export"); p.add_argument("complex"); common(p)
     p.set_defaults(func=cmd_export)
 
     args = ap.parse_args(argv)
-    # necklace export writes its geometry to --out, its reports to stdout
-    out = None if getattr(args, "action", None) == "export" else args.out
     try:
         return args.func(args)
     except CubalexError as exc:
@@ -294,7 +294,7 @@ def main(argv=None):
     except OSError as exc:
         report = {"error": str(exc)}
         code = EXIT_IO
-    return _emit(report, out) or code
+    return _emit(report, args.out) or code
 
 
 if __name__ == "__main__":

@@ -104,11 +104,27 @@ def test_error_report_to_unwritable_out_exits_4(paths, capsys, tmp_path):
 
 
 def test_export_error_report_stays_on_stdout(capsys, tmp_path):
-    # necklace export's --out names its geometry file, not a report
+    # necklace export's --geometry names its geometry file, not a report
     out = tmp_path / "cores.csv"
     code, data = run(capsys, ["necklace", "export", "--b", "0.3", "--m", "1700",
-                              "--out", str(out)])
+                              "--geometry", str(out)])
     assert code == 3 and data["type"] == "ParamsInvalid" and not out.exists()
+
+
+def test_export_reports_go_to_out(capsys, tmp_path):
+    # --out means the report on necklace export too: its record count, and
+    # an error report
+    geometry, out = tmp_path / "cores.csv", tmp_path / "report.json"
+    code, data = run(capsys, ["necklace", "export", "--b", "0.1", "--m", "450",
+                              "--children", "4", "--geometry", str(geometry),
+                              "--out", str(out)])
+    assert code == 0 and data is None
+    assert json.loads(out.read_text())["records"] == len(
+        geometry.read_text().splitlines()) - 1
+    code, data = run(capsys, ["necklace", "export", "--b", "0.3", "--m", "1700",
+                              "--out", str(out)])
+    assert code == 3 and data is None
+    assert json.loads(out.read_text())["type"] == "ParamsInvalid"
 
 
 def counter(real, calls):
@@ -299,7 +315,7 @@ def test_necklace_verify_link_exact(capsys):
 def test_necklace_export_csv(capsys, tmp_path):
     out = tmp_path / "cores.csv"
     code, data = run(capsys, ["necklace", "export", "--b", "0.1", "--m", "450",
-                              "--children", "4", "--out", str(out)])
+                              "--children", "4", "--geometry", str(out)])
     assert code == 0 and data["records"] > 0
     assert out.read_text().startswith("word,index")
 
@@ -307,7 +323,7 @@ def test_necklace_export_csv(capsys, tmp_path):
 def test_necklace_export_every_level(capsys, tmp_path):
     out = tmp_path / "cores.csv"
     code, _ = run(capsys, ["necklace", "export", "--b", "0.1", "--m", "450",
-                           "--k", "2", "--children", "4", "--out", str(out)])
+                           "--k", "2", "--children", "4", "--geometry", str(out)])
     words = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
     assert code == 0 and len(words) == 4 + 16
 
@@ -316,7 +332,7 @@ def test_necklace_export_obj(capsys, tmp_path):
     out = tmp_path / "cores.obj"
     code, data = run(capsys, ["necklace", "export", "--b", "0.1", "--m", "450",
                               "--children", "4", "--format", "obj",
-                              "--out", str(out)])
+                              "--geometry", str(out)])
     assert code == 0 and data["records"] > 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("#") and lines[1].startswith("v ")
@@ -337,7 +353,7 @@ def test_necklace_export_slice_offsets_by_calibrated_rho(capsys, tmp_path,
     out = tmp_path / "slice.csv"
     code, data = run(capsys, ["necklace", "export", "--what", "slice",
                               "--b", "0.1", "--m", "450", "--children", "4",
-                              "--out", str(out)])
+                              "--geometry", str(out)])
     assert code == 0 and data["records"] > 0 and len(reports) == 1
     curves = {}
     for row in out.read_text().splitlines()[1:]:
