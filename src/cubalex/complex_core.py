@@ -6,7 +6,7 @@ one; in weakly simplicial mode two distinct top cells may share a vertex set
 encoded).  Each cell is stored in one form: a simplex in vertex order, a
 cube in its given binary-counter order, so that its faces can be
 synthesized combinatorially.  The vertex at the centre of a cube in the
-canonical triangulation comes only from `flag_centres`.
+canonical triangulation comes only from `centre_ids`.
 
 Every complex lists its cells sorted by (dim, verts), equal top simplices
 in their given order; the constructors produce that order and validation
@@ -983,7 +983,7 @@ def simplex_cells(rows, vertices):
 def canonical_triangulation(K):
     """Flag triangulation T of a cubical complex K.
 
-    One new vertex per cube of dimension >= 1 (`flag_centres`), ordered by
+    One new vertex per cube of dimension >= 1 (`flag_centres`), numbered by
     (dim, vertex list) so the construction is reproducible.  The cells of T
     are listed here, not derived from its top simplices: the centre of every
     cube as a 0-cell, and every flag of nested cubes that lies under a top

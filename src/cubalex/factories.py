@@ -6,7 +6,7 @@ import operator
 
 from .complex_core import (
     CUBE, CUBICAL, SIMPLEX, SIMPLICIAL, Cell, Complex, build_complex,
-    canonical_triangulation, flag_centres, flag_rows,
+    canonical_triangulation, centre_ids, flag_rows,
 )
 from .errors import ParamsInvalid
 
@@ -73,8 +73,8 @@ def doubled_complex(K):
     3-cube).
     """
     T = canonical_triangulation(K)
-    centres = flag_centres(K)
-    shared = {centres[i][0] for i in
+    centre = centre_ids(K)
+    shared = {centre[i] for i in
               flag_rows(K, K.boundary_facet_ids())[0][:, 0].tolist()}
     offset = max(T.vertices) + 1
     copy = {v: v + offset for v in T.vertices if v not in shared}

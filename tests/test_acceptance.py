@@ -93,9 +93,9 @@ def test_criterion_04_reduction_ledger():
     rng = random.Random(42)
     ok = True
     inputs = [random_disk_polyomino(rng, 10) for _ in range(20)] + [CONE44]
-    # 3-D: slab2x2x1, tripod, cube2x2x2, cube3x3x3; 4-D: two cubes
+    # 3-D: slab2x2x1, tripod, cube2x2x2, cube3x3x3, cube4x4x4; 4-D: two cubes
     inputs += [BENCH_BOXES_3D[i] for i in (0, 1, 3)]
-    inputs += [list(itertools.product(range(3), repeat=3))]
+    inputs += [list(itertools.product(range(k), repeat=3)) for k in (3, 4)]
     inputs += [((0,) * 4, (1, 0, 0, 0))]
     for cells in inputs:
         K = cube_complex(cells)
@@ -107,7 +107,7 @@ def test_criterion_04_reduction_ledger():
             ok = False
             break
     report(4, ok, time.time() - t0,
-           "20 random shellable disks, cone44, four 3-D boxes up to 3x3x3 "
+           "20 random shellable disks, cone44, five 3-D boxes up to 4x4x4 "
            "and a 4-D two-cube box reduced onto K*, labels included")
 
 

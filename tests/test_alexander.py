@@ -352,6 +352,27 @@ def test_driver_random_disks():
         assert ledger.total_covers == sh.star_replacement_cover_count(K)
 
 
+@pytest.mark.parametrize("side,rewritten", [(3, 6862), (4, 17694)])
+def test_reduction_rewrites_a_bounded_number_of_cells_per_cube(side,
+                                                                rewritten):
+    # each collapse keeps its hub and rewrites only the cells on the other
+    # merged vertices, so the rewrites grow with the cubes, under 300 a cube
+    # on the 3-D boxes (identifying into the collapse centre rewrote 27,972
+    # and 109,602 cells)
+    cells = list(itertools.product(range(side), repeat=3))
+    _, _, ledger = al.reduce_cubical(cube_complex(cells))
+    got = ledger.diagnostics()["cells_rewritten"]
+    assert got == rewritten and got < 300 * len(cells)
+
+
+def test_driver_reduces_a_4d_box_onto_labelled_star_replacement():
+    K = cube_complex(list(itertools.product(range(2), repeat=4)))
+    final, lab, ledger = al.reduce_cubical(K)
+    S = sh.star_replacement(K)
+    assert ledger.total_covers == sh.star_replacement_cover_count(K)
+    assert cc.is_isomorphic(S, final, S.vertex_cube_dim, lab.labels)
+
+
 # -- collapse against a rebuild ----------------------------------------------------------
 
 

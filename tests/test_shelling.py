@@ -308,6 +308,26 @@ def test_facet_cell_certificate_matches_connected_route():
                 assert sh._facet_complex_is_cell(K, q, list(ids)) == want
 
 
+def test_facet_cell_certificate_agrees_with_euler_characteristic():
+    # every proper non-empty union of facets of the n-cube, n = 2..5: the
+    # unions that are not balls are homotopy spheres (chi 0 or 2), so
+    # chi = 1 decides, and the certificate must agree with it
+    for n, subsets in [(2, 14), (3, 62), (4, 254), (5, 1022)]:
+        K = fa.unit_cube(n)
+        q = K.top_ids()[0]
+        fs = K.facet_ids(q)
+        closure = {f: {i for i, c in enumerate(K.cells())
+                       if set(c.verts) <= set(K.cell(f).verts)} for f in fs}
+        seen = 0
+        for k in range(1, len(fs)):
+            for ids in itertools.combinations(fs, k):
+                cells = set().union(*(closure[f] for f in ids))
+                chi = sum((-1) ** K.cell(i).dim for i in cells)
+                assert sh._facet_complex_is_cell(K, q, list(ids)) == (chi == 1)
+                seen += 1
+        assert seen == subsets
+
+
 # -- shelling outputs pinned against the route before the shared step test ------
 
 
