@@ -65,7 +65,7 @@ class LedgerStep:
     star_top_count: int
     covers: int
     apex: int             # the label v takes: the dimension of the recursion
-    rewritten: int        # cells of K that meet an apex vertex
+    rewritten: int        # cells on the vertices identified with the hub
     recoloured: bool      # did the parity need the global two-colouring?
 
     def to_json(self):
