@@ -270,15 +270,20 @@ class _Work:
     coordinates), and `names` back.  `labels` may still hold vertices merged
     away; `parity` maps each top to its sign, and `verts` holds each top's
     vertices as a row (other rows sort last).  `public()` sorts the rows and
-    renames the hubs back, once.  The rows are `fresh` when ranked by the
-    public ids, as when made from a public labeling.
+    renames the hubs back, once.
+
+    Equal tops come in rank order there, which can differ from their order
+    with public ids once a collapse has made two tops equal.  That order
+    never shows: equal tops share every facet, so they make a component of
+    two, whose first top every labeling from `collapse_at` makes +1 (by the
+    seed rule if the component is the complex, else by the global
+    two-colouring, which a disconnected complex always takes).
     """
 
-    def __init__(self, complex, labels, parity, verts, alias, connected,
-                 fresh):
+    def __init__(self, complex, labels, parity, verts, alias, connected):
         self.complex, self.labels, self.parity, self.verts = (
             complex, labels, parity, verts)
-        self.alias, self.connected, self.fresh = alias, connected, fresh
+        self.alias, self.connected = alias, connected
         self.names = {w: p for p, (w, _) in alias.items()}
         self._public = None
 
@@ -292,7 +297,7 @@ class _Work:
             verts = np.full((len(K.cells()), K.dimension + 1), _FAR)
             verts[tops] = [K.cell(i).verts for i in tops]
             work = cls(_Rows.of(K), lab.labels, dict(lab.parity), verts, {},
-                       lab.connected, True)
+                       lab.connected)
         return work
 
     def label(self, w):
@@ -390,14 +395,6 @@ def collapse_at(lab, v, apex):
     Q, image, touched = K.identify(merged - {hub}, hub)
     moved = [i for i in touched if K.cell(i).dim == n]
     new = [image[i] for i in moved if image[i] >= 0]
-    if not work.fresh and any(Q.cell(j).verts == Q.cell(q).verts
-                              for q in new for j in Q.coface_ids(
-                                  Q.facet_ids(q)[0]) if j != q):
-        # a new top equal to another one: their order with public ids is
-        # that of their preimages with public ids, which the ranks here
-        # need not follow, so collapse the public labeling
-        return collapse_at(work.plain(), v, apex)
-
     parity = dict(work.parity)
     for i in moved:
         s = parity.pop(i)
@@ -412,7 +409,7 @@ def collapse_at(lab, v, apex):
     if hub != v:
         alias[v] = hub, work.alias[v][1] if v in work.alias else K.vertices[v]
     out = _Work(Q, labels if hub != w else labels | {w: apex}, parity, verts,
-                alias, True, False)
+                alias, True)
     new_lab, recoloured = _carried_labeling(K, image, moved, work, out)
 
     step = LedgerStep(vertex=v, star_top_count=len(star_tops),

@@ -21,6 +21,11 @@ a whole dimension's facet rows against the rows one dimension down, and the
 coface table is the facet table inverted by one stable argsort.  The
 canonical triangulation lists its flags as int rows as well (`flag_rows`).
 
+A sequence of vertex identifications (a reduction's collapses) works on
+`_Rows` instead: the same cells as rows whose ids stay fixed, so that each
+identification costs the cells it touches and the cells are sorted into a
+Complex once, at the end (`Complex.identify` is one identification so).
+
 Complexes are immutable after construction; every operation returns a new
 complex, so instances are safe to share across threads.
 """
