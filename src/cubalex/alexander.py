@@ -15,8 +15,6 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .complex_core import (
     SIMPLICIAL, Complex, Deferred, _Rows, canonical_triangulation,
     centre_ids, spanning_forest,
@@ -257,9 +255,6 @@ def _match_tops(lab, star_tops, apex):
     return pairs
 
 
-_FAR = np.iinfo(np.int64).max  # a vertex row that sorts after every top's
-
-
 class _Work:
     """A labeling as a reduction carries it from collapse to collapse.
 
@@ -268,9 +263,9 @@ class _Work:
     rows call each merged vertex by its hub's id; `alias` maps the public id
     of each such vertex (the v of its last collapse) to (its id here, its
     coordinates), and `names` back.  `labels` may still hold vertices merged
-    away; `parity` maps each top to its sign, and `verts` holds each top's
-    vertices as a row (other rows sort last).  `public()` sorts the rows and
-    renames the hubs back, once.
+    away; `parity` maps each top to its sign, and `least` is the vertex with
+    the least public id.  `public()` sorts the rows and renames the hubs
+    back, once.
 
     Equal tops come in rank order there, which can differ from their order
     with public ids once a collapse has made two tops equal.  That order
@@ -280,11 +275,12 @@ class _Work:
     two-colouring, which a disconnected complex always takes).
     """
 
-    def __init__(self, complex, labels, parity, verts, alias, connected):
-        self.complex, self.labels, self.parity, self.verts = (
-            complex, labels, parity, verts)
+    def __init__(self, complex, labels, parity, alias, connected, least):
+        self.complex, self.labels, self.parity = complex, labels, parity
         self.alias, self.connected = alias, connected
         self.names = {w: p for p, (w, _) in alias.items()}
+        self.least = least if least is not None else min(
+            complex.vertices, key=lambda w: self.names.get(w, w))
         self._public = None
 
     @classmethod
@@ -292,12 +288,8 @@ class _Work:
         """The form `lab` carries, or `lab` itself in that form."""
         work = lab.__dict__.get("_work")
         if work is None:
-            K = lab.complex
-            tops = K.top_ids()
-            verts = np.full((len(K.cells()), K.dimension + 1), _FAR)
-            verts[tops] = [K.cell(i).verts for i in tops]
-            work = cls(_Rows.of(K), lab.labels, dict(lab.parity), verts, {},
-                       lab.connected)
+            work = cls(_Rows.of(lab.complex), lab.labels, dict(lab.parity), {},
+                       lab.connected, None)
         return work
 
     def label(self, w):
@@ -326,16 +318,13 @@ class _Work:
 
     def lowest_top(self):
         """The top that comes first with public ids: the least vertex row,
-        then the least rank."""
-        tops = np.fromiter(self.parity, dtype=np.intp, count=len(self.parity))
-        rows = self.verts[tops]
-        if self.names:
-            keys = np.array(sorted(self.names), dtype=np.int64)
-            at = np.minimum(keys.searchsorted(rows), len(keys) - 1)
-            rows = np.where(keys[at] == rows, np.array(
-                [self.names[w] for w in keys.tolist()])[at], rows)
-            rows.sort(axis=1)
-        return tops[np.lexsort((self.complex.rank[tops], *rows.T[::-1]))[0]]
+        then the least rank.  It lies on the vertex with the least public
+        id, when some top does."""
+        K, name = self.complex, self.names.get
+        tops = [i for i in K._cells_at((self.least,))
+                if K.cell(i).dim == K.dimension] or list(self.parity)
+        return min(tops, key=lambda t: (
+            sorted(name(w, w) for w in K.cell(t).verts), K.rank[t]))
 
 
 def collapse_at(lab, v, apex):
@@ -400,16 +389,14 @@ def collapse_at(lab, v, apex):
         s = parity.pop(i)
         if image[i] >= 0:
             parity[image[i]] = s
-    verts = np.concatenate((work.verts, np.full(
-        (len(Q._cells) - len(K._cells), n + 1), _FAR)))
-    verts[moved] = _FAR
-    if new:
-        verts[new] = [Q.cell(q).verts for q in new]
     alias = {p: a for p, a in work.alias.items() if a[0] not in merged}
     if hub != v:
         alias[v] = hub, work.alias[v][1] if v in work.alias else K.vertices[v]
-    out = _Work(Q, labels if hub != w else labels | {w: apex}, parity, verts,
-                alias, True)
+    least = work.least  # kept unless merged, or v is less
+    if least in merged or v < work.names.get(least, least):
+        least = None
+    out = _Work(Q, labels if hub != w else labels | {w: apex}, parity, alias,
+                True, least)
     new_lab, recoloured = _carried_labeling(K, image, moved, work, out)
 
     step = LedgerStep(vertex=v, star_top_count=len(star_tops),
