@@ -642,7 +642,7 @@ class _Rows(Complex):
                    [tuple(flat[a:b]) for a, b in zip(off, off[1:])],
                    [tuple(cflat[a:b]) for a, b in zip(coff, coff[1:])],
                    dict(zip(map(_cell_verts, K._cells[:top]), range(top))),
-                   np.arange(len(K._cells)), len(K._cells) - top)
+                   list(range(len(K._cells))), len(K._cells) - top)
 
     def facet_ids(self, i):
         return self._facet_rows[i]
@@ -737,8 +737,8 @@ class _Rows(Complex):
         vertices = dict(self.vertices)
         for w in gone:
             del vertices[w]
-        R = _Rows(n, vertices, out, facets, cofaces, where, np.concatenate((
-                      self.rank, np.array(rank, dtype=np.intp))), tops)
+        R = _Rows(n, vertices, out, facets, cofaces, where, self.rank + rank,
+                  tops)
         for f in sorted(under):
             if out[f] is not None and out[f].dim == n - 1 \
                     and len(cofaces[f]) > 2:
@@ -755,9 +755,8 @@ class _Rows(Complex):
         verts = [c.verts if names.keys().isdisjoint(c.verts) else tuple(
             sorted(names.get(w, w) for w in c.verts))
             for c in map(self._cells.__getitem__, live)]
-        rank = self.rank.tolist()
         order = sorted(range(len(live)), key=lambda m: (
-            len(verts[m]), verts[m], rank[live[m]]))
+            len(verts[m]), verts[m], self.rank[live[m]]))
         ids = [-1] * len(self._cells)
         for q, m in enumerate(order):
             ids[live[m]] = q
