@@ -383,7 +383,6 @@ def collapse_at(lab, v, apex):
         len(K.coface_ids(K.ids_with_verts(0, (x,))[0])), x == w))
     Q, image, touched = K.identify(merged - {hub}, hub)
     moved = [i for i in touched if K.cell(i).dim == n]
-    new = [image[i] for i in moved if image[i] >= 0]
     parity = dict(work.parity)
     for i in moved:
         s = parity.pop(i)
@@ -474,7 +473,9 @@ def reduce_cubical(K):
     centre = centre_ids(K)
     t2 = time.perf_counter()
     lab, _ = _reduce_ball(K, order, start, ledger, centre.__getitem__)
-    lab = _Work.of(lab).plain()  # the hubs renamed back, once
+    # the hubs renamed back, once, and the incidence tables built here, so
+    # that a caller's first query does not pay for them
+    lab = _Work.of(lab).plain()
     lab.complex._coface_table()
     ledger.seconds.update(shelling=t1 - t0, triangulation=t2 - t1,
                           collapses=time.perf_counter() - t2)

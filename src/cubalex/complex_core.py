@@ -740,8 +740,7 @@ class _Rows(Complex):
         R = _Rows(n, vertices, out, facets, cofaces, where, self.rank + rank,
                   tops)
         for f in sorted(under):
-            if out[f] is not None and out[f].dim == n - 1 \
-                    and len(cofaces[f]) > 2:
+            if out[f].dim == n - 1 and len(cofaces[f]) > 2:
                 raise FaceOveruse(f"(n-1)-simplex {out[f].verts} has "
                                   f"{len(cofaces[f])} cofaces")
         return R, image, touched
@@ -902,10 +901,10 @@ def centre_ids(K):
     0-cube's own vertex, else a new id.  Cells are sorted by (dim, verts),
     so cube i of dimension >= 1 gets max(K.vertices) + 1 + i - K.n_cells(0):
     new ids rise with (dim, verts), so with dimension."""
-    n0, size = K.n_cells(0), len(K.cells())
+    cells, n0 = K.cells(), K.n_cells(0)
     base = max(K.vertices) + 1 - n0
-    return [c.verts[0] for c in K.cells()[:n0]] + list(range(base + n0,
-                                                            base + size))
+    return [c.verts[0] for c in cells[:n0]] + list(range(base + n0,
+                                                         base + len(cells)))
 
 
 def flag_centres(K):
@@ -987,7 +986,7 @@ def simplex_cells(rows, vertices):
 def canonical_triangulation(K):
     """Flag triangulation T of a cubical complex K.
 
-    One new vertex per cube of dimension >= 1 (`flag_centres`), numbered by
+    One new vertex per cube of dimension >= 1 (`flag_centres`), ordered by
     (dim, vertex list) so the construction is reproducible.  The cells of T
     are listed here, not derived from its top simplices: the centre of every
     cube as a 0-cell, and every flag of nested cubes that lies under a top
