@@ -771,17 +771,19 @@ class _Rows(Complex):
 
 class Deferred(Complex):
     """The Complex `build()`, built when first used, when it turns into
-    that Complex.  (A `__getattr__` on Complex itself would slow every
-    attribute read of every complex.)"""
+    that Complex.  `build` must return equal complexes on every call: two
+    threads that first use it at once may both build it.  (A `__getattr__`
+    on Complex itself would slow every attribute read of every complex.)"""
 
     def __init__(self, build):
         self._build = build
 
     def __getattr__(self, name):
-        build = self.__dict__.pop("_build", None)
+        build = self.__dict__.get("_build")
         if build is None:
             raise AttributeError(name)
         self.__dict__.update(build().__dict__)
+        self.__dict__.pop("_build", None)  # only once every attribute is set
         self.__class__ = Complex
         return getattr(self, name)
 
