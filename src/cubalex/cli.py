@@ -278,8 +278,7 @@ def main(argv=None):
     p.add_argument("--children", type=int, default=8)
     p.add_argument("--what", default="cores", choices=["cores", "tubes", "slice"])
     p.add_argument("--format", default="csv", choices=["csv", "obj"])
-    p.add_argument("--geometry", default=None,
-                   help="the file export writes (default necklace.FORMAT)")
+    p.add_argument("--geometry", default=None)  # export's file
     common(p)
     p.set_defaults(func=cmd_necklace)
     p = sub.add_parser("export"); p.add_argument("complex"); common(p)
