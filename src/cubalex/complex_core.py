@@ -637,12 +637,12 @@ class _Rows(Complex):
         """K's rows, its ids kept; its order ranks equal tops."""
         (off, flat), (coff, cflat) = (map(array.tolist, table) for table in (
             K._facet_table(), K._coface_table()))
-        top = K._by_dim[K.dimension].start
+        top = max(K._by_dim[K.dimension].start, K.n_cells(0))  # 0-cells too
         return cls(K.dimension, dict(K.vertices), list(K._cells),
                    [tuple(flat[a:b]) for a, b in zip(off, off[1:])],
                    [tuple(cflat[a:b]) for a, b in zip(coff, coff[1:])],
                    dict(zip(map(_cell_verts, K._cells[:top]), range(top))),
-                   list(range(len(K._cells))), len(K._cells) - top)
+                   list(range(len(K._cells))), K.n_cells(K.dimension))
 
     def facet_ids(self, i):
         return self._facet_rows[i]
