@@ -681,9 +681,9 @@ class _Rows(Complex):
         cells only; and those cells, ascending.
 
         A non-degenerate image has one vertex w of `gone` and not v: it is
-        c with w replaced by v, moved from place k to place p, and its
-        facets are the images of c's, the one that drops w moved from place
-        k to p.  A lower image merges with the cell on its vertices, carried
+        c with w replaced by v, and its facet without a vertex is the image
+        of c's facet without the same vertex (w for v).  A lower image
+        merges with the cell on its vertices, carried
         or new; each top image is a new top, of its preimage's rank.  The
         facets of a carried cell are carried, so only the coface rows of the
         cells under a touched one change.  Only what is new is validated:
@@ -695,29 +695,26 @@ class _Rows(Complex):
         out, facets = list(cells), list(self._facet_rows)
         where, image, rank, under = dict(self._where), {}, [], {}
         for i in sorted(touched, key=lambda i: cells[i].dim):
-            c = cells[i]
-            hit = gone.intersection(c.verts)
-            if len(hit) > 1 or v in c.verts:
+            verts, dim = cells[i].verts, cells[i].dim
+            hit = gone.intersection(verts)
+            if len(hit) > 1 or v in verts:
                 image[i] = -1
                 continue
-            k = c.verts.index(hit.pop())
-            rest = c.verts[:k] + c.verts[k + 1:]
-            p = bisect.bisect(rest, v)
-            t = rest[:p] + (v,) + rest[p:]
-            if c.dim < n and t in where:
+            w = hit.pop()
+            t = tuple(sorted([v if x == w else x for x in verts]))
+            if dim < n and t in where:
                 image[i] = where[t]
                 continue
             j = image[i] = len(out)
-            out.append(Cell(c.dim, t, SIMPLEX))
-            row, fs = facets[i], []
-            for m in range(c.dim + 1):
-                f = row[k if m == p else m + (k <= m < p) - (p < m <= k)]
-                f = image.get(f, f)
-                fs.append(f)
+            out.append(Cell(dim, t, SIMPLEX))
+            face = dict(zip(verts, facets[i]))  # vertex -> the facet without it
+            face[v] = face.pop(w)
+            fs = tuple([image.get(f, f) for f in map(face.__getitem__, t)])
+            for f in fs:
                 under.setdefault(f, []).append(j)
-            facets.append(tuple(fs))
+            facets.append(fs)
             rank.append(self.rank[i])
-            if c.dim < n:
+            if dim < n:
                 where[t] = j
         dead = set(touched)
         for i in touched:
