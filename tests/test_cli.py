@@ -323,7 +323,8 @@ def test_necklace_export_csv(capsys, tmp_path):
 def test_necklace_export_every_level(capsys, tmp_path):
     out = tmp_path / "cores.csv"
     code, _ = run(capsys, ["necklace", "export", "--b", "0.1", "--m", "450",
-                           "--k", "2", "--children", "4", "--geometry", str(out)])
+                           "--k", "2", "--children", "4",
+                           "--geometry", str(out)])
     words = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
     assert code == 0 and len(words) == 4 + 16
 
