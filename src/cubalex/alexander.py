@@ -16,8 +16,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .complex_core import (
-    SIMPLICIAL, Complex, Deferred, _Rows, canonical_triangulation,
-    centre_ids, spanning_forest,
+    SIMPLICIAL, Complex, _Rows, canonical_triangulation, centre_ids,
+    spanning_forest,
 )
 from .errors import (
     BadCenterLabel,
@@ -35,11 +35,8 @@ from .shelling import _complete, find_shelling
 
 @dataclass
 class AlexanderLabeling:
-    """A vertex labeling plus parity housing an Alexander map combinatorially.
-
-    A labeling from `collapse_at` carries the form a reduction works on
-    (`_Work`), from which it builds its complex, labels and parity on first
-    use (`_Deferred`)."""
+    """A vertex labeling plus parity housing an Alexander map
+    combinatorially."""
 
     complex: Complex
     labels: dict          # vertex id -> label in 0..n
@@ -102,23 +99,6 @@ class ReductionLedger:
             "global_colourings": sum(s.recoloured for s in self.steps),
             "seconds": {k: round(t, 6) for k, t in self.seconds.items()},
         }
-
-
-class _Deferred(AlexanderLabeling):
-    """The labeling of a `_Work`: its complex is built on first use
-    (`Deferred`), and so are its labels and parity, when it turns into an
-    AlexanderLabeling that keeps the `_Work`."""
-
-    def __init__(self, work):
-        self.complex = Deferred(lambda: work.public()[0])
-        self.connected, self._work = work.connected, work
-
-    def __getattr__(self, name):
-        if name not in ("labels", "parity"):
-            raise AttributeError(name)
-        self.labels, self.parity = self._work.public_labels()
-        self.__class__ = AlexanderLabeling
-        return getattr(self, name)
 
 
 def _two_color(neighbors, seed_order):
@@ -256,7 +236,8 @@ def _match_tops(lab, star_tops, apex):
 
 
 class _Work:
-    """A labeling as a reduction carries it from collapse to collapse.
+    """A labeling as a reduction carries it from collapse to collapse,
+    changed in place by each (`_collapse`).
 
     The complex is rows whose ids stay fixed (`_Rows`), and a collapse
     keeps its hub, the merged vertex with the most edges, so the
@@ -264,57 +245,44 @@ class _Work:
     of each such vertex (the v of its last collapse) to (its id here, its
     coordinates), and `names` back.  `labels` may still hold vertices merged
     away; `parity` maps each top to its sign, and `least` is the vertex with
-    the least public id.  `public()` sorts the rows and renames the hubs
-    back, once.
+    the least public id.  `plain()` sorts the rows and renames the hubs
+    back.
 
-    Equal tops come in rank order there, which can differ from their order
-    with public ids once a collapse has made two tops equal.  That order
-    never shows: equal tops share every facet, so they make a component of
-    two, whose first top every labeling from `collapse_at` makes +1 (by the
-    seed rule if the component is the complex, else by the global
-    two-colouring, which a disconnected complex always takes).
+    A collapse runs the checks that are cheap before it writes (the star's,
+    and `_Rows.identify`'s), but the label check and the global
+    two-colouring only after: a `_Work` whose collapse raised is left half
+    changed, and no caller can reach it, since `collapse_at` collapses a
+    copy and `reduce_cubical` its own.
+
+    Equal tops come in rank order in `plain()`, which can differ from their
+    order with public ids once a collapse has made two tops equal.  That
+    order never shows: equal tops share every facet, so they make a
+    component of two, whose first top every collapse makes +1 (by the seed
+    rule if the component is the complex, else by the global two-colouring,
+    which a disconnected complex always takes).
     """
 
-    def __init__(self, complex, labels, parity, alias, connected, least):
-        self.complex, self.labels, self.parity = complex, labels, parity
-        self.alias, self.connected = alias, connected
-        self.names = {w: p for p, (w, _) in alias.items()}
-        self.least = least if least is not None else min(
-            complex.vertices, key=lambda w: self.names.get(w, w))
-        self._public = None
-
-    @classmethod
-    def of(cls, lab):
-        """The form `lab` carries, or `lab` itself in that form."""
-        work = lab.__dict__.get("_work")
-        if work is None:
-            work = cls(_Rows.of(lab.complex), lab.labels, dict(lab.parity), {},
-                       lab.connected, None)
-        return work
+    def __init__(self, lab):
+        self.complex, self.labels = _Rows(lab.complex), dict(lab.labels)
+        self.parity, self.connected = dict(lab.parity), lab.connected
+        self.alias, self.names = {}, {}
+        self.least = min(self.complex.vertices)
 
     def label(self, w):
         return self.labels[w]
 
     def public(self):
-        """(complex, ids): the complex with public ids, and the id there of
-        each row."""
-        if self._public is None:
-            self._public = self.complex.complex(self.names, {
-                p: x for p, (_, x) in self.alias.items()})
-        return self._public
-
-    def public_labels(self):
-        """(labels, parity) with public ids."""
-        ids = self.public()[1]
-        return ({self.names.get(w, w): self.labels[w]
-                 for w in self.complex.vertices},
-                {ids[t]: s for t, s in self.parity.items()})
+        """(complex, ids, labels): the complex with public ids, the id there
+        of each row, and the labels with public ids."""
+        K, names = self.complex, self.names
+        Q, ids = K.complex(names, {p: x for p, (_, x) in self.alias.items()})
+        return Q, ids, {names.get(w, w): self.labels[w] for w in K.vertices}
 
     def plain(self):
         """The labeling with public ids, built now."""
-        labels, parity = self.public_labels()
-        return AlexanderLabeling(self.public()[0], labels, parity,
-                                 self.connected)
+        Q, ids, labels = self.public()
+        return AlexanderLabeling(Q, labels, {
+            ids[t]: s for t, s in self.parity.items()}, self.connected)
 
     def lowest_top(self):
         """The top that comes first with public ids: the least vertex row,
@@ -332,23 +300,35 @@ def collapse_at(lab, v, apex):
 
     Every apex-labeled vertex of the star is identified with v, degenerate
     images drop into the reduced star, and the merged vertex, called v,
-    carries the apex label.  Of v and those vertices the hub, the one with
-    the most edges, keeps its cells: the others are identified with it
-    (`_Rows.identify`), so only the cells on them are rewritten, and only the
-    new tops are labelled (`_carried_labeling`).  When the hub is an apex
-    vertex no label changes.  The complex and labeling returned call the hub
-    v and are built on first use; the labeling carries the rows, which the
-    next collapse works on, so a reduction sorts the cells and renames the
-    hubs back only once, at the end.  Returns (complex, labeling, ledger
-    step); the step counts m = #St(v)^(n)/2 simple covers, which lower the
-    degree by m.
+    carries the apex label.  The collapse runs on a copy of `lab`
+    (`_collapse`), which is then sorted into the complex and labeling
+    returned; `lab` is unchanged, and returned as it is by the identity
+    step.  Returns (complex, labeling, ledger step); the step counts
+    m = #St(v)^(n)/2 simple covers, which lower the degree by m.
     """
-    work = _Work.of(lab)
-    K, labels = work.complex, work.labels
+    work = _Work(lab)
+    step = _collapse(work, v, apex)
+    if not step.rewritten:
+        return lab.complex, lab, step
+    out = work.plain()
+    return out.complex, out, step
+
+
+def _collapse(work, v, apex):
+    """`collapse_at` on `work`, in place; returns the ledger step.
+
+    Of v and the apex vertices of its star the hub, the one with the most
+    edges, keeps its cells: the others are identified with it
+    (`_Rows.identify`), so only the cells on them are rewritten, and only
+    the new tops are labelled (`_carried_labeling`).  When the hub is an
+    apex vertex no label changes.  The rows call the merged vertex by the
+    hub's id, and `work.alias` calls it v.
+    """
+    K, labels, alias, names = work.complex, work.labels, work.alias, work.names
     n = K.dimension
-    if v in work.alias:
-        w = work.alias[v][0]
-    elif v in work.names:
+    if v in alias:
+        w = alias[v][0]
+    elif v in names:
         raise UnknownVertex(str(v))
     else:
         w = v
@@ -364,9 +344,8 @@ def collapse_at(lab, v, apex):
 
     if not apex_verts:
         # the star already equals its reduced star: identity step
-        step = LedgerStep(vertex=v, star_top_count=0, covers=0, apex=apex,
+        return LedgerStep(vertex=v, star_top_count=0, covers=0, apex=apex,
                           rewritten=0, recoloured=False)
-        return lab.complex, lab, step
     if star_tops:
         _match_tops(work, star_tops, apex)  # raises UnmatchedSimplex
 
@@ -381,68 +360,74 @@ def collapse_at(lab, v, apex):
     merged = apex_verts | {w}
     hub = max(sorted(merged), key=lambda x: (
         len(K.coface_ids(K.ids_with_verts(0, (x,))[0])), x == w))
-    Q, image, touched = K.identify(merged - {hub}, hub)
-    moved = [i for i in touched if K.cell(i).dim == n]
-    parity = dict(work.parity)
+    place = alias[v][1] if v in alias else K.vertices[v]
+    image, touched = K.identify(merged - {hub}, hub)
+    moved = [i for i in touched if i in work.parity]  # the tops among them
     for i in moved:
-        s = parity.pop(i)
+        s = work.parity.pop(i)
         if image[i] >= 0:
-            parity[image[i]] = s
-    alias = {p: a for p, a in work.alias.items() if a[0] not in merged}
+            work.parity[image[i]] = s
+    for x in merged & names.keys():
+        del alias[names.pop(x)]
     if hub != v:
-        alias[v] = hub, work.alias[v][1] if v in work.alias else K.vertices[v]
-    least = work.least  # kept unless merged, or v is less
-    if least in merged or v < work.names.get(least, least):
-        least = None
-    out = _Work(Q, labels if hub != w else labels | {w: apex}, parity, alias,
-                True, least)
-    new_lab, recoloured = _carried_labeling(K, image, moved, work, out)
-
-    step = LedgerStep(vertex=v, star_top_count=len(star_tops),
+        alias[v], names[hub] = (hub, place), v
+    if work.least in merged or v < names.get(work.least, work.least):
+        work.least = min(K.vertices, key=lambda x: names.get(x, x))
+    if hub == w:
+        labels[w] = apex
+    recoloured = _carried_labeling(work, image, moved)
+    return LedgerStep(vertex=v, star_top_count=len(star_tops),
                       covers=len(star_tops) // 2, apex=apex,
                       rewritten=len(touched), recoloured=recoloured)
-    return new_lab.complex, new_lab, step
 
 
-def _carried_labeling(K, image, moved, work, out):
-    """The labeling of `out`, the collapse of `work` on the rows K, in which
-    every top keeps its preimage's parity.  `image` maps each row that met
-    a vertex identified with the hub to its image's (-1 where it
-    degenerates); every other row keeps its id.  `moved` are the tops among
-    them; the images of those that survive are the new tops.  No other top
-    meets a vertex whose label changed (at most the hub's, when it is the
-    collapse's own centre), so only they need the label check.
+def _carried_labeling(work, image, moved):
+    """Give `work`, just collapsed, its labeling, in which every top keeps
+    its preimage's parity.  `image` maps each row that met a vertex
+    identified with the hub to its image's (-1 where it degenerates); every
+    other row kept its id.  `moved` are the tops among them; the images of
+    those that survive are the new tops.  No other top meets a vertex whose
+    label changed (at most the hub's, when it is the collapse's own
+    centre), so only they need the label check.
 
     The carried parity is what `alexander_label` would compute when it is
     proper, when the seed rule keeps it (the top that comes first with
-    public ids is +1) and when Q is connected; otherwise Q takes the global
-    two-colouring, with public ids.  Every edge between two tops that
-    survive the collapse survives with them, so only the edges at new tops
-    need checking.  For the same reason Q is connected when K is and the
+    public ids is +1) and when the complex was and stays connected;
+    otherwise the complex takes the global two-colouring, with public ids,
+    written back onto the rows.  Every edge between two tops that survive
+    the collapse survives with them, so only the edges at new tops need
+    checking.  For the same reason the complex stays connected when the
     rim, the surviving tops next to a top that degenerated, is joined up
-    through new tops: every surviving top reaches the rim in K without
-    passing a degenerate one.  (In a collapse the rim is new: a top next to
-    a star top meets an apex vertex.)  Returns (labeling, did the global
-    two-colouring run).
+    through new tops: every surviving top reaches the rim without passing a
+    degenerate one.  (In a collapse the rim is new: a top next to a star top
+    meets an apex vertex.  The rim is read on the rows after, where a
+    carried facet's cofaces hold new tops as well, which are joined
+    anyway.)  Returns whether the global two-colouring ran.
     """
-    Q, parity = out.complex, out.parity
+    K, parity = work.complex, work.parity
     new = [image[i] for i in moved if image[i] >= 0]
     rim = {image.get(j, j) for i in moved if image[i] < 0
            for f in K.facet_ids(i) for j in K.coface_ids(f)} - {-1}
-    edges = [(t, u) for t in new for f in Q.facet_ids(t)
-             for u in Q.coface_ids(f) if u != t]
+    edges = [(t, u) for t in new for f in K.facet_ids(t)
+             for u in K.coface_ids(f) if u != t]
     joined = {*rim, *new}
     if (any(parity[t] == parity[u] for t, u in edges)
-            or parity[out.lowest_top()] != 1 or not work.connected
+            or parity[work.lowest_top()] != 1 or not work.connected
             or len(spanning_forest(joined, [e for e in edges
                                             if e[1] in joined])[0]) > 1):
-        return alexander_label(out.public()[0], out.public_labels()[0]), True
-    n, labels = Q.dimension, out.labels
+        Q, ids, labels = work.public()
+        lab = alexander_label(Q, labels)
+        for t in parity:
+            parity[t] = lab.parity[ids[t]]
+        work.connected = lab.connected
+        return True
+    n, labels = K.dimension, work.labels
     for t in sorted(new):
-        got = sorted(labels.get(w) for w in Q.cell(t).verts)
+        got = sorted(labels.get(w) for w in K.cell(t).verts)
         if got != list(range(n + 1)):
-            raise LabelClash(f"simplex {Q.cell(t).verts} carries labels {got}")
-    return _Deferred(out), False
+            raise LabelClash(f"simplex {K.cell(t).verts} carries labels {got}")
+    work.connected = True
+    return False
 
 
 # -- cubical reduction driver ------------------------------------------------------
@@ -472,19 +457,21 @@ def reduce_cubical(K):
     start = alexander_label(canonical_triangulation(K))
     centre = centre_ids(K)
     t2 = time.perf_counter()
-    lab, _ = _reduce_ball(K, order, start, ledger, centre.__getitem__)
+    work = _Work(start)
+    _reduce_ball(K, order, work, ledger, centre.__getitem__)
     # the hubs renamed back, once, and the incidence tables built here, so
     # that a caller's first query does not pay for them
-    lab = _Work.of(lab).plain()
+    lab = work.plain()
     lab.complex._coface_table()
     ledger.seconds.update(shelling=t1 - t0, triangulation=t2 - t1,
                           collapses=time.perf_counter() - t2)
     return lab.complex, lab, ledger
 
 
-def _reduce_ball(K, cells, lab, ledger, centre):
+def _reduce_ball(K, cells, work, ledger, centre):
     """Reduce the triangulated ball of K's d-cubes `cells` (in shelling
-    order) to a star; returns (labeling, the star's centre vertex).
+    order) to a star, collapsing `work` in place; returns the star's centre
+    vertex.
 
     A path (d = 1) collapses its interior corners, lowest id first, with
     apex label 1.  Above, each next cube's wall is reduced to a star one
@@ -495,9 +482,8 @@ def _reduce_ball(K, cells, lab, ledger, centre):
         ends = Counter(v for e in cells for v in K.cell(e).verts)
         corners = sorted(v for v, k in ends.items() if k == 2)
         for v in corners:
-            _, lab, step = collapse_at(lab, v, apex=1)
-            ledger.add(step)
-        return lab, corners[-1] if corners else centre(cells[0])
+            ledger.add(_collapse(work, v, apex=1))
+        return corners[-1] if corners else centre(cells[0])
     mid = centre(cells[0])
     for i in range(1, len(cells)):
         wall = K.shared_facets(cells[i], cells[:i])
@@ -505,7 +491,6 @@ def _reduce_ball(K, cells, lab, ledger, centre):
             wall = _complete(K, wall[:1], wall, lambda shared: 0)
             if wall is None:
                 raise NotACell(f"the wall of cube {cells[i]} has no shelling")
-        lab, mid = _reduce_ball(K, wall, lab, ledger, centre)
-        _, lab, step = collapse_at(lab, mid, apex=d)
-        ledger.add(step)
-    return lab, mid
+        mid = _reduce_ball(K, wall, work, ledger, centre)
+        ledger.add(_collapse(work, mid, apex=d))
+    return mid

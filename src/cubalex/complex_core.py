@@ -22,9 +22,10 @@ coface table is the facet table inverted by one stable argsort.  The
 canonical triangulation lists its flags as int rows as well (`flag_rows`).
 
 A sequence of vertex identifications (a reduction's collapses) works on
-`_Rows` instead: the same cells as rows whose ids stay fixed, so that each
-identification costs the cells it touches and the cells are sorted into a
-Complex once, at the end (`Complex.identify` is one identification so).
+`_Rows` instead: the same cells as rows whose ids stay fixed, changed in
+place, so that each identification costs the cells it touches and the cells
+are sorted into a Complex once, at the end.  `_Rows` is mutable and private
+to the one reduction that made it.
 
 Complexes are immutable after construction; every operation returns a new
 complex, so instances are safe to share across threads.
@@ -476,23 +477,6 @@ class Complex:
                     stack.append(f)
         return sorted(take)
 
-    def identify(self, gone, v):
-        """Identify every vertex in the set `gone` with vertex v, in a
-        validated (weakly) simplicial complex.  Returns (Q, image, touched):
-        the new complex, the id in Q of each cell's image (-1 where it
-        degenerates), and the ids of the cells that meet `gone`, ascending.
-
-        The identification is `_Rows.identify`, sorted into a complex: Q's
-        cells are sorted as a sort of all images by (dim, verts) would leave
-        them, equal tops in the order of their preimages.
-        """
-        rows, moved, touched = _Rows.of(self).identify(gone, v)
-        Q, ids = rows.complex({}, {})
-        image = ids[:len(self._cells)]
-        for i in touched:
-            image[i] = ids[moved[i]] if moved[i] >= 0 else -1
-        return Q, image, touched
-
     # -- validation --------------------------------------------------------------
 
     def _validate(self):
@@ -611,38 +595,32 @@ class Complex:
 
 class _Rows(Complex):
     """A weakly simplicial complex whose cells keep their ids while vertices
-    are identified (`identify`), so that an identification costs the cells
-    it touches; the form a reduction works on between collapses.
+    are identified (`identify`, in place), so that an identification costs
+    the cells it touches; the form a reduction works on between collapses.
 
     Row i holds cell i (None once it is gone), its facets in vertex-drop
     order and its cofaces in no set order, as tuples; `where` finds a cell
     below the top by its vertices, and `rank` orders equal tops.  The rows
     are not sorted, so of Complex's queries only those a collapse makes
     hold: `cell`, `facet_ids`, `coface_ids`, `ids_with_verts` and
-    `star_cell_ids`, and `identify` answers in rows.  It copies the lists of
-    rows, a pointer per cell, and writes only the rows it touches; `complex`
-    sorts the live rows into a Complex.
+    `star_cell_ids`, and `identify` answers in rows.  The rows of a gone
+    cell stay, so the lists only grow; `complex` sorts the live rows into a
+    Complex.
     """
 
-    def __init__(self, dimension, vertices, cells, facets, cofaces, where,
-                 rank, tops):
-        self.dimension, self.mode, self.vertices = (dimension, SIMPLICIAL,
-                                                    vertices)
-        self._cells, self._facet_rows, self._coface_rows = (cells, facets,
-                                                            cofaces)
-        self._where, self.rank, self.tops = where, rank, tops
-
-    @classmethod
-    def of(cls, K):
+    def __init__(self, K):
         """K's rows, its ids kept; its order ranks equal tops."""
         (off, flat), (coff, cflat) = (map(array.tolist, table) for table in (
             K._facet_table(), K._coface_table()))
         top = max(K._by_dim[K.dimension].start, K.n_cells(0))  # 0-cells too
-        return cls(K.dimension, dict(K.vertices), list(K._cells),
-                   [tuple(flat[a:b]) for a, b in zip(off, off[1:])],
-                   [tuple(cflat[a:b]) for a, b in zip(coff, coff[1:])],
-                   dict(zip(map(_cell_verts, K._cells[:top]), range(top))),
-                   list(range(len(K._cells))), K.n_cells(K.dimension))
+        self.dimension, self.mode = K.dimension, SIMPLICIAL
+        self.vertices, self._cells = dict(K.vertices), list(K._cells)
+        self._facet_rows = [tuple(flat[a:b]) for a, b in zip(off, off[1:])]
+        self._coface_rows = [tuple(cflat[a:b])
+                             for a, b in zip(coff, coff[1:])]
+        self._where = dict(zip(map(_cell_verts, K._cells[:top]), range(top)))
+        self.rank = list(range(len(K._cells)))
+        self.tops = K.n_cells(K.dimension)
 
     def facet_ids(self, i):
         return self._facet_rows[i]
@@ -674,11 +652,10 @@ class _Rows(Complex):
         return sorted(take)
 
     def identify(self, gone, v):
-        """Identify every vertex in the set `gone` with vertex v.  Returns
-        (rows, image, touched): the rows after, in which every cell that
-        avoids `gone` keeps its id; the id there of the image of each cell
-        that meets `gone` (-1 where it degenerates), as a dict over those
-        cells only; and those cells, ascending.
+        """Identify every vertex in the set `gone` with vertex v, in place.
+        Returns (image, touched): the id of the image of each cell that
+        meets `gone` (-1 where it degenerates), as a dict over those cells
+        only, and those cells, ascending.  Every other cell keeps its id.
 
         A non-degenerate image has one vertex w of `gone` and not v: it is
         c with w replaced by v, and its facet without a vertex is the image
@@ -686,14 +663,16 @@ class _Rows(Complex):
         merges with the cell on its vertices, carried
         or new; each top image is a new top, of its preimage's rank.  The
         facets of a carried cell are carried, so only the coface rows of the
-        cells under a touched one change.  Only what is new is validated:
+        cells under a touched one change.  Only what is new is validated,
+        before any row is written, so a raise leaves the rows as they were:
         some top is left, and every (n-1)-cell has at most two cofaces (a
         carried one gains cofaces only among new tops).
         """
-        n, cells = self.dimension, self._cells
-        touched = self._cells_at(gone)
-        out, facets = list(cells), list(self._facet_rows)
-        where, image, rank, under = dict(self._where), {}, [], {}
+        n, cells, facets, where = (self.dimension, self._cells,
+                                   self._facet_rows, self._where)
+        size, touched = len(cells), self._cells_at(gone)
+        image, under, lower = {}, {}, {}
+        made = []  # (cell, facets, rank) of each new cell
         for i in sorted(touched, key=lambda i: cells[i].dim):
             verts, dim = cells[i].verts, cells[i].dim
             hit = gone.intersection(verts)
@@ -702,45 +681,51 @@ class _Rows(Complex):
                 continue
             w = hit.pop()
             t = tuple(sorted([v if x == w else x for x in verts]))
-            if dim < n and t in where:
-                image[i] = where[t]
+            if dim < n and (t in where or t in lower):
+                image[i] = where.get(t, lower.get(t))
                 continue
-            j = image[i] = len(out)
-            out.append(Cell(dim, t, SIMPLEX))
+            j = image[i] = size + len(made)
             face = dict(zip(verts, facets[i]))  # vertex -> the facet without it
             face[v] = face.pop(w)
             fs = tuple([image.get(f, f) for f in map(face.__getitem__, t)])
             for f in fs:
                 under.setdefault(f, []).append(j)
-            facets.append(fs)
-            rank.append(self.rank[i])
+            made.append((Cell(dim, t, SIMPLEX), fs, self.rank[i]))
             if dim < n:
-                where[t] = j
+                lower[t] = j
         dead = set(touched)
         for i in touched:
-            out[i] = None
-            if cells[i].dim < n:
-                del where[cells[i].verts]
             for f in facets[i]:
                 if f not in dead:
                     under.setdefault(f, [])
-        cofaces = self._coface_rows + [()] * (len(out) - len(cells))
-        for f, new in under.items():
-            cofaces[f] = tuple([j for j in cofaces[f] if j not in dead] + new)
+        cofaces = {f: tuple([j for j in self._coface_rows[f] if j not in dead]
+                            + new) if f < size else tuple(new)
+                   for f, new in under.items()}
         tops = self.tops - sum(cells[i].dim == n for i in touched) + sum(
-            c.dim == n for c in out[len(cells):])
+            c.dim == n for c, _, _ in made)
         if not tops:
             raise MissingFace(f"no cell of dimension {n}")
-        vertices = dict(self.vertices)
-        for w in gone:
-            del vertices[w]
-        R = _Rows(n, vertices, out, facets, cofaces, where, self.rank + rank,
-                  tops)
         for f in sorted(under):
-            if out[f].dim == n - 1 and len(cofaces[f]) > 2:
-                raise FaceOveruse(f"(n-1)-simplex {out[f].verts} has "
+            c = cells[f] if f < size else made[f - size][0]
+            if c.dim == n - 1 and len(cofaces[f]) > 2:
+                raise FaceOveruse(f"(n-1)-simplex {c.verts} has "
                                   f"{len(cofaces[f])} cofaces")
-        return R, image, touched
+        for i in touched:
+            if cells[i].dim < n:
+                del where[cells[i].verts]
+            cells[i] = None
+        for c, fs, r in made:
+            cells.append(c)
+            facets.append(fs)
+            self._coface_rows.append(())
+            self.rank.append(r)
+        where.update(lower)
+        for f, row in cofaces.items():
+            self._coface_rows[f] = row
+        self.tops = tops
+        for w in gone:
+            del self.vertices[w]
+        return image, touched
 
     def complex(self, names, coords):
         """(Q, ids): the live rows sorted into a Complex, each vertex w of
@@ -764,25 +749,6 @@ class _Rows(Complex):
                  for m in order]
         return Complex(self.dimension, SIMPLICIAL, vertices, cells,
                        validate=False), ids
-
-
-class Deferred(Complex):
-    """The Complex `build()`, built when first used, when it turns into
-    that Complex.  `build` must return equal complexes on every call: two
-    threads that first use it at once may both build it.  (A `__getattr__`
-    on Complex itself would slow every attribute read of every complex.)"""
-
-    def __init__(self, build):
-        self._build = build
-
-    def __getattr__(self, name):
-        build = self.__dict__.get("_build")
-        if build is None:
-            raise AttributeError(name)
-        self.__dict__.update(build().__dict__)
-        self.__dict__.pop("_build", None)  # only once every attribute is set
-        self.__class__ = Complex
-        return getattr(self, name)
 
 
 def spanning_forest(nodes, edges):

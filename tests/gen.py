@@ -42,6 +42,23 @@ def subcomplex(K, ids):
                                        if v in verts})
 
 
+def identify(K, gone, v):
+    """Identify every vertex in the set `gone` with vertex v, in a validated
+    (weakly) simplicial complex K, as one collapse of a reduction does it
+    (`cc._Rows.identify`), sorted into a new complex.  Returns (Q, image,
+    touched): Q, the id in Q of each cell's image (-1 where it
+    degenerates), and the ids of the cells that meet `gone`, ascending.
+    Q's cells are sorted as a sort of all images by (dim, verts) would leave
+    them, equal tops in the order of their preimages."""
+    rows = cc._Rows(K)
+    row, touched = rows.identify(gone, v)
+    Q, ids = rows.complex({}, {})
+    image = ids[:len(K.cells())]
+    for i in touched:
+        image[i] = ids[row[i]] if row[i] >= 0 else -1
+    return Q, image, touched
+
+
 def random_disk_polyomino(rng, max_cells):
     """Edge-connected polyomino whose complex is a disk."""
     while True:

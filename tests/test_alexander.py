@@ -23,8 +23,8 @@ from cubalex.errors import (
 )
 
 from gen import (
-    BENCH_BOXES_3D, CONE44, cube_complex, nx_adjacency, random_disk_polyomino,
-    random_shellable_polycube,
+    BENCH_BOXES_3D, CONE44, cube_complex, identify, nx_adjacency,
+    random_disk_polyomino, random_shellable_polycube,
 )
 
 
@@ -406,20 +406,23 @@ def rebuilt_collapse(lab, v, apex):
 @example(CONE44)  # the largest fans
 @example(BENCH_BOXES_3D[3])  # cube2x2x2
 def test_collapse_matches_rebuild_at_every_step(cells):
-    real = al.collapse_at
+    # the driver's in-place step, against a rebuild of the labeling before it
+    real = al._collapse
     checked = []
 
-    def collapse_and_compare(lab, v, apex=None):
-        Q, new_lab, step = real(lab, v, apex)
+    def collapse_and_compare(work, v, apex):
+        lab = work.plain()
+        step = real(work, v, apex)
         if step.star_top_count:
             R, rlab = rebuilt_collapse(lab, v, apex)
-            assert Q.to_json() == R.to_json()
+            new_lab = work.plain()
+            assert new_lab.complex.to_json() == R.to_json()
             assert new_lab.to_json() == rlab.to_json()
             checked.append(v)
-        return Q, new_lab, step
+        return step
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(al, "collapse_at", collapse_and_compare)
+        mp.setattr(al, "_collapse", collapse_and_compare)
         al.reduce_cubical(cube_complex(cells))
     assert len(checked) >= len(cells) - 1  # at least one step per wall
 
@@ -517,9 +520,9 @@ def test_identify_matches_rebuild(case, data):
             R = rebuilt_identify(K, gone, v)
         except CubalexError as exc:
             with pytest.raises(type(exc)):
-                K.identify(gone, v)
+                identify(K, gone, v)
             return
-        Q, image, touched = K.identify(gone, v)
+        Q, image, touched = identify(K, gone, v)
         assert Q.to_json() == R.to_json()
         assert all((Q.facet_ids(q), Q.coface_ids(q)) ==
                    (R.facet_ids(q), R.coface_ids(q))
@@ -538,7 +541,7 @@ def test_identify_keeps_equal_tops_in_preimage_order():
     # and the image comes after it, as its preimage does; a rebuild agrees
     K = build_complex(2, SIMPLICIAL, range(4),
                       [(2, [0, 1, 2], SIMPLEX), (2, [1, 2, 3], SIMPLEX)])
-    Q, image, _ = K.identify({3}, 0)
+    Q, image, _ = identify(K, {3}, 0)
     assert Q.to_json() == rebuilt_identify(K, {3}, 0).to_json()
     first, second = (image[i] for i in K.ids_with_verts(2, (0, 1, 2))
                      + K.ids_with_verts(2, (1, 2, 3)))
@@ -573,12 +576,16 @@ def test_collapse_matches_rebuild_on_any_labelling(case, data):
         lab = new_lab
 
 
+# two cones over the square 1-3-2-4, at 0 and at 5: collapsing St(0) with
+# apex label 2 identifies 3 and 4 with 0, which lays four triangles on the
+# new edge (0, 5)
+OVERUSED = ([0, 1, 1, 2, 2, 0],
+            [(0, 1, 3), (0, 2, 4), (0, 3, 2), (0, 4, 1),
+             (5, 1, 3), (5, 1, 4), (5, 2, 3), (5, 2, 4)])
+
+
 def test_collapse_local_checks_can_fail():
-    # two cones over the square 1-3-2-4, at 0 and at 5: identifying 3 and 4
-    # with 0 lays four triangles on the new edge (0, 5)
-    lab = labelled(2, [0, 1, 1, 2, 2, 0],
-                   [(0, 1, 3), (0, 2, 4), (0, 3, 2), (0, 4, 1),
-                    (5, 1, 3), (5, 1, 4), (5, 2, 3), (5, 2, 4)])
+    lab = labelled(2, *OVERUSED)
     for collapse in (rebuilt_collapse, al.collapse_at):
         with pytest.raises(FaceOveruse):
             collapse(lab, 0, 2)
@@ -629,63 +636,130 @@ def test_collapse_recolours_when_the_carried_parity_fails(case):
     if case == "odd":
         assert got is OddCycle
         return
-    Q, image, _ = lab.complex.identify({v + 3, v + 4}, v)
+    Q, image, _ = identify(lab.complex, {v + 3, v + 4}, v)
     carried = {image[i]: s for i, s in lab.parity.items() if image[i] >= 0}
     assert carried != new_lab.parity  # kept, it would be wrong
     assert al.collapse_at(lab, v, 2)[2].recoloured
 
 
+def test_collapse_chains_in_place_through_recolourings():
+    # no reduction of the tested inputs takes the global two-colouring, so
+    # here collapses do, on one `_Work` collapsed in place from step to step,
+    # each step against the long way on the labeling before it: steps after
+    # a two-colouring run on the rows it was written back onto
+    def collapse(work, v, apex):
+        want = outcome(checked_rebuild, work.plain(), v, apex)[0]
+        step = al._collapse(work, v, apex)
+        got = work.plain()
+        assert (got.complex.to_json(), got.to_json()) == want
+        return step.recoloured
+
+    # a disconnected complex, which stays so: both steps two-colour it
+    work = al._Work(labelled(1, [0, 1, 0, 0, 1, 0, 1, 0, 1, 0],
+                             [(3, 6), (5, 8), (0, 4), (0, 4), (5, 1), (7, 1),
+                              (9, 6), (3, 8)]))
+    assert collapse(work, 5, 1) and not work.connected
+    assert collapse(work, 3, 1)
+    # random chains on doubled disks
+    rng = random.Random(0)
+    recoloured = after = 0
+    for _ in range(4):
+        K = fa.grid_complex(random_disk_polyomino(rng, 4))
+        work = al._Work(al.alexander_label(fa.doubled_complex(K)))
+        for _ in range(12):
+            lab = work.plain()
+            same = lab.complex.to_json(), lab.to_json()
+            steps = list(itertools.product(sorted(lab.complex.vertices),
+                                           range(3)))
+            rng.shuffle(steps)
+            for v, apex in steps:  # the first that changes the labeling
+                want = outcome(checked_rebuild, lab, v, apex)[0]
+                if not isinstance(want, type) and want != same:
+                    break
+            else:
+                break
+            after += recoloured > 0
+            recoloured += collapse(work, v, apex)
+    assert recoloured > 0 and after > 0
+
+
 def test_cone44_reduction_validates_and_colours_once(monkeypatch):
     # a work guard: the triangulation is the one complex validated in full,
-    # its labeling the one global two-colouring a collapse may add to, and
-    # each collapse walks its star once
+    # its labeling the one global two-colouring a collapse may add to, each
+    # collapse walks its star once, and the rows are made once and sorted
+    # into a complex once
     K = cube_complex(CONE44)
     calls = []
-    validate, two_color = cc.Complex._validate, al._two_color
-    star = cc.Complex.star_cell_ids
-
-    def counted_validate(self):
-        calls.append("validate")
-        return validate(self)
-
-    def counted_two_color(*args):
-        calls.append("two_color")
-        return two_color(*args)
-
-    def counted_star(self, v):
-        calls.append("star")
-        return star(self, v)
-
-    monkeypatch.setattr(cc.Complex, "_validate", counted_validate)
-    monkeypatch.setattr(al, "_two_color", counted_two_color)
-    monkeypatch.setattr(cc.Complex, "star_cell_ids", counted_star)
+    for owner, name in [(cc.Complex, "_validate"), (al, "_two_color"),
+                        (cc.Complex, "star_cell_ids"), (cc._Rows, "__init__"),
+                        (cc._Rows, "complex")]:
+        def counted(*args, real=getattr(owner, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
     _, _, ledger = al.reduce_cubical(K)
-    assert calls.count("validate") <= 1
-    assert calls.count("two_color") <= 2
-    assert calls.count("star") == len(ledger.steps) > 0
+    assert calls.count("_validate") <= 1
+    assert calls.count("_two_color") <= 2
+    assert calls.count("star_cell_ids") == len(ledger.steps) > 0
+    assert calls.count("__init__") == calls.count("complex") == 1
+
+
+def state(lab):
+    """A labeling's complex as JSON, labels, parity and incidence rows."""
+    K = lab.complex
+    return (json.dumps(K.to_json()), dict(lab.labels), dict(lab.parity),
+            [(K.facet_ids(i), K.coface_ids(i)) for i in range(len(K.cells()))])
+
+
+def raising_collapse(name):
+    """(labeling, v, apex, error) of a collapse that raises."""
+    if name == "boundary":  # a corner of the triangulated unit square
+        lab = al.alexander_label(cc.canonical_triangulation(fa.unit_cube(2)))
+        return lab, min(v for v, d in lab.complex.vertex_cube_dim.items()
+                        if d == 0), 1, BoundaryViolation
+    if name == "unmatched":  # (0, 1, 2) has no partner across (0, 1)
+        lab = labelled(2, [0, 1, 2, 1, 2], [(0, 1, 2), (0, 2, 3), (0, 3, 4)])
+        return lab, 0, 2, UnmatchedSimplex
+    if name == "overuse":
+        return labelled(2, *OVERUSED), 0, 2, FaceOveruse
+    return labelled(2, *RECOLOURED["odd"]), 0, 2, OddCycle
 
 
 def test_collapse_leaves_its_input_unchanged():
-    # verifiers do not mutate their inputs: checked at every collapse of a
-    # reduction, on the triangulation and on the complexes collapses built
-    real = al.collapse_at
-    checked = []
-
-    def state(lab):
-        K = lab.complex
-        return (json.dumps(K.to_json()), dict(lab.labels), dict(lab.parity),
-                [(K.facet_ids(i), K.coface_ids(i))
-                 for i in range(len(K.cells()))])
-
-    def collapse_and_compare(lab, v, apex):
+    # verifiers do not mutate their inputs: checked on collapses that raise,
+    # and at every collapse of a reduction, on the triangulation and on the
+    # complexes collapses built, where collapse_at on the labeling before
+    # each in-place step of the driver gives what that step gives
+    for case in ["overuse", "odd", "boundary", "unmatched"]:
+        lab, v, apex, error = raising_collapse(case)
         before = state(lab)
-        out = real(lab, v, apex)
+        with pytest.raises(error):
+            al.collapse_at(lab, v, apex)
         assert state(lab) == before
+    real = al._collapse
+    checked, inner = [], []
+
+    def collapse_and_compare(work, v, apex):
+        if inner:  # the step that collapse_at runs on its copy
+            return real(work, v, apex)
+        lab = work.plain()
+        before = state(lab)
+        inner.append(v)
+        try:
+            Q, out, public_step = al.collapse_at(lab, v, apex)
+        finally:
+            inner.pop()
+        assert state(lab) == before
+        step = real(work, v, apex)
+        got = work.plain()
+        assert public_step == step
+        assert (Q.to_json(), out.to_json()) == (got.complex.to_json(),
+                                                got.to_json())
         checked.append(v)
-        return out
+        return step
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(al, "collapse_at", collapse_and_compare)
+        mp.setattr(al, "_collapse", collapse_and_compare)
         al.reduce_cubical(cube_complex([(0, 0), (1, 0), (1, 1), (2, 1)]))
     assert len(checked) >= 3
 

@@ -28,8 +28,8 @@ from cubalex.errors import (
 )
 
 from gen import (
-    BENCH_BOXES_3D, CONE44, nx_adjacency, random_disk_polyomino, relabeled,
-    subcomplex,
+    BENCH_BOXES_3D, CONE44, identify, nx_adjacency, random_disk_polyomino,
+    relabeled, subcomplex,
 )
 
 
@@ -340,11 +340,11 @@ def lookup_cases():
     (the two-edge circle repeats its top), a triangulation, a subcomplex,
     and two rounds of `identify`, each an edge contracted."""
     T = cc.canonical_triangulation(fa.unit_cube(2))
-    once = T.identify({0}, 4)[0]
+    once = identify(T, {0}, 4)[0]
     return {"cubical": fa.domino(), "circle": fa.circle_complex(2),
             "doubled": fa.doubled_complex(fa.unit_cube(2)),
             "triangulation": T, "subcomplex": subcomplex(T, T.top_ids()[:3]),
-            "identify": once, "identify_twice": once.identify({3}, 7)[0]}
+            "identify": once, "identify_twice": identify(once, {3}, 7)[0]}
 
 
 @pytest.mark.parametrize("name", list(lookup_cases()))
