@@ -15,11 +15,15 @@ by bisection on its vertices (`ids_with_verts`), and the cells on a vertex
 are found up the coface table from its 0-cell (`star_cell_ids`).  No index
 by key or by vertex is kept.
 
-Incidence and validation run on each dimension's cells read once into an
-int32 array of vertex rows (`Complex._index`): facets are found by matching
-a whole dimension's facet rows against the rows one dimension down, and the
-coface table is the facet table inverted by one stable argsort.  The
-canonical triangulation lists its flags as int rows as well (`flag_rows`).
+Incidence and validation run on each dimension's cells as an int32 array
+of vertex rows (`Complex._index`): facets are found by matching a whole
+dimension's facet rows against the rows one dimension down, and the coface
+table is the facet table inverted by one stable argsort.  Every builder
+makes its cells from such rows and hands the rows over (`_of_rows`):
+`build_complex` derives the faces of the given cells a dimension at a time
+on them, and the canonical triangulation, K* and the double list their
+flags as rows (`flag_rows`).  Only a complex whose cells come without rows
+has them read back from its cells.
 
 A sequence of vertex identifications (a reduction's collapses) works on
 `_Rows` instead: the same cells as rows whose ids stay fixed, changed in
@@ -59,6 +63,11 @@ SIMPLEX = "simplex"
 CUBICAL = "cubical"
 SIMPLICIAL = "simplicial"
 
+# Pass (b) of `Complex._validate_cubical` is batched from this many maximal
+# cubes on.  On random disk polyominoes (2-core box) the loop over pairs took
+# 17-42 us at 6-12 squares and 121 us at 16, the batch 78-92 us throughout.
+_BATCH_FROM = 16
+
 
 @dataclass(frozen=True, slots=True, init=False)
 class Cell:
@@ -94,7 +103,7 @@ _set_dim, _set_verts, _set_kind, _set_order = (
 @functools.lru_cache(maxsize=None)  # keyed by powers of 2 only
 def _facet_index(size):
     """Positions of the vertices of each facet of a cube with `size`
-    vertices in binary order, one row per facet in `cube_facets` order:
+    vertices in binary order, one row per facet in (axis, side) order:
     facet (axis, side) holds the positions whose bit `axis` is `side`."""
     k = (size - 1).bit_length()
     if 1 << k != size:
@@ -105,25 +114,10 @@ def _facet_index(size):
 
 
 @functools.lru_cache(maxsize=None)
-def _facet_getters(size):
-    """One getter per row of `_facet_index`; an edge's getters return
-    1-tuples, not bare vertices."""
-    index = _facet_index(size).tolist()
-    if size == 2:
-        return (lambda o: (o[0],), lambda o: (o[1],))
-    return tuple(operator.itemgetter(*row) for row in index)
-
-
-@functools.lru_cache(maxsize=None)
 def _drop_index(size):
     """Row j: the positions of a simplex with `size` vertices but j."""
     return np.array([[i for i in range(size) if i != j] for j in range(size)],
                     dtype=np.intp).reshape(size, size - 1)
-
-
-def cube_facets(order):
-    """The 2k codimension-1 faces of a k-cube given in binary order."""
-    return [get(order) for get in _facet_getters(len(order))]
 
 
 def _spans_face(place, verts):
@@ -196,26 +190,67 @@ def _absent(keys, queries, at):
     return keys[np.minimum(at, len(keys) - 1)] != queries
 
 
-def _facet_rows(rows, cubical):
+def _facet_rows(rows, cubical, ordered=False):
     """The facet rows of one dimension's rows, cell by cell in facet order:
-    a simplex's drop one column, a cube's are gathered by `_facet_index`
-    and sorted."""
+    a simplex's drop one column, a cube's are gathered by `_facet_index`,
+    each in the order its cube induces if `ordered`, else sorted."""
     if cubical:
         out = rows.take(_facet_index(rows.shape[1]), axis=1)
-        out.sort(axis=-1)
+        if not ordered:
+            out.sort(axis=-1)
     else:
         out = rows.take(_drop_index(rows.shape[1]), axis=1)
     return out.reshape(-1, out.shape[-1])
 
 
-def _facet_orders(c):
-    """Vertex orders of the codimension-1 faces of cell c: `cube_facets`
-    order for cubes, vertex-drop order for simplices."""
-    if c.dim == 0:
-        return []
-    if c.kind == SIMPLEX:
-        return [c.verts[:i] + c.verts[i + 1:] for i in range(len(c.verts))]
-    return cube_facets(c.order)
+def _check_shapes(dims, kinds, seqs, cubical):
+    """The checks on cells that need no vertex ids, first failing cell
+    first: IllegalIntersection for a negative dim, NotCubical for a kind
+    foreign to the mode, then NotCubical for a cube or IllegalIntersection
+    for a simplex whose vertex count does not fit its dim."""
+    if min(dims, default=0) < 0:
+        i = next(i for i, d in enumerate(dims) if d < 0)
+        raise IllegalIntersection(f"cell {tuple(seqs[i])} of dim {dims[i]}")
+    kind = CUBE if cubical else SIMPLEX
+    if set(kinds) - {kind}:
+        s = seqs[next(i for i, k in enumerate(kinds) if k != kind)]
+        raise NotCubical(f"non-cube cell {tuple(s)}" if cubical else
+                         f"non-simplex cell {tuple(s)} in simplicial mode")
+    width = {d: 1 << d if cubical else d + 1 for d in set(dims)}
+    if list(map(len, seqs)) != list(map(width.__getitem__, dims)):
+        i = next(i for i, s in enumerate(seqs) if len(s) != width[dims[i]])
+        raise (NotCubical(f"cube {seqs[i]} of dim {dims[i]}") if cubical
+               else IllegalIntersection(f"degenerate simplex {seqs[i]}"))
+
+
+def _vertex_places(seqs, vertices):
+    """The vertex ids of the sequences `seqs`, one run after another, as
+    their int32 places among the sorted ids of `vertices`.  UnknownVertex
+    for an id that is not a 64-bit integer or not among `vertices`."""
+    try:
+        ids = np.frombuffer(array("q", itertools.chain.from_iterable(seqs)),
+                            dtype=np.int64)
+        vids = np.sort(np.frombuffer(array("q", vertices), dtype=np.int64))
+    except (TypeError, OverflowError) as exc:
+        raise UnknownVertex(f"vertex id not a 64-bit integer: {exc}") \
+            from None
+    place = vids.searchsorted(ids)
+    stray = _absent(vids, ids, place)
+    if np.count_nonzero(stray):
+        v = ids[stray.argmax()]
+        s = next(s for s in seqs if v in s)
+        raise UnknownVertex(f"cell {tuple(sorted(s))} uses vertex {v}")
+    return place.astype(np.int32)
+
+
+def _split_rows(place, widths, counts):
+    """A flat run of vertex places cut into one (count, width) row array
+    per dimension."""
+    rows, end = [], 0
+    for w, n in zip(widths, counts):
+        rows.append(place[end:end + w * n].reshape(n, w))
+        end += w * n
+    return rows
 
 
 class Complex:
@@ -237,6 +272,7 @@ class Complex:
         # incidence index, CSR (offsets, flat ids); built on first use
         self._facets = None
         self._cofaces = None
+        self._held = None  # the cells' rows from a builder, until `_index`
         if validate:
             self._validate()
 
@@ -299,68 +335,45 @@ class Complex:
                 "i", cell[flat.argsort(kind="stable")].tobytes()))
         return self._cofaces
 
+    def _cell_rows(self, check):
+        """The rows of `_of_rows`, read back from the cells: for a complex
+        whose cells came without them.  With `check`, the cells must be in
+        (dim, verts) order; their dims, kinds, vertex counts and vertex ids
+        are checked always (`_check_shapes`, `_vertex_places`)."""
+        cells, cubical = self._cells, self.mode == CUBICAL
+        dims = list(map(_cell_dim, cells))
+        if check and dims != sorted(dims):
+            i = next(i for i in range(1, len(dims)) if dims[i - 1] > dims[i])
+            raise IllegalIntersection(
+                f"cells out of (dim, verts) order: "
+                f"{_cell_key(cells[i])} after {_cell_key(cells[i - 1])}")
+        seqs = list(map(_cell_order if cubical else _cell_verts, cells))
+        _check_shapes(dims, list(map(_cell_kind, cells)), seqs, cubical)
+        widths = [1 << d if cubical else d + 1 for d in self._by_dim]
+        return _split_rows(_vertex_places(seqs, self.vertices), widths,
+                           map(len, self._by_dim.values()))
+
     def _index(self, check):
-        """Build the facet table from each dimension's cells read once into
-        an int32 array of vertex rows, and return the rows by dimension.
+        """Build the facet table from each dimension's rows, and return the
+        rows by dimension: the rows a builder handed over (`_of_rows`), else
+        the cells read back once (`_cell_rows`).
 
         A row holds a cell's vertices as their places among the sorted
         vertex ids: a cube's `order`, a simplex's `verts`.  A dimension's
         facet rows are made in one step (`_facet_rows`) and matched against
         the sorted rows one dimension down by `_lex_keys` and one
         searchsorted, the first id on equal keys; a facet row with no match
-        raises MissingFace.  Cell kinds, row widths and vertex ids are
-        checked always.  With `check`, so are the (dim, verts) order, with no
-        duplicate but equal top simplices in weakly simplicial mode, repeated
-        vertices and a cell of the top dimension, before any facet.
+        raises MissingFace.  With `check`, the (dim, verts) order, with no
+        duplicate but equal top simplices in weakly simplicial mode,
+        repeated vertices and a cell of the top dimension are checked on the
+        rows, before any facet.
         """
         cells, n, cubical = self._cells, self.dimension, self.mode == CUBICAL
         by_dim = self._by_dim
-        if check:
-            dims = list(map(_cell_dim, cells))
-            if dims != sorted(dims):
-                i = next(i for i in range(1, len(dims))
-                         if dims[i - 1] > dims[i])
-                raise IllegalIntersection(
-                    f"cells out of (dim, verts) order: "
-                    f"{_cell_key(cells[i])} after {_cell_key(cells[i - 1])}")
-            if dims[:1] < [0]:
-                raise IllegalIntersection(f"cell {cells[0].verts} of dim "
-                                          f"{dims[0]}")
-        kind = CUBE if cubical else SIMPLEX
-        if set(map(_cell_kind, cells)) - {kind}:
-            c = next(c for c in cells if c.kind != kind)
-            raise NotCubical(f"non-cube cell {c.verts}" if cubical else
-                             f"non-simplex cell {c.verts} in simplicial mode")
-        seqs = list(map(_cell_order if cubical else _cell_verts, cells))
-        widths = [1 << d if cubical else d + 1 for d in by_dim]
-        for w, r in zip(widths, by_dim.values()):
-            if r and set(map(len, seqs[r.start:r.stop])) != {w}:
-                c = cells[next(i for i in r if len(seqs[i]) != w)]
-                raise (NotCubical(f"cube {c.order} of dim {c.dim}") if cubical
-                       else IllegalIntersection(f"degenerate simplex {c.verts}"))
-        try:
-            ids = np.frombuffer(array("q", itertools.chain.from_iterable(seqs)),
-                                dtype=np.int64)
-            vids = np.sort(np.frombuffer(array("q", self.vertices),
-                                         dtype=np.int64))
-        except (TypeError, OverflowError) as exc:
-            raise UnknownVertex(f"vertex id not a 64-bit integer: {exc}") \
-                from None
-        del seqs
-        rank = vids.searchsorted(ids)
-        stray = _absent(vids, ids, rank)
-        if np.count_nonzero(stray):
-            v = ids[stray.argmax()]
-            c = next(c for c in cells if v in c.verts)
-            raise UnknownVertex(f"cell {c.verts} uses vertex {v}")
-        del ids, stray
-        rank = rank.astype(np.int32)
-        bits = max(1, (len(vids) - 1).bit_length())
-        rows, end = [], 0
-        for w, r in zip(widths, by_dim.values()):
-            rows.append(rank[end:end + w * len(r)].reshape(len(r), w))
-            end += w * len(r)
-        del rank
+        rows, self._held = self._held, None
+        if rows is None:
+            rows = self._cell_rows(check)
+        bits = max(1, (len(self.vertices) - 1).bit_length())
         srt = rows[:1] + [np.sort(r, axis=1) for r in rows[1:]] if cubical \
             else rows
         # Each dimension's sorted rows get keys, checked for order and
@@ -406,7 +419,8 @@ class Complex:
             raise MissingFace(f"no cell of dimension {n}")
         for d, j in miss:
             c = cells[by_dim[d][j // nf[d]]]
-            face = vids[_facet_rows(rows[d], cubical)[j]].tolist()
+            vids = sorted(self.vertices)
+            face = [vids[k] for k in _facet_rows(rows[d], cubical)[j]]
             raise MissingFace(f"{c.kind} {c.verts} lacks face {tuple(face)}")
         self._facets = array("i", itertools.accumulate(
             itertools.chain.from_iterable(map(itertools.repeat, nf, map(
@@ -414,7 +428,7 @@ class Complex:
         return rows
 
     def facet_ids(self, i):
-        """ids of the codimension-1 faces of cell i, in `cube_facets` order
+        """ids of the codimension-1 faces of cell i, in `_facet_index` order
         (vertex-drop order for simplices)."""
         off, flat = self._facet_table()
         return flat[off[i]:off[i + 1]].tolist()
@@ -490,9 +504,10 @@ class Complex:
         """Cubes that meet, meet in a common face; checked in two passes.
 
         (a) Each stored facet of a cube has the structure the cube's binary
-        order induces: its facets' vertex sets are those of `cube_facets` of
-        the induced sub-order.  Facets fix a cube's face lattice, so by
-        induction every cube's stored face closure is the lattice of its order.
+        order induces: its facets' vertex sets are those of the facets of
+        the induced sub-order (`_facet_index`).  Facets fix a cube's face
+        lattice, so by induction every cube's stored face closure is the
+        lattice of its order.
         (b) Maximal cubes (no coface) that share vertices meet in a face of
         both: with AND and OR over the shared vertices' positions in a binary
         order, they span a face iff there are 2^popcount(AND ^ OR) of them.
@@ -500,9 +515,11 @@ class Complex:
         and B meeting in the common face F, meet in a face of F.
 
         Pass (a) runs on the cube rows of `_index`, a dimension at a time.
-        Pass (b) loops over the pairs of maximal cubes that share a vertex:
-        batched over the rows it was slower on the small complexes that
-        shelling and reduction build.
+        Pass (b) groups the (vertex, maximal cube, position) triples of the
+        rows by vertex and then by pair of cubes (`_meet_in_faces`), from
+        `_BATCH_FROM` maximal cubes on; below that it loops over the pairs
+        of maximal cubes that share a vertex, which costs less than the
+        batch's fixed numpy calls.
         """
         cells, by_dim = self._cells, self._by_dim
         off, flat = map(_ints, self._facet_table())
@@ -515,8 +532,7 @@ class Complex:
         # (a): an edge's facets are its vertices in any order
         for d in range(3, len(rows)):
             fid = table(d)
-            sub = rows[d].take(_facet_index(1 << d), axis=1)  # induced orders
-            want = _facet_rows(sub.reshape(-1, sub.shape[-1]), True)
+            want = _facet_rows(_facet_rows(rows[d], True, ordered=True), True)
             keys, wkeys = _lex_keys(np.sort(rows[d - 2], axis=1), want, bits)
             got = keys[table(d - 1)[fid - by_dim[d - 1].start]
                        - by_dim[d - 2].start]
@@ -529,8 +545,10 @@ class Complex:
                     f"{cells[fid[i, j]].order}")
 
         # (b)
-        maximal = np.flatnonzero(
-            np.bincount(flat, minlength=len(cells)) == 0).tolist()
+        count = np.bincount(flat, minlength=len(cells))
+        maximal = np.flatnonzero(count == 0).tolist()
+        if len(maximal) >= _BATCH_FROM:
+            return self._meet_in_faces(rows, count)
         place, on = {}, {}  # cube -> vertex -> position; vertex -> cubes
         for a in maximal:
             place[a] = dict(zip(cells[a].order, itertools.count()))
@@ -544,6 +562,56 @@ class Complex:
                     raise IllegalIntersection(
                         f"cubes {cells[a].verts} and {cells[b].verts} meet "
                         f"in {tuple(sorted(shared))}, not a common face")
+
+    def _meet_in_faces(self, rows, count):
+        """Pass (b) of `_validate_cubical`, batched: the triples of the
+        maximal cubes (`count` 0 cofaces) sorted by vertex, the pairs of
+        triples on one vertex taken k apart for k = 1, 2, ..., sorted by
+        pair of cubes, and AND and OR of the positions reduced per pair."""
+        cells, by_dim, size = self._cells, self._by_dim, len(self._cells)
+        vs, ts = [], []  # vertex places; cube id << 32 | position
+        for d in range(1, len(rows)):
+            r = by_dim[d]
+            m = np.flatnonzero(count[r.start:r.stop] == 0)
+            if len(m):
+                vs.append(rows[d][m].ravel())
+                ts.append((((m + r.start) << 32)[:, None]
+                           | np.arange(1 << d)).ravel())
+        if not vs:  # maximal 0-cells alone meet nothing
+            return
+        v, t = (np.concatenate(x) for x in (vs, ts))
+        o = v.argsort(kind="stable")
+        v, t = v[o], t[o]
+        at, step = [], []
+        while True:  # the triples k apart on one vertex, for k = 1, 2, ...
+            i = np.flatnonzero(v[len(at) + 1:] == v[:-len(at) - 1])
+            if not len(i):
+                break
+            at.append(i)
+            step.append(len(i))
+        if not at:
+            return
+        i = np.concatenate(at)
+        ti, tj = t[i], t[i + np.arange(1, len(at) + 1).repeat(step)]
+        key = (ti >> 32) * size + (tj >> 32)
+        x = (ti & 0xFFFFFFFF) | (tj & 0xFFFFFFFF) << 32
+        o = key.argsort(kind="stable")
+        key, x = key[o], x[o]
+        new = np.empty(len(key), dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        start = np.flatnonzero(new)
+        free = np.bitwise_and.reduceat(x, start) ^ np.bitwise_or.reduceat(
+            x, start)
+        na = np.bitwise_count(free & 0xFFFFFFFF)
+        bad = (na != np.bitwise_count(free >> 32)) | (np.bincount(
+            np.cumsum(new) - 1) != np.left_shift(1, na, dtype=np.int64))
+        if np.count_nonzero(bad):
+            a, b = divmod(int(key[start[bad.argmax()]]), size)
+            shared = set(cells[a].verts) & set(cells[b].verts)
+            raise IllegalIntersection(
+                f"cubes {cells[a].verts} and {cells[b].verts} meet "
+                f"in {tuple(sorted(shared))}, not a common face")
 
     def _validate_weakly_simplicial(self):
         """Condition (4): every (n-1)-simplex is a face of at most two
@@ -591,6 +659,19 @@ class Complex:
             nbrs = sorted(color[u] for u in adj[part[0]])
             h.update(repr((c.dim, c.kind, len(part), nbrs)).encode())
         return h.hexdigest()
+
+
+def _of_rows(dimension, mode, vertices, cells, rows, vertex_cube_dim=None):
+    """A complex from a builder that holds its cells' rows: `rows[d]` lists
+    dimension d's cells, in the order of `cells`, as an int32 array of
+    vertex places among the sorted vertex ids (a cube's `order`, a
+    simplex's `verts`).  `Complex._index` runs on these rows and never reads
+    the cells back."""
+    K = Complex(dimension, mode, vertices, cells, validate=False,
+                vertex_cube_dim=vertex_cube_dim)
+    K._held = rows
+    K._validate()
+    return K
 
 
 class _Rows(Complex):
@@ -789,65 +870,115 @@ def _cell_color(c, vertex_labels):
 def build_complex(dimension, mode, vertices, cells):
     """Validate raw cell data into a Complex.
 
-    `vertices`: iterable of ids or mapping id -> coords (or None).
+    `vertices`: iterable of distinct ids or mapping id -> coords (or None).
     `cells`: (dim, vertex-list, kind) tuples or dicts; a simplex is stored
     in vertex order, a cube in its given order, which must be the
-    binary-counter order.  Missing faces are synthesized by one face worklist
-    shared by all given cells, so each face is derived once: a face already
-    present is not descended into, since its own faces came with it.  On a
-    repeated vertex set the first cell wins, so a cube face keeps the order
-    of the first cell that reached it.  Inconsistencies raise MissingFace /
-    IllegalIntersection / FaceOveruse.
+    binary-counter order.  Every vertex is a 0-cell.
+
+    Missing faces are derived a dimension at a time, from the top down, on
+    int32 rows of vertex places (`_vertex_places`).  A dimension's
+    candidates are its given cells and the facet rows of the cells one
+    dimension up (a cube's in the order it induces, `_facet_index`; a
+    simplex's with one column dropped), each tagged with the index of the
+    given cell it came from.  Rows are keyed sorted (`_lex_keys`) and one
+    row per key is kept, the first in given order, so the first given cell
+    to reach a vertex set fixes its order; a given cell of the top
+    dimension in weakly simplicial mode is always kept, and a derived one
+    only if no given one with its vertices comes before it.  The facets of
+    the kept rows and of every given row make the next dimension's
+    candidates.  The rows become `Cell`s once, in (dim, verts) order, and
+    `_of_rows` validates them.  Inconsistencies raise
+    NotCubical / UnknownVertex / MissingFace / IllegalIntersection /
+    FaceOveruse.
     """
     if isinstance(vertices, dict):
         vmap = {v: (tuple(c) if c is not None else None)
                 for v, c in vertices.items()}
     else:
-        vmap = {v: None for v in vertices}
-    if len(vmap) != len(set(vmap)):
-        raise IllegalIntersection("vertex ids not unique")
-
-    kind_default = CUBE if mode == CUBICAL else SIMPLEX
-    given = []
+        vertices = list(vertices)
+        vmap = dict.fromkeys(vertices)
+        if len(vmap) != len(vertices):
+            raise IllegalIntersection("vertex ids not unique")
+    cubical = mode == CUBICAL
+    kind_default = CUBE if cubical else SIMPLEX
+    dims, seqs, kinds = [], [], []
     for entry in cells:
         if isinstance(entry, dict):
-            dim, vs, kind = entry["dim"], entry["vertices"], entry.get("kind", kind_default)
+            dim, vs, kind = (entry["dim"], entry["vertices"],
+                             entry.get("kind", kind_default))
         else:
             dim, vs, kind = entry
-        order = tuple(vs)
-        given.append(Cell(dim, tuple(sorted(order)), kind,
-                          order if kind == CUBE else None))
-
-    pool = {}
-
-    def add(cell):
-        key = (cell.dim, cell.verts)
-        if key in pool:
-            if cell.dim < dimension or mode == CUBICAL:
-                return
-        pool.setdefault(key, []).append(cell)
-
-    for v in vmap:
-        add(Cell(0, (v,), kind_default))
-    for c in given:
-        add(c)
-        stack = [c]
-        while stack:
-            p = stack.pop()
-            for o in _facet_orders(p):
-                verts = tuple(sorted(o))
-                key = (p.dim - 1, verts)
-                if key in pool:
-                    continue  # derived before, and its faces with it
-                f = Cell(p.dim - 1, verts, p.kind,
-                         o if p.kind == CUBE else None)
-                pool[key] = [f]
-                stack.append(f)
-
-    flat = [c for cells_ in pool.values() for c in cells_]
-    flat.sort(key=_cell_key)
-    pool.clear()  # free it before validation builds the incidence index
-    return Complex(dimension, mode, vmap, flat)
+        dims.append(dim)
+        seqs.append(tuple(vs))
+        kinds.append(kind)
+    for size in {len(s) for d, s, k in zip(dims, seqs, kinds)
+                 if d and k != SIMPLEX}:
+        _facet_index(size)  # NotCubical: a cube without facets
+    _check_shapes(dims, kinds, seqs, cubical)
+    top = max(dims, default=0)
+    given = sorted(range(len(dims)), key=dims.__getitem__)  # by dim, stably
+    place = _vertex_places([seqs[i] for i in given], vmap)
+    bits = max(1, (len(vmap) - 1).bit_length())
+    counts = [0] * (top + 1)
+    for d in dims:
+        counts[d] += 1
+    rows = _split_rows(place, [1 << d if cubical else d + 1
+                               for d in range(top + 1)], counts)
+    cut = list(itertools.accumulate(counts, initial=0))
+    tags = [np.array(given[lo:hi], dtype=np.intp)
+            for lo, hi in zip(cut, cut[1:])]
+    srt = list(rows)  # each dimension's kept rows, sorted
+    up = None  # (rows, tags) whose facets are candidates one dimension down
+    for d in range(top, 0, -1):
+        cand, tag, mine = rows[d], tags[d], True  # mine: which are given
+        if not cubical:  # a simplex is stored in vertex order
+            cand.sort(axis=1)
+        if up is not None:
+            f = _facet_rows(up[0], cubical, ordered=True)
+            ftag = up[1].repeat(len(f) // max(1, len(up[0])))
+            if len(cand):
+                o = np.concatenate((tag, ftag)).argsort(kind="stable")
+                mine = o < len(cand)
+                cand = np.concatenate((cand, f))[o]
+                tag = np.concatenate((tag, ftag))[o]
+            else:
+                cand, tag, mine = f, ftag, False
+        s = np.sort(cand, axis=1) if cubical else cand
+        keys = _lex_keys(s, s[:0], bits)[0]
+        o = keys.argsort(kind="stable")
+        keys = keys[o]
+        first = np.empty(len(keys), dtype=bool)  # the first row per key
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        multi = not (cubical or d < dimension)
+        if multi and mine is not False:  # every given top, too
+            first |= mine if mine is True else mine[o]
+        kept = o[first]
+        rows[d], srt[d] = cand[kept], s[kept]
+        if d == 1:
+            break
+        if mine is True:  # every row was given
+            keep = slice(None)
+        elif mine is False or multi:
+            keep = np.sort(kept)
+        else:  # the first row per key and every given one
+            keep = mine.copy()
+            keep[kept] = True
+        up = cand[keep], tag[keep]
+    vertex = np.arange(len(vmap), dtype=np.int32)[:, None]
+    if cubical or dimension > 0:  # the vertices come first: no other 0-cell
+        rows[0] = srt[0] = vertex
+    else:  # 0-cells are tops: every given one is kept after its vertex
+        r = np.concatenate((vertex, rows[0]))
+        rows[0] = srt[0] = r[r[:, 0].argsort(kind="stable")]
+    ids = np.array(sorted(vmap), dtype=object)
+    out = []
+    for d, (r, s) in enumerate(zip(rows, srt)):
+        verts = list(zip(*ids[s.T].tolist()))
+        orders = zip(*ids[r.T].tolist()) if cubical and d else verts
+        out += [Cell(d, v, kind_default, order)
+                for v, order in zip(verts, orders)]
+    return _of_rows(dimension, mode, vmap, out, rows)
 
 
 def from_json(data):
@@ -855,6 +986,8 @@ def from_json(data):
         data = json.loads(data)
     verts = {v["id"]: tuple(v["coords"]) if "coords" in v else None
              for v in data["vertices"]}
+    if len(verts) != len(data["vertices"]):
+        raise IllegalIntersection("vertex ids not unique")
     return build_complex(data["dimension"], data["mode"], verts, data["cells"])
 
 
@@ -935,28 +1068,26 @@ def simplex_cells(rows, vertices):
     sorted, as `Cell`s in the same order: entry j of a row stands for
     `vertices[j]`, and `vertices` ascend.
 
-    A dimension's rows are freed once converted.  They are read by columns
-    and zipped into the `verts` tuples, which share the id objects of
-    `vertices`: a list per row raised the process's peak memory.
+    The rows are read by columns and zipped into the `verts` tuples, which
+    share the id objects of `vertices`: a list per row raised the process's
+    peak memory.
     """
     ids = np.array(vertices, dtype=object)
     cells = []
-    for d in range(len(rows)):
-        cols, rows[d] = ids[rows[d].T].tolist(), None
-        cells += map(Cell, itertools.repeat(d), zip(*cols),
+    for d, r in enumerate(rows):
+        cells += map(Cell, itertools.repeat(d), zip(*ids[r.T].tolist()),
                      itertools.repeat(SIMPLEX))
     return cells
 
 
-def canonical_triangulation(K):
-    """Flag triangulation T of a cubical complex K.
+def _flag_triangulation(K):
+    """(vertices, rows, vertex_cube_dim) of K's canonical triangulation: its
+    vertices with coordinates, and its simplices as rows of vertex places
+    by dimension, each sorted.
 
-    One new vertex per cube of dimension >= 1 (`flag_centres`), ordered by
-    (dim, vertex list) so the construction is reproducible.  The cells of T
-    are listed here, not derived from its top simplices: the centre of every
-    cube as a 0-cell, and every flag of nested cubes that lies under a top
-    cube of K (`flag_rows`).  `Complex` validates them in full.
-    """
+    `flag_rows` lists them as cube ids.  `centre_ids` is strictly
+    increasing, so those ids are already the places among T's sorted
+    vertex ids, unless K has a vertex on no 0-cell, which shifts them."""
     if K.mode != CUBICAL:
         raise NotCubical("canonical_triangulation needs a cubical complex")
     centres = flag_centres(K)
@@ -968,9 +1099,26 @@ def canonical_triangulation(K):
     # a cube under no top cube is its centre alone: its flags bound no top
     # simplex
     rows[0] = np.arange(len(centre), dtype=np.int32)[:, None]
-    return Complex(K.dimension, SIMPLICIAL, vcoords,
-                   simplex_cells(rows, centre),
-                   vertex_cube_dim=vdim)
+    if len(vcoords) != len(centre):
+        place = np.sort(np.array(list(vcoords))).searchsorted(centre)
+        rows = [place.astype(np.int32)[r] for r in rows]
+    return vcoords, rows, vdim
+
+
+def canonical_triangulation(K):
+    """Flag triangulation T of a cubical complex K.
+
+    One new vertex per cube of dimension >= 1 (`flag_centres`), ordered by
+    (dim, vertex list) so the construction is reproducible.  The cells of T
+    are listed here, not derived from its top simplices: the centre of every
+    cube as a 0-cell, and every flag of nested cubes that lies under a top
+    cube of K (`flag_rows`).  `_of_rows` validates them in full, on those
+    rows.
+    """
+    vcoords, rows, vdim = _flag_triangulation(K)
+    return _of_rows(K.dimension, SIMPLICIAL, vcoords,
+                    simplex_cells(rows, sorted(vcoords)), rows,
+                    vertex_cube_dim=vdim)
 
 
 # -- isomorphism ---------------------------------------------------------------------

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import operator
 
+import numpy as np
+
 from .complex_core import (
-    CUBE, CUBICAL, SIMPLEX, SIMPLICIAL, Cell, Complex, build_complex,
-    canonical_triangulation, centre_ids, flag_rows,
+    CUBE, CUBICAL, SIMPLEX, SIMPLICIAL, _flag_triangulation, _of_rows,
+    build_complex, centre_ids, flag_rows, simplex_cells,
 )
 from .errors import ParamsInvalid
 
@@ -66,26 +68,32 @@ def doubled_complex(K):
     Triangulates K twice: the centres of the cubes on K's boundary (the
     closure of its boundary facets, `flag_rows`) are shared, every other
     vertex w of T gets a copy w + offset.  D's cells are T's and a copy of
-    each cell of T with an interior vertex, sorted by (dim, verts).  Interior
-    vertices end a simplex's vertex list, since a cube above an interior one
-    is interior too, so a copy stays in vertex order.  The result is a closed
-    simplicial complex (16 triangles for a square, 96 tetrahedra for a
-    3-cube).
+    each cell of T with an interior vertex, sorted by (dim, verts), made
+    from T's rows of vertex places: a copy's place is its original's after
+    T's vertices.  Interior vertices end a simplex's vertex list, since a
+    cube above an interior one is interior too, so a copy stays in vertex
+    order.  The result is a closed simplicial complex (16 triangles for a
+    square, 96 tetrahedra for a 3-cube).
     """
-    T = canonical_triangulation(K)
+    vcoords, rows, vdim = _flag_triangulation(K)
     centre = centre_ids(K)
     shared = {centre[i] for i in
               flag_rows(K, K.boundary_facet_ids())[0][:, 0].tolist()}
-    offset = max(T.vertices) + 1
-    copy = {v: v + offset for v in T.vertices if v not in shared}
-    cells = T.cells() + [
-        Cell(c.dim, tuple(copy.get(v, v) for v in c.verts), SIMPLEX)
-        for c in T.cells() if not shared.issuperset(c.verts)]
-    cells.sort(key=lambda c: (c.dim, c.verts))
-    return Complex(T.dimension, SIMPLICIAL,
-                   T.vertices | {w: T.vertices[v] for v, w in copy.items()},
-                   cells, vertex_cube_dim=T.vertex_cube_dim | {
-                       w: T.vertex_cube_dim[v] for v, w in copy.items()})
+    offset = max(vcoords) + 1
+    copy = {v: v + offset for v in vcoords if v not in shared}
+    ids = sorted(vcoords)
+    inner = np.array([v in copy for v in ids], dtype=bool)
+    place = np.arange(len(ids), dtype=np.int32)
+    place[inner] = len(ids) + np.arange(np.count_nonzero(inner))
+    for d, r in enumerate(rows):
+        both = np.concatenate((r, place[r[inner[r].any(axis=1)]]))
+        rows[d] = both[np.lexsort(both.T[::-1])]
+    ids += [v + offset for v in ids if v in copy]
+    return _of_rows(
+        K.dimension, SIMPLICIAL,
+        vcoords | {w: vcoords[v] for v, w in copy.items()},
+        simplex_cells(rows, ids), rows,
+        vertex_cube_dim=vdim | {w: vdim[v] for v, w in copy.items()})
 
 
 def circle_complex(edges=2):

@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from .complex_core import (
-    CUBICAL, SIMPLICIAL, Complex, assert_cell, flag_centres, flag_rows,
-    simplex_cells,
+    CUBICAL, SIMPLICIAL, _of_rows, assert_cell, flag_centres,
+    flag_rows, simplex_cells,
 )
 from .errors import NotACell, NotAPermutation, NotCubical
 
@@ -196,12 +196,19 @@ def star_replacement(K):
             simplices = np.concatenate((flags[k + 1], simplices))
             simplices = simplices[np.lexsort(simplices.T[::-1])]
         rows.append(simplices)
-    keep = flags[1][:, 0].tolist()
+    keep = flags[1][:, 0]
+    # cube ids to vertex places: the kept centres ascend, the apex is last
+    place = np.zeros(apex + 1, dtype=np.int32)
+    place[keep] = np.arange(len(keep))
+    place[apex] = len(keep)
+    rows = [place[r] for r in rows]
+    keep = keep.tolist()
     ids = [v for v, _ in centres] + [centres[-1][0] + 1]
     verts = {ids[i]: centres[i][1] for i in keep} | {ids[apex]: None}
     vdim = {ids[i]: K.cell(i).dim for i in keep} | {ids[apex]: n}
-    return Complex(n, SIMPLICIAL, verts, simplex_cells(rows, ids),
-                   vertex_cube_dim=vdim)
+    return _of_rows(n, SIMPLICIAL, verts, simplex_cells(
+        rows, [ids[i] for i in keep] + [ids[apex]]), rows,
+        vertex_cube_dim=vdim)
 
 
 def star_replacement_cover_count(K):
