@@ -591,12 +591,23 @@ class Complex:
             step.append(len(i))
         if not at:
             return
+        # in place where it can be: the pairs dominate the memory
         i = np.concatenate(at)
-        ti, tj = t[i], t[i + np.arange(1, len(at) + 1).repeat(step)]
-        key = (ti >> 32) * size + (tj >> 32)
-        x = (ti & 0xFFFFFFFF) | (tj & 0xFFFFFFFF) << 32
+        del at
+        tj = t[i + np.arange(1, len(step) + 1).repeat(step)]
+        x = t[i]
+        del i
+        key = x >> 32
+        key *= size
+        key += tj >> 32  # the pair of cubes, the lesser id first
+        x &= 0xFFFFFFFF
+        tj &= 0xFFFFFFFF
+        tj <<= 32
+        x |= tj  # both positions, the lesser cube's low
+        del tj
         o = key.argsort(kind="stable")
         key, x = key[o], x[o]
+        del o
         new = np.empty(len(key), dtype=bool)
         new[0] = True
         np.not_equal(key[1:], key[:-1], out=new[1:])
@@ -875,20 +886,11 @@ def build_complex(dimension, mode, vertices, cells):
     in vertex order, a cube in its given order, which must be the
     binary-counter order.  Every vertex is a 0-cell.
 
-    Missing faces are derived a dimension at a time, from the top down, on
-    int32 rows of vertex places (`_vertex_places`).  A dimension's
-    candidates are its given cells and the facet rows of the cells one
-    dimension up (a cube's in the order it induces, `_facet_index`; a
-    simplex's with one column dropped), each tagged with the index of the
-    given cell it came from.  Rows are keyed sorted (`_lex_keys`) and one
-    row per key is kept, the first in given order, so the first given cell
-    to reach a vertex set fixes its order; a given cell of the top
-    dimension in weakly simplicial mode is always kept, and a derived one
-    only if no given one with its vertices comes before it.  The facets of
-    the kept rows and of every given row make the next dimension's
-    candidates.  The rows become `Cell`s once, in (dim, verts) order, and
-    `_of_rows` validates them.  Inconsistencies raise
-    NotCubical / UnknownVertex / MissingFace / IllegalIntersection /
+    The given cells become int32 rows of vertex places once
+    (`_vertex_places`), their missing faces are derived on those rows a
+    dimension at a time (`_derive_faces`), and the rows become `Cell`s once,
+    in (dim, verts) order, which `_of_rows` validates.  Inconsistencies
+    raise NotCubical / UnknownVertex / MissingFace / IllegalIntersection /
     FaceOveruse.
     """
     if isinstance(vertices, dict):
@@ -918,18 +920,49 @@ def build_complex(dimension, mode, vertices, cells):
     top = max(dims, default=0)
     given = sorted(range(len(dims)), key=dims.__getitem__)  # by dim, stably
     place = _vertex_places([seqs[i] for i in given], vmap)
-    bits = max(1, (len(vmap) - 1).bit_length())
+    del seqs  # the rows hold them now
     counts = [0] * (top + 1)
     for d in dims:
         counts[d] += 1
     rows = _split_rows(place, [1 << d if cubical else d + 1
                                for d in range(top + 1)], counts)
     cut = list(itertools.accumulate(counts, initial=0))
-    tags = [np.array(given[lo:hi], dtype=np.intp)
-            for lo, hi in zip(cut, cut[1:])]
-    srt = list(rows)  # each dimension's kept rows, sorted
+    srt = _derive_faces(rows, [np.array(given[lo:hi], dtype=np.intp)
+                               for lo, hi in zip(cut, cut[1:])],
+                        cubical, dimension, len(vmap))
+    ids = np.array(sorted(vmap), dtype=object)
+    out = []
+    for d, (r, s) in enumerate(zip(rows, srt)):
+        verts = list(zip(*ids[s.T].tolist()))
+        orders = zip(*ids[r.T].tolist()) if cubical and d else verts
+        out += [Cell(d, v, kind_default, order)
+                for v, order in zip(verts, orders)]
+    return _of_rows(dimension, mode, vmap, out, rows)
+
+
+def _derive_faces(rows, tags, cubical, dimension, nv):
+    """Derive the faces of the given rows in place, and return each
+    dimension's kept rows, each row sorted.  `rows[d]` holds dimension d's
+    given rows (places among `nv` vertices) and `tags[d]` the index of each
+    in the given list; `rows[d]` comes back as the kept rows, ordered by
+    their sorted vertices, a cube's in the order that fixed it.
+
+    From the top dimension down, a dimension's candidates are its given rows
+    and the facet rows of the rows one dimension up (a cube's in the order
+    it induces, `_facet_index`; a simplex's with one column dropped), each
+    tagged with the index of the given cell it came from.  Rows are keyed
+    sorted (`_lex_keys`) and one row per key is kept, the first in given
+    order, so the first given cell to reach a vertex set fixes its order; a
+    given cell of the top dimension or above in weakly simplicial mode is
+    always kept, and a derived one only if no given one with its vertices
+    comes before it.  The facets of the kept rows and of every given row
+    make the next dimension's candidates.  Every vertex is a 0-cell, ahead
+    of any given one.
+    """
+    bits = max(1, (nv - 1).bit_length())
+    srt = list(rows)
     up = None  # (rows, tags) whose facets are candidates one dimension down
-    for d in range(top, 0, -1):
+    for d in range(len(rows) - 1, 0, -1):
         cand, tag, mine = rows[d], tags[d], True  # mine: which are given
         if not cubical:  # a simplex is stored in vertex order
             cand.sort(axis=1)
@@ -965,20 +998,13 @@ def build_complex(dimension, mode, vertices, cells):
             keep = mine.copy()
             keep[kept] = True
         up = cand[keep], tag[keep]
-    vertex = np.arange(len(vmap), dtype=np.int32)[:, None]
-    if cubical or dimension > 0:  # the vertices come first: no other 0-cell
+    vertex = np.arange(nv, dtype=np.int32)[:, None]
+    if cubical or dimension > 0:  # no other 0-cell
         rows[0] = srt[0] = vertex
     else:  # 0-cells are tops: every given one is kept after its vertex
         r = np.concatenate((vertex, rows[0]))
         rows[0] = srt[0] = r[r[:, 0].argsort(kind="stable")]
-    ids = np.array(sorted(vmap), dtype=object)
-    out = []
-    for d, (r, s) in enumerate(zip(rows, srt)):
-        verts = list(zip(*ids[s.T].tolist()))
-        orders = zip(*ids[r.T].tolist()) if cubical and d else verts
-        out += [Cell(d, v, kind_default, order)
-                for v, order in zip(verts, orders)]
-    return _of_rows(dimension, mode, vmap, out, rows)
+    return srt
 
 
 def from_json(data):
