@@ -206,8 +206,8 @@ def cmd_necklace(args):
                 {"name": f"lk({k})", "value": v["lk"],
                  "threshold": v["expected_abs"], "pass": v["pass"]},
                 {"name": f"margin({k})", "value": v["margin"],
-                 "threshold": v["chord_error"],
-                 "pass": v["margin"] > v["chord_error"]},
+                 "threshold": v["threshold"],
+                 "pass": v["margin"] > v["threshold"]},
             ]
         extra = rep
     elif args.action == "gen":

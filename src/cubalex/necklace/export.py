@@ -36,12 +36,12 @@ def export_geometry(system, path, what="cores", fmt="csv"):
             curves[t.word] = S(sample_model_torus(t.pattern, b, 16, 64))
         elif what == "cores":
             curves[t.word] = circle_points(circle_frame(S, t.pattern, b),
-                                           NODES)[0]
+                                           NODES)
         else:
             c, a1, a2, r = circle_frame(S, t.pattern, b)
             for sign in (1, -1):
                 offset = (c, a1, a2, r + sign * rho * b * S.scale)
-                curves[t.word + (sign,)] = circle_points(offset, NODES)[0]
+                curves[t.word + (sign,)] = circle_points(offset, NODES)
 
     if fmt == "csv":
         with open(path, "w", newline="") as fh:

@@ -99,8 +99,7 @@ def circle_frame(S, pattern, b):
 
 
 def circle_points(frame, nodes):
-    """`nodes` equally spaced points of a circle and its velocity there."""
+    """`nodes` equally spaced points of a circle."""
     c, a1, a2, r = frame
-    t = np.linspace(0, 2 * np.pi, nodes, endpoint=False)
-    cos, sin = np.cos(t)[:, None], np.sin(t)[:, None]
-    return c + r * (cos * a1 + sin * a2), r * (cos * a2 - sin * a1)
+    t = np.linspace(0, 2 * np.pi, nodes, endpoint=False)[:, None]
+    return c + r * (np.cos(t) * a1 + np.sin(t) * a2)

@@ -5,7 +5,7 @@ pairs (rotation by two steps is a symmetry of the chain) by branch-and-bound,
 with a cell bound of first order everywhere and of second order (gradient
 and curvature) inside the core's reach; containment samples the closed-form
 core distance; linking counts crossings through flat disks, an exact
-integer, and cross-checks the count with the closed-form loop field; all
+integer that the polygon's clearance from the circle certifies; all
 thresholds come from the construction's own inequalities.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from ..errors import (
     IntegralNotConverged, MinimizationNotConverged, ParamsInvalid,
     SamplingBudgetExceeded,
 )
-from ..kernels import loop_field, torus_distance_gradients, torus_distances
+from ..kernels import torus_distance_gradients, torus_distances
 from .geometry import (
     ROUND, child_map, circle_frame, circle_points,
     dist_point_to_tau, dist_to_core, model_core_point, model_core_slopes,
@@ -33,6 +34,18 @@ GAP = 1e-2                # relative gap at which branch-and-bound stops a pair
 MAX_LIVE_CELLS = 1 << 20  # live cells above this raise MinimizationNotConverged
 CHUNK = 1 << 16           # cells per distance evaluation, which bounds memory
 CHORD_MARGIN = 3.0        # tube extents a chord must exceed to skip a pair
+
+
+def _check_count(name, value, least):
+    """ParamsInvalid unless value is an integer >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ParamsInvalid(f"{name} = {value!r}, need an integer >= {least}")
+
+
+def _check_tol(tol):
+    """ParamsInvalid unless tol is finite and >= 0."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise ParamsInvalid(f"tol = {tol!r}, need a finite number >= 0")
 
 
 def _pair_objective(i, j, m, b, tilde):
@@ -280,8 +293,13 @@ def verify_containment(params, n_phi=200, n_theta=400, tol=1e-3):
     holds iff 0 < b' < threshold = rho / (5 (1 + rho)); it passes when the
     strict regime b' < rho/10 lies below the threshold, that is rho <= 1,
     and the report gives the threshold and its margin over the actual b.
+    ParamsInvalid unless n_phi and n_theta are integers >= 1 and tol is
+    finite and >= 0.
     """
     b = params.b
+    _check_count("n_phi", n_phi, 1)
+    _check_count("n_theta", n_theta, 1)
+    _check_tol(tol)
     if n_phi * n_theta > 4_000_000:
         raise SamplingBudgetExceeded(f"{n_phi}x{n_theta} samples requested")
     cases = {}
@@ -351,55 +369,31 @@ def disk_crossings(frame, q):
     return lk, margin
 
 
-def field_integral(frame_i, frame_j, nodes):
-    """Gauss integral oint_{circle j} B_i . dr by the trapezoid rule.
-
-    B_i is the closed-form field of a unit current on circle i (mu0 I = 1),
-    so by Ampere's law the integral is lk(circle i, circle j).  The
-    integrand is smooth and periodic, and the rule at `nodes` points
-    converges geometrically while circle j stays away from circle i.
-    """
-    p, dp = circle_points(frame_j, nodes)
-    axes = _axes(frame_i)
-    x, y, h = ((p - frame_i[0]) @ axes.T).T
-    dx, dy, dh = (dp @ axes.T).T
-    rho = np.hypot(x, y)
-    brho, bz = loop_field(rho, h, frame_i[3])
-    radial = np.divide(x * dx + y * dy, rho, out=np.zeros_like(rho),
-                       where=rho > 0)
-    return float((brho * radial + bz * dh).sum() * 2 * np.pi / nodes)
-
-
 def circle_linking(frame_i, frame_j, nodes, tol):
-    """Exact linking number of two round circles in R^3, with its evidence.
+    """Exact linking number of two round circles in R^3, with its certificate.
 
     Frames are (centre, axis1, axis2, radius).  lk counts the crossings of
-    circle j's inscribed `nodes`-gon through circle i's disk.  It is exact
-    when margin > chord_error: the polygon then stays farther from circle i
-    than its largest gap to circle j, r_j (1 - cos(pi/nodes)), so moving each
-    point of circle j radially onto the polygon never meets circle i.  The
-    field integral at `nodes` and nodes // 2 points cross-checks it.  Raises
-    IntegralNotConverged when margin <= chord_error, when the two field
-    integrals differ by more than tol / 2, or when the field integral
-    differs from lk by more than tol.
+    circle j's inscribed `nodes`-gon through circle i's disk, which is
+    lk(circle i, polygon) (disk_crossings).  Each point of circle j lies
+    within chord_error = r_j (1 - cos(pi/nodes)) of the polygon point on its
+    radius, so the straight-line homotopy from circle j to the polygon stays
+    at least margin - chord_error away from circle i; while that is
+    positive, the homotopy never meets circle i and lk is also the linking
+    number of the two circles.  `tol` is the clearance demanded beyond the
+    chord error, in units of r_j: the count is certified when margin >
+    threshold = chord_error + tol r_j, and IntegralNotConverged is raised
+    otherwise.
     """
-    q, _ = circle_points(frame_j, nodes)
+    q = circle_points(frame_j, nodes)
     lk, margin = disk_crossings(frame_i, q)
     chord_error = frame_j[3] * (1 - math.cos(math.pi / nodes))
-    if not margin > chord_error:
+    threshold = chord_error + tol * frame_j[3]
+    if not margin > threshold:
         raise IntegralNotConverged(
-            f"margin {margin:.3g} <= chord error {chord_error:.3g} "
-            f"at {nodes} nodes")
-    gauss = field_integral(frame_i, frame_j, nodes)
-    gauss_half = field_integral(frame_i, frame_j, nodes // 2)
-    if abs(gauss - gauss_half) > tol / 2:
-        raise IntegralNotConverged(
-            f"field integral {gauss} vs {gauss_half} at half resolution")
-    if abs(gauss - lk) > tol:
-        raise IntegralNotConverged(
-            f"field integral {gauss} vs crossing count {lk}")
-    return {"lk": lk, "gauss": gauss, "gauss_half": gauss_half,
-            "margin": margin, "chord_error": chord_error}
+            f"margin {margin:.3g} <= threshold {threshold:.3g} (chord error "
+            f"{chord_error:.3g} + tol {tol:g} x radius) at {nodes} nodes")
+    return {"lk": lk, "margin": margin, "chord_error": chord_error,
+            "threshold": threshold}
 
 
 FLAT = [0, 2, 3]  # x1, x3, x4: coordinates of the x2 = 0 flat of every sigma_j
@@ -410,13 +404,17 @@ def verify_linking(params, nodes=10_000, tol=1e-3):
 
     |lk| = 1 for cyclically adjacent circles (wraparound included) and 0 for
     offsets 2 and 3, over seven fixed pairs, the wraparound (m, 1) among
-    them.  Each pair's lk is an integer crossing count certified
-    by margin > chord_error and cross-checked by the closed-form field
-    integral (see circle_linking).
+    them.  Each pair's lk is the crossing count of sigma_j's `nodes`-gon
+    through sigma_i's disk, an integer, and the straight-line homotopy from
+    sigma_j to that polygon proves it equal to lk(sigma_i, sigma_j) once
+    margin > threshold = chord_error + tol r_j: `tol` is the clearance,
+    relative to sigma_j's radius, that the certificate demands beyond the
+    chord error (see circle_linking).  ParamsInvalid unless nodes is an
+    integer >= 8 and tol is finite and >= 0.
     """
     b, m = params.b, params.m
-    if nodes < 8:
-        raise ParamsInvalid(f"nodes = {nodes}, need at least 8")
+    _check_count("nodes", nodes, 8)
+    _check_tol(tol)
 
     def frame(j):
         c, a1, a2, r = circle_frame(tau_similarity(j, m, b),

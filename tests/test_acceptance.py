@@ -208,11 +208,14 @@ def test_criterion_10_necklace_linking(necklace_disjointness):
           and all(abs(abs(v["lk"]) - 1) <= 1e-3 for v in adjacent)
           and all(abs(v["lk"]) <= 1e-3 for v in far)
           and [v["lk"] for v in rep["pairs"].values()] == [-1, 1, 0, 0, 0, 0, 1]
-          and all(v["margin"] > v["chord_error"] for v in rep["pairs"].values()))
+          and all(v["margin"] > v["threshold"] for v in rep["pairs"].values()))
     margin = min(v["margin"] / v["chord_error"] for v in rep["pairs"].values())
+    # every marked circle has radius b^2
+    clearance = min(v["margin"] for v in rep["pairs"].values()) / params.b ** 2
     report(10, ok, time.time() - t0,
            f"{len(adjacent)} linked pairs |lk|=1, {len(far)} unlinked, wraparound "
-           f"included; margin >= {margin:.2g} x chord error")
+           f"included; margin >= {margin:.2g} x chord error, "
+           f">= {clearance:.2f} r_j against tol 1e-3")
 
 
 def test_criterion_11_necklace_containment(necklace_disjointness):

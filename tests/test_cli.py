@@ -308,7 +308,7 @@ def test_necklace_verify_link_exact(capsys):
         lk = checks[f"lk({key})"]
         assert type(lk["value"]) is int and abs(lk["value"]) == lk["threshold"]
         margin = checks[f"margin({key})"]
-        assert margin["value"] == v["margin"] > margin["threshold"] == v["chord_error"]
+        assert margin["value"] == v["margin"] > margin["threshold"] == v["threshold"]
     assert [pairs[k]["lk"] for k in ("1,2", "2,3", "1700,1")] == [-1, 1, 1]
 
 

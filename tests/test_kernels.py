@@ -1,5 +1,5 @@
-"""Elliptic integrals, the loop field, and exact linking of round circles,
-checked against the exact-polygon linking oracle."""
+"""Exact linking of round circles by certified crossing counts, checked
+against the exact-polygon linking oracle."""
 
 import math
 
@@ -8,28 +8,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubalex import kernels
+from cubalex import necklace as nk
 from cubalex.errors import IntegralNotConverged
 from cubalex.necklace import geometry as ge
 from cubalex.necklace import verify as ve
 
 
+def dot(u, v):
+    return np.einsum("ij,ij->i", u, v)
+
+
 def polygon_linking_oracle(ls, ks):
-    """Exact linking number of two closed polygons (solid-angle formula)."""
-    ls = np.vstack([ls, ls[:1]])
-    ks = np.vstack([ks, ks[:1]])
+    """Exact linking number of two closed polygons (solid-angle formula),
+    each segment of ks against all of ls's segments at once."""
+    ls_next = np.roll(ls, -1, axis=0)
     total = 0.0
-    for i in range(len(ks) - 1):
-        for j in range(len(ls) - 1):
-            a = ls[j] - ks[i]
-            b = ls[j] - ks[i + 1]
-            c = ls[j + 1] - ks[i + 1]
-            d = ls[j + 1] - ks[i]
-            p = np.dot(a, np.cross(b, c))
-            an, bn, cn, dn = (np.linalg.norm(v) for v in (a, b, c, d))
-            d1 = an * bn * cn + np.dot(a, b) * cn + np.dot(b, c) * an + np.dot(c, a) * bn
-            d2 = an * dn * cn + np.dot(a, d) * cn + np.dot(d, c) * an + np.dot(c, a) * dn
-            total += np.arctan2(p, d1) + np.arctan2(p, d2)
+    for k0, k1 in zip(ks, np.roll(ks, -1, axis=0)):
+        a, b, c, d = ls - k0, ls - k1, ls_next - k1, ls_next - k0
+        p = dot(a, np.cross(b, c))
+        an, bn, cn, dn = (np.linalg.norm(v, axis=1) for v in (a, b, c, d))
+        d1 = an * bn * cn + dot(a, b) * cn + dot(b, c) * an + dot(c, a) * bn
+        d2 = an * dn * cn + dot(a, d) * cn + dot(d, c) * an + dot(c, a) * dn
+        total += (np.arctan2(p, d1) + np.arctan2(p, d2)).sum()
     return total / (2 * np.pi)
 
 
@@ -53,61 +53,45 @@ def test_linked_circles():
     assert ve.circle_linking(f1, f3, 400, 1e-3)["lk"] == 0
 
 
-def test_gauss_sum_matches_polygon_oracle():
-    # the closed-form field integral against the polygons' exact linking
-    f1, f2, _ = circles()
-    lk_exact = polygon_linking_oracle(ge.circle_points(f1, 120)[0],
-                                      ge.circle_points(f2, 120)[0])
-    lk_field = ve.field_integral(f1, f2, 120)
-    assert abs(lk_exact - round(lk_exact)) < 1e-9  # oracle is exact
-    assert abs(lk_field - lk_exact) < 5e-3
-
-
 def test_nearly_touching_circles_fail_at_low_nodes():
     # circle 2 passes within 0.01 of circle 1, closer than the 8-gon's chords
     f1 = frame([0, 0, 0], X, Y, 1.0)
     f2 = frame([2.01, 0, 0], X, Z, 1.0)
     with pytest.raises(IntegralNotConverged, match="margin"):
         ve.circle_linking(f1, f2, 8, 1e-3)
+    # at 2,000 nodes the margin is about 0.0084 of the unit radius: clear of
+    # the chord error plus a clearance of 1e-3, short of one of 1e-2
     rec = ve.circle_linking(f1, f2, 2000, 1e-3)
-    assert rec["lk"] == 0 and rec["margin"] > rec["chord_error"]
+    assert rec["lk"] == 0 and rec["margin"] == pytest.approx(0.0084, abs=1e-4)
+    assert rec["margin"] > rec["threshold"] > rec["chord_error"]
+    with pytest.raises(IntegralNotConverged,
+                       match=r"margin 0\.0084\d* <= threshold 0\.01"):
+        ve.circle_linking(f1, f2, 2000, 1e-2)
 
 
-def test_unconverged_field_integral_raises(monkeypatch):
-    f1 = frame([0, 0, 0], X, Y, 1.0)
-    f2 = frame([2.01, 0, 0], X, Z, 1.0)
-    # the count is certified at 400 nodes, but the field integral this close
-    # to the wire still moves by about 0.14 between 200 and 400 nodes
-    with pytest.raises(IntegralNotConverged, match="half resolution"):
-        ve.circle_linking(f1, f2, 400, 1e-3)
-    monkeypatch.setattr(ve, "field_integral", lambda fi, fj, nodes: 0.5)
-    with pytest.raises(IntegralNotConverged, match="crossing count"):
-        ve.circle_linking(f1, f2, 2000, 1e-3)
+@pytest.mark.parametrize("b, m", [(0.1, 450), (0.05, 1700)])
+def test_necklace_pairs_match_polygon_oracle(b, m):
+    # each certified lk of the marked circles equals the exact linking number
+    # of their inscribed 64-gons; the margin clears both polygons' chord
+    # errors, so the straight-line homotopies from the circles to the
+    # polygons never meet the other curve and the two numbers agree
+    p = nk.NecklaceParams(b=b, m=m)
+    nodes = 64
 
+    def flat_frame(j):
+        c, a1, a2, r = ge.circle_frame(ge.tau_similarity(j, m, b),
+                                       ge.pattern_of_child(j), b)
+        return c[ve.FLAT], a1[ve.FLAT], a2[ve.FLAT], r
 
-def test_ellipke_matches_scipy():
-    from scipy.special import ellipe, ellipk, ellipkm1
-    m = np.concatenate([np.linspace(0, 0.999, 50), [1e-12, 1 - 1e-9]])
-    K, KmE = kernels.ellipke(m, 1 - m)
-    assert np.allclose(K, ellipk(m), rtol=1e-14, atol=0)
-    assert np.allclose(K - KmE, ellipe(m), rtol=1e-14, atol=0)
-    mc = np.array([1e-12, 1e-30, 1e-100])
-    assert np.allclose(kernels.ellipke(1 - mc, mc)[0], ellipkm1(mc), rtol=1e-14)
-
-
-def test_loop_field_matches_biot_savart():
-    a, n = 1.3, 20_000
-    t = np.linspace(0, 2 * np.pi, n, endpoint=False)
-    wire = a * np.c_[np.cos(t), np.sin(t), 0 * t]
-    dl = a * np.c_[-np.sin(t), np.cos(t), 0 * t] * (2 * np.pi / n)
-    pts = np.array([[0.4, 0, 0.3], [2.0, 0, -0.7], [1e-9, 0, 0.5],
-                    [0, 0, 0.5], [1.29, 0, 0.01]])
-    brho, bz = kernels.loop_field(pts[:, 0], pts[:, 2], a)
-    for p, want_rho, want_z in zip(pts, brho, bz):
-        d = p - wire
-        B = (np.cross(dl, d) / np.linalg.norm(d, axis=1)[:, None] ** 3).sum(0)
-        B /= 4 * np.pi
-        assert B == pytest.approx([want_rho, 0, want_z], rel=1e-9, abs=1e-12)
+    for key, rec in ve.verify_linking(p, nodes=2000)["pairs"].items():
+        fi, fj = (flat_frame(int(k)) for k in key.split(","))
+        _, margin = ve.disk_crossings(fi, ge.circle_points(fj, nodes))
+        assert margin > max(f[3] for f in (fi, fj)) * (
+            1 - math.cos(math.pi / nodes))
+        oracle = polygon_linking_oracle(ge.circle_points(fi, nodes),
+                                        ge.circle_points(fj, nodes))
+        assert abs(oracle - round(oracle)) < 1e-9
+        assert rec["lk"] == round(oracle)
 
 
 def rotation3(q):
@@ -159,7 +143,7 @@ def test_crossings_match_polygon_oracle(pair, n1, n2):
     # the polygon inscribed in circle 1 links polygon 2 as circle 1 does
     # once polygon 2 stays farther from circle 1 than the polygon's chords
     f1, f2 = pair
-    poly2 = ge.circle_points(f2, n2)[0]
+    poly2 = ge.circle_points(f2, n2)
     lk, margin = ve.disk_crossings(f1, poly2)
     # the margin bounds the distance from every point of polygon 2 to circle 1
     s = np.linspace(0, 1, 33)[:, None, None]
@@ -169,6 +153,6 @@ def test_crossings_match_polygon_oracle(pair, n1, n2):
     n = np.cross(a1, a2)
     assert margin <= np.hypot(v @ n, np.hypot(v @ a1, v @ a2) - r).min() + 1e-12
     assume(margin > r * (1 - math.cos(math.pi / n1)))
-    oracle = polygon_linking_oracle(ge.circle_points(f1, n1)[0], poly2)
+    oracle = polygon_linking_oracle(ge.circle_points(f1, n1), poly2)
     assert abs(oracle - round(oracle)) < 1e-6
     assert lk == round(oracle)
