@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from .complex_core import (
     SIMPLICIAL, Complex, _Rows, canonical_triangulation, centre_ids,
-    spanning_forest,
 )
 from .errors import (
     BadCenterLabel,
@@ -61,7 +60,6 @@ class LedgerStep:
     covers: int
     apex: int             # the label v takes: the dimension of the recursion
     rewritten: int        # cells on the vertices identified with the hub
-    recoloured: bool      # did the parity need the global two-colouring?
 
     def to_json(self):
         return {"vertex": self.vertex, "star_top_count": self.star_top_count,
@@ -90,13 +88,12 @@ class ReductionLedger:
 
     def diagnostics(self):
         """How the reduction reached its complex: steps per apex label (the
-        dimension of the recursion), cells rewritten, steps whose parity
-        took the global two-colouring, and seconds per stage."""
+        dimension of the recursion), cells rewritten, and seconds per
+        stage."""
         return {
             "collapses": {str(d): k for d, k in
                           sorted(Counter(s.apex for s in self.steps).items())},
             "cells_rewritten": sum(s.rewritten for s in self.steps),
-            "global_colourings": sum(s.recoloured for s in self.steps),
             "seconds": {k: round(t, 6) for k, t in self.seconds.items()},
         }
 
@@ -128,7 +125,8 @@ def _two_color(neighbors, seed_order):
                     while aw is not None:
                         aw = parent[aw]
                         pw.append(aw)
-                    common = next(x for x in pu if x in set(pw))
+                    on_pw = set(pw)
+                    common = next(x for x in pu if x in on_pw)
                     cyc = pu[:pu.index(common) + 1] + \
                         list(reversed(pw[:pw.index(common)]))
                     raise OddCycle(
@@ -236,63 +234,40 @@ def _match_tops(lab, star_tops, apex):
 
 
 class _Work:
-    """A labeling as a reduction carries it from collapse to collapse,
-    changed in place by each (`_collapse`).
+    """A labelled complex as a reduction carries it from collapse to
+    collapse, changed in place by each (`_collapse`).
 
     The complex is rows whose ids stay fixed (`_Rows`), and a collapse
     keeps its hub, the merged vertex with the most edges, so the
     rows call each merged vertex by its hub's id; `alias` maps the public id
     of each such vertex (the v of its last collapse) to (its id here, its
     coordinates), and `names` back.  `labels` may still hold vertices merged
-    away; `parity` maps each top to its sign, and `least` is the vertex with
-    the least public id.  `plain()` sorts the rows and renames the hubs
-    back.
+    away.  No parity is carried: `plain()` sorts the rows, renames the hubs
+    back and two-colours the complex that makes.
 
-    A collapse runs the checks that are cheap before it writes (the star's,
-    and `_Rows.identify`'s), but the label check and the global
-    two-colouring only after: a `_Work` whose collapse raised is left half
-    changed, and no caller can reach it, since `collapse_at` collapses a
-    copy and `reduce_cubical` its own.
+    A collapse runs all its checks (the star's, and `_Rows.identify`'s)
+    before it writes, so one that raises leaves the `_Work` as it was; an
+    odd cycle shows only in `plain()`.
 
     Equal tops come in rank order in `plain()`, which can differ from their
     order with public ids once a collapse has made two tops equal.  That
     order never shows: equal tops share every facet, so they make a
-    component of two, whose first top every collapse makes +1 (by the seed
-    rule if the component is the complex, else by the global two-colouring,
-    which a disconnected complex always takes).
+    component of two, which `alexander_label` seeds at its first top.
     """
 
-    def __init__(self, lab):
-        self.complex, self.labels = _Rows(lab.complex), dict(lab.labels)
-        self.parity, self.connected = dict(lab.parity), lab.connected
+    def __init__(self, K, labels):
+        self.complex, self.labels = _Rows(K), dict(labels)
         self.alias, self.names = {}, {}
-        self.least = min(self.complex.vertices)
 
     def label(self, w):
         return self.labels[w]
 
-    def public(self):
-        """(complex, ids, labels): the complex with public ids, the id there
-        of each row, and the labels with public ids."""
-        K, names = self.complex, self.names
-        Q, ids = K.complex(names, {p: x for p, (_, x) in self.alias.items()})
-        return Q, ids, {names.get(w, w): self.labels[w] for w in K.vertices}
-
     def plain(self):
-        """The labeling with public ids, built now."""
-        Q, ids, labels = self.public()
-        return AlexanderLabeling(Q, labels, {
-            ids[t]: s for t, s in self.parity.items()}, self.connected)
-
-    def lowest_top(self):
-        """The top that comes first with public ids: the least vertex row,
-        then the least rank.  It lies on the vertex with the least public
-        id, when some top does."""
-        K, name = self.complex, self.names.get
-        tops = [i for i in K._cells_at((self.least,))
-                if K.cell(i).dim == K.dimension] or list(self.parity)
-        return min(tops, key=lambda t: (
-            sorted(name(w, w) for w in K.cell(t).verts), K.rank[t]))
+        """The labeling with public ids, built now (`alexander_label`)."""
+        K, names = self.complex, self.names
+        Q, _ = K.complex(names, {p: x for p, (_, x) in self.alias.items()})
+        return alexander_label(
+            Q, {names.get(w, w): self.labels[w] for w in K.vertices})
 
 
 def collapse_at(lab, v, apex):
@@ -301,12 +276,12 @@ def collapse_at(lab, v, apex):
     Every apex-labeled vertex of the star is identified with v, degenerate
     images drop into the reduced star, and the merged vertex, called v,
     carries the apex label.  The collapse runs on a copy of `lab`
-    (`_collapse`), which is then sorted into the complex and labeling
-    returned; `lab` is unchanged, and returned as it is by the identity
-    step.  Returns (complex, labeling, ledger step); the step counts
-    m = #St(v)^(n)/2 simple covers, which lower the degree by m.
+    (`_collapse`), which is then sorted into a complex and labelled afresh
+    (`alexander_label`); `lab` is unchanged, and returned as it is by the
+    identity step.  Returns (complex, labeling, ledger step); the step
+    counts m = #St(v)^(n)/2 simple covers, which lower the degree by m.
     """
-    work = _Work(lab)
+    work = _Work(lab.complex, lab.labels)
     step = _collapse(work, v, apex)
     if not step.rewritten:
         return lab.complex, lab, step
@@ -319,10 +294,17 @@ def _collapse(work, v, apex):
 
     Of v and the apex vertices of its star the hub, the one with the most
     edges, keeps its cells: the others are identified with it
-    (`_Rows.identify`), so only the cells on them are rewritten, and only
-    the new tops are labelled (`_carried_labeling`).  When the hub is an
-    apex vertex no label changes.  The rows call the merged vertex by the
-    hub's id, and `work.alias` calls it v.
+    (`_Rows.identify`), so only the cells on them are rewritten.  When the
+    hub is an apex vertex no label changes.  The rows call the merged
+    vertex by the hub's id, and `work.alias` calls it v.
+
+    No top needs its labels checked here.  A top on the centre w lies in
+    St(w), whose tops have one apex vertex each (`_match_tops`), so it
+    degenerates.  Any other top that meets the merged vertices meets them
+    in its one apex vertex, which is swapped for the hub, and the hub
+    carries the apex label; so the labels of every new top are its
+    preimage's.  The parity is not carried either: `plain()` two-colours
+    the complex once, and checks the labels of every top it returns.
     """
     K, labels, alias, names = work.complex, work.labels, work.alias, work.names
     n = K.dimension
@@ -345,7 +327,7 @@ def _collapse(work, v, apex):
     if not apex_verts:
         # the star already equals its reduced star: identity step
         return LedgerStep(vertex=v, star_top_count=0, covers=0, apex=apex,
-                          rewritten=0, recoloured=False)
+                          rewritten=0)
     if star_tops:
         _match_tops(work, star_tops, apex)  # raises UnmatchedSimplex
 
@@ -361,73 +343,16 @@ def _collapse(work, v, apex):
     hub = max(sorted(merged), key=lambda x: (
         len(K.coface_ids(K.ids_with_verts(0, (x,))[0])), x == w))
     place = alias[v][1] if v in alias else K.vertices[v]
-    image, touched = K.identify(merged - {hub}, hub)
-    moved = [i for i in touched if i in work.parity]  # the tops among them
-    for i in moved:
-        s = work.parity.pop(i)
-        if image[i] >= 0:
-            work.parity[image[i]] = s
+    _, touched = K.identify(merged - {hub}, hub)
     for x in merged & names.keys():
         del alias[names.pop(x)]
     if hub != v:
         alias[v], names[hub] = (hub, place), v
-    if work.least in merged or v < names.get(work.least, work.least):
-        work.least = min(K.vertices, key=lambda x: names.get(x, x))
     if hub == w:
         labels[w] = apex
-    recoloured = _carried_labeling(work, image, moved)
     return LedgerStep(vertex=v, star_top_count=len(star_tops),
                       covers=len(star_tops) // 2, apex=apex,
-                      rewritten=len(touched), recoloured=recoloured)
-
-
-def _carried_labeling(work, image, moved):
-    """Give `work`, just collapsed, its labeling, in which every top keeps
-    its preimage's parity.  `image` maps each row that met a vertex
-    identified with the hub to its image's (-1 where it degenerates); every
-    other row kept its id.  `moved` are the tops among them; the images of
-    those that survive are the new tops.  No other top meets a vertex whose
-    label changed (at most the hub's, when it is the collapse's own
-    centre), so only they need the label check.
-
-    The carried parity is what `alexander_label` would compute when it is
-    proper, when the seed rule keeps it (the top that comes first with
-    public ids is +1) and when the complex was and stays connected;
-    otherwise the complex takes the global two-colouring, with public ids,
-    written back onto the rows.  Every edge between two tops that survive
-    the collapse survives with them, so only the edges at new tops need
-    checking.  For the same reason the complex stays connected when the
-    rim, the surviving tops next to a top that degenerated, is joined up
-    through new tops: every surviving top reaches the rim without passing a
-    degenerate one.  (In a collapse the rim is new: a top next to a star top
-    meets an apex vertex.  The rim is read on the rows after, where a
-    carried facet's cofaces hold new tops as well, which are joined
-    anyway.)  Returns whether the global two-colouring ran.
-    """
-    K, parity = work.complex, work.parity
-    new = [image[i] for i in moved if image[i] >= 0]
-    rim = {image.get(j, j) for i in moved if image[i] < 0
-           for f in K.facet_ids(i) for j in K.coface_ids(f)} - {-1}
-    edges = [(t, u) for t in new for f in K.facet_ids(t)
-             for u in K.coface_ids(f) if u != t]
-    joined = {*rim, *new}
-    if (any(parity[t] == parity[u] for t, u in edges)
-            or parity[work.lowest_top()] != 1 or not work.connected
-            or len(spanning_forest(joined, [e for e in edges
-                                            if e[1] in joined])[0]) > 1):
-        Q, ids, labels = work.public()
-        lab = alexander_label(Q, labels)
-        for t in parity:
-            parity[t] = lab.parity[ids[t]]
-        work.connected = lab.connected
-        return True
-    n, labels = K.dimension, work.labels
-    for t in sorted(new):
-        got = sorted(labels.get(w) for w in K.cell(t).verts)
-        if got != list(range(n + 1)):
-            raise LabelClash(f"simplex {K.cell(t).verts} carries labels {got}")
-    work.connected = True
-    return False
+                      rewritten=len(touched))
 
 
 # -- cubical reduction driver ------------------------------------------------------
@@ -442,8 +367,11 @@ def reduce_cubical(K):
     collapse at the wall's centre with apex label n.  Returns (final
     complex, final labeling, ReductionLedger).
 
-    Every collapse checks its star, so a reduction that completes is exact
-    for the given triangulation.  That K is an n-cell rests on the
+    The triangulation's labels are its cube-dimension labels, proper by
+    construction, which the collapses carry (see `_collapse`); the parity
+    is computed once, on the final complex (`_Work.plain`).  Every collapse
+    checks its star, so a reduction that completes is exact for the given
+    triangulation.  That K is an n-cell rests on the
     preconditions: for n >= 3 `cell_check` tests only the Euler
     characteristic and boundary connectivity, and for n >= 4 the shelling
     step test is a certificate, not a proof.
@@ -454,15 +382,12 @@ def reduce_cubical(K):
     if order is None:
         raise NotACell("no shelling found")
     t1 = time.perf_counter()
-    start = alexander_label(canonical_triangulation(K))
+    T = canonical_triangulation(K)
     centre = centre_ids(K)
     t2 = time.perf_counter()
-    work = _Work(start)
+    work = _Work(T, T.vertex_cube_dim)
     _reduce_ball(K, order, work, ledger, centre.__getitem__)
-    # the hubs renamed back, once, and the incidence tables built here, so
-    # that a caller's first query does not pay for them
-    lab = work.plain()
-    lab.complex._coface_table()
+    lab = work.plain()  # the one two-colouring; it builds the tables too
     ledger.seconds.update(shelling=t1 - t0, triangulation=t2 - t1,
                           collapses=time.perf_counter() - t2)
     return lab.complex, lab, ledger

@@ -12,6 +12,7 @@ thresholds come from the construction's own inequalities.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 
@@ -416,6 +417,7 @@ def verify_linking(params, nodes=10_000, tol=1e-3):
     _check_count("nodes", nodes, 8)
     _check_tol(tol)
 
+    @functools.cache  # a circle is in up to four of the seven pairs
     def frame(j):
         c, a1, a2, r = circle_frame(tau_similarity(j, m, b),
                                     pattern_of_child(j), b)

@@ -288,14 +288,13 @@ def test_two_collapses_compose():
 
 def test_ledger_serialization():
     led = al.ReductionLedger()
-    led.add(al.LedgerStep(3, 4, 2, apex=1, rewritten=9, recoloured=False))
+    led.add(al.LedgerStep(3, 4, 2, apex=1, rewritten=9))
     assert led.to_json()[0]["covers"] == 2
 
 
 def test_ledger_rejects_odd_star():
     with pytest.raises(UnmatchedSimplex):
-        al.ReductionLedger().add(al.LedgerStep(3, 5, 2, apex=1, rewritten=9,
-                                                 recoloured=False))
+        al.ReductionLedger().add(al.LedgerStep(3, 5, 2, apex=1, rewritten=9))
 
 
 # -- reduction driver -------------------------------------------------------------------
@@ -635,37 +634,49 @@ def test_collapse_recolours_when_the_carried_parity_fails(case):
     assert got == outcome(rebuilt_collapse, lab, v, 2)[0]
     if case == "odd":
         assert got is OddCycle
+        with pytest.raises(OddCycle) as exc:
+            al.collapse_at(lab, v, 2)
+        # the witness: a closed walk of tops, ids in the collapsed complex
+        assert exc.value.cycle == [34, 37, 31, 30, 33, 32, 38]
         return
     Q, image, _ = identify(lab.complex, {v + 3, v + 4}, v)
     carried = {image[i]: s for i, s in lab.parity.items() if image[i] >= 0}
     assert carried != new_lab.parity  # kept, it would be wrong
-    assert al.collapse_at(lab, v, 2)[2].recoloured
 
 
 def test_collapse_chains_in_place_through_recolourings():
-    # no reduction of the tested inputs takes the global two-colouring, so
-    # here collapses do, on one `_Work` collapsed in place from step to step,
-    # each step against the long way on the labeling before it: steps after
-    # a two-colouring run on the rows it was written back onto
+    # collapses on one `_Work`, collapsed in place from step to step, each
+    # step against the long way on the labeling before it; the random
+    # chains take steps where the parity carried through the step, as
+    # identifying the apex vertices into v leaves it, is not the new one
     def collapse(work, v, apex):
-        want = outcome(checked_rebuild, work.plain(), v, apex)[0]
-        step = al._collapse(work, v, apex)
+        lab = work.plain()
+        want = outcome(checked_rebuild, lab, v, apex)[0]
+        al._collapse(work, v, apex)
         got = work.plain()
         assert (got.complex.to_json(), got.to_json()) == want
-        return step.recoloured
+        K = lab.complex
+        gone = {w for i in K.star_cell_ids(v) for w in K.cell(i).verts
+                if lab.label(w) == apex}
+        _, image, _ = identify(K, gone, v)
+        return {image[i]: s for i, s in lab.parity.items()
+                if image[i] >= 0} != got.parity
 
-    # a disconnected complex, which stays so: both steps two-colour it
-    work = al._Work(labelled(1, [0, 1, 0, 0, 1, 0, 1, 0, 1, 0],
-                             [(3, 6), (5, 8), (0, 4), (0, 4), (5, 1), (7, 1),
-                              (9, 6), (3, 8)]))
-    assert collapse(work, 5, 1) and not work.connected
-    assert collapse(work, 3, 1)
+    # a disconnected complex, which stays so
+    lab = labelled(1, [0, 1, 0, 0, 1, 0, 1, 0, 1, 0],
+                   [(3, 6), (5, 8), (0, 4), (0, 4), (5, 1), (7, 1), (9, 6),
+                    (3, 8)])
+    work = al._Work(lab.complex, lab.labels)
+    collapse(work, 5, 1)
+    assert not work.plain().connected
+    collapse(work, 3, 1)
     # random chains on doubled disks
     rng = random.Random(0)
-    recoloured = after = 0
+    carried_wrong = 0
     for _ in range(4):
-        K = fa.grid_complex(random_disk_polyomino(rng, 4))
-        work = al._Work(al.alexander_label(fa.doubled_complex(K)))
+        lab = al.alexander_label(fa.doubled_complex(
+            fa.grid_complex(random_disk_polyomino(rng, 4))))
+        work = al._Work(lab.complex, lab.labels)
         for _ in range(12):
             lab = work.plain()
             same = lab.complex.to_json(), lab.to_json()
@@ -678,14 +689,13 @@ def test_collapse_chains_in_place_through_recolourings():
                     break
             else:
                 break
-            after += recoloured > 0
-            recoloured += collapse(work, v, apex)
-    assert recoloured > 0 and after > 0
+            carried_wrong += collapse(work, v, apex)
+    assert carried_wrong > 0
 
 
 def test_cone44_reduction_validates_and_colours_once(monkeypatch):
     # a work guard: the triangulation is the one complex validated in full,
-    # its labeling the one global two-colouring a collapse may add to, each
+    # the final complex the one two-coloured, after the last collapse, each
     # collapse walks its star once, and the rows are made once and sorted
     # into a complex once
     K = cube_complex(CONE44)
@@ -699,7 +709,9 @@ def test_cone44_reduction_validates_and_colours_once(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     _, _, ledger = al.reduce_cubical(K)
     assert calls.count("_validate") <= 1
-    assert calls.count("_two_color") <= 2
+    assert calls.count("_two_color") == 1
+    assert calls.index("_two_color") > max(
+        i for i, name in enumerate(calls) if name == "star_cell_ids")
     assert calls.count("star_cell_ids") == len(ledger.steps) > 0
     assert calls.count("__init__") == calls.count("complex") == 1
 

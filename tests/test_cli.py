@@ -180,7 +180,8 @@ def test_reduce_diagnostics(capsys, tmp_path):
     assert sum(diag["collapses"].values()) == len(data["ledger"])
     assert set(diag["collapses"]) <= {"1", "2", "3"}
     assert diag["collapses"]["3"] == 3
-    assert diag["cells_rewritten"] > 0 and diag["global_colourings"] == 0
+    assert set(diag) == {"collapses", "cells_rewritten", "seconds"}
+    assert diag["cells_rewritten"] > 0
     assert set(diag["seconds"]) == {"shelling", "triangulation", "collapses"}
     assert all(t >= 0 for t in diag["seconds"].values())
 

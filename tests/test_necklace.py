@@ -394,6 +394,19 @@ def test_linking_exact_and_certified():
         assert r["margin"] > r["threshold"] > r["chord_error"]
 
 
+def test_linking_builds_each_circle_frame_once(monkeypatch):
+    # a work guard: the seven pairs name six circles, sigma_1..5 and sigma_m
+    calls = []
+
+    def counted(j, *args, real=ve.tau_similarity):
+        calls.append(j)
+        return real(j, *args)
+    monkeypatch.setattr(ve, "tau_similarity", counted)
+    p = small_params()
+    nk.verify_linking(p, nodes=200)
+    assert sorted(calls) == [1, 2, 3, 4, 5, p.m]
+
+
 def test_linking_leaves_params_unchanged():
     p = small_params()
     p.c0 = p.c1 = 0.45
