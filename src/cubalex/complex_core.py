@@ -19,17 +19,18 @@ Incidence and validation run on each dimension's cells as an int32 array
 of vertex rows (`Complex._index`): facets are found by matching a whole
 dimension's facet rows against the rows one dimension down, and the coface
 table is the facet table inverted by one stable argsort.  Every builder
-makes its cells from such rows and hands the rows over (`_of_rows`):
-`build_complex` derives the faces of the given cells a dimension at a time
-on them, and the canonical triangulation, K* and the double list their
-flags as rows (`flag_rows`).  Only a complex whose cells come without rows
-has them read back from its cells.
+hands over rows alone, and `_of_rows`, the one place rows become `Cell`s,
+makes the cells from them: `build_complex` derives the faces of the given
+cells a dimension at a time on them, and the canonical triangulation, K*
+and the double list their flags as rows (`flag_rows`).  Every complex is
+validated once, when it is made; one given as cells alone has its rows
+read back from its cells.
 
 A sequence of vertex identifications (a reduction's collapses) works on
 `_Rows` instead: the same cells as rows whose ids stay fixed, changed in
 place, so that each identification costs the cells it touches and the cells
-are sorted into a Complex once, at the end.  `_Rows` is mutable and private
-to the one reduction that made it.
+are sorted into a Complex, and validated, once, at the end.  `_Rows` is
+mutable and private to the one reduction that made it.
 
 Complexes are immutable after construction; every operation returns a new
 complex, so instances are safe to share across threads.
@@ -254,10 +255,15 @@ def _split_rows(place, widths, counts):
 
 
 class Complex:
-    """A validated cubical or weakly simplicial complex."""
+    """A cubical or weakly simplicial complex, validated when it is made.
 
-    def __init__(self, dimension, mode, vertices, cells, validate=True,
-                 vertex_cube_dim=None):
+    Given as cells alone, in (dim, verts) order, it reads their rows back
+    (`_cell_rows`); a builder passes the `rows` it made the cells from
+    (`_of_rows`).  Either way `_validate` checks the rows once and builds
+    the facet table from them."""
+
+    def __init__(self, dimension, mode, vertices, cells, vertex_cube_dim=None,
+                 *, rows=None):
         self.dimension = dimension
         self.mode = mode
         self.vertices = dict(vertices)  # id -> coords tuple or None
@@ -269,12 +275,10 @@ class Complex:
             bisect.bisect_left(self._cells, d, key=_cell_dim),
             bisect.bisect_right(self._cells, d, key=_cell_dim))
             for d in range(self._cells[-1].dim + 1 if self._cells else 0)}
-        # incidence index, CSR (offsets, flat ids); built on first use
-        self._facets = None
+        # incidence index, CSR (offsets, flat ids): the facets (`_facets`)
+        # built by validation, the cofaces on first use
         self._cofaces = None
-        self._held = None  # the cells' rows from a builder, until `_index`
-        if validate:
-            self._validate()
+        self._validate(self._cell_rows() if rows is None else rows)
 
     # -- basic queries ------------------------------------------------------
 
@@ -316,17 +320,11 @@ class Complex:
                     stack.append(k)
         return sorted(take)
 
-    def _facet_table(self):
-        """Facets of every cell as CSR: ids flat[off[i]:off[i + 1]]."""
-        if self._facets is None:
-            self._index(check=False)
-        return self._facets
-
     def _coface_table(self):
         """The facet table inverted by one stable argsort, cofaces
         ascending."""
         if self._cofaces is None:
-            off, flat = map(_ints, self._facet_table())
+            off, flat = map(_ints, self._facets)
             size = len(self._cells)
             cell = np.arange(size, dtype=np.intc).repeat(off[1:] - off[:-1])
             coff = np.zeros(size + 1, dtype=np.intc)
@@ -335,14 +333,14 @@ class Complex:
                 "i", cell[flat.argsort(kind="stable")].tobytes()))
         return self._cofaces
 
-    def _cell_rows(self, check):
+    def _cell_rows(self):
         """The rows of `_of_rows`, read back from the cells: for a complex
-        whose cells came without them.  With `check`, the cells must be in
-        (dim, verts) order; their dims, kinds, vertex counts and vertex ids
-        are checked always (`_check_shapes`, `_vertex_places`)."""
+        given as cells alone.  The cells must be in order of dim; their
+        kinds, vertex counts and vertex ids are checked here
+        (`_check_shapes`, `_vertex_places`), the rest by `_index`."""
         cells, cubical = self._cells, self.mode == CUBICAL
         dims = list(map(_cell_dim, cells))
-        if check and dims != sorted(dims):
+        if dims != sorted(dims):
             i = next(i for i in range(1, len(dims)) if dims[i - 1] > dims[i])
             raise IllegalIntersection(
                 f"cells out of (dim, verts) order: "
@@ -353,26 +351,23 @@ class Complex:
         return _split_rows(_vertex_places(seqs, self.vertices), widths,
                            map(len, self._by_dim.values()))
 
-    def _index(self, check):
-        """Build the facet table from each dimension's rows, and return the
-        rows by dimension: the rows a builder handed over (`_of_rows`), else
+    def _index(self, rows):
+        """Check the cells' rows by dimension and build the facet table
+        from them: the rows a builder made the cells from (`_of_rows`), else
         the cells read back once (`_cell_rows`).
 
         A row holds a cell's vertices as their places among the sorted
-        vertex ids: a cube's `order`, a simplex's `verts`.  A dimension's
-        facet rows are made in one step (`_facet_rows`) and matched against
-        the sorted rows one dimension down by `_lex_keys` and one
-        searchsorted, the first id on equal keys; a facet row with no match
-        raises MissingFace.  With `check`, the (dim, verts) order, with no
-        duplicate but equal top simplices in weakly simplicial mode,
-        repeated vertices and a cell of the top dimension are checked on the
-        rows, before any facet.
+        vertex ids: a cube's `order`, a simplex's `verts`.  The (dim, verts)
+        order, with no duplicate but equal top simplices in weakly
+        simplicial mode, repeated vertices and a cell of the top dimension
+        are checked on the rows, before any facet.  A dimension's facet rows
+        are made in one step (`_facet_rows`) and matched against the sorted
+        rows one dimension down by `_lex_keys` and one searchsorted, the
+        first id on equal keys; a facet row with no match raises
+        MissingFace.
         """
         cells, n, cubical = self._cells, self.dimension, self.mode == CUBICAL
         by_dim = self._by_dim
-        rows, self._held = self._held, None
-        if rows is None:
-            rows = self._cell_rows(check)
         bits = max(1, (len(self.vertices) - 1).bit_length())
         srt = rows[:1] + [np.sort(r, axis=1) for r in rows[1:]] if cubical \
             else rows
@@ -386,27 +381,24 @@ class Complex:
         out, lo, miss = _ints(flat), 0, []
         for d, r in by_dim.items():
             up = d + 1 < len(rows)
-            if not (up or check):
-                break
             keys, q = _lex_keys(srt[d], _facet_rows(rows[d + 1], cubical)
                                 if up else srt[d][:0], bits)
-            if check:
-                bad = (keys[1:] < keys[:-1] if d >= n and not cubical
-                       else keys[1:] <= keys[:-1])
-                if np.count_nonzero(bad):
-                    i = bad.argmax()
-                    a, b = cells[r[i]], cells[r[i] + 1]
-                    raise IllegalIntersection(
-                        f"cells out of (dim, verts) order: {_cell_key(b)} "
-                        f"after {_cell_key(a)}" if keys[i + 1] < keys[i] else
-                        f"duplicate cells of dim {d} on vertices {a.verts}")
-                bad = srt[d][:, 1:] <= srt[d][:, :-1]
-                if np.count_nonzero(bad):
-                    c = cells[r[bad.any(axis=1).argmax()]]
-                    raise IllegalIntersection(
-                        f"cell {c.verts} repeats a vertex"
-                        if len(set(c.verts)) < len(c.verts)
-                        else f"cell {c.verts} lists its vertices unsorted")
+            bad = (keys[1:] < keys[:-1] if d >= n and not cubical
+                   else keys[1:] <= keys[:-1])
+            if np.count_nonzero(bad):
+                i = bad.argmax()
+                a, b = cells[r[i]], cells[r[i] + 1]
+                raise IllegalIntersection(
+                    f"cells out of (dim, verts) order: {_cell_key(b)} "
+                    f"after {_cell_key(a)}" if keys[i + 1] < keys[i] else
+                    f"duplicate cells of dim {d} on vertices {a.verts}")
+            bad = srt[d][:, 1:] <= srt[d][:, :-1]
+            if np.count_nonzero(bad):
+                c = cells[r[bad.any(axis=1).argmax()]]
+                raise IllegalIntersection(
+                    f"cell {c.verts} repeats a vertex"
+                    if len(set(c.verts)) < len(c.verts)
+                    else f"cell {c.verts} lists its vertices unsorted")
             if up:
                 at = keys.searchsorted(q)
                 absent = _absent(keys, q, at)
@@ -415,7 +407,7 @@ class Complex:
                 np.add(at, r.start, out=out[lo:lo + len(at)], casting="unsafe")
                 lo += len(at)
         del out, srt
-        if check and not by_dim.get(n):
+        if not by_dim.get(n):
             raise MissingFace(f"no cell of dimension {n}")
         for d, j in miss:
             c = cells[by_dim[d][j // nf[d]]]
@@ -425,12 +417,11 @@ class Complex:
         self._facets = array("i", itertools.accumulate(
             itertools.chain.from_iterable(map(itertools.repeat, nf, map(
                 len, rows))), initial=0)), flat
-        return rows
 
     def facet_ids(self, i):
         """ids of the codimension-1 faces of cell i, in `_facet_index` order
         (vertex-drop order for simplices)."""
-        off, flat = self._facet_table()
+        off, flat = self._facets
         return flat[off[i]:off[i + 1]].tolist()
 
     def coface_ids(self, i):
@@ -493,8 +484,8 @@ class Complex:
 
     # -- validation --------------------------------------------------------------
 
-    def _validate(self):
-        rows = self._index(check=True)
+    def _validate(self, rows):
+        self._index(rows)
         if self.mode == CUBICAL:
             self._validate_cubical(rows)
         else:
@@ -522,7 +513,7 @@ class Complex:
         batch's fixed numpy calls.
         """
         cells, by_dim = self._cells, self._by_dim
-        off, flat = map(_ints, self._facet_table())
+        off, flat = map(_ints, self._facets)
         bits = max(1, (len(self.vertices) - 1).bit_length())
 
         def table(d):  # dimension d's facet ids, a row per cell
@@ -627,7 +618,7 @@ class Complex:
     def _validate_weakly_simplicial(self):
         """Condition (4): every (n-1)-simplex is a face of at most two
         n-simplices (lower cells are unique, so one cell per vertex set)."""
-        off, flat = map(_ints, self._facet_table())
+        off, flat = map(_ints, self._facets)
         top = self._by_dim[self.dimension]
         count = np.bincount(flat[off[top.start]:off[top.stop]])
         over = np.flatnonzero(count > 2)
@@ -672,17 +663,31 @@ class Complex:
         return h.hexdigest()
 
 
-def _of_rows(dimension, mode, vertices, cells, rows, vertex_cube_dim=None):
-    """A complex from a builder that holds its cells' rows: `rows[d]` lists
-    dimension d's cells, in the order of `cells`, as an int32 array of
-    vertex places among the sorted vertex ids (a cube's `order`, a
-    simplex's `verts`).  `Complex._index` runs on these rows and never reads
-    the cells back."""
-    K = Complex(dimension, mode, vertices, cells, validate=False,
-                vertex_cube_dim=vertex_cube_dim)
-    K._held = rows
-    K._validate()
-    return K
+def _of_rows(dimension, mode, vertices, rows, vertex_cube_dim=None):
+    """A complex from a builder's rows, the one place rows become `Cell`s:
+    `rows[d]` lists dimension d's cells, in (dim, verts) order, as an int32
+    array of vertex places among the sorted vertex ids.  A simplex's row is
+    its `verts`; a cube's is its `order`, and the row sorted its `verts`.
+    `Complex._index` validates these rows and never reads the cells back.
+
+    The rows are read by columns and zipped into the tuples, which share
+    the id objects of `vertices`: a list per row raised the process's peak
+    memory."""
+    ids = np.array(sorted(vertices), dtype=object)
+    cubical = mode == CUBICAL
+    kind = CUBE if cubical else SIMPLEX
+    cells = []
+    for d, r in enumerate(rows):
+        given = zip(*ids[r.T].tolist())
+        if cubical and d:
+            verts = zip(*ids[np.sort(r, axis=1).T].tolist())
+            cells += [Cell(d, v, kind, order)
+                      for v, order in zip(verts, given)]
+        else:
+            cells += map(Cell, itertools.repeat(d), given,
+                         itertools.repeat(kind))
+    return Complex(dimension, mode, vertices, cells, vertex_cube_dim,
+                   rows=rows)
 
 
 class _Rows(Complex):
@@ -697,13 +702,14 @@ class _Rows(Complex):
     hold: `cell`, `facet_ids`, `coface_ids`, `ids_with_verts` and
     `star_cell_ids`, and `identify` answers in rows.  The rows of a gone
     cell stay, so the lists only grow; `complex` sorts the live rows into a
-    Complex.
+    Complex, which validates them as it validates every complex: a row
+    that `identify` left wrong raises there.
     """
 
     def __init__(self, K):
         """K's rows, its ids kept; its order ranks equal tops."""
         (off, flat), (coff, cflat) = (map(array.tolist, table) for table in (
-            K._facet_table(), K._coface_table()))
+            K._facets, K._coface_table()))
         top = max(K._by_dim[K.dimension].start, K.n_cells(0))  # 0-cells too
         self.dimension, self.mode = K.dimension, SIMPLICIAL
         self.vertices, self._cells = dict(K.vertices), list(K._cells)
@@ -822,8 +828,8 @@ class _Rows(Complex):
     def complex(self, names, coords):
         """(Q, ids): the live rows sorted into a Complex, each vertex w of
         `names` called names[w] and placed at coords[names[w]], equal tops
-        in rank order; and the id in Q of each row (-1 once gone).  The
-        incidence tables are derived on first use."""
+        in rank order; and the id in Q of each row (-1 once gone).  Q is
+        validated from its cells, as every complex is."""
         live = [i for i, c in enumerate(self._cells) if c is not None]
         verts = [c.verts if names.keys().isdisjoint(c.verts) else tuple(
             sorted(names.get(w, w) for w in c.verts))
@@ -839,8 +845,7 @@ class _Rows(Complex):
         cells = [self._cells[live[m]] if verts[m] is self._cells[live[m]].verts
                  else Cell(len(verts[m]) - 1, verts[m], SIMPLEX)
                  for m in order]
-        return Complex(self.dimension, SIMPLICIAL, vertices, cells,
-                       validate=False), ids
+        return Complex(self.dimension, SIMPLICIAL, vertices, cells), ids
 
 
 def spanning_forest(nodes, edges):
@@ -888,8 +893,8 @@ def build_complex(dimension, mode, vertices, cells):
 
     The given cells become int32 rows of vertex places once
     (`_vertex_places`), their missing faces are derived on those rows a
-    dimension at a time (`_derive_faces`), and the rows become `Cell`s once,
-    in (dim, verts) order, which `_of_rows` validates.  Inconsistencies
+    dimension at a time (`_derive_faces`), and `_of_rows` makes them
+    `Cell`s, in (dim, verts) order, and validates them.  Inconsistencies
     raise NotCubical / UnknownVertex / MissingFace / IllegalIntersection /
     FaceOveruse.
     """
@@ -927,25 +932,17 @@ def build_complex(dimension, mode, vertices, cells):
     rows = _split_rows(place, [1 << d if cubical else d + 1
                                for d in range(top + 1)], counts)
     cut = list(itertools.accumulate(counts, initial=0))
-    srt = _derive_faces(rows, [np.array(given[lo:hi], dtype=np.intp)
-                               for lo, hi in zip(cut, cut[1:])],
-                        cubical, dimension, len(vmap))
-    ids = np.array(sorted(vmap), dtype=object)
-    out = []
-    for d, (r, s) in enumerate(zip(rows, srt)):
-        verts = list(zip(*ids[s.T].tolist()))
-        orders = zip(*ids[r.T].tolist()) if cubical and d else verts
-        out += [Cell(d, v, kind_default, order)
-                for v, order in zip(verts, orders)]
-    return _of_rows(dimension, mode, vmap, out, rows)
+    _derive_faces(rows, [np.array(given[lo:hi], dtype=np.intp)
+                         for lo, hi in zip(cut, cut[1:])],
+                  cubical, dimension, len(vmap))
+    return _of_rows(dimension, mode, vmap, rows)
 
 
 def _derive_faces(rows, tags, cubical, dimension, nv):
-    """Derive the faces of the given rows in place, and return each
-    dimension's kept rows, each row sorted.  `rows[d]` holds dimension d's
-    given rows (places among `nv` vertices) and `tags[d]` the index of each
-    in the given list; `rows[d]` comes back as the kept rows, ordered by
-    their sorted vertices, a cube's in the order that fixed it.
+    """Derive the faces of the given rows in place.  `rows[d]` holds
+    dimension d's given rows (places among `nv` vertices) and `tags[d]` the
+    index of each in the given list; `rows[d]` comes back as the kept rows,
+    ordered by their sorted vertices, a cube's in the order that fixed it.
 
     From the top dimension down, a dimension's candidates are its given rows
     and the facet rows of the rows one dimension up (a cube's in the order
@@ -960,7 +957,6 @@ def _derive_faces(rows, tags, cubical, dimension, nv):
     of any given one.
     """
     bits = max(1, (nv - 1).bit_length())
-    srt = list(rows)
     up = None  # (rows, tags) whose facets are candidates one dimension down
     for d in range(len(rows) - 1, 0, -1):
         cand, tag, mine = rows[d], tags[d], True  # mine: which are given
@@ -987,7 +983,7 @@ def _derive_faces(rows, tags, cubical, dimension, nv):
         if multi and mine is not False:  # every given top, too
             first |= mine if mine is True else mine[o]
         kept = o[first]
-        rows[d], srt[d] = cand[kept], s[kept]
+        rows[d] = cand[kept]
         if d == 1:
             break
         if mine is True:  # every row was given
@@ -1000,11 +996,10 @@ def _derive_faces(rows, tags, cubical, dimension, nv):
         up = cand[keep], tag[keep]
     vertex = np.arange(nv, dtype=np.int32)[:, None]
     if cubical or dimension > 0:  # no other 0-cell
-        rows[0] = srt[0] = vertex
+        rows[0] = vertex
     else:  # 0-cells are tops: every given one is kept after its vertex
         r = np.concatenate((vertex, rows[0]))
-        rows[0] = srt[0] = r[r[:, 0].argsort(kind="stable")]
-    return srt
+        rows[0] = r[r[:, 0].argsort(kind="stable")]
 
 
 def from_json(data):
@@ -1063,7 +1058,7 @@ def flag_rows(K, ids):
     cube its last cube is a proper face of, and those cubes, ascending, are
     gathered after it.  Grown so from sorted rows, the rows stay sorted.
     """
-    off, flat = map(_ints, K._facet_table())
+    off, flat = map(_ints, K._facets)
     size = np.int64(len(K._cells))  # pair keys face * size + cube
     inside = np.zeros(size, dtype=bool)
     inside[ids] = True
@@ -1087,23 +1082,6 @@ def flag_rows(K, ids):
         if not len(up):
             return rows
         rows.append(np.column_stack((rows[-1].repeat(deg, axis=0), up)))
-
-
-def simplex_cells(rows, vertices):
-    """The simplices on `rows`, a list of row arrays by dimension, each
-    sorted, as `Cell`s in the same order: entry j of a row stands for
-    `vertices[j]`, and `vertices` ascend.
-
-    The rows are read by columns and zipped into the `verts` tuples, which
-    share the id objects of `vertices`: a list per row raised the process's
-    peak memory.
-    """
-    ids = np.array(vertices, dtype=object)
-    cells = []
-    for d, r in enumerate(rows):
-        cells += map(Cell, itertools.repeat(d), zip(*ids[r.T].tolist()),
-                     itertools.repeat(SIMPLEX))
-    return cells
 
 
 def _flag_triangulation(K):
@@ -1142,9 +1120,7 @@ def canonical_triangulation(K):
     rows.
     """
     vcoords, rows, vdim = _flag_triangulation(K)
-    return _of_rows(K.dimension, SIMPLICIAL, vcoords,
-                    simplex_cells(rows, sorted(vcoords)), rows,
-                    vertex_cube_dim=vdim)
+    return _of_rows(K.dimension, SIMPLICIAL, vcoords, rows, vdim)
 
 
 # -- isomorphism ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 
 from .complex_core import (
     CUBE, CUBICAL, SIMPLEX, SIMPLICIAL, _flag_triangulation, _of_rows,
-    build_complex, centre_ids, flag_rows, simplex_cells,
+    build_complex, centre_ids, flag_rows,
 )
 from .errors import ParamsInvalid
 
@@ -81,19 +81,16 @@ def doubled_complex(K):
               flag_rows(K, K.boundary_facet_ids())[0][:, 0].tolist()}
     offset = max(vcoords) + 1
     copy = {v: v + offset for v in vcoords if v not in shared}
-    ids = sorted(vcoords)
-    inner = np.array([v in copy for v in ids], dtype=bool)
-    place = np.arange(len(ids), dtype=np.int32)
-    place[inner] = len(ids) + np.arange(np.count_nonzero(inner))
+    inner = np.array([v in copy for v in sorted(vcoords)], dtype=bool)
+    place = np.arange(len(inner), dtype=np.int32)
+    place[inner] = len(inner) + np.arange(np.count_nonzero(inner))
     for d, r in enumerate(rows):
         both = np.concatenate((r, place[r[inner[r].any(axis=1)]]))
         rows[d] = both[np.lexsort(both.T[::-1])]
-    ids += [v + offset for v in ids if v in copy]
     return _of_rows(
         K.dimension, SIMPLICIAL,
-        vcoords | {w: vcoords[v] for v, w in copy.items()},
-        simplex_cells(rows, ids), rows,
-        vertex_cube_dim=vdim | {w: vdim[v] for v, w in copy.items()})
+        vcoords | {w: vcoords[v] for v, w in copy.items()}, rows,
+        vdim | {w: vdim[v] for v, w in copy.items()})
 
 
 def circle_complex(edges=2):

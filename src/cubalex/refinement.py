@@ -565,9 +565,8 @@ def find_separating_complex(K):
     comp_verts = [{v for i in c for v in K.cell(i).verts} for c in comps]
     collars = [[i for i in K.top_ids() if set(K.cell(i).verts) & verts]
                for verts in comp_verts]
+    # collars that share a cube share its vertices, so they touch
     for (a, ca), (b, cb) in itertools.combinations(enumerate(collars), 2):
-        if set(ca) & set(cb):
-            raise NoDisjointCollars(f"collars {a} and {b} share cubes")
         va = {v for i in ca for v in K.cell(i).verts}
         vb = {v for i in cb for v in K.cell(i).verts}
         if va & vb:

@@ -18,10 +18,9 @@ import math
 import numpy as np
 
 from .complex_core import (
-    CUBICAL, SIMPLICIAL, _of_rows, assert_cell, flag_centres,
-    flag_rows, simplex_cells,
+    CUBICAL, SIMPLICIAL, _of_rows, assert_cell, flag_centres, flag_rows,
 )
-from .errors import NotACell, NotAPermutation, NotCubical
+from .errors import NotAPermutation, NotCubical
 
 
 def _facet_complex_is_cell(K, q, facet_ids):
@@ -206,9 +205,7 @@ def star_replacement(K):
     ids = [v for v, _ in centres] + [centres[-1][0] + 1]
     verts = {ids[i]: centres[i][1] for i in keep} | {ids[apex]: None}
     vdim = {ids[i]: K.cell(i).dim for i in keep} | {ids[apex]: n}
-    return _of_rows(n, SIMPLICIAL, verts, simplex_cells(
-        rows, [ids[i] for i in keep] + [ids[apex]]), rows,
-        vertex_cube_dim=vdim)
+    return _of_rows(n, SIMPLICIAL, verts, rows, vdim)
 
 
 def star_replacement_cover_count(K):
@@ -216,13 +213,14 @@ def star_replacement_cover_count(K):
 
     A k-cube carries 2^k k! flag simplices, so #(K^Delta)^(n) = #K^(n) 2^n n!
     and #(K*)^(n) = #(boundary of K)^(n-1) 2^(n-1) (n-1)!; neither is built.
+
+    The difference is even: for n >= 2 it carries the factor 2^(n-1), and
+    for n = 1 `assert_cell` has made K a path of e edges with two boundary
+    vertices, so it is 2e - 2.
     """
     if K.mode != CUBICAL:
         raise NotCubical("cover count needs a cubical complex")
     assert_cell(K)
     n = K.dimension
-    diff = ((2 * n * K.n_cells(n) - len(K.boundary_facet_ids()))
-            * 2 ** (n - 1) * math.factorial(n - 1))
-    if diff % 2:
-        raise NotACell("odd simplex difference; input is not a cell complex")
-    return diff // 2
+    return ((2 * n * K.n_cells(n) - len(K.boundary_facet_ids()))
+            * 2 ** (n - 1) * math.factorial(n - 1)) // 2

@@ -26,8 +26,7 @@ BENCH_BOXES_3D = [
 
 
 def subcomplex(K, ids):
-    """Unvalidated subcomplex of K spanned by the given cell ids, closed
-    under faces."""
+    """Subcomplex of K spanned by the given cell ids, closed under faces."""
     take, stack = set(ids), list(ids)
     while stack:
         for f in K.facet_ids(stack.pop()):
@@ -37,7 +36,7 @@ def subcomplex(K, ids):
     cells = [K.cell(i) for i in sorted(take)]
     verts = {v: K.vertices[v] for v in {w for c in cells for w in c.verts}}
     return cc.Complex(max((c.dim for c in cells), default=0), K.mode, verts,
-                      cells, validate=False,
+                      cells,
                       vertex_cube_dim={v: d for v, d in K.vertex_cube_dim.items()
                                        if v in verts})
 

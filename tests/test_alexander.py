@@ -19,7 +19,8 @@ from cubalex import shelling as sh
 from cubalex.complex_core import SIMPLEX, SIMPLICIAL, build_complex
 from cubalex.errors import (
     BadCenterLabel, BoundaryViolation, CubalexError, FaceOveruse, HasBoundary,
-    LabelClash, NonSimplicialStar, NotACell, OddCycle, UnmatchedSimplex,
+    IllegalIntersection, LabelClash, NonSimplicialStar, NotACell, OddCycle,
+    UnmatchedSimplex,
 )
 
 from gen import (
@@ -694,8 +695,9 @@ def test_collapse_chains_in_place_through_recolourings():
 
 
 def test_cone44_reduction_validates_and_colours_once(monkeypatch):
-    # a work guard: the triangulation is the one complex validated in full,
-    # the final complex the one two-coloured, after the last collapse, each
+    # a work guard: the triangulation and the final complex are the two
+    # complexes validated, none at a collapse, the final complex the one
+    # two-coloured, after the last collapse, each
     # collapse walks its star once, and the rows are made once and sorted
     # into a complex once
     K = cube_complex(CONE44)
@@ -708,12 +710,27 @@ def test_cone44_reduction_validates_and_colours_once(monkeypatch):
             return real(*args)
         monkeypatch.setattr(owner, name, counted)
     _, _, ledger = al.reduce_cubical(K)
-    assert calls.count("_validate") <= 1
+    assert calls.count("_validate") == 2
     assert calls.count("_two_color") == 1
     assert calls.index("_two_color") > max(
         i for i, name in enumerate(calls) if name == "star_cell_ids")
     assert calls.count("star_cell_ids") == len(ledger.steps) > 0
     assert calls.count("__init__") == calls.count("complex") == 1
+
+
+def test_closing_sort_validates_the_final_complex():
+    # the complex a reduction's rows sort into is validated like every
+    # other: a live edge row listed twice is a duplicate cell
+    T = cc.canonical_triangulation(fa.domino())
+    work = al._Work(T, T.vertex_cube_dim)
+    rows = work.complex
+    e = T.cell_ids(1)[0]
+    rows._cells.append(rows._cells[e])
+    rows._facet_rows.append(rows._facet_rows[e])
+    rows._coface_rows.append(())
+    rows.rank.append(len(rows.rank))
+    with pytest.raises(IllegalIntersection, match="duplicate cells of dim 1"):
+        work.plain()
 
 
 def state(lab):

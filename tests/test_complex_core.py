@@ -308,7 +308,7 @@ def incidence_case(kind, seed):
             rng.choice([base, fa.unit_cube(3)]))
     if kind == "doubled":
         return fa.doubled_complex(fa.grid_complex(random_disk_polyomino(rng, 3)))
-    # validate=False subcomplex on a random subset of top cells
+    # the subcomplex on a random subset of top cells
     K = rng.choice([fa.grid_complex(random_disk_polyomino(rng, 8)),
                     cc.canonical_triangulation(fa.domino())])
     tops = K.top_ids()
@@ -876,7 +876,7 @@ class PairwiseComplex(cc.Complex):
     """Complex validated as it once was: every pair of cells, of every
     dimension, that shares a vertex must meet in a stored face of both."""
 
-    def _validate(self):
+    def _validate(self, rows):
         n, cells = self.dimension, self.cells()
         index, incident = {}, {v: [] for v in self.vertices}
         for i, c in enumerate(cells):
@@ -892,7 +892,7 @@ class PairwiseComplex(cc.Complex):
         for (dim, verts), ids in index.items():
             if len(ids) > 1 and (dim < n or self.mode == cc.CUBICAL):
                 raise IllegalIntersection(f"duplicate cells on {verts}")
-        self._facet_table()
+        self._index(rows)
         if self.mode != cc.CUBICAL:
             return self._validate_weakly_simplicial()
         for c in cells:
@@ -1282,7 +1282,7 @@ def flag_digest(build, K):
     except CubalexError as exc:
         return type(exc).__name__
     return (json.dumps(T.to_json()), T.vertex_cube_dim,
-            [bytes(a) for a in T._facet_table() + T._coface_table()])
+            [bytes(a) for a in T._facets + T._coface_table()])
 
 
 @pytest.mark.parametrize("name", FLAG_CASES)

@@ -363,6 +363,32 @@ def test_separating_touching_collars():
         rf.find_separating_complex(P)
 
 
+def test_separating_peeling_proxy_can_fail():
+    # the peeling proxy for condition (3) fails where a facet has more than
+    # two cofaces: a unit cube's boundary glued to a 7x7 grid along the
+    # interior edge (3, 3)-(4, 3), its six other vertices new
+    G = fa.rect_grid(7, 7)
+    at = {x: v for v, x in G.vertices.items()}
+    glued = {(0, 0, 0): at[(3, 3)], (1, 0, 0): at[(4, 3)]}
+    new = itertools.count(max(G.vertices) + 1)
+    corner = {c: glued[c] if c in glued else next(new)
+              for c in itertools.product((0, 1), repeat=3)}
+    squares = []
+    for axis, side in itertools.product(range(3), (0, 1)):
+        free = [j for j in range(3) if j != axis]
+        squares.append((2, [corner[tuple(
+            side if j == axis else (i >> free.index(j)) & 1 for j in range(3))]
+            for i in range(4)], cc.CUBE))
+    K = cc.build_complex(
+        2, cc.CUBICAL, dict(G.vertices) | dict.fromkeys(
+            set(corner.values()) - set(G.vertices)),
+        [(c.dim, c.order, c.kind) for c in map(G.cell, G.top_ids())]
+        + squares)
+    assert K.n_cells(2) == 55 and len(rf.boundary_components(K)) == 1
+    with pytest.raises(NoDisjointCollars, match="does not peel"):
+        rf.find_separating_complex(K)
+
+
 
 # -- canonical triangulation of a cube ------------------------------------------------
 
