@@ -205,14 +205,15 @@ def _check_star_simplicial(K, star_ids):
 
 def _match_tops(lab, star_tops, apex):
     """Perfect matching of a star's n-simplices `star_tops` across their
-    apex-avoiding faces, as pairs (i, j) with i < j: each simplex has one
-    apex vertex, and the face opposite it has one other coface in the
-    star.  UnmatchedSimplex if there is no such matching."""
+    apex-avoiding faces, as pairs (i, j) with i < j: UnmatchedSimplex
+    unless each has one apex vertex and one other coface in the star across
+    the face F opposite it.  Then i's partner j is matched back to i: F holds
+    no apex vertex, so j's is the one j adds to F, and j's face opposite it
+    is F again."""
     K = lab.complex
     n = K.dimension
     star_set = set(star_tops)
     pairs = []
-    matched = {}
     for i in star_tops:
         verts = K.cell(i).verts
         apexes = [w for w in verts if lab.label(w) == apex]
@@ -224,12 +225,8 @@ def _match_tops(lab, star_tops, apex):
         if len(partners) != 1:
             raise UnmatchedSimplex(
                 f"simplex {verts} has {len(partners)} partners across {face}")
-        matched[i] = partners[0]
-    for i, j in matched.items():
-        if matched.get(j) != i:
-            raise UnmatchedSimplex("matching not symmetric")
-        if i < j:
-            pairs.append((i, j))
+        if i < partners[0]:
+            pairs.append((i, partners[0]))
     return pairs
 
 

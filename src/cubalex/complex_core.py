@@ -12,8 +12,9 @@ Every complex lists its cells sorted by (dim, verts), equal top simplices
 in their given order; the constructors produce that order and validation
 checks it.  So each dimension's cells are one range of ids, a cell is found
 by bisection on its vertices (`ids_with_verts`), and the cells on a vertex
-are found up the coface table from its 0-cell (`star_cell_ids`).  No index
-by key or by vertex is kept.
+are found up the coface table from its 0-cell (`star_cell_ids`), by the
+same walk (`_reach`) that closes a set of cells down the facet table.  No
+index by key or by vertex is kept.
 
 Incidence and validation run on each dimension's cells as an int32 array
 of vertex rows (`Complex._index`): facets are found by matching a whole
@@ -28,9 +29,9 @@ read back from its cells.
 
 A sequence of vertex identifications (a reduction's collapses) works on
 `_Rows` instead: the same cells as rows whose ids stay fixed, changed in
-place, so that each identification costs the cells it touches and the cells
-are sorted into a Complex, and validated, once, at the end.  `_Rows` is
-mutable and private to the one reduction that made it.
+place, so that each identification costs the cells it touches, and sorted
+into rows for `_of_rows` once, at the end.  `_Rows` is mutable and private
+to the one reduction that made it.
 
 Complexes are immutable after construction; every operation returns a new
 complex, so instances are safe to share across threads.
@@ -254,6 +255,20 @@ def _split_rows(place, widths, counts):
     return rows
 
 
+def _reach(start, step):
+    """The ids reachable from the ids `start` by `step` (an id to the ids
+    one step on), `start` among them, ascending: the one walk behind a
+    closure (down the facets) and the cells on a vertex (up the cofaces)."""
+    take = set(start)
+    stack = list(take)
+    while stack:
+        for k in step(stack.pop()):
+            if k not in take:
+                take.add(k)
+                stack.append(k)
+    return sorted(take)
+
+
 class Complex:
     """A cubical or weakly simplicial complex, validated when it is made.
 
@@ -307,18 +322,10 @@ class Complex:
 
     def _cells_at(self, vertices):
         """ids of the cells that contain one of `vertices`, ascending: up
-        the coface table from their 0-cells (a cell on w reaches the 0-cell
-        of w through facets on w)."""
-        off, flat = self._coface_table()
-        take = {i for w in vertices for i in self.ids_with_verts(0, (w,))}
-        stack = list(take)
-        while stack:
-            j = stack.pop()
-            for k in flat[off[j]:off[j + 1]]:
-                if k not in take:
-                    take.add(k)
-                    stack.append(k)
-        return sorted(take)
+        the cofaces from their 0-cells (a cell on w reaches the 0-cell of w
+        through facets on w)."""
+        return _reach([i for w in vertices
+                       for i in self.ids_with_verts(0, (w,))], self.coface_ids)
 
     def _coface_table(self):
         """The facet table inverted by one stable argsort, cofaces
@@ -473,14 +480,7 @@ class Complex:
 
     def _closure(self, ids):
         """The given cells and all their faces, as sorted ids."""
-        take = set(ids)
-        stack = list(take)
-        while stack:
-            for f in self.facet_ids(stack.pop()):
-                if f not in take:
-                    take.add(f)
-                    stack.append(f)
-        return sorted(take)
+        return _reach(ids, self.facet_ids)
 
     # -- validation --------------------------------------------------------------
 
@@ -697,13 +697,14 @@ class _Rows(Complex):
 
     Row i holds cell i (None once it is gone), its facets in vertex-drop
     order and its cofaces in no set order, as tuples; `where` finds a cell
-    below the top by its vertices, and `rank` orders equal tops.  The rows
-    are not sorted, so of Complex's queries only those a collapse makes
-    hold: `cell`, `facet_ids`, `coface_ids`, `ids_with_verts` and
-    `star_cell_ids`, and `identify` answers in rows.  The rows of a gone
-    cell stay, so the lists only grow; `complex` sorts the live rows into a
-    Complex, which validates them as it validates every complex: a row
-    that `identify` left wrong raises there.
+    below the top by its vertices, and `rank` orders equal tops.  The
+    facet and coface lists' own `__getitem__` are `facet_ids` and
+    `coface_ids`, which Complex's walks read.  The rows are not sorted, so
+    of Complex's queries only those a collapse makes hold: `cell`,
+    `facet_ids`, `coface_ids`, `ids_with_verts` and `star_cell_ids`, and
+    `identify` answers in rows.  The rows of a gone cell stay, so the lists
+    only grow; `complex` sorts the live rows for `_of_rows`, which
+    validates them as every complex: a row `identify` left wrong raises.
     """
 
     def __init__(self, K):
@@ -716,15 +717,11 @@ class _Rows(Complex):
         self._facet_rows = [tuple(flat[a:b]) for a, b in zip(off, off[1:])]
         self._coface_rows = [tuple(cflat[a:b])
                              for a, b in zip(coff, coff[1:])]
+        self.facet_ids = self._facet_rows.__getitem__
+        self.coface_ids = self._coface_rows.__getitem__
         self._where = dict(zip(map(_cell_verts, K._cells[:top]), range(top)))
         self.rank = list(range(len(K._cells)))
         self.tops = K.n_cells(K.dimension)
-
-    def facet_ids(self, i):
-        return self._facet_rows[i]
-
-    def coface_ids(self, i):
-        return self._coface_rows[i]
 
     def ids_with_verts(self, dim, verts):
         """ids of the cells of dimension dim on `verts`: a top on `verts`
@@ -735,19 +732,6 @@ class _Rows(Complex):
         f = self._where.get(verts[1:])
         return [] if f is None else sorted(
             j for j in self._coface_rows[f] if self._cells[j].verts == verts)
-
-    def _cells_at(self, vertices):
-        """ids of the cells on one of `vertices`, ascending: up the coface
-        rows from their 0-cells."""
-        cof = self._coface_rows
-        take = {self._where[(w,)] for w in vertices}
-        stack = list(take)
-        while stack:
-            for k in cof[stack.pop()]:
-                if k not in take:
-                    take.add(k)
-                    stack.append(k)
-        return sorted(take)
 
     def identify(self, gone, v):
         """Identify every vertex in the set `gone` with vertex v, in place.
@@ -829,7 +813,7 @@ class _Rows(Complex):
         """(Q, ids): the live rows sorted into a Complex, each vertex w of
         `names` called names[w] and placed at coords[names[w]], equal tops
         in rank order; and the id in Q of each row (-1 once gone).  Q is
-        validated from its cells, as every complex is."""
+        made from the sorted rows by `_of_rows`, as every complex is."""
         live = [i for i, c in enumerate(self._cells) if c is not None]
         verts = [c.verts if names.keys().isdisjoint(c.verts) else tuple(
             sorted(names.get(w, w) for w in c.verts))
@@ -842,10 +826,11 @@ class _Rows(Complex):
         vertices = {names[w] if w in names else w:
                     coords[names[w]] if w in names else x
                     for w, x in self.vertices.items()}
-        cells = [self._cells[live[m]] if verts[m] is self._cells[live[m]].verts
-                 else Cell(len(verts[m]) - 1, verts[m], SIMPLEX)
-                 for m in order]
-        return Complex(self.dimension, SIMPLICIAL, vertices, cells), ids
+        seqs = [verts[m] for m in order]
+        widths = range(1, self.dimension + 2)
+        counts = np.bincount(list(map(len, seqs)), minlength=len(widths) + 1)
+        rows = _split_rows(_vertex_places(seqs, vertices), widths, counts[1:])
+        return _of_rows(self.dimension, SIMPLICIAL, vertices, rows), ids
 
 
 def spanning_forest(nodes, edges):

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all cubalex modules."""
 
+import numbers
+
 
 class CubalexError(Exception):
     """Base class for all domain errors."""
@@ -107,6 +109,12 @@ class ColorComponentWithoutRoot(CubalexError):
 
 class ParamsInvalid(CubalexError):
     pass
+
+
+def check_count(name, value, least):
+    """ParamsInvalid unless value is an integer >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ParamsInvalid(f"{name} = {value!r}, need an integer >= {least}")
 
 
 class MinimizationNotConverged(CubalexError):

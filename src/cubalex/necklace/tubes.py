@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..errors import ParamsInvalid
+from ..errors import ParamsInvalid, check_count
 from .geometry import ROUND, child_map, pattern_of_child
 from .transforms import Similarity4, identity, rotation
 
@@ -104,7 +104,9 @@ def generate(params, k, children_per_tube=None):
 
     With `children_per_tube` set, each tube keeps that many children (parity
     mixed, deterministic), which keeps k = 3 tractable at m = 1700.
+    ParamsInvalid unless k is an integer >= 0.
     """
+    check_count("k", k, 0)
     js = None
     if children_per_tube is not None and children_per_tube < params.m:
         c = children_per_tube

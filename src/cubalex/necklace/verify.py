@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import (
     IntegralNotConverged, MinimizationNotConverged, ParamsInvalid,
-    SamplingBudgetExceeded,
+    SamplingBudgetExceeded, check_count,
 )
 from ..kernels import torus_distance_gradients, torus_distances
 from .geometry import (
@@ -35,12 +35,6 @@ GAP = 1e-2                # relative gap at which branch-and-bound stops a pair
 MAX_LIVE_CELLS = 1 << 20  # live cells above this raise MinimizationNotConverged
 CHUNK = 1 << 16           # cells per distance evaluation, which bounds memory
 CHORD_MARGIN = 3.0        # tube extents a chord must exceed to skip a pair
-
-
-def _check_count(name, value, least):
-    """ParamsInvalid unless value is an integer >= least."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ParamsInvalid(f"{name} = {value!r}, need an integer >= {least}")
 
 
 def _check_tol(tol):
@@ -298,8 +292,8 @@ def verify_containment(params, n_phi=200, n_theta=400, tol=1e-3):
     finite and >= 0.
     """
     b = params.b
-    _check_count("n_phi", n_phi, 1)
-    _check_count("n_theta", n_theta, 1)
+    check_count("n_phi", n_phi, 1)
+    check_count("n_theta", n_theta, 1)
     _check_tol(tol)
     if n_phi * n_theta > 4_000_000:
         raise SamplingBudgetExceeded(f"{n_phi}x{n_theta} samples requested")
@@ -414,7 +408,7 @@ def verify_linking(params, nodes=10_000, tol=1e-3):
     integer >= 8 and tol is finite and >= 0.
     """
     b, m = params.b, params.m
-    _check_count("nodes", nodes, 8)
+    check_count("nodes", nodes, 8)
     _check_tol(tol)
 
     @functools.cache  # a circle is in up to four of the seven pairs

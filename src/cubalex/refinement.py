@@ -23,6 +23,7 @@ from .errors import (
     NoDisjointCollars,
     NotATree,
     NotCubical,
+    check_count,
 )
 
 
@@ -53,9 +54,7 @@ def _cube_box(K, i):
 class RefinedComplex:
     """A 1/3^k refinement with per-cube provenance onto the base complex."""
 
-    base: Complex
     complex: Complex
-    k: int
     provenance: dict  # refined top id -> base top id
 
 
@@ -64,11 +63,13 @@ def refine(K, k=1):
 
     Coordinates are multiplied by 3^k so that subcubes sit on the integer
     lattice; the identity on spaces is a similarity scaling by 3^k.
+    ParamsInvalid unless k is an integer >= 0.
     """
+    check_count("k", k, 0)
     if K.mode != CUBICAL:
         raise NotCubical("refine needs a cubical complex")
     if k == 0:
-        return RefinedComplex(K, K, 0, {i: i for i in K.top_ids()})
+        return RefinedComplex(K, {i: i for i in K.top_ids()})
     n = K.dimension
     f = 3 ** k
     boxes = {i: _cube_box(K, i) for i in K.top_ids()}
@@ -92,7 +93,7 @@ def refine(K, k=1):
     # build_complex may reorder; recover provenance through vertex sets
     lookup = {tuple(sorted(vs)): i for (_, vs, _), i in zip(cells, prov_order)}
     prov = {i: lookup[R.cell(i).verts] for i in R.top_ids()}
-    return RefinedComplex(K, R, k, prov)
+    return RefinedComplex(R, prov)
 
 
 # -- boxes and molecules -------------------------------------------------------------
@@ -540,7 +541,6 @@ class SeparatingComplex:
     complex: Complex
     facet_ids: list      # (n-1)-cells of Z, ids in the ambient complex
     pieces: list         # lists of top-cube ids
-    neighborhood: list   # top-cube ids meeting |Z|
 
     def piece_count(self):
         return len(self.pieces)
@@ -631,5 +631,4 @@ def find_separating_complex(K):
         if remaining:
             raise NoDisjointCollars(f"piece {idx} does not peel onto its collar")
 
-    neighborhood = sorted({j for f in z_facets for j in K.coface_ids(f)})
-    return SeparatingComplex(K, z_facets, pieces, neighborhood)
+    return SeparatingComplex(K, z_facets, pieces)

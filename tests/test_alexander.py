@@ -698,13 +698,14 @@ def test_cone44_reduction_validates_and_colours_once(monkeypatch):
     # a work guard: the triangulation and the final complex are the two
     # complexes validated, none at a collapse, the final complex the one
     # two-coloured, after the last collapse, each
-    # collapse walks its star once, and the rows are made once and sorted
-    # into a complex once
+    # collapse walks its star once, the rows run Complex's walk up the
+    # cofaces once per star and once per identify, and the rows are made
+    # once and sorted into a complex once
     K = cube_complex(CONE44)
     calls = []
     for owner, name in [(cc.Complex, "_validate"), (al, "_two_color"),
                         (cc.Complex, "star_cell_ids"), (cc._Rows, "__init__"),
-                        (cc._Rows, "complex")]:
+                        (cc._Rows, "complex"), (cc.Complex, "_cells_at")]:
         def counted(*args, real=getattr(owner, name), name=name):
             calls.append(name)
             return real(*args)
@@ -715,6 +716,8 @@ def test_cone44_reduction_validates_and_colours_once(monkeypatch):
     assert calls.index("_two_color") > max(
         i for i, name in enumerate(calls) if name == "star_cell_ids")
     assert calls.count("star_cell_ids") == len(ledger.steps) > 0
+    assert calls.count("_cells_at") == len(ledger.steps) + sum(
+        s.rewritten > 0 for s in ledger.steps)
     assert calls.count("__init__") == calls.count("complex") == 1
 
 

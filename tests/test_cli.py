@@ -198,6 +198,11 @@ def test_refine_cli(paths, capsys):
     assert sum(1 for c in data["cells"] if c["dim"] == 2) == 18
 
 
+def test_refine_bad_k_exits_3(paths, capsys):
+    code, data = run(capsys, ["refine", paths["domino"], "--k", "-1"])
+    assert code == 3 and data["type"] == "ParamsInvalid"
+
+
 def test_molecule_cli(tmp_path, capsys):
     mol = {"n": 2, "atoms": [[[[0, 0], 3]], [[[3, 0], 1]]],
            "indices": [1, 0], "leading": None}

@@ -162,6 +162,12 @@ def test_generation_counts_and_patterns():
     assert sum(1 for t in lev1 if t.pattern == "T") == p.m // 2
 
 
+@pytest.mark.parametrize("k", [-1, 1.5, None])
+def test_generate_rejects_a_bad_k(k):
+    with pytest.raises(ParamsInvalid):
+        nk.generate(small_params(), k)
+
+
 def test_scale_ledger_exact():
     p = small_params()
     system = nk.generate(p, 3, children_per_tube=4)

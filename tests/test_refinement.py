@@ -16,7 +16,7 @@ from cubalex import factories as fa
 from cubalex import refinement as rf
 from cubalex.errors import (
     BadAttachment, CubeNotInMolecule, DuplicateMaxAtom, NoDisjointCollars,
-    NotATree, NotCubical,
+    NotATree, NotCubical, ParamsInvalid,
 )
 
 from gen import random_molecule, random_molecule_spec
@@ -45,6 +45,12 @@ def test_refine_needs_coords():
                          [(2, [0, 1, 2, 3], cc.CUBE)])
     with pytest.raises(NotCubical):
         rf.refine(K, 1)
+
+
+@pytest.mark.parametrize("k", [-1, 1.5, "1"])
+def test_refine_rejects_a_bad_k(k):
+    with pytest.raises(ParamsInvalid):
+        rf.refine(fa.unit_cube(2), k)
 
 
 @pytest.mark.parametrize("n", [2, 3])
