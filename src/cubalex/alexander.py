@@ -192,14 +192,16 @@ def degree(lab):
 
 
 def _check_star_simplicial(K, star_ids):
-    """A star is simplicial unless it repeats a top (it holds every copy of
-    its cells; lower cells are unique).  Two tops of a star meet in a face
-    of both: every top of St(v) contains v, so they share a vertex, and the
-    vertices they share span a face of each, since every face of a cell is
-    a cell."""
+    """A star is simplicial unless it repeats a top, as another coface of
+    the top's first facet (it holds every copy of its cells; lower cells
+    are unique).  Two tops of a star meet in a face of both: every top of
+    St(v) contains v, so they share a vertex, and the vertices they share
+    span a face of each, since every face of a cell is a cell."""
     for i in star_ids:
         c = K.cell(i)
-        if c.dim == K.dimension and len(K.ids_with_verts(c.dim, c.verts)) > 1:
+        if c.dim == K.dimension and any(
+                j != i and K.cell(j).verts == c.verts
+                for f in K.facet_ids(i)[:1] for j in K.coface_ids(f)):
             raise NonSimplicialStar(f"duplicate cell {c.verts} in star")
 
 
@@ -207,21 +209,22 @@ def _match_tops(lab, star_tops, apex):
     """Perfect matching of a star's n-simplices `star_tops` across their
     apex-avoiding faces, as pairs (i, j) with i < j: UnmatchedSimplex
     unless each has one apex vertex and one other coface in the star across
-    the face F opposite it.  Then i's partner j is matched back to i: F holds
+    the face F opposite it, its facet in the apex vertex's place (facets are
+    in vertex-drop order).  Then i's partner j is matched back to i: F holds
     no apex vertex, so j's is the one j adds to F, and j's face opposite it
     is F again."""
     K = lab.complex
-    n = K.dimension
     star_set = set(star_tops)
     pairs = []
     for i in star_tops:
         verts = K.cell(i).verts
-        apexes = [w for w in verts if lab.label(w) == apex]
+        apexes = [k for k, w in enumerate(verts) if lab.label(w) == apex]
         if len(apexes) != 1:
             raise UnmatchedSimplex(f"simplex {verts} has {len(apexes)} apex vertices")
-        face = tuple(w for w in verts if w != apexes[0])
-        partners = [j for fid in K.ids_with_verts(n - 1, face)
-                    for j in K.coface_ids(fid) if j != i and j in star_set]
+        a = apexes[0]
+        face = verts[:a] + verts[a + 1:]
+        partners = [j for j in K.coface_ids(K.facet_ids(i)[a])
+                    if j != i and j in star_set]
         if len(partners) != 1:
             raise UnmatchedSimplex(
                 f"simplex {verts} has {len(partners)} partners across {face}")
@@ -338,7 +341,7 @@ def _collapse(work, v, apex):
 
     merged = apex_verts | {w}
     hub = max(sorted(merged), key=lambda x: (
-        len(K.coface_ids(K.ids_with_verts(0, (x,))[0])), x == w))
+        len(K.coface_ids(K._vertex_cell(x)[0])), x == w))
     place = alias[v][1] if v in alias else K.vertices[v]
     _, touched = K.identify(merged - {hub}, hub)
     for x in merged & names.keys():

@@ -15,7 +15,7 @@ import time
 
 from . import alexander, complex_core, refinement, shelling, weaving
 from . import necklace as nk
-from .errors import CubalexError
+from .errors import CubalexError, ParamsInvalid, json_fields
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -29,6 +29,8 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise SystemExit(EXIT_IO) from exc
+    except ValueError as exc:  # not JSON, or not text
+        raise ParamsInvalid(f"{path} is not JSON: {exc}") from None
 
 
 def _digest(data):
@@ -131,9 +133,8 @@ def cmd_refine(args):
 
 
 def cmd_molecule(args):
-    data = _read_json(args.molecule)
     try:
-        M = refinement.molecule_from_json(data)
+        M = refinement.molecule_from_json(_read_json(args.molecule))
     except CubalexError as exc:
         return (_emit({"valid": False, "error": str(exc)}, args.out)
                 or EXIT_PRECONDITION)
@@ -162,9 +163,11 @@ def cmd_separate(args):
 
 def cmd_weave_rank(args):
     data = _read_json(args.sketch)
+    p, colors, simplices = json_fields(data, "sketch", "p", "colors",
+                                       "simplices")
     sk = weaving.SketchSpec(
-        p=data["p"], colors={int(k): v for k, v in data["colors"].items()},
-        simplices=[tuple(s) for s in data["simplices"]],
+        p=p, colors={int(k): v for k, v in colors.items()},
+        simplices=[tuple(s) for s in simplices],
         adjacency=[tuple(a) for a in data.get("adjacency", [])])
     ranks = weaving.rank_function(sk)
     m_new, per = weaving.sphericalize_counts(sk, ranks)

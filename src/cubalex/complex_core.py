@@ -10,11 +10,11 @@ canonical triangulation comes only from `centre_ids`.
 
 Every complex lists its cells sorted by (dim, verts), equal top simplices
 in their given order; the constructors produce that order and validation
-checks it.  So each dimension's cells are one range of ids, a cell is found
-by bisection on its vertices (`ids_with_verts`), and the cells on a vertex
-are found up the coface table from its 0-cell (`star_cell_ids`), by the
-same walk (`_reach`) that closes a set of cells down the facet table.  No
-index by key or by vertex is kept.
+checks it.  So each dimension's cells are one range of ids, a vertex's
+0-cell is found by bisection (`_vertex_cell`), and the cells on a vertex
+up the coface table from it (`star_cell_ids`), by the same walk (`_reach`)
+that closes a set of cells down the facet table.  No index by key or by
+vertex is kept, and no cell is looked up by its vertices.
 
 Incidence and validation run on each dimension's cells as an int32 array
 of vertex rows (`Complex._index`): facets are found by matching a whole
@@ -30,8 +30,9 @@ read back from its cells.
 A sequence of vertex identifications (a reduction's collapses) works on
 `_Rows` instead: the same cells as rows whose ids stay fixed, changed in
 place, so that each identification costs the cells it touches, and sorted
-into rows for `_of_rows` once, at the end.  `_Rows` is mutable and private
-to the one reduction that made it.
+into rows for `_of_rows` once, at the end.  Its one index is vertex ->
+0-cell; every other cell is reached by id, through the facet and coface
+rows.  `_Rows` is mutable and private to the one reduction that made it.
 
 Complexes are immutable after construction; every operation returns a new
 complex, so instances are safe to share across threads.
@@ -56,7 +57,9 @@ from .errors import (
     MissingFace,
     NotACell,
     NotCubical,
+    ParamsInvalid,
     UnknownVertex,
+    json_fields,
 )
 
 CUBE = "cube"
@@ -279,6 +282,9 @@ class Complex:
 
     def __init__(self, dimension, mode, vertices, cells, vertex_cube_dim=None,
                  *, rows=None):
+        if mode not in (CUBICAL, SIMPLICIAL):
+            raise ParamsInvalid(
+                f"mode {mode!r}, need {CUBICAL!r} or {SIMPLICIAL!r}")
         self.dimension = dimension
         self.mode = mode
         self.vertices = dict(vertices)  # id -> coords tuple or None
@@ -312,20 +318,20 @@ class Complex:
     def n_cells(self, dim):
         return len(self._by_dim.get(dim, ()))
 
-    def ids_with_verts(self, dim, verts):
-        """ids of the cells of dimension dim on `verts`, by bisection."""
-        verts, ids = tuple(sorted(verts)), self._by_dim.get(dim, range(0))
-        lo = bisect.bisect_left(self._cells, verts, ids.start, ids.stop,
+    def _vertex_cell(self, w):
+        """ids of the 0-cells on vertex w, by bisection."""
+        ids = self._by_dim[0]
+        lo = bisect.bisect_left(self._cells, (w,), ids.start, ids.stop,
                                 key=_cell_verts)
         return list(range(lo, bisect.bisect_right(
-            self._cells, verts, lo, ids.stop, key=_cell_verts)))
+            self._cells, (w,), lo, ids.stop, key=_cell_verts)))
 
     def _cells_at(self, vertices):
         """ids of the cells that contain one of `vertices`, ascending: up
         the cofaces from their 0-cells (a cell on w reaches the 0-cell of w
         through facets on w)."""
-        return _reach([i for w in vertices
-                       for i in self.ids_with_verts(0, (w,))], self.coface_ids)
+        return _reach([i for w in vertices for i in self._vertex_cell(w)],
+                      self.coface_ids)
 
     def _coface_table(self):
         """The facet table inverted by one stable argsort, cofaces
@@ -366,15 +372,19 @@ class Complex:
         A row holds a cell's vertices as their places among the sorted
         vertex ids: a cube's `order`, a simplex's `verts`.  The (dim, verts)
         order, with no duplicate but equal top simplices in weakly
-        simplicial mode, repeated vertices and a cell of the top dimension
-        are checked on the rows, before any facet.  A dimension's facet rows
-        are made in one step (`_facet_rows`) and matched against the sorted
-        rows one dimension down by `_lex_keys` and one searchsorted, the
-        first id on equal keys; a facet row with no match raises
-        MissingFace.
+        simplicial mode, repeated vertices, no cell above the top dimension
+        and a cell of the top dimension are checked on the rows, before any
+        facet.  A dimension's facet rows are made in one step (`_facet_rows`)
+        and matched against the sorted rows one dimension down by `_lex_keys`
+        and one searchsorted, the first id on equal keys; a facet row with
+        no match raises MissingFace.
         """
         cells, n, cubical = self._cells, self.dimension, self.mode == CUBICAL
         by_dim = self._by_dim
+        if len(by_dim) > n + 1:
+            c = cells[by_dim[n + 1].start]  # the first above dimension n
+            raise IllegalIntersection(
+                f"cell {c.verts} of dim {c.dim} in a complex of dimension {n}")
         bits = max(1, (len(self.vertices) - 1).bit_length())
         srt = rows[:1] + [np.sort(r, axis=1) for r in rows[1:]] if cubical \
             else rows
@@ -390,7 +400,7 @@ class Complex:
             up = d + 1 < len(rows)
             keys, q = _lex_keys(srt[d], _facet_rows(rows[d + 1], cubical)
                                 if up else srt[d][:0], bits)
-            bad = (keys[1:] < keys[:-1] if d >= n and not cubical
+            bad = (keys[1:] < keys[:-1] if d == n and not cubical
                    else keys[1:] <= keys[:-1])
             if np.count_nonzero(bad):
                 i = bad.argmax()
@@ -696,12 +706,12 @@ class _Rows(Complex):
     the cells it touches; the form a reduction works on between collapses.
 
     Row i holds cell i (None once it is gone), its facets in vertex-drop
-    order and its cofaces in no set order, as tuples; `where` finds a cell
-    below the top by its vertices, and `rank` orders equal tops.  The
-    facet and coface lists' own `__getitem__` are `facet_ids` and
-    `coface_ids`, which Complex's walks read.  The rows are not sorted, so
-    of Complex's queries only those a collapse makes hold: `cell`,
-    `facet_ids`, `coface_ids`, `ids_with_verts` and `star_cell_ids`, and
+    order and its cofaces in no set order, as tuples, and `rank` orders
+    equal tops.  The facet and coface lists' own `__getitem__` are
+    `facet_ids` and `coface_ids`, which Complex's walks read, and `_zero`'s
+    (vertex -> [its 0-cell]) is `_vertex_cell`.  The rows are not sorted,
+    so of Complex's queries only those a collapse makes hold: `cell`,
+    `facet_ids`, `coface_ids`, `_vertex_cell` and `star_cell_ids`, and
     `identify` answers in rows.  The rows of a gone cell stay, so the lists
     only grow; `complex` sorts the live rows for `_of_rows`, which
     validates them as every complex: a row `identify` left wrong raises.
@@ -711,7 +721,6 @@ class _Rows(Complex):
         """K's rows, its ids kept; its order ranks equal tops."""
         (off, flat), (coff, cflat) = (map(array.tolist, table) for table in (
             K._facets, K._coface_table()))
-        top = max(K._by_dim[K.dimension].start, K.n_cells(0))  # 0-cells too
         self.dimension, self.mode = K.dimension, SIMPLICIAL
         self.vertices, self._cells = dict(K.vertices), list(K._cells)
         self._facet_rows = [tuple(flat[a:b]) for a, b in zip(off, off[1:])]
@@ -719,19 +728,11 @@ class _Rows(Complex):
                              for a, b in zip(coff, coff[1:])]
         self.facet_ids = self._facet_rows.__getitem__
         self.coface_ids = self._coface_rows.__getitem__
-        self._where = dict(zip(map(_cell_verts, K._cells[:top]), range(top)))
+        self._zero = {c.verts[0]: [i] for i, c in enumerate(K._cells[
+            :K.n_cells(0)])}
+        self._vertex_cell = self._zero.__getitem__
         self.rank = list(range(len(K._cells)))
         self.tops = K.n_cells(K.dimension)
-
-    def ids_with_verts(self, dim, verts):
-        """ids of the cells of dimension dim on `verts`: a top on `verts`
-        is a coface of its facet on verts[1:]."""
-        verts = tuple(sorted(verts))
-        if dim < self.dimension:
-            return [self._where[verts]] if verts in self._where else []
-        f = self._where.get(verts[1:])
-        return [] if f is None else sorted(
-            j for j in self._coface_rows[f] if self._cells[j].verts == verts)
 
     def identify(self, gone, v):
         """Identify every vertex in the set `gone` with vertex v, in place.
@@ -742,16 +743,16 @@ class _Rows(Complex):
         A non-degenerate image has one vertex w of `gone` and not v: it is
         c with w replaced by v, and its facet without a vertex is the image
         of c's facet without the same vertex (w for v).  A lower image
-        merges with the cell on its vertices, carried
-        or new; each top image is a new top, of its preimage's rank.  The
-        facets of a carried cell are carried, so only the coface rows of the
-        cells under a touched one change.  Only what is new is validated,
+        merges with the cell on its vertices: one made earlier in the call,
+        v's 0-cell, or the coface on v of c's (untouched) facet without w.
+        Each top image is a new top, of its preimage's rank.  The facets of
+        a carried cell are carried, so only the coface rows of the cells
+        under a touched one change.  Only what is new is validated,
         before any row is written, so a raise leaves the rows as they were:
         some top is left, and every (n-1)-cell has at most two cofaces (a
         carried one gains cofaces only among new tops).
         """
-        n, cells, facets, where = (self.dimension, self._cells,
-                                   self._facet_rows, self._where)
+        n, cells, facets = self.dimension, self._cells, self._facet_rows
         size, touched = len(cells), self._cells_at(gone)
         image, under, lower = {}, {}, {}
         made = []  # (cell, facets, rank) of each new cell
@@ -763,9 +764,14 @@ class _Rows(Complex):
                 continue
             w = hit.pop()
             t = tuple(sorted([v if x == w else x for x in verts]))
-            if dim < n and (t in where or t in lower):
-                image[i] = where.get(t, lower.get(t))
-                continue
+            if dim < n:  # the cell on t, if there is one
+                j = lower.get(t) if dim else self._zero[v][0]
+                if j is None:
+                    j = next((k for k in self._coface_rows[facets[i][
+                        verts.index(w)]] if cells[k].verts == t), None)
+                if j is not None:
+                    image[i] = j
+                    continue
             j = image[i] = size + len(made)
             face = dict(zip(verts, facets[i]))  # vertex -> the facet without it
             face[v] = face.pop(w)
@@ -793,20 +799,17 @@ class _Rows(Complex):
                 raise FaceOveruse(f"(n-1)-simplex {c.verts} has "
                                   f"{len(cofaces[f])} cofaces")
         for i in touched:
-            if cells[i].dim < n:
-                del where[cells[i].verts]
             cells[i] = None
         for c, fs, r in made:
             cells.append(c)
             facets.append(fs)
             self._coface_rows.append(())
             self.rank.append(r)
-        where.update(lower)
         for f, row in cofaces.items():
             self._coface_rows[f] = row
         self.tops = tops
         for w in gone:
-            del self.vertices[w]
+            del self.vertices[w], self._zero[w]
         return image, touched
 
     def complex(self, names, coords):
@@ -896,8 +899,8 @@ def build_complex(dimension, mode, vertices, cells):
     dims, seqs, kinds = [], [], []
     for entry in cells:
         if isinstance(entry, dict):
-            dim, vs, kind = (entry["dim"], entry["vertices"],
-                             entry.get("kind", kind_default))
+            dim, vs = json_fields(entry, "cell", "dim", "vertices")
+            kind = entry.get("kind", kind_default)
         else:
             dim, vs, kind = entry
         dims.append(dim)
@@ -990,11 +993,13 @@ def _derive_faces(rows, tags, cubical, dimension, nv):
 def from_json(data):
     if isinstance(data, str):
         data = json.loads(data)
-    verts = {v["id"]: tuple(v["coords"]) if "coords" in v else None
-             for v in data["vertices"]}
-    if len(verts) != len(data["vertices"]):
+    dimension, mode, vertices, cells = json_fields(
+        data, "complex", "dimension", "mode", "vertices", "cells")
+    verts = {json_fields(v, "vertex", "id")[0]:
+             tuple(v["coords"]) if "coords" in v else None for v in vertices}
+    if len(verts) != len(vertices):
         raise IllegalIntersection("vertex ids not unique")
-    return build_complex(data["dimension"], data["mode"], verts, data["cells"])
+    return build_complex(dimension, mode, verts, cells)
 
 
 # -- canonical triangulation ------------------------------------------------------

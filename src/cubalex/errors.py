@@ -7,6 +7,29 @@ class CubalexError(Exception):
     """Base class for all domain errors."""
 
 
+# -- parameters and input files ----------------------------------------------
+
+class ParamsInvalid(CubalexError):
+    pass
+
+
+def check_count(name, value, least):
+    """ParamsInvalid unless value is an integer >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ParamsInvalid(f"{name} = {value!r}, need an integer >= {least}")
+
+
+def json_fields(data, what, *keys):
+    """data's values at `keys`; ParamsInvalid, naming `what`, unless data
+    is a JSON object holding them all."""
+    if not isinstance(data, dict):
+        raise ParamsInvalid(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ParamsInvalid(f"{what} lacks key {key!r}")
+    return [data[key] for key in keys]
+
+
 # -- complex construction / validation ------------------------------------
 
 class MissingFace(CubalexError):
@@ -106,16 +129,6 @@ class ColorComponentWithoutRoot(CubalexError):
 
 
 # -- necklace --------------------------------------------------------------------
-
-class ParamsInvalid(CubalexError):
-    pass
-
-
-def check_count(name, value, least):
-    """ParamsInvalid unless value is an integer >= least."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ParamsInvalid(f"{name} = {value!r}, need an integer >= {least}")
-
 
 class MinimizationNotConverged(CubalexError):
     pass

@@ -104,9 +104,12 @@ def generate(params, k, children_per_tube=None):
 
     With `children_per_tube` set, each tube keeps that many children (parity
     mixed, deterministic), which keeps k = 3 tractable at m = 1700.
-    ParamsInvalid unless k is an integer >= 0.
+    ParamsInvalid unless k is an integer >= 0, and children_per_tube None
+    or an integer >= 1.
     """
     check_count("k", k, 0)
+    if children_per_tube is not None:
+        check_count("children_per_tube", children_per_tube, 1)
     js = None
     if children_per_tube is not None and children_per_tube < params.m:
         c = children_per_tube

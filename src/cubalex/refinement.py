@@ -24,6 +24,7 @@ from .errors import (
     NotATree,
     NotCubical,
     check_count,
+    json_fields,
 )
 
 
@@ -440,10 +441,10 @@ def molecule_to_json(M):
 
 
 def molecule_from_json(data):
+    n, atoms, indices = json_fields(data, "molecule", "n", "atoms", "indices")
     return build_molecule(
-        data["n"],
-        [[(tuple(c), s) for c, s in atom] for atom in data["atoms"]],
-        data["indices"], data.get("leading") or None)
+        n, [[(tuple(c), s) for c, s in atom] for atom in atoms], indices,
+        data.get("leading") or None)
 
 
 def build_molecule(n, atom_blocks, indices, leading=None):

@@ -543,8 +543,8 @@ def test_identify_keeps_equal_tops_in_preimage_order():
                       [(2, [0, 1, 2], SIMPLEX), (2, [1, 2, 3], SIMPLEX)])
     Q, image, _ = identify(K, {3}, 0)
     assert Q.to_json() == rebuilt_identify(K, {3}, 0).to_json()
-    first, second = (image[i] for i in K.ids_with_verts(2, (0, 1, 2))
-                     + K.ids_with_verts(2, (1, 2, 3)))
+    first, second = (image[i] for v in ((0, 1, 2), (1, 2, 3))
+                     for i, c in enumerate(K.cells()) if c.verts == v)
     assert Q.cell(first).verts == Q.cell(second).verts and first < second
 
 

@@ -90,6 +90,48 @@ def test_invalid_complex_report_goes_to_out(capsys, tmp_path):
     assert json.loads(out.read_text())["valid"] is False
 
 
+@pytest.mark.parametrize("case", ["not_json", "empty", "above", "mode"])
+def test_validate_malformed_input_exits_3(capsys, tmp_path, case):
+    # a triangle in a 1-complex, or in a mode that is neither
+    triangle = cc.build_complex(2, cc.SIMPLICIAL, [0, 1, 2],
+                                [(2, [0, 1, 2], cc.SIMPLEX)]).to_json()
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json" if case == "not_json" else json.dumps(
+        {"empty": {}, "above": triangle | {"dimension": 1},
+         "mode": triangle | {"mode": "foo"}}[case]))
+    code, data = run(capsys, ["validate", str(bad)])
+    assert code == 3 and data["valid"] is False
+
+
+@pytest.mark.parametrize("text", ["not json", "{}"])
+def test_shell_malformed_input_exits_3(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, data = run(capsys, ["shell", str(bad)])
+    assert code == 3 and data["type"] == "ParamsInvalid"
+
+
+def test_weave_rank_without_p_exits_3(capsys, tmp_path):
+    bad = tmp_path / "sketch.json"
+    bad.write_text("{}")
+    code, data = run(capsys, ["weave-rank", str(bad)])
+    assert code == 3 and "'p'" in data["error"]
+
+
+def test_molecule_without_n_is_invalid(capsys, tmp_path):
+    bad = tmp_path / "mol.json"
+    bad.write_text("{}")
+    code, data = run(capsys, ["molecule", "validate", str(bad)])
+    assert code == 3 and data["valid"] is False and "'n'" in data["error"]
+
+
+@pytest.mark.parametrize("children", ["0", "-2"])
+def test_necklace_gen_bad_children_exits_3(capsys, children):
+    code, data = run(capsys, ["necklace", "gen", "--k", "1",
+                              "--children", children])
+    assert code == 3 and data["type"] == "ParamsInvalid"
+
+
 def test_error_report_goes_to_out(paths, capsys, tmp_path):
     out = tmp_path / "order.json"
     code, data = run(capsys, ["shell", paths["annulus"], "--out", str(out)])

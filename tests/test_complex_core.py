@@ -24,7 +24,7 @@ from cubalex import refinement as rf
 from cubalex import shelling as sh
 from cubalex.errors import (
     CubalexError, FaceOveruse, IllegalIntersection, MissingFace, NotCubical,
-    UnknownVertex,
+    ParamsInvalid, UnknownVertex,
 )
 
 from gen import (
@@ -349,14 +349,13 @@ def lookup_cases():
 
 @pytest.mark.parametrize("name", list(lookup_cases()))
 def test_lookups_match_scans(name):
-    # bisection and the walk up the coface table against scans of cells()
+    # the 0-cell bisection and the walk up the coface table against scans
+    # of cells(); the bisection agrees with the reduction's rows
     K = lookup_cases()[name]
-    cells = K.cells()
-    for d in range(K.dimension + 1):
-        for verts in {c.verts for c in cells}:
-            want = [i for i, c in enumerate(cells)
-                    if (c.dim, c.verts) == (d, verts)]
-            assert K.ids_with_verts(d, verts[::-1]) == want
+    cells, rows = K.cells(), cc._Rows(K)
+    for v in K.vertices:
+        want = [i for i, c in enumerate(cells) if c.verts == (v,)]
+        assert K._vertex_cell(v) == want == rows._vertex_cell(v)
     for v in K.vertices:
         on = [set(c.verts) for c in cells if v in c.verts]
         assert K.star_cell_ids(v) == [i for i, c in enumerate(cells)
@@ -491,6 +490,9 @@ def complex_cells(case):
     ("overuse", FaceOveruse),
     ("misordered_face", IllegalIntersection),
     ("not_a_common_face", IllegalIntersection),
+    ("simplex_above_the_dimension", IllegalIntersection),
+    ("cube_above_the_dimension", IllegalIntersection),
+    ("unknown_mode", ParamsInvalid),
 ])
 def test_each_typed_error(case, error):
     # one bad input per error validation raises
@@ -518,12 +520,29 @@ def test_each_typed_error(case, error):
         "misordered_face": misordered_face(),
         "not_a_common_face": (2, cc.CUBICAL, range(6), [
             (2, [0, 1, 2, 3], cc.CUBE), (2, [3, 4, 5, 0], cc.CUBE)]),
+        "simplex_above_the_dimension": (1, cc.SIMPLICIAL, [0, 1, 2],
+                                        [(2, [0, 1, 2], cc.SIMPLEX)]),
+        "cube_above_the_dimension": (1, cc.CUBICAL, range(4),
+                                     [(2, [0, 1, 2, 3], cc.CUBE)]),
+        "unknown_mode": (2, "foo", [0, 1, 2], [(2, [0, 1, 2], cc.SIMPLEX)]),
     }
     with pytest.raises(error):
         if case in raw:
             cc.build_complex(*raw[case])
         else:
             cc.Complex(*complex_cells(case))
+
+
+@pytest.mark.parametrize("data,key", [
+    ({}, "dimension"), ([], None),
+    ({"dimension": 0, "mode": cc.SIMPLICIAL, "vertices": [{}], "cells": []},
+     "id"),
+    ({"dimension": 0, "mode": cc.SIMPLICIAL, "vertices": [{"id": 0}],
+      "cells": [{"vertices": [0]}]}, "dim"),
+])
+def test_from_json_names_what_it_lacks(data, key):
+    with pytest.raises(ParamsInvalid, match=repr(key) if key else "object"):
+        cc.from_json(data)
 
 
 def test_complex_rejects_cells_out_of_order():
@@ -778,7 +797,8 @@ def test_first_given_cube_fixes_a_shared_face_order():
         args = cube_pair_sharing_a_square(first)
         K = cc.build_complex(*args)
         square = set(args[3][0][1]) & set(args[3][1][1])
-        orders.append(K.cell(K.ids_with_verts(2, square)[0]).order)
+        orders.append(next(c.order for c in K.cells()
+                           if c.dim == 2 and set(c.verts) == square))
         induced = [v for v in args[3][0][1] if v in square]
         assert list(orders[-1]) == induced
     assert orders[0] != orders[1]

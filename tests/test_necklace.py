@@ -168,6 +168,12 @@ def test_generate_rejects_a_bad_k(k):
         nk.generate(small_params(), k)
 
 
+@pytest.mark.parametrize("children", [0, -2, 1.5])
+def test_generate_rejects_a_bad_children_count(children):
+    with pytest.raises(ParamsInvalid):
+        nk.generate(small_params(), 1, children_per_tube=children)
+
+
 def test_scale_ledger_exact():
     p = small_params()
     system = nk.generate(p, 3, children_per_tube=4)
