@@ -165,6 +165,8 @@ def cmd_weave_rank(args):
     data = _read_json(args.sketch)
     p, colors, simplices = json_fields(data, "sketch", "p", "colors",
                                        "simplices")
+    if not isinstance(colors, dict):
+        raise ParamsInvalid("sketch key 'colors' is not a JSON object")
     sk = weaving.SketchSpec(
         p=p, colors={int(k): v for k, v in colors.items()},
         simplices=[tuple(s) for s in simplices],

@@ -43,6 +43,7 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
+import heapq
 import itertools
 import json
 import operator
@@ -258,6 +259,12 @@ def _split_rows(place, widths, counts):
     return rows
 
 
+def _check_mode(mode):
+    if mode not in (CUBICAL, SIMPLICIAL):
+        raise ParamsInvalid(
+            f"mode {mode!r}, need {CUBICAL!r} or {SIMPLICIAL!r}")
+
+
 def _reach(start, step):
     """The ids reachable from the ids `start` by `step` (an id to the ids
     one step on), `start` among them, ascending: the one walk behind a
@@ -282,9 +289,7 @@ class Complex:
 
     def __init__(self, dimension, mode, vertices, cells, vertex_cube_dim=None,
                  *, rows=None):
-        if mode not in (CUBICAL, SIMPLICIAL):
-            raise ParamsInvalid(
-                f"mode {mode!r}, need {CUBICAL!r} or {SIMPLICIAL!r}")
+        _check_mode(mode)
         self.dimension = dimension
         self.mode = mode
         self.vertices = dict(vertices)  # id -> coords tuple or None
@@ -661,8 +666,11 @@ class Complex:
         """sha256 of the quotient of the coarsest equitable partition of the
         cells (`_refine`, from dim and kind): for each class in class-id
         order, its dim, kind and size and its members' sorted neighbour
-        classes.  Class ids come from colours alone, so relabelling vertices
-        or reordering cells leaves the hash unchanged."""
+        classes.  The splitter order and the ids of split parts follow from
+        class ids, counts and sizes alone, never cell ids, so relabelling
+        vertices or reordering cells leaves the hash unchanged, and so does
+        the process's string hashing.  A change to that order changes the
+        values."""
         adj, color, classes = _start_partition([(self, None)])
         _refine(adj, color, classes, range(len(adj)))
         h = hashlib.sha256()
@@ -886,6 +894,7 @@ def build_complex(dimension, mode, vertices, cells):
     raise NotCubical / UnknownVertex / MissingFace / IllegalIntersection /
     FaceOveruse.
     """
+    _check_mode(mode)  # before the cells, which are checked against it
     if isinstance(vertices, dict):
         vmap = {v: (tuple(c) if c is not None else None)
                 for v, c in vertices.items()}
@@ -903,8 +912,12 @@ def build_complex(dimension, mode, vertices, cells):
             kind = entry.get("kind", kind_default)
         else:
             dim, vs, kind = entry
+        try:
+            seqs.append(tuple(vs))
+        except TypeError:
+            raise ParamsInvalid(
+                f"cell {entry!r}: its vertices are not a list") from None
         dims.append(dim)
-        seqs.append(tuple(vs))
         kinds.append(kind)
     for size in {len(s) for d, s, k in zip(dims, seqs, kinds)
                  if d and k != SIMPLEX}:
@@ -1124,16 +1137,19 @@ def is_isomorphic(K1, K2, labels1=None, labels2=None):
     two incidence graphs, read off both complexes' own index.
 
     Colours start from `_cell_color` and are refined to the coarsest
-    equitable partition (colour refinement, Weisfeiler & Leman 1968).  Every
-    step depends on colours alone, never on cell ids, so any isomorphism
-    phi: K1 -> K2 maps each colour class's K1 cells onto its K2 cells, and a
-    class with unequal counts on the two sides proves that no phi exists.
-    Otherwise the first K1 cell a of the smallest class holding more than
-    one pair gets a fresh colour together with each K2 cell b of that class
-    in turn.  phi(a) is one of those b, and that branch keeps phi
-    colour-preserving, so trying every b misses no isomorphism.  When every
-    class is a pair, the partition is a bijection; it is accepted only once
-    checked to map every incidence onto an incidence.  So `True` comes only
+    equitable partition (colour refinement, Weisfeiler & Leman 1968), by
+    splitters in O(m log n) counting for m incidences of n cells
+    (`_refine`): after a pair is individualized, only its neighbours are
+    counted at first.  Every step depends on colours alone, never on cell
+    ids, so any isomorphism phi: K1 -> K2 maps each colour class's K1 cells
+    onto its K2 cells, and a class with unequal counts on the two sides
+    proves that no phi exists.  Otherwise the first K1 cell a of the
+    smallest class holding more than one pair gets a fresh colour together
+    with each K2 cell b of that class in turn.  phi(a) is one of those b,
+    and that branch keeps phi colour-preserving, so trying every b misses no
+    isomorphism.  When every class is a pair, the partition is a bijection;
+    it is accepted only once checked to map every incidence onto an
+    incidence.  So `True` comes only
     from a verified bijection, `False` only from a count mismatch or an
     exhausted search.  There is no automorphism pruning: on highly regular
     inputs that are not isomorphic the search can take exponential time.
@@ -1148,16 +1164,18 @@ def is_isomorphic(K1, K2, labels1=None, labels2=None):
 
 
 def _start_partition(complexes):
-    """Neighbour tuples (facets and cofaces), colours and classes of the
-    cells of the disjoint union of (K, labels) pairs, ids offset in turn.
-    Class ids follow the sorted `_cell_color` strings."""
+    """Neighbour lists (facets, then cofaces), colours and classes of the
+    cells of the disjoint union of (K, labels) pairs, ids offset in turn,
+    sliced from each complex's facet and coface tables.  Class ids follow
+    the sorted `_cell_color` strings."""
     adj, start = [], []
     for K, labels in complexes:
         base = len(adj)
-        for i, c in enumerate(K.cells()):
-            adj.append(tuple({base + j
-                              for j in K.facet_ids(i) + K.coface_ids(i)}))
-            start.append(_cell_color(c, labels))
+        (off, flat), (coff, cflat) = K._facets, K._coface_table()
+        f, c = ((_ints(t) + base).tolist() for t in (flat, cflat))
+        adj += [f[a:b] + c[x:y] for a, b, x, y in zip(
+            off, off[1:], coff, coff[1:])]
+        start += [_cell_color(cell, labels) for cell in K._cells]
     ids = {col: k for k, col in enumerate(sorted(set(start)))}
     color = [ids[col] for col in start]
     classes = [[] for _ in ids]
@@ -1167,34 +1185,70 @@ def _start_partition(complexes):
 
 
 def _refine(adj, color, classes, changed):
-    """Refine `color` (cell -> class id) and `classes` (class id -> cells),
-    in place, to the coarsest equitable partition below them.  A class is
-    re-signed only when it holds a neighbour of a cell whose colour changed
-    in the last round (`changed` at first); a cell's signature is the sorted
-    tuple of its neighbours' colours.  A split class keeps its id for the
-    part with the smallest signature; the other parts get fresh ids."""
-    while changed:
-        touched = sorted({color[u] for v in changed for u in adj[v]})
-        changed, fresh = [], len(classes)
-        for k in touched:
-            if len(classes[k]) == 1:
+    """Refine `color` (cell -> class id) and `classes` (class id -> its
+    cells, ascending), in place, to the coarsest equitable partition below
+    them, by splitters (Hopcroft's "all but the largest part" rule; Cardon
+    & Crochemore 1982, Paige & Tarjan 1987).  `changed` is every cell, or
+    the cells whose colour changed when classes of an equitable partition
+    were split, all parts of a split class but one.  Their classes are
+    queued first.
+
+    The smallest queued id S is popped and each cell's neighbours in S are
+    counted; only the cells with such a neighbour are visited.  Each class
+    holding one splits by that count: its cells counted 0, or else the part
+    with the smallest count, keep its id, and the other parts take fresh
+    ids in ascending count.  If the class was still queued, every new part
+    is queued; else every part but the first of the largest, since counts
+    into that part are counts into the class, which the partition was
+    equitable with respect to, less counts into the others.  Each decision
+    reads class ids, counts and sizes, never cell ids, so the ids come out
+    canonical: a colour-preserving bijection of the input maps the result
+    onto the refinement of its image.  A cell re-enters the queue only in a
+    part at most half as large as its class was, so each of the m
+    incidences of n cells is counted O(log n) times: O(m log n) counting,
+    plus sorts of the touched class ids and of the new parts."""
+    queue = sorted({color[v] for v in changed})  # a sorted list is a heap
+    queued = set(queue)
+    held = set()  # the split ids, whose cells are a set until the end
+    while queue:
+        s = heapq.heappop(queue)
+        queued.discard(s)
+        count = {}
+        for v in classes[s]:
+            for u in adj[v]:
+                count[u] = count.get(u, 0) + 1
+        hits = {}  # class id -> its counted cells
+        for u in count:
+            hits.setdefault(color[u], []).append(u)
+        for k in sorted(hits):
+            hit = hits[k]
+            whole = len(hit) == len(classes[k])
+            if whole and len(set(map(count.__getitem__, hit))) == 1:
                 continue
-            parts = {}
-            for v in classes[k]:
-                sig = tuple(sorted([color[u] for u in adj[v]]))
-                parts.setdefault(sig, []).append(v)
-            if len(parts) == 1:
-                continue
-            first, *rest = sorted(parts)
-            classes[k] = parts[first]
-            for sig in rest:
-                classes.append(parts[sig])
-                changed += parts[sig]
-        # fresh ids take effect after the round, so every class of one
-        # round is signed with the same colours
-        for k in range(fresh, len(classes)):
-            for v in classes[k]:
-                color[v] = k
+            by = {}  # count -> cells
+            for u in hit:
+                by.setdefault(count[u], []).append(u)
+            parts = [by[n] for n in sorted(by)]
+            if whole:
+                del parts[0]  # the smallest count keeps the id
+            if k not in held:
+                classes[k] = set(classes[k])
+                held.add(k)
+            ids = [] if k in queued else [k]
+            for part in parts:
+                classes[k].difference_update(part)
+                j = len(classes)
+                classes.append(sorted(part))
+                for u in part:
+                    color[u] = j
+                ids.append(j)
+            if k not in queued:  # the first of the largest parts stays out
+                ids.remove(max(ids, key=lambda j: len(classes[j])))
+            for j in ids:
+                heapq.heappush(queue, j)
+                queued.add(j)
+    for k in held:
+        classes[k] = sorted(classes[k])
 
 
 def _search(adj, n1, color, classes, changed):

@@ -23,6 +23,7 @@ from .errors import (
     NoDisjointCollars,
     NotATree,
     NotCubical,
+    ParamsInvalid,
     check_count,
     json_fields,
 )
@@ -442,9 +443,12 @@ def molecule_to_json(M):
 
 def molecule_from_json(data):
     n, atoms, indices = json_fields(data, "molecule", "n", "atoms", "indices")
-    return build_molecule(
-        n, [[(tuple(c), s) for c, s in atom] for atom in atoms], indices,
-        data.get("leading") or None)
+    try:
+        blocks = [[(tuple(c), s) for c, s in atom] for atom in atoms]
+    except (TypeError, ValueError):
+        raise ParamsInvalid("molecule key 'atoms' is not a list of atoms, "
+                            "each a list of [corner, side] blocks") from None
+    return build_molecule(n, blocks, indices, data.get("leading") or None)
 
 
 def build_molecule(n, atom_blocks, indices, leading=None):

@@ -73,6 +73,25 @@ def random_disk_polyomino(rng, max_cells):
             return sorted(cells)
 
 
+def bench_reduction_disks(seed):
+    """The 17 polyominoes the benchmark's shell_reduce workload reduces at
+    `seed`: two disks of each size 9-16, grown one square at a time from
+    random.Random(seed), and CONE44."""
+    rng = random.Random(seed)
+    disks = []
+    for size in [*range(9, 17)] * 2:
+        while True:
+            cells = {(0, 0)}
+            while len(cells) < size:
+                x, y = rng.choice(sorted(cells))
+                dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+                cells.add((x + dx, y + dy))
+            if fa.is_disk_polyomino(sorted(cells)):
+                disks.append(tuple(sorted(cells)))
+                break
+    return disks + [CONE44]
+
+
 def random_shellable_polycube(rng, max_cells):
     """Face-connected polycube of unit 3-cubes with a shelling; cubes that
     meet only along an edge can leave a pinched, unshellable union."""

@@ -125,6 +125,23 @@ def test_molecule_without_n_is_invalid(capsys, tmp_path):
     assert code == 3 and data["valid"] is False and "'n'" in data["error"]
 
 
+@pytest.mark.parametrize("command,data,says", [
+    (["weave-rank"], {"p": 3, "colors": [], "simplices": []}, "'colors'"),
+    (["molecule", "validate"], {"n": 2, "atoms": [[1]], "indices": [1]},
+     "'atoms'"),
+    (["validate"], {"dimension": 1, "mode": "simplicial",
+                    "vertices": [{"id": 0}, {"id": 1}],
+                    "cells": [{"dim": 1, "vertices": 5}]}, "vertices"),
+    (["validate"], fa.domino().to_json() | {"mode": "foo"}, "mode 'foo'"),
+], ids=["sketch_colors", "molecule_atoms", "cell_vertices", "mode"])
+def test_wrong_type_values_exit_3(capsys, tmp_path, command, data, says):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, report = run(capsys, [*command, str(bad)])
+    assert code == 3 and says in report["error"]
+    assert report.get("valid", False) is False
+
+
 @pytest.mark.parametrize("children", ["0", "-2"])
 def test_necklace_gen_bad_children_exits_3(capsys, children):
     code, data = run(capsys, ["necklace", "gen", "--k", "1",

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubalex import alexander as al
 from cubalex import complex_core as cc
 from cubalex import factories as fa
 from cubalex import refinement as rf
@@ -28,8 +29,8 @@ from cubalex.errors import (
 )
 
 from gen import (
-    BENCH_BOXES_3D, CONE44, identify, nx_adjacency, random_disk_polyomino,
-    relabeled, subcomplex,
+    BENCH_BOXES_3D, CONE44, bench_reduction_disks, identify, nx_adjacency,
+    random_disk_polyomino, relabeled, subcomplex,
 )
 
 
@@ -542,6 +543,18 @@ def test_each_typed_error(case, error):
 ])
 def test_from_json_names_what_it_lacks(data, key):
     with pytest.raises(ParamsInvalid, match=repr(key) if key else "object"):
+        cc.from_json(data)
+
+
+@pytest.mark.parametrize("data,says", [
+    # the mode is checked before the cells, which are checked against it
+    (fa.domino().to_json() | {"mode": "foo"}, "mode 'foo'"),
+    ({"dimension": 1, "mode": cc.SIMPLICIAL,
+      "vertices": [{"id": 0}, {"id": 1}], "cells": [{"dim": 1, "vertices": 5}]},
+     "vertices are not a list"),
+], ids=["mode", "cell_vertices"])
+def test_from_json_names_a_bad_value(data, says):
+    with pytest.raises(ParamsInvalid, match=says):
         cc.from_json(data)
 
 
@@ -1471,10 +1484,93 @@ def test_hash_independent_of_string_hashing():
                            text=True, check=True,
                            env={**os.environ, "PYTHONHASHSEED": seed}).stdout
             for seed in ("0", "1")]
+    # pinned, so that a change to the order of class ids shows
+    want = repr([
+        "2e1661922d210ca2b120db61d00187cb6afa83c123fa04e8abe4f14a38160d72",
+        "d94c13648afff771d518f75d0437d719e6636b9a3ee6b1352552e8ffab4b2b02",
+        "249c76354941053aa6e79a9bebd448df7c324495c67a4be9dd09781cbc094247",
+        "55ff4c6eb04541a1bbf9ad994259d1959a7224e03245a4819349134892f13ec7"])
     assert outs[0] == outs[1]
-    assert outs[0].strip() == repr([K.relabel_invariant_hash() for K in (
-        fa.rect_grid(2, 3), cc.canonical_triangulation(fa.unit_cube(3)),
-        fa.doubled_complex(fa.domino()), fa.circle_complex(2))])
+    assert outs[0].strip() == want == repr([
+        K.relabel_invariant_hash() for K in (
+            fa.rect_grid(2, 3), cc.canonical_triangulation(fa.unit_cube(3)),
+            fa.doubled_complex(fa.domino()), fa.circle_complex(2))])
+
+
+def resigned(adj, color, classes, changed):
+    """Round-by-round refinement, the oracle of `_refine`: in rounds, every
+    class holding a neighbour of a cell whose colour changed in the last
+    round (`changed` at first) is re-signed in full, a cell's signature
+    being the sorted tuple of its neighbours' colours.  A split class keeps
+    its id for the part with the smallest signature; the other parts get
+    fresh ids, which take effect after the round."""
+    while changed:
+        touched = sorted({color[u] for v in changed for u in adj[v]})
+        changed, fresh = [], len(classes)
+        for k in touched:
+            if len(classes[k]) == 1:
+                continue
+            parts = {}
+            for v in classes[k]:
+                sig = tuple(sorted([color[u] for u in adj[v]]))
+                parts.setdefault(sig, []).append(v)
+            if len(parts) == 1:
+                continue
+            first, *rest = sorted(parts)
+            classes[k] = parts[first]
+            for sig in rest:
+                classes.append(parts[sig])
+                changed += parts[sig]
+        for k in range(fresh, len(classes)):
+            for v in classes[k]:
+                color[v] = k
+
+
+def refined_both_ways(adj, color, classes, changed):
+    """`_refine` and `resigned` from copies of one partition: the first's
+    colours and classes, after checking that both reach the same partition
+    and that it is equitable, with each class ascending."""
+    runs = []
+    for refine in (cc._refine, resigned):
+        runs.append((list(color), [list(part) for part in classes]))
+        refine(adj, *runs[-1], changed)
+    (color, classes), (_, old) = runs
+    assert ({frozenset(part) for part in classes}
+            == {frozenset(part) for part in old})
+    for k, part in enumerate(classes):
+        assert part == sorted(part) and {color[v] for v in part} == {k}
+        assert len({tuple(sorted(color[u] for u in adj[v]))
+                    for v in part}) == 1
+    return color, classes
+
+
+def test_splitter_refinement_matches_resigning(hash_complexes):
+    """On every hashed complex, on it beside itself, and on the star
+    replacement beside the reduction of the benchmark's 17 seed-1 disks:
+    from the start partition, and from its refinement with one pair
+    individualized as `_search` does it."""
+    cases = [[(K, None)] for K in hash_complexes]
+    cases += [[(K, None), (K, None)] for K in hash_complexes]
+    for cells in bench_reduction_disks(1):
+        K = fa.grid_complex(cells)
+        cases.append([(sh.star_replacement(K), None),
+                      (al.reduce_cubical(K)[0], None)])
+    individualized = 0
+    for complexes in cases:
+        adj, color, classes = cc._start_partition(complexes)
+        color, classes = refined_both_ways(adj, color, classes,
+                                           range(len(adj)))
+        big = [k for k, part in enumerate(classes) if len(part) > 2]
+        if not big:
+            continue
+        k = min(big, key=lambda k: len(classes[k]))
+        a, b = classes[k][0], classes[k][-1]
+        classes[k] = [v for v in classes[k] if v not in (a, b)]
+        classes.append([a, b])
+        color[a] = color[b] = len(classes) - 1
+        refined_both_ways(adj, color, classes, [a, b])
+        individualized += 1
+    assert len(cases) == 355 and individualized == 94
 
 
 def cycles(*sizes):
